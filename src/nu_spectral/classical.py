@@ -10,10 +10,12 @@ affinely equivalent to exactly one of the three classical forms
 
 classify_canonical finds the affine map u = scale*x + shift together with
 the eigenvalue rescaling lam_c = lam / lambda_scale.  Polynomial
-eigenfunctions are produced two independent ways: a differentiated
-Rodrigues product (rodrigues_poly) and the three-term recurrence
-(recurrence_poly); both run in exact arithmetic, including surd-valued
-alpha, beta.
+eigenfunctions are produced three independent ways, all in exact
+arithmetic including surd-valued alpha, beta: the terminating
+hypergeometric series (series_poly, O(n) operations for Hermite and
+Laguerre, the route bound states take), a differentiated Rodrigues product
+(rodrigues_poly) and the three-term recurrence (recurrence_poly).
+recurrence_values runs the same recurrence in floats over numpy arrays.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DoubleRootUnsupported, ParameterOutOfRange
 from .hyper import gamma_fn
@@ -51,9 +55,6 @@ class CanonicalHde:
 
     def to_canonical(self, x):
         return self.scale * x + self.shift
-
-    def from_canonical(self, u):
-        return (u - self.shift) / self.scale
 
     def lambda_canonical(self, lam):
         return lam / self.lambda_scale
@@ -173,6 +174,107 @@ def rodrigues_poly(family, n, alpha=None, beta=None):
     return _leading_norm(family, n, alpha, beta) * q
 
 
+def series_poly(family, n, alpha=None, beta=None):
+    """Degree-n eigenpolynomial from its terminating hypergeometric series.
+
+    Neighbouring coefficients differ by the series' term ratio, so Hermite
+    and Laguerre cost O(n) exact operations.  Jacobi is the 2F1 series in
+    t = (1-u)/2, built from running Pochhammer products so that no surd is
+    ever inverted, followed by one compose_affine back to u.  The result
+    equals rodrigues_poly exactly.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    if family == "hermite":
+        # H_n = sum_m (-1)^m n! / (m! (n-2m)!) (2u)^(n-2m)
+        coeffs = [Fraction(0)] * (n + 1)
+        c = Fraction(2**n)
+        for m in range(n // 2 + 1):
+            k = n - 2 * m
+            coeffs[k] = c
+            c = c * Fraction(-k * (k - 1), 4 * (m + 1))
+        return Polynomial(coeffs)
+    if family == "laguerre":
+        # from the top: c_n = (-1)^n / n!, c_{k-1} = -c_k k (alpha+k) / (n-k+1)
+        a = as_exact(alpha)
+        coeffs = [Fraction(0)] * (n + 1)
+        c = Fraction((-1) ** n, math.factorial(n))
+        for k in range(n, 0, -1):
+            coeffs[k] = c
+            c = c * (a + k) * Fraction(-k, n - k + 1)
+        coeffs[0] = c
+        return Polynomial(coeffs)
+    if family == "jacobi":
+        # d_k = (alpha+k+1)_(n-k) (-n)_k (n+alpha+beta+1)_k / (n! k!)
+        a, b = as_exact(alpha), as_exact(beta)
+        upper = [Fraction(1)] * (n + 1)
+        for k in range(n, 0, -1):
+            upper[k - 1] = upper[k] * (a + k)
+        coeffs, lower, denom = [], Fraction(1), math.factorial(n)
+        for k in range(n + 1):
+            coeffs.append(upper[k] * lower * Fraction(1, denom))
+            lower = lower * (k - n) * (n + a + b + 1 + k)
+            denom *= k + 1
+        return Polynomial(coeffs).compose_affine(Fraction(-1, 2), Fraction(1, 2))
+    raise ValueError(f"unknown family {family!r}")
+
+
+# rescaling step of recurrence_values: an exact power of two, far inside the
+# float range on both sides
+_RESCALE_AT = 2.0**500
+_RESCALE_LOG = 500.0 * math.log(2.0)
+
+
+def recurrence_values(family, n, u, alpha=None, beta=None):
+    """The degree-n family polynomial at the float array u, by the forward
+    three-term recurrence (stable for real u: Gil, Segura & Temme,
+    Numerical Methods for Special Functions, ch. 4).
+
+    Returns (m, e) with P_n(u) = m * exp(e).  Where the recurrence grows
+    past 2^500 both carried terms are scaled down by that power of two and
+    e records it, so any degree stays inside the float range; pass e to
+    the caller's log-weight instead of forming P_n itself.
+    """
+    u = np.asarray(u, dtype=float)
+    e = np.zeros(u.shape)
+    prev = np.ones(u.shape)
+    if n == 0:
+        return prev, e
+    if family == "hermite":
+        cur = 2.0 * u
+
+        def step(k, cur, prev):
+            return 2.0 * u * cur - 2.0 * k * prev
+
+    elif family == "laguerre":
+        a = scalar_float(alpha)
+        cur = 1.0 + a - u
+
+        def step(k, cur, prev):
+            return ((2 * k + 1 + a - u) * cur - (k + a) * prev) / (k + 1)
+
+    elif family == "jacobi":
+        a, b = scalar_float(alpha), scalar_float(beta)
+        cur = 0.5 * ((a - b) + (a + b + 2.0) * u)
+
+        def step(k, cur, prev):
+            s = 2 * k + a + b
+            lead = (s + 1.0) * ((s + 2.0) * s * u + (a * a - b * b))
+            back = 2.0 * (k + a) * (k + b) * (s + 2.0)
+            return (lead * cur - back * prev) / (2.0 * (k + 1) * (k + a + b + 1) * s)
+
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    for k in range(1, n):
+        prev, cur = cur, step(k, cur, prev)
+        big = np.abs(cur) > _RESCALE_AT
+        if big.any():
+            cur = np.where(big, cur / _RESCALE_AT, cur)
+            prev = np.where(big, prev / _RESCALE_AT, prev)
+            e = e + np.where(big, _RESCALE_LOG, 0.0)
+    return cur, e
+
+
 def recurrence_poly(family, n, alpha=None, beta=None):
     """Same polynomial through the three-term recurrence; serves as an
     independent route for cross-checking rodrigues_poly."""
@@ -243,7 +345,7 @@ def inner_product(family, p, q, alpha=None, beta=None, tol=1e-12, abs_tol=None):
     pf, qf = p.as_float(), q.as_float()
     if family == "hermite":
         return quad_adaptive(
-            lambda x: pf(x) * qf(x) * math.exp(-x * x),
+            lambda x: pf(x) * qf(x) * np.exp(-x * x),
             -math.inf,
             math.inf,
             tol=tol,
@@ -252,10 +354,10 @@ def inner_product(family, p, q, alpha=None, beta=None, tol=1e-12, abs_tol=None):
     if family == "laguerre":
         a = scalar_float(alpha)
         head = tanh_sinh(
-            lambda x, dlo, dhi: dlo**a * math.exp(-x) * pf(x) * qf(x), 0.0, 1.0
+            lambda x, dlo, dhi: dlo**a * np.exp(-x) * pf(x) * qf(x), 0.0, 1.0
         )
         tail = quad_adaptive(
-            lambda x: x**a * math.exp(-x) * pf(x) * qf(x),
+            lambda x: x**a * np.exp(-x) * pf(x) * qf(x),
             1.0,
             math.inf,
             tol=tol,

@@ -25,6 +25,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .errors import CountMismatch, NuSpectralError, ParseError
 from .hyper import hermite_fn, hyp1f1, hyp2f1, hypU
 from .oracle import FdGrid, compare_spectra
@@ -293,7 +295,8 @@ def _cmd_solve(args):
         xs = [lo + i * step for i in range(args.sample_count)]
         for st in states:
             lines = [f"x,psi_{st.n}(x)"]
-            lines.extend(f"{_fmt(x)},{_fmt(st.sampler(x))}" for x in xs)
+            values = st.sampler(np.array(xs))
+            lines.extend(f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values))
             (outdir / f"psi_{st.n}.csv").write_text("\n".join(lines) + "\n")
 
     if args.format == "json":

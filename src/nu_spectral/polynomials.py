@@ -159,12 +159,26 @@ class Polynomial:
         )
 
     def compose_affine(self, a, b):
-        """p(a*x + b) expanded, exact when a, b and coefficients are exact."""
-        inner = Polynomial((b, a))
-        result = Polynomial()
+        """p(a*x + b) expanded, exact when a, b and coefficients are exact.
+
+        With b = 0 this is the O(n) scaling of coefficient k by a**k;
+        otherwise Horner's scheme in the coefficient lists, O(n^2).
+        """
+        if scalar_is_zero(b):
+            out, power = [], Fraction(1)
+            for c in self.coeffs:
+                out.append(c * power)
+                power = power * a
+            return Polynomial(out)
+        acc = []
         for c in reversed(self.coeffs):
-            result = result * inner + c
-        return result
+            # acc <- acc * (a x + b) + c
+            nxt = [v * b for v in acc] + [Fraction(0)]
+            for k, v in enumerate(acc):
+                nxt[k + 1] = nxt[k + 1] + v * a
+            nxt[0] = nxt[0] + c
+            acc = nxt
+        return Polynomial(acc)
 
     def __repr__(self):
         if not self.coeffs:
@@ -227,10 +241,6 @@ def quad_roots(p):
     return sorted([r1, r2], key=lambda v: v.real if isinstance(v, complex) else v)
 
 
-def poly_div_scalar(p, s):
-    return Polynomial(tuple(c / s for c in p.coeffs))
-
-
 class Interval:
     """Open interval with optionally infinite endpoints."""
 
@@ -245,10 +255,6 @@ class Interval:
     def contains(self, x):
         v = float(x)
         return float(self.lo) < v < float(self.hi)
-
-    @property
-    def lo_finite(self):
-        return math.isfinite(float(self.lo))
 
     @property
     def hi_finite(self):

@@ -29,7 +29,8 @@ import numpy as np
 from .classical import (
     classify_canonical,
     eigen_lambda,
-    rodrigues_poly,
+    recurrence_values,
+    series_poly,
 )
 from .errors import (
     EmptySpectrum,
@@ -91,13 +92,20 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class BoundState:
+    """One bound level.
+
+    sampler is the normalized wavefunction in the dimensionless coordinate:
+    called with a float it returns a float, called with a numpy array of
+    positions it returns the values as an array of the same shape.
+    """
+
     n: int
     eps: object  # exact reduced eigenvalue
     energy: float  # physical energy
     poly: Polynomial  # exact polynomial factor, in s
     chi: object = None  # bare non-polynomial factor, in s
     norm_const_sq: float = 0.0  # physical-coordinate normalization
-    sampler: object = None  # x -> normalized wavefunction value
+    sampler: object = None  # x -> normalized wavefunction value(s)
 
 
 @dataclass(frozen=True)
@@ -193,7 +201,7 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
         name="morse",
         physical_params={"De": De, "a": a, "xe": xe, "m": m, "hbar": hbar},
         tau=ChangeOfVariable(
-            forward=lambda x: 2.0 * lamf * b * math.exp(-x),
+            forward=lambda x: 2.0 * lamf * b * np.exp(-x),
             deriv=lambda x: -2.0 * lamf * b * math.exp(-x),
             inverse=lambda s: math.log(2.0 * lamf * b / s),
             bounded_slope=False,
@@ -211,18 +219,16 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
 
 
 def _tanh_affine(c1, c0, x):
-    """c1*tanh(x) + c0 in a saturation-proof form.
+    """c1*tanh(x) + c0 in a saturation-proof form, elementwise over arrays.
 
     Float tanh rounds to +-1 near |x| = 19, and from about |x| = 15 on a
     factor like 1 - tanh(x) degrades into a ulp staircase.  Folding the
     affine coefficients into the exponential keeps full relative precision
     out to arbitrarily large |x|.
     """
-    e2 = math.exp(-2.0 * abs(x))
+    e2 = np.exp(-2.0 * np.abs(x))
     ratio = e2 / (1.0 + e2)  # (1 - tanh|x|) / 2
-    if x >= 0.0:
-        return (c1 + c0) - 2.0 * c1 * ratio
-    return (c0 - c1) + 2.0 * c1 * ratio
+    return np.where(x >= 0.0, (c1 + c0) - 2.0 * c1 * ratio, (c0 - c1) + 2.0 * c1 * ratio)
 
 
 def rosen_morse2(v0, mu):
@@ -254,7 +260,7 @@ def rosen_morse2(v0, mu):
         name="rosen_morse2",
         physical_params={"v0": v0, "mu": mu},
         tau=ChangeOfVariable(
-            forward=math.tanh,
+            forward=np.tanh,
             deriv=lambda x: 1.0 - math.tanh(x) ** 2,
             inverse=math.atanh,
             bounded_slope=True,
@@ -405,7 +411,7 @@ def eigen_eps(spec, n):
     raise ValueError(f"unknown potential {spec.name!r}")
 
 
-def _reduced_norm_sq(spec, n, canonical, poly):
+def _reduced_norm_sq(spec, n, canonical):
     """Normalization against the dimensionless coordinate: the square of
     the constant that makes the sampler unit-norm in dx."""
     if spec.name == "harmonic":
@@ -419,11 +425,15 @@ def _reduced_norm_sq(spec, n, canonical, poly):
         # measure dx = ds/(1-s^2): exponents drop by one on each edge
         am = scalar_float(canonical.alpha) - 1.0
         bp = scalar_float(canonical.beta) - 1.0
-        pf = poly.as_float()
-        total = tanh_sinh(
-            lambda s, dlo, dhi: dhi**am * dlo**bp * pf(s) ** 2, -1.0, 1.0
-        )
-        return 1.0 / total
+        scale, shift = scalar_float(canonical.scale), scalar_float(canonical.shift)
+
+        def density(s, dlo, dhi):
+            m, e = recurrence_values(
+                "jacobi", n, scale * s + shift, canonical.alpha, canonical.beta
+            )
+            return dhi**am * dlo**bp * m * m * np.exp(2.0 * e)
+
+        return 1.0 / tanh_sinh(density, -1.0, 1.0)
     raise ValueError(f"unknown potential {spec.name!r}")
 
 
@@ -446,53 +456,63 @@ def bound_state(spec, n):
         raise RuntimeError(
             f"{spec.name}: eigenvalue identity broken at n={n}"
         )
-    poly_u = rodrigues_poly(canonical.family, n, canonical.alpha, canonical.beta)
+    poly_u = series_poly(canonical.family, n, canonical.alpha, canonical.beta)
     poly_s = poly_u.compose_affine(canonical.scale, canonical.shift)
-    norm_red = _reduced_norm_sq(spec, n, canonical, poly_s)
-    root = math.sqrt(norm_red)
-    tau = spec.tau.forward
-    pf = poly_s.as_float()
-    chi = br.chi
-    stable = spec.tau.affine_value
-
-    if stable is None:
-
-        def sampler(x):
-            s = tau(x)
-            return root * pf(s) * chi(s)
-
-    else:
-        # the reduced variable saturates in floats long before the weight's
-        # true decay runs out, so push each linear factor of chi through the
-        # substitution's own cancellation-free affine form
-        pieces = tuple(
-            (float(base.coeffs[1]), float(base.coeffs[0]), float(expo))
-            for base, expo in chi.power_terms
-        )
-        pref = scalar_float(chi.prefactor)
-        exp_part = None if chi.exp_poly.is_zero else chi.exp_poly.as_float()
-
-        def sampler(x):
-            s = tau(x)
-            val = pref * root * pf(s)
-            for c1, c0, expo in pieces:
-                bv = stable(c1, c0, x)
-                if bv == 0.0:
-                    return 0.0
-                val *= bv**expo
-            if exp_part is not None:
-                val *= math.exp(exp_part(s))
-            return val
-
+    norm_red = _reduced_norm_sq(spec, n, canonical)
     return BoundState(
         n=n,
         eps=br.eps,
         energy=spec.energy_scale * scalar_float(br.eps),
         poly=poly_s,
-        chi=chi,
+        chi=br.chi,
         norm_const_sq=norm_red * _coordinate_scale(spec),
-        sampler=sampler,
+        sampler=_state_sampler(spec, n, canonical, br.chi, norm_red),
     )
+
+
+def _state_sampler(spec, n, canonical, chi, norm_red):
+    """x -> sqrt(norm_red) * P_n(scale*tau(x) + shift) * chi(tau(x)).
+
+    The polynomial comes from the family's float recurrence, never from
+    the expanded coefficients, and the weight goes through logs: each
+    linear factor of chi through the substitution's cancellation-free
+    affine form when it has one (the reduced variable saturates in floats
+    long before the weight's true decay runs out), else through its value
+    at s.  Elementwise, so one call evaluates a whole array of positions.
+    """
+    tau = spec.tau.forward
+    stable = spec.tau.affine_value
+    family, alpha, beta = canonical.family, canonical.alpha, canonical.beta
+    scale, shift = scalar_float(canonical.scale), scalar_float(canonical.shift)
+    pieces = tuple(
+        (scalar_float(base.coeff(1)), scalar_float(base.coeff(0)), scalar_float(expo))
+        for base, expo in chi.power_terms
+    )
+    exp_part = None if chi.exp_poly.is_zero else chi.exp_poly.as_float()
+    inv_terms = tuple(
+        (scalar_float(root), scalar_float(coeff)) for root, coeff in chi.inv_exp_terms
+    )
+    pref = scalar_float(chi.prefactor)
+    sign = math.copysign(1.0, pref)
+    log_head = 0.5 * math.log(norm_red) + math.log(abs(pref))
+
+    def sampler(x):
+        xs = np.asarray(x, dtype=float)
+        s = tau(xs)
+        m, log_w = recurrence_values(family, n, scale * s + shift, alpha, beta)
+        log_w = log_w + log_head
+        with np.errstate(divide="ignore"):
+            for c1, c0, expo in pieces:
+                base = c1 * s + c0 if stable is None else stable(c1, c0, xs)
+                log_w = log_w + expo * np.log(base)
+        if exp_part is not None:
+            log_w = log_w + exp_part(s)
+        for root, coeff in inv_terms:
+            log_w = log_w + coeff / (s - root)
+        vals = sign * m * np.exp(log_w)
+        return vals if vals.ndim else float(vals)
+
+    return sampler
 
 
 def bound_spectrum(spec, n_max=None):
@@ -544,19 +564,18 @@ def oracle_spectrum(spec, k_max=None, grid=None, rtol=1e-3):
 def wavefunction_residual(spec, sampler, eps, xs, step=1e-3):
     """Worst scaled defect of psi'' + (eps - v) psi = 0 over the points.
 
-    Five-point central differences; the denominator guard keeps nodes
-    (psi ~ 0) from reading as false failures.
+    Five-point central differences, all stencil points in one call of
+    sampler, which takes a numpy array as BoundState.sampler does; the
+    denominator guard keeps nodes (psi ~ 0) from reading as false failures.
     """
-    v = spec.reduced_potential
-    epsf = scalar_float(eps)
-    worst = 0.0
-    for x in xs:
-        f = [sampler(x + k * step) for k in (-2, -1, 0, 1, 2)]
-        d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * step * step)
-        gap = epsf - float(v(x))
-        defect = abs(d2 + gap * f[2]) / max(1.0, abs(f[2]) * abs(gap))
-        worst = max(worst, defect)
-    return worst
+    xs = np.asarray(xs, dtype=float)
+    if not xs.size:
+        return 0.0
+    f = sampler(xs[:, None] + np.arange(-2, 3) * step).T
+    d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * step * step)
+    gap = scalar_float(eps) - np.asarray(spec.reduced_potential(xs), dtype=float)
+    defect = np.abs(d2 + gap * f[2]) / np.maximum(1.0, np.abs(f[2]) * np.abs(gap))
+    return float(defect.max())
 
 
 def normalization_defect(spec, state):
@@ -572,8 +591,11 @@ def normalization_defect(spec, state):
         return state.sampler(x) ** 2
 
     if spec.name == "harmonic":
-        # gaussian times a polynomial: the window already holds everything
-        total = quad_adaptive(sq, -12.0, 12.0)
+        # gaussian times a polynomial: past the classical turning point
+        # sqrt(2n+1) the density decays like exp(-x^2); a margin of 5 leaves
+        # less than 1e-15 of the mass outside
+        edge = math.sqrt(2 * state.n + 1) + 5.0
+        total = quad_adaptive(sq, -edge, edge)
     elif spec.name == "morse":
         lamf = scalar_float(spec.exact["lam"])
         kappa = lamf - state.n - 0.5

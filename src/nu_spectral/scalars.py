@@ -138,10 +138,6 @@ class SurdSum:
     def terms(self):
         return dict(self._t)
 
-    @property
-    def is_rational(self):
-        return False  # invariant: always carries an irrational term
-
     def __float__(self):
         total = 0.0
         for core, coeff in self._t.items():

@@ -16,6 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import scipy.special
 
 from nu_spectral import (
@@ -388,7 +389,7 @@ def gate_hypergeometric():
             direct = hermite_fn(nu, z).value
 
             def integrand(t, nu=nu, z=z):
-                return t ** (-nu - 1.0) * math.exp(-t * t - 2.0 * t * z)
+                return t ** (-nu - 1.0) * np.exp(-t * t - 2.0 * t * z)
 
             via_integral = quad_adaptive(integrand, 0.0, 30.0) / math.gamma(-nu)
             assert abs(direct - via_integral) <= 1e-8 * max(1.0, abs(direct))

@@ -15,10 +15,12 @@ from nu_spectral.classical import (
     orthogonality_defect,
     recurrence_poly,
     rodrigues_poly,
+    series_poly,
 )
 from nu_spectral.errors import DoubleRootUnsupported, ParameterOutOfRange
 from nu_spectral.polynomials import Polynomial
-from nu_spectral.scalars import sqrt_scalar
+from nu_spectral.potentials import eigen_eps, morse, pinned_branch, rosen_morse2
+from nu_spectral.scalars import SurdSum, sqrt_scalar
 
 X = Polynomial.x()
 
@@ -93,6 +95,60 @@ class TestTwoRouteAgreement:
         for n in range(7):
             assert rodrigues_poly("jacobi", n, alpha, beta) == recurrence_poly(
                 "jacobi", n, alpha, beta
+            )
+
+
+def canonical_of(spec, n):
+    """Canonical form of a well's n-th bound state, as bound_state finds it."""
+    br = pinned_branch(spec, eigen_eps(spec, n))
+    return classify_canonical(spec.ghe_builder(br.eps).phi, br.psi)
+
+
+class TestSeriesRoute:
+    """series_poly, the route bound states take, against the Rodrigues
+    product, coefficient for coefficient."""
+
+    def test_hermite_to_60(self):
+        for n in range(61):
+            assert series_poly("hermite", n) == rodrigues_poly("hermite", n)
+
+    def test_laguerre_to_60(self):
+        alpha = Fraction(3, 2)
+        for n in range(61):
+            assert series_poly("laguerre", n, alpha) == rodrigues_poly(
+                "laguerre", n, alpha
+            )
+
+    def test_laguerre_surd_alpha_from_deep_morse(self):
+        spec = morse(De=579)
+        for n in (0, 16, 33):
+            can = canonical_of(spec, n)
+            assert isinstance(can.alpha, SurdSum)
+            assert series_poly("laguerre", n, can.alpha) == rodrigues_poly(
+                "laguerre", n, can.alpha
+            )
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [
+            (Fraction(0), Fraction(0)),
+            (Fraction(5, 2), Fraction(-1, 2)),
+            (Fraction(-9, 10), Fraction(17, 10)),
+        ],
+    )
+    def test_jacobi_rational(self, alpha, beta):
+        for n in range(21):
+            assert series_poly("jacobi", n, alpha, beta) == rodrigues_poly(
+                "jacobi", n, alpha, beta
+            )
+
+    def test_jacobi_surd_parameters_from_rosen_morse2(self):
+        spec = rosen_morse2(v0=100.0, mu=0.3)
+        for n in (0, 1, 3, 5):
+            can = canonical_of(spec, n)
+            assert isinstance(can.alpha, SurdSum) and isinstance(can.beta, SurdSum)
+            assert series_poly("jacobi", n, can.alpha, can.beta) == rodrigues_poly(
+                "jacobi", n, can.alpha, can.beta
             )
 
 

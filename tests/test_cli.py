@@ -304,6 +304,18 @@ class TestVerify:
         assert spectrum["analytic_count"] == 5
         assert spectrum["oracle_count"] == 5
 
+    def test_deep_morse_passes(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--potential", "morse", "--params", "Lambda=20.5"
+        )
+        assert code == 0, out
+        assert json.loads(out)["pass"] is True
+
+    def test_harmonic_n30_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--potential", "harmonic", "--n-max", "30")
+        assert code == 0, out
+        assert json.loads(out)["pass"] is True
+
     def test_coarse_grid_reported(self, capsys):
         code, out, _ = run(
             capsys,

@@ -65,14 +65,31 @@ def test_compare_spectra():
 
 
 def test_quad_adaptive_gaussian():
-    val = quad_adaptive(lambda x: math.exp(-x * x), -np.inf, np.inf)
+    val = quad_adaptive(lambda x: np.exp(-x * x), -np.inf, np.inf)
     assert abs(val - math.sqrt(math.pi)) < 1e-12
 
 
 def test_quad_adaptive_failure():
     # 1/x is not integrable through the origin
     with pytest.raises(NoConvergence):
-        quad_adaptive(lambda x: 1.0 / abs(x) if x != 0 else 1e16, -1.0, 1.0)
+        quad_adaptive(lambda x: 1.0 / np.where(x != 0, np.abs(x), 1e-16), -1.0, 1.0)
+
+
+def test_quad_adaptive_non_finite_value():
+    with pytest.raises(NoConvergence):
+        quad_adaptive(lambda x: np.where(x > 0.7, np.nan, 1.0), 0.0, 1.0)
+
+
+def test_quad_adaptive_one_call_per_round():
+    sizes = []
+
+    def f(x):
+        sizes.append(x.shape)
+        return np.sin(x) ** 2
+
+    val = quad_adaptive(f, 0.0, 40.0)
+    assert abs(val - (20.0 - math.sin(80.0) / 4.0)) < 1e-10
+    assert all(len(shape) == 1 and shape[0] % 21 == 0 for shape in sizes)
 
 
 def test_tanh_sinh_polynomial():
@@ -94,7 +111,7 @@ def test_tanh_sinh_beta_integrals():
 
 
 def test_tanh_sinh_against_quad_on_smooth():
-    f = lambda x: math.cos(3 * x) * math.exp(x)
+    f = lambda x: np.cos(3 * x) * np.exp(x)
     got = tanh_sinh(lambda x, dlo, dhi: f(x), 0.0, 2.0)
     want = quad_adaptive(f, 0.0, 2.0)
     assert abs(got - want) < 1e-11

@@ -49,6 +49,9 @@ def test_compose_affine():
     p = P(0, 0, 1)  # x^2
     q = p.compose_affine(F(2), F(-1))  # (2x-1)^2
     assert q == P(1, -4, 4)
+    # zero shift: coefficient k scales by a^k
+    assert P(1, 2, 3).compose_affine(F(-1, 2), F(0)) == P(1, -1, F(3, 4))
+    assert P(5, 7).compose_affine(F(1), F(0)) == P(5, 7)
 
 
 def test_discriminant_quadratic():

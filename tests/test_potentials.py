@@ -11,6 +11,8 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
 from nu_spectral.errors import (
@@ -23,6 +25,7 @@ from nu_spectral.oracle import FdGrid, compare_spectra, quad_adaptive
 from nu_spectral.potentials import (
     ChangeOfVariable,
     bound_spectrum,
+    bound_state,
     eigen_eps,
     eigenvalue_count,
     expected_lambda,
@@ -31,6 +34,7 @@ from nu_spectral.potentials import (
     morse,
     morse_envelope_growth,
     morse_second_solution_diverges,
+    normalization_defect,
     oracle_spectrum,
     pinned_branch,
     rosen_morse2,
@@ -39,7 +43,7 @@ from nu_spectral.potentials import (
     _verify_declared_substitution,
 )
 from nu_spectral.reduction import reduce_ghe
-from nu_spectral.scalars import sqrt_scalar
+from nu_spectral.scalars import SurdSum, sqrt_scalar
 
 
 def overlap(f, g, lo, hi):
@@ -378,6 +382,79 @@ class TestHyperbolicScattering:
         for eps in (spec.v_minus, 1.0, 0.0):
             with pytest.raises(EnergyBelowRegion):
                 scattering_states(spec, eps)
+
+
+# -- deep states: samplers against mpmath ----------------------------------------
+
+
+def _mp_exact(v):
+    """A Fraction or SurdSum as an mpmath number."""
+    terms = v.terms() if isinstance(v, SurdSum) else {1: Fraction(v)}
+    return mpmath.fsum(
+        mpmath.mpf(q.numerator) / q.denominator * mpmath.sqrt(core)
+        for core, q in terms.items()
+    )
+
+
+def _harmonic_ref(spec, n, x):
+    x = mpmath.mpf(x)
+    norm = mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+    return mpmath.hermite(n, x) * mpmath.exp(-x * x / 2) / norm
+
+
+def _morse_ref(spec, n, x):
+    lam = _mp_exact(spec.exact["lam"])
+    s = 2 * lam * spec.exact["b"] * mpmath.exp(-mpmath.mpf(x))
+    a = 2 * lam - 2 * n - 1
+    norm = mpmath.factorial(n) * a / mpmath.gamma(2 * lam - n)
+    return mpmath.sqrt(norm) * mpmath.laguerre(n, a, s) * s ** (a / 2) * mpmath.exp(-s / 2)
+
+
+class TestDeepSamplers:
+    """Bound-state samplers at high n against 40-digit closed forms.  The
+    samplers run the family recurrence in floats, so their error stays at
+    rounding level relative to the state's peak."""
+
+    CASES = [
+        ("harmonic", {}, 20, (-10.0, 10.0), _harmonic_ref),
+        ("harmonic", {}, 40, (-13.0, 13.0), _harmonic_ref),
+        ("harmonic", {}, 60, (-16.0, 16.0), _harmonic_ref),
+        ("morse", {"Lambda": 20.5}, 15, (-3.0, 14.0), _morse_ref),
+        # the top level of the deep surd well: weakly bound, long tail
+        ("morse", {"De": 579}, 33, (-3.0, 60.0), _morse_ref),
+    ]
+
+    @pytest.mark.parametrize("name,params,n,window,ref", CASES)
+    def test_sampler_matches_mpmath(self, name, params, n, window, ref):
+        spec = make_potential(name, **params)
+        state = bound_state(spec, n)
+        rng = random.Random(7919 + n)
+        lo, hi = window
+        xs = np.array(sorted(rng.uniform(lo, hi) for _ in range(120)))
+        grid = np.linspace(lo, hi, 400)
+        with mpmath.workdps(40):
+            want = np.array([float(ref(spec, n, x)) for x in xs])
+            peak = max(abs(float(ref(spec, n, x))) for x in grid)
+        got = state.sampler(xs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * peak
+        scalar = np.array([state.sampler(float(x)) for x in xs])
+        assert np.array_equal(got, scalar)
+
+    def test_residual_matches_pointwise_loop(self):
+        spec = morse(Lambda=20.5)
+        st = bound_state(spec, 15)
+        xs, step = [-1.5, 0.2, 2.9, 7.4], 1e-3
+        worst = 0.0
+        for x in xs:
+            f = [st.sampler(x + k * step) for k in (-2, -1, 0, 1, 2)]
+            d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * step * step)
+            gap = float(st.eps) - float(spec.reduced_potential(x))
+            worst = max(worst, abs(d2 + gap * f[2]) / max(1.0, abs(f[2]) * abs(gap)))
+        assert wavefunction_residual(spec, st.sampler, st.eps, xs, step) == worst
+
+    def test_harmonic_n60_normalized(self):
+        spec = harmonic()
+        assert normalization_defect(spec, bound_state(spec, 60)) <= 1e-8
 
 
 # -- branch pinning ------------------------------------------------------------
