@@ -18,6 +18,7 @@ set, replaces every default verification tolerance.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -31,6 +32,7 @@ from .errors import CountMismatch, NuSpectralError, ParseError
 from .hyper import hermite_fn, hyp1f1, hyp2f1, hypU
 from .oracle import FdGrid, compare_spectra
 from .potentials import (
+    WELLS,
     bound_spectrum,
     make_potential,
     normalization_defect,
@@ -39,18 +41,6 @@ from .potentials import (
 )
 from .reduction import parse_ghe_text, reduce_ghe, select_branch
 from .scalars import scalar_float
-
-_PARAM_KEYS = {
-    "harmonic": ("m", "Omega", "hbar"),
-    "morse": ("Lambda", "De", "a", "xe", "m", "hbar"),
-    "rosen_morse2": ("v0", "mu"),
-}
-
-_REQUIRED_KEYS = {
-    "harmonic": (),
-    "morse": (),
-    "rosen_morse2": ("v0", "mu"),
-}
 
 _DEFAULT_TOLS = {"spectrum_rtol": 1e-4, "normalization": 1e-8, "residual": 1e-6}
 
@@ -110,7 +100,7 @@ def _factor_str(f):
 
 def _canonical_potential(name):
     key = name.replace("-", "_")
-    if key not in _PARAM_KEYS:
+    if key not in WELLS:
         raise ParseError(
             f"unknown potential {name!r}; choose from harmonic, morse, rosen-morse2"
         )
@@ -119,7 +109,8 @@ def _canonical_potential(name):
 
 def _parse_params(potential, text):
     out = {}
-    allowed = _PARAM_KEYS[potential]
+    declared = inspect.signature(WELLS[potential]).parameters
+    allowed = tuple(declared)
     for item in text.split(",") if text else ():
         key, sep, raw = item.partition("=")
         key, raw = key.strip(), raw.strip()
@@ -136,7 +127,11 @@ def _parse_params(potential, text):
             out[key] = float(raw)
         except ValueError:
             raise ParseError(f"parameter {key} is not a number: {raw!r}") from None
-    missing = [key for key in _REQUIRED_KEYS[potential] if key not in out]
+    missing = [
+        key
+        for key, param in declared.items()
+        if param.default is param.empty and key not in out
+    ]
     if missing:
         raise ParseError(
             f"{potential} needs --params with " + ", ".join(missing)

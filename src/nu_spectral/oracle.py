@@ -18,7 +18,8 @@ for smooth (possibly infinite-range) integrands.  tanh_sinh is a
 double-exponential rule for weights with endpoint exponents in (-1, 0),
 where the integrand must be evaluated with exact distances to the
 endpoints rather than through a rounded abscissa.  scipy serves only the
-tridiagonal eigensolver.
+tridiagonal eigensolver and is imported on the first oracle solve, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import CountMismatch, GridTooCoarse, NoConvergence
 
@@ -77,6 +77,8 @@ class SpectraReport:
 
 
 def _solve_grid(v, grid, threshold, k_max):
+    from scipy.linalg import eigvalsh_tridiagonal
+
     x = np.linspace(grid.lo, grid.hi, grid.n)
     h = x[1] - x[0]
     xi = x[1:-1]

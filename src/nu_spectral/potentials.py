@@ -1,9 +1,9 @@
 """Three end-to-end solvable one-dimensional quantum systems.
 
-Each potential declares its change of variable s = tau(x), the reduced
-equation it produces, and closed-form spectral data; the reduction
-pipeline then has to reproduce that data exactly, which is asserted on
-every spectrum build.  The systems:
+Each potential declares its change of variable s = tau(x) and the reduced
+equation it produces.  Levels, their count, branches and norms are derived
+from that equation (reduction.quantize) and checked exactly against the
+reduction identity and the classical eigenvalue.  The systems:
 
   harmonic      v(x) = x^2 on the line (x in units of sqrt(hbar/(m*Omega)))
   morse         v(x) = Lambda^2 (1 - b e^{-x})^2, b = e^{a x_e}, x = a * x_phys
@@ -20,6 +20,7 @@ field end to end; floats only appear in samplers and quadrature.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,16 +38,17 @@ from .errors import (
     EnergyBelowRegion,
     NoScatteringRegion,
 )
-from .hyper import _near_integer, gamma_fn, hyp1f1, hyp2f1, limit_2f1_at_1
-from .oracle import FdGrid, fd_bound_states, quad_adaptive, tanh_sinh
+from .hyper import _near_integer, hyp1f1, hyp2f1, limit_2f1_at_1
+from .oracle import FdGrid, fd_bound_states, quad_adaptive
 from .polynomials import HALF_LINE, REAL_LINE, UNIT_INTERVAL, Polynomial
 from .reduction import (
     EpsAffinePoly,
     GheProblem,
+    bound_canonical,
     branch_candidates,
-    reduce_ghe,
+    quantize,
 )
-from .scalars import as_exact, scalar_float, scalar_sign, sqrt_scalar
+from .scalars import as_exact, scalar_float, sqrt_scalar
 
 X = Polynomial.x()
 
@@ -78,6 +80,7 @@ class PotentialSpec:
     reduced_potential: object
     region_edges: tuple  # (v_min, v_minus, v_plus, v_max)
     energy_scale: float  # physical E = energy_scale * eps
+    coordinate_scale: float  # physical-coordinate norm = this * reduced norm
     fd_box: tuple  # (lo, hi, points) defaults for the oracle
     exact: dict  # rationalized shape parameters
 
@@ -104,7 +107,7 @@ class BoundState:
     energy: float  # physical energy
     poly: Polynomial  # exact polynomial factor, in s
     chi: object = None  # bare non-polynomial factor, in s
-    norm_const_sq: float = 0.0  # physical-coordinate normalization
+    norm_const_sq: float = 0.0  # physical-coordinate; underflows to 0.0 below ~1e-308
     sampler: object = None  # x -> normalized wavefunction value(s)
 
 
@@ -156,11 +159,11 @@ def harmonic(m=1.0, Omega=1.0, hbar=1.0):
         reduced_potential=lambda x: x * x,
         region_edges=(0.0, math.inf, math.inf, math.inf),
         energy_scale=hbar * Omega / 2.0,
+        coordinate_scale=1.0 / x0,
         fd_box=(-10.0, 10.0, 4001),
-        exact={"x0": x0},
+        exact={},
     )
     _verify_declared_substitution(spec)
-    _cross_check_selection(spec, Fraction(5))
     return spec
 
 
@@ -210,11 +213,11 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
         reduced_potential=lambda x: lamf2 * (1.0 - b * np.exp(-x)) ** 2,
         region_edges=(0.0, lamf2, math.inf, math.inf),
         energy_scale=a * a * hbar * hbar / (2.0 * m),
+        coordinate_scale=a,
         fd_box=(a * xe - 2.0, a * xe + 12.0, 2801),
         exact={"lam": lam, "lam_sq": lam_sq, "b": b},
     )
     _verify_declared_substitution(spec)
-    _cross_check_selection(spec, lam_sq - 1)
     return spec
 
 
@@ -270,19 +273,21 @@ def rosen_morse2(v0, mu):
         reduced_potential=lambda x: cf * (np.tanh(x) - tf) ** 2,
         region_edges=(0.0, scalar_float(vm), scalar_float(vp), scalar_float(vp)),
         energy_scale=1.0,
+        coordinate_scale=1.0,
         fd_box=(-15.0, 15.0, 3001),
         exact={"v0": v0x, "t": t, "csq": csq, "v1": v1, "v2": v2, "vm": vm, "vp": vp},
     )
     _verify_declared_substitution(spec)
-    _cross_check_selection(spec, vm - 1)
     return spec
 
 
+WELLS = {"harmonic": harmonic, "morse": morse, "rosen_morse2": rosen_morse2}
+
+
 def make_potential(name, **params):
-    makers = {"harmonic": harmonic, "morse": morse, "rosen_morse2": rosen_morse2}
-    if name not in makers:
+    if name not in WELLS:
         raise ValueError(f"unknown potential {name!r}")
-    return makers[name](**params)
+    return WELLS[name](**params)
 
 
 # -- declared-substitution and branch-selection verification ------------------
@@ -320,51 +325,24 @@ def _verify_declared_substitution(spec, probe_eps=Fraction(1)):
             raise ValueError(f"{spec.name}: inverse map fails to round-trip x={x}")
 
 
-def expected_lambda(spec, eps):
-    """Closed-form working eigenvalue coefficient lam(eps) of the pinned
-    substitution branch, exact in eps."""
-    eps = as_exact(eps)
-    if spec.name == "harmonic":
-        return eps - 1
-    if spec.name == "morse":
-        kappa = sqrt_scalar(spec.exact["lam_sq"] - eps)
-        return spec.exact["lam"] - kappa - Fraction(1, 2)
-    if spec.name == "rosen_morse2":
-        km = sqrt_scalar(spec.exact["vm"] - eps)
-        kp = sqrt_scalar(spec.exact["vp"] - eps)
-        k0 = (eps + spec.exact["v0"] - kp * km) / 2
-        return k0 - (kp + km) / 2
-    raise ValueError(f"unknown potential {spec.name!r}")
-
-
-def _cross_check_selection(spec, probe_eps):
-    """At a probe energy where the geometric branch filter is provably
-    unambiguous, the generic selector must agree with the closed form."""
-    res = reduce_ghe(spec.ghe_builder(probe_eps), probe_eps)
-    if res.selected.lam != expected_lambda(spec, probe_eps):
-        raise ValueError(
-            f"{spec.name}: generic branch selection contradicts the closed form"
-        )
-
-
 def pinned_branch(spec, eps):
-    """The physically integrable substitution branch at a concrete eps,
-    identified by its closed-form eigenvalue coefficient.
+    """The physically integrable substitution branch at a concrete eps.
 
     The geometric admissibility filter alone is ambiguous in narrow
     parameter windows (partner branches with non-normalizable weights pass
-    it); matching lam(eps) exactly resolves the choice deterministically.
+    it); requiring square integrability (reduction.bound_canonical)
+    resolves the choice deterministically.
     """
     eps = as_exact(eps)
-    target = expected_lambda(spec, eps)
+    ghe = spec.ghe_builder(eps)
     matches = [
         br
-        for br in branch_candidates(spec.ghe_builder(eps), eps)
-        if br.lam == target
+        for br in branch_candidates(ghe, eps)
+        if bound_canonical(ghe, br.psi) is not None
     ]
     if len(matches) != 1:
         raise RuntimeError(
-            f"{spec.name}: {len(matches)} branches match the closed form at eps={eps}"
+            f"{spec.name}: {len(matches)} integrable branches at eps={eps}"
         )
     return matches[0]
 
@@ -372,85 +350,51 @@ def pinned_branch(spec, eps):
 # -- bound spectra -------------------------------------------------------------
 
 
+def _level(spec, n):
+    br = quantize(spec.ghe_builder(), n)
+    if br is None:
+        raise ValueError(f"{spec.name}: level n={n} is not bound")
+    return br
+
+
 def eigenvalue_count(spec):
     """Number of bound states (math.inf for the confining well)."""
-    if spec.name == "harmonic":
+    if not math.isfinite(spec.v_minus):
         return math.inf
-    if spec.name == "morse":
-        lam = spec.exact["lam"]
-        n = 0
-        while scalar_sign(lam - Fraction(1, 2) - n) > 0:
-            n += 1
-        return n
-    if spec.name == "rosen_morse2":
-        v1, v2 = spec.exact["v1"], spec.exact["v2"]
-        n = 0
-        while True:
-            b_n = sqrt_scalar(v2) - n - Fraction(1, 2)
-            if scalar_sign(b_n) > 0 and scalar_sign(b_n * b_n - v1) > 0:
-                n += 1
-            else:
-                return n
-    raise ValueError(f"unknown potential {spec.name!r}")
+    ghe = spec.ghe_builder()
+    return next(n for n in itertools.count() if quantize(ghe, n) is None)
 
 
 def eigen_eps(spec, n):
     """Exact reduced eigenvalue of the n-th bound state."""
-    if spec.name == "harmonic":
-        return Fraction(2 * n + 1)
-    if spec.name == "morse":
-        lam, lam_sq = spec.exact["lam"], spec.exact["lam_sq"]
-        gap = lam - n - Fraction(1, 2)
-        return lam_sq - gap * gap
-    if spec.name == "rosen_morse2":
-        v1, v2, vm = spec.exact["v1"], spec.exact["v2"], spec.exact["vm"]
-        b_n = sqrt_scalar(v2) - n - Fraction(1, 2)
-        a_n = v1 / b_n
-        gap = b_n - a_n
-        return vm - gap * gap
-    raise ValueError(f"unknown potential {spec.name!r}")
+    return _level(spec, n).eps
 
 
-def _reduced_norm_sq(spec, n, canonical):
-    """Normalization against the dimensionless coordinate: the square of
-    the constant that makes the sampler unit-norm in dx."""
-    if spec.name == "harmonic":
-        return 1.0 / (2.0**n * math.factorial(n) * math.sqrt(math.pi))
-    if spec.name == "morse":
-        lamf = scalar_float(spec.exact["lam"])
-        return (
-            math.factorial(n) * (2.0 * lamf - 2.0 * n - 1.0) / gamma_fn(2.0 * lamf - n)
-        )
-    if spec.name == "rosen_morse2":
-        # measure dx = ds/(1-s^2): exponents drop by one on each edge
-        am = scalar_float(canonical.alpha) - 1.0
-        bp = scalar_float(canonical.beta) - 1.0
-        scale, shift = scalar_float(canonical.scale), scalar_float(canonical.shift)
+def _log_norm_sq(n, canonical):
+    """Log of the squared constant that makes the sampler unit-norm in x.
 
-        def density(s, dlo, dhi):
-            m, e = recurrence_values(
-                "jacobi", n, scale * s + shift, canonical.alpha, canonical.beta
-            )
-            return dhi**am * dlo**bp * m * m * np.exp(2.0 * e)
-
-        return 1.0 / tanh_sinh(density, -1.0, 1.0)
-    raise ValueError(f"unknown potential {spec.name!r}")
-
-
-def _coordinate_scale(spec):
-    """Jacobian factor between the dimensionless and physical coordinate:
-    x_phys-measure normalization = scale * dimensionless normalization."""
-    if spec.name == "harmonic":
-        return 1.0 / spec.exact["x0"]
-    if spec.name == "morse":
-        return spec.physical_params["a"]
-    return 1.0
+    The wells map x to s with |tau'| = phi(s) and reduce to u = s, so the
+    x-measure is du/phi_c(u): the family's weight loses one power on each
+    finite edge."""
+    if canonical.family == "hermite":
+        return -(n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi))
+    a = scalar_float(canonical.alpha)
+    if canonical.family == "laguerre":
+        return math.log(a) + math.lgamma(n + 1) - math.lgamma(n + a + 1)
+    b = scalar_float(canonical.beta)
+    return (
+        math.lgamma(n + 1)
+        + math.lgamma(n + a + b + 1)
+        - (a + b - 1) * math.log(2.0)
+        - math.lgamma(n + a + 1)
+        - math.lgamma(n + b + 1)
+        - math.log(1.0 / a + 1.0 / b)
+    )
 
 
 def bound_state(spec, n):
-    br = pinned_branch(spec, eigen_eps(spec, n))
-    ghe = spec.ghe_builder(br.eps)
-    canonical = classify_canonical(ghe.phi, br.psi)
+    br = _level(spec, n)
+    canonical = classify_canonical(spec.ghe_builder().phi, br.psi)
     lam_target = eigen_lambda(canonical.family, n, canonical.alpha, canonical.beta)
     if canonical.lambda_canonical(br.lam) != lam_target:
         raise RuntimeError(
@@ -458,20 +402,20 @@ def bound_state(spec, n):
         )
     poly_u = series_poly(canonical.family, n, canonical.alpha, canonical.beta)
     poly_s = poly_u.compose_affine(canonical.scale, canonical.shift)
-    norm_red = _reduced_norm_sq(spec, n, canonical)
+    log_norm = _log_norm_sq(n, canonical)
     return BoundState(
         n=n,
         eps=br.eps,
         energy=spec.energy_scale * scalar_float(br.eps),
         poly=poly_s,
         chi=br.chi,
-        norm_const_sq=norm_red * _coordinate_scale(spec),
-        sampler=_state_sampler(spec, n, canonical, br.chi, norm_red),
+        norm_const_sq=math.exp(log_norm) * spec.coordinate_scale,
+        sampler=_state_sampler(spec, n, canonical, br.chi, log_norm),
     )
 
 
-def _state_sampler(spec, n, canonical, chi, norm_red):
-    """x -> sqrt(norm_red) * P_n(scale*tau(x) + shift) * chi(tau(x)).
+def _state_sampler(spec, n, canonical, chi, log_norm):
+    """x -> exp(log_norm/2) * P_n(scale*tau(x) + shift) * chi(tau(x)).
 
     The polynomial comes from the family's float recurrence, never from
     the expanded coefficients, and the weight goes through logs: each
@@ -494,7 +438,7 @@ def _state_sampler(spec, n, canonical, chi, norm_red):
     )
     pref = scalar_float(chi.prefactor)
     sign = math.copysign(1.0, pref)
-    log_head = 0.5 * math.log(norm_red) + math.log(abs(pref))
+    log_head = 0.5 * log_norm + math.log(abs(pref))
 
     def sampler(x):
         xs = np.asarray(x, dtype=float)
@@ -584,8 +528,11 @@ def normalization_defect(spec, state):
     The quadrature window stops where the density is still representable at
     full precision; past it the density is a single decaying exponential to
     machine accuracy, so the remaining mass is added in closed form rather
-    than chased numerically.
+    than chased numerically, at the decay rate sqrt(plateau - eps_n).
     """
+
+    def rate(plateau):
+        return math.sqrt(scalar_float(plateau - state.eps))
 
     def sq(x):
         return state.sampler(x) ** 2
@@ -598,21 +545,17 @@ def normalization_defect(spec, state):
         total = quad_adaptive(sq, -edge, edge)
     elif spec.name == "morse":
         lamf = scalar_float(spec.exact["lam"])
-        kappa = lamf - state.n - 0.5
+        kappa = rate(spec.exact["lam_sq"])
         # left wall: s = 2*lam*b*e^{-x} = 700 puts e^{-s/2} past underflow
         lo = math.log(2.0 * lamf * scalar_float(spec.exact["b"]) / 700.0)
         hi = max(20.0, 20.0 / kappa)
         total = quad_adaptive(sq, lo, hi) + sq(hi) / (2.0 * kappa)
     elif spec.name == "rosen_morse2":
-        b_n = sqrt_scalar(spec.exact["v2"]) - state.n - Fraction(1, 2)
-        a_n = spec.exact["v1"] / b_n
-        k_minus = scalar_float(b_n - a_n)
-        k_plus = scalar_float(b_n + a_n)
         x0 = 18.0
         total = (
             quad_adaptive(sq, -x0, x0)
-            + sq(x0) / (2.0 * k_minus)
-            + sq(-x0) / (2.0 * k_plus)
+            + sq(x0) / (2.0 * rate(spec.exact["vm"]))
+            + sq(-x0) / (2.0 * rate(spec.exact["vp"]))
         )
     else:
         raise ValueError(f"no normalization window for {spec.name!r}")

@@ -21,7 +21,9 @@ numerical near-zero.
 
 Branch admissibility (psi' < 0 with the root of psi inside the interval) is
 necessary, not sufficient; when several branches satisfy it the caller gets
-AmbiguousBranch and must disambiguate on integrability grounds.
+AmbiguousBranch and must disambiguate on integrability grounds
+(bound_canonical).  quantize solves lam = -n psi' - n(n-1) phi''/2 for the
+eps and the branch of level n.
 """
 
 from __future__ import annotations
@@ -32,7 +34,15 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import AmbiguousBranch, NoAdmissibleBranch, NoPerfectSquare, ParseError
+from .classical import classify_canonical
+from .errors import (
+    AmbiguousBranch,
+    DoubleRootUnsupported,
+    NoAdmissibleBranch,
+    NoPerfectSquare,
+    ParameterOutOfRange,
+    ParseError,
+)
 from .polynomials import Interval, Polynomial, quad_discriminant, quad_roots
 from .scalars import as_exact, scalar_float, scalar_is_zero, scalar_sign, sqrt_scalar
 
@@ -341,7 +351,6 @@ def branch_candidates(ghe, eps):
     k0s = solve_k0(ghe, eps)
     base, kc = build_p2(ghe, eps)
     h = (ghe.phi.derivative() - ghe.psi_tilde) * Fraction(1, 2)
-    wt = weight_tilde(ghe)
     branches = []
     last_err = None
     seen = set()
@@ -358,19 +367,22 @@ def branch_candidates(ghe, eps):
             if key in seen:
                 continue
             seen.add(key)
-            psi = ghe.psi_tilde + 2 * pi
-            lam = k0 + pi.coeff(1)
-            _assert_reduction_identity(ghe, eps, pi, lam)
-            chi = chi_from_pi(pi, ghe.phi, ghe.interval)
-            w = pearson_weight(ghe.phi, psi, ghe.interval)
-            branches.append(
-                NuBranch(k0, pi, psi, lam, chi, w, wt, eps)
-            )
+            branches.append(_make_branch(ghe, eps, pi, k0 + pi.coeff(1)))
     if not branches:
         raise NoPerfectSquare(
             f"no branch admits an exact real square root: {last_err}"
         )
     return branches
+
+
+def _make_branch(ghe, eps, pi, lam):
+    """The branch of pi with eigenvalue coefficient lam = k0 + pi', after
+    asserting the reduction identity exactly."""
+    _assert_reduction_identity(ghe, eps, pi, lam)
+    psi = ghe.psi_tilde + 2 * pi
+    chi = chi_from_pi(pi, ghe.phi, ghe.interval)
+    w = pearson_weight(ghe.phi, psi, ghe.interval)
+    return NuBranch(lam - pi.coeff(1), pi, psi, lam, chi, w, weight_tilde(ghe), eps)
 
 
 def _assert_reduction_identity(ghe, eps, pi, lam):
@@ -388,18 +400,66 @@ def _assert_reduction_identity(ghe, eps, pi, lam):
         )
 
 
+def _zero_inside(psi, interval):
+    """psi decreases and its zero lies inside the interval."""
+    if psi.degree != 1 or scalar_sign(psi.coeff(1)) >= 0:
+        return False
+    return interval.contains(-psi.coeff(0) / psi.coeff(1))
+
+
+def bound_canonical(ghe, psi):
+    """The canonical form of phi y'' + psi y' + lam y = 0 when psi can carry
+    a bound state, else None: psi decreases, its zero lies inside the
+    interval, and the state is square-integrable in x.  With psi_tilde =
+    phi' the substitution has slope proportional to phi, so the x-measure
+    is du/phi_c and the weight u^alpha e^-u or (1-u)^alpha (1+u)^beta
+    integrates against it only for positive exponents."""
+    if not _zero_inside(psi, ghe.interval):
+        return None
+    try:
+        canonical = classify_canonical(ghe.phi, psi)
+    except (ParameterOutOfRange, DoubleRootUnsupported):
+        return None
+    if any(e is not None and scalar_sign(e) <= 0 for e in (canonical.alpha, canonical.beta)):
+        return None
+    return canonical
+
+
+def quantize(ghe, n):
+    """The bound branch of level n, or None when level n is not bound.
+
+    With pi = p0 + p1 x and lam = lam_n = -n psi' - n(n-1) phi''/2, the
+    reduction identity lam_n phi = pi^2 + p1 phi + phi_t(eps) (psi_t =
+    phi') is matched term by term: x^2 is a quadratic in p1, x^1 linear in
+    p0, x^0 linear in eps.  The root p1 whose psi passes bound_canonical
+    gives the level; p1 = 0 leaves psi' = phi'', which binds nothing.
+    """
+    phi, phi_t = ghe.phi, ghe.phi_tilde
+    if ghe.psi_tilde != phi.derivative() or phi_t.linear.degree != 0:
+        raise ValueError("quantization needs psi_tilde = phi' and eps in phi_tilde(0) only")
+    f0, f1, f2 = (phi.coeff(k) for k in range(3))
+    c0, c1, c2 = (phi_t.const.coeff(k) for k in range(3))
+    p1_roots = quad_roots(Polynomial.of(n * (n + 1) * f2 * f2 + c2, (2 * n + 1) * f2, 1))
+    found = []
+    for p1 in dict.fromkeys(p1_roots):  # a double root is one branch
+        if scalar_is_zero(p1):
+            continue
+        lam = -n * (2 * f2 + 2 * p1) - n * (n - 1) * f2  # psi' = phi'' + 2 p1
+        p0 = (lam * f1 - p1 * f1 - c1) / (2 * p1)
+        pi = Polynomial.of(p0, p1)
+        if bound_canonical(ghe, ghe.psi_tilde + 2 * pi) is None:
+            continue
+        eps = (lam * f0 - p0 * p0 - p1 * f0 - c0) / phi_t.linear.coeff(0)
+        found.append(replace(_make_branch(ghe, eps, pi, lam), admissible=True))
+    if len(found) > 1:
+        raise AmbiguousBranch(found)
+    return found[0] if found else None
+
+
 def select_branch(branches, interval):
     """The unique branch with decreasing psi whose zero lies inside the
     interval.  NoAdmissibleBranch / AmbiguousBranch otherwise."""
-    matches = []
-    for br in branches:
-        if br.psi.degree != 1:
-            continue
-        if scalar_sign(br.psi.coeff(1)) >= 0:
-            continue
-        root = -br.psi.coeff(0) / br.psi.coeff(1)
-        if interval.contains(root):
-            matches.append(br)
+    matches = [br for br in branches if _zero_inside(br.psi, interval)]
     if not matches:
         raise NoAdmissibleBranch(
             "no branch has decreasing psi with its zero inside the interval"

@@ -201,6 +201,11 @@ class TestSolve:
         assert out == ""
         assert target.read_text().startswith("n,eps_n,E_n,norm_defect")
 
+    def test_deep_morse_norms_stay_finite(self, capsys):
+        code, out, _ = run(capsys, "solve", "--potential", "morse", "--params", "Lambda=100")
+        assert code == 0
+        assert out.count("\n") == 101
+
     def test_byte_identical_across_processes(self):
         cmd = [
             sys.executable,
@@ -353,6 +358,20 @@ class TestVerify:
         )
         assert code == 2
         assert "lo:hi:points" in err
+
+
+class TestImports:
+    def test_scipy_waits_for_the_oracle(self):
+        probe = (
+            "import sys, nu_spectral; before = 'scipy' in sys.modules; "
+            "from nu_spectral.cli import main; "
+            "main(['eval', '--fn', 'hermite', '--nu', '3', '--z', '2']); "
+            "print(before, 'scipy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, check=True, text=True
+        )
+        assert proc.stdout.splitlines()[-1] == "False False"
 
 
 class TestUsage:

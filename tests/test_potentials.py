@@ -28,7 +28,6 @@ from nu_spectral.potentials import (
     bound_state,
     eigen_eps,
     eigenvalue_count,
-    expected_lambda,
     harmonic,
     make_potential,
     morse,
@@ -42,7 +41,7 @@ from nu_spectral.potentials import (
     wavefunction_residual,
     _verify_declared_substitution,
 )
-from nu_spectral.reduction import reduce_ghe
+from nu_spectral.reduction import quantize, reduce_ghe
 from nu_spectral.scalars import SurdSum, sqrt_scalar
 
 
@@ -471,7 +470,7 @@ class TestBranchPinning:
         spec = rosen_morse2(4, 0.5)
         eps0 = eigen_eps(spec, 0)
         branch = pinned_branch(spec, eps0)
-        assert branch.lam == expected_lambda(spec, eps0)
+        assert branch.lam == closed_form_lambda(spec, eps0)
 
     def test_morse_ambiguous_window_resolved(self):
         spec = morse(Lambda=5)
@@ -487,3 +486,197 @@ class TestBranchPinning:
         assert make_potential("morse", Lambda=3).name == "morse"
         with pytest.raises(ValueError):
             make_potential("coulomb")
+
+
+# -- derived spectra against hand-written closed forms ---------------------------
+#
+# The package derives levels, counts, branches and norms from the
+# quantization condition; the wells' textbook closed forms live here only,
+# as the references the derivation must reproduce exactly.
+
+
+def closed_form_eps(spec, n):
+    if spec.name == "harmonic":
+        return Fraction(2 * n + 1)
+    if spec.name == "morse":
+        gap = spec.exact["lam"] - n - Fraction(1, 2)
+        return spec.exact["lam_sq"] - gap * gap
+    b_n = sqrt_scalar(spec.exact["v2"]) - n - Fraction(1, 2)
+    gap = b_n - spec.exact["v1"] / b_n
+    return spec.exact["vm"] - gap * gap
+
+
+def closed_form_count(spec):
+    n = 0
+    if spec.name == "morse":
+        while spec.exact["lam"] - Fraction(1, 2) - n > 0:
+            n += 1
+        return n
+    while True:
+        b_n = sqrt_scalar(spec.exact["v2"]) - n - Fraction(1, 2)
+        if not (b_n > 0 and b_n * b_n - spec.exact["v1"] > 0):
+            return n
+        n += 1
+
+
+def closed_form_lambda(spec, eps):
+    """Eigenvalue coefficient lam(eps) of the integrable branch."""
+    if spec.name == "harmonic":
+        return eps - 1
+    if spec.name == "morse":
+        kappa = sqrt_scalar(spec.exact["lam_sq"] - eps)
+        return spec.exact["lam"] - kappa - Fraction(1, 2)
+    km = sqrt_scalar(spec.exact["vm"] - eps)
+    kp = sqrt_scalar(spec.exact["vp"] - eps)
+    k0 = (eps + spec.exact["v0"] - kp * km) / 2
+    return k0 - (kp + km) / 2
+
+
+def _sweep_wells():
+    rng = random.Random(20261017)
+    wells = [
+        morse(Lambda=Fraction(rng.randrange(2, 160), rng.choice((1, 2, 3, 4, 7))))
+        for _ in range(8)
+    ]
+    wells += [morse(De=k * k / 2.0) for k in (3, 11, 26)]  # rational Lambda
+    wells += [morse(De=rng.uniform(1.0, 600.0)) for _ in range(6)]  # surd Lambda
+    wells += [
+        rosen_morse2(rng.uniform(1.0, 250.0), rng.uniform(0.05, 0.9))
+        for _ in range(10)
+    ]
+    thresholds = [morse(Lambda=lam) for lam in (0.51, Fraction(3, 2), Fraction(7, 2))]
+    return wells + thresholds + [rosen_morse2(4, 0.5)], rng
+
+
+class TestDerivedSpectra:
+    def test_levels_and_count_equal_closed_forms(self):
+        wells, _ = _sweep_wells()
+        for spec in wells:
+            count = eigenvalue_count(spec)
+            assert count == closed_form_count(spec)
+            ghe = spec.ghe_builder()
+            for n in range(count):
+                eps = eigen_eps(spec, n)
+                assert eps == closed_form_eps(spec, n)
+                lam = closed_form_lambda(spec, eps)
+                assert quantize(ghe, n).lam == lam
+                assert pinned_branch(spec, eps).lam == lam
+            assert quantize(ghe, count) is None
+
+    def test_harmonic_levels_are_unbounded(self):
+        spec = harmonic()
+        assert eigenvalue_count(spec) == math.inf
+        for n in (0, 1, 17, 171):
+            assert eigen_eps(spec, n) == closed_form_eps(spec, n)
+
+    def test_pinned_lambda_equals_closed_form(self):
+        # between levels only the exponential wells: for the hyperbolic ones
+        # a generic rational eps needs square roots that sqrt_scalar cannot
+        # denest, and branch_candidates raises NoPerfectSquare
+        wells, rng = _sweep_wells()
+        for spec in wells:
+            if spec.name != "morse":
+                continue
+            for _ in range(4):
+                frac = Fraction(rng.uniform(0.02, 0.98)).limit_denominator(10**4)
+                eps = frac * Fraction(spec.v_minus).limit_denominator(10**4)
+                assert pinned_branch(spec, eps).lam == closed_form_lambda(spec, eps)
+        eps = Fraction(37, 3)
+        assert pinned_branch(harmonic(), eps).lam == closed_form_lambda(harmonic(), eps)
+
+    def test_missing_level_is_rejected(self):
+        spec = morse(Lambda=5)
+        with pytest.raises(ValueError):
+            eigen_eps(spec, 5)
+        with pytest.raises(ValueError):
+            bound_state(spec, 5)
+
+
+def _mp_norm_closed_form(family, n, a, b):
+    """Weighted integral of P_n^2 under the x-measure du/phi_c."""
+    mp = mpmath.mp
+    if family == "hermite":
+        return 2**n * mp.factorial(n) * mp.sqrt(mp.pi)
+    if family == "laguerre":
+        return mp.gamma(n + a + 1) / (mp.factorial(n) * a)
+    return (
+        2 ** (a + b - 1) * mp.gamma(n + a + 1) * mp.gamma(n + b + 1) * (1 / a + 1 / b)
+        / (mp.factorial(n) * mp.gamma(n + a + b + 1))
+    )
+
+
+def _mp_norm_quadrature(family, n, a, b):
+    """The same integral by mpmath quadrature.  Edge factors t^(alpha-1)
+    with alpha near 0 are taken out by t = w^(1/alpha), which turns
+    t^(alpha-1) dt into dw/alpha."""
+    mp = mpmath.mp
+    if family == "hermite":
+        return mp.quad(lambda u: mp.hermite(n, u) ** 2 * mp.exp(-u * u), [-mp.inf, 0, mp.inf])
+    if family == "laguerre":
+        head = mp.quad(
+            lambda w: mp.laguerre(n, a, w ** (1 / a)) ** 2 * mp.exp(-(w ** (1 / a))) / a,
+            [0, 1],
+        )
+        tail = mp.quad(
+            lambda u: mp.laguerre(n, a, u) ** 2 * u ** (a - 1) * mp.exp(-u),
+            mp.linspace(1, 4 * n + 4 * a + 20, 6) + [mp.inf],
+        )
+        return head + tail
+    upper = mp.quad(  # u in [0, 1], 1 - u = w^(1/alpha)
+        lambda w: mp.jacobi(n, a, b, 1 - w ** (1 / a)) ** 2 * (2 - w ** (1 / a)) ** (b - 1) / a,
+        [0, 1],
+    )
+    lower = mp.quad(  # u in [-1, 0], 1 + u = w^(1/beta)
+        lambda w: mp.jacobi(n, a, b, w ** (1 / b) - 1) ** 2 * (2 - w ** (1 / b)) ** (a - 1) / b,
+        [0, 1],
+    )
+    return upper + lower
+
+
+def _closed_form_exponents(spec, n):
+    """(family, alpha, beta) of level n from the closed forms."""
+    if spec.name == "harmonic":
+        return "hermite", None, None
+    if spec.name == "morse":
+        return "laguerre", _mp_exact(2 * spec.exact["lam"] - 2 * n - 1), None
+    b_n = sqrt_scalar(spec.exact["v2"]) - n - Fraction(1, 2)
+    a_n = spec.exact["v1"] / b_n
+    return "jacobi", _mp_exact(b_n - a_n), _mp_exact(b_n + a_n)
+
+
+class TestClosedFormNorms:
+    CASES = [
+        ("harmonic", {}, 7),
+        ("morse", {"Lambda": 0.51}, 0),  # alpha = 0.02
+        ("morse", {"Lambda": 5, "a": 2.0}, 4),
+        ("morse", {"De": 579}, 33),
+        ("rosen_morse2", {"v0": 24, "mu": 0.25}, 2),
+        ("rosen_morse2", {"v0": 238, "mu": 0.51}, 5),  # alpha = 0.0067
+    ]
+
+    @pytest.mark.parametrize("name,params,n", CASES)
+    def test_norm_matches_mpmath(self, name, params, n):
+        spec = make_potential(name, **params)
+        state = bound_state(spec, n)
+        with mpmath.workdps(30):
+            family, a, b = _closed_form_exponents(spec, n)
+            closed = _mp_norm_closed_form(family, n, a, b)
+            assert abs(_mp_norm_quadrature(family, n, a, b) / closed - 1) <= 1e-25
+            want = float(1 / closed)
+        got = state.norm_const_sq / spec.coordinate_scale
+        assert abs(got / want - 1.0) <= 1e-13
+
+
+class TestNormOverflow:
+    def test_harmonic_n171_normalized(self):
+        spec = harmonic()
+        state = bound_state(spec, 171)
+        assert state.norm_const_sq == 0.0  # below the float range
+        assert normalization_defect(spec, state) <= 1e-8
+
+    def test_weakly_bound_hyperbolic_top_level(self):
+        spec = rosen_morse2(v0=238, mu=0.51)
+        states = bound_spectrum(spec)
+        assert len(states) == 6
+        for st in states:
+            assert normalization_defect(spec, st) <= 1e-8
