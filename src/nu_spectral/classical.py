@@ -27,7 +27,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DoubleRootUnsupported, ParameterOutOfRange
-from .hyper import gamma_fn
 from .oracle import quad_adaptive, tanh_sinh
 from .polynomials import (
     HALF_LINE,
@@ -58,6 +57,19 @@ class CanonicalHde:
 
     def lambda_canonical(self, lam):
         return lam / self.lambda_scale
+
+    def polynomial(self, n):
+        """series_poly of degree n at u = scale*x + shift, expanded in x.
+
+        Jacobi goes from its series in t = (1-u)/2 straight to x with one
+        O(n^2) composition, t = (1-shift)/2 - (scale/2) x, instead of
+        passing through u."""
+        if self.family == "jacobi":
+            return _jacobi_series_in_t(n, self.alpha, self.beta).compose_affine(
+                -self.scale / 2, (1 - self.shift) / 2
+            )
+        poly_u = series_poly(self.family, n, self.alpha, self.beta)
+        return poly_u.compose_affine(self.scale, self.shift)
 
 
 def _exact_or_float_sqrt(x):
@@ -205,18 +217,25 @@ def series_poly(family, n, alpha=None, beta=None):
         coeffs[0] = c
         return Polynomial(coeffs)
     if family == "jacobi":
-        # d_k = (alpha+k+1)_(n-k) (-n)_k (n+alpha+beta+1)_k / (n! k!)
-        a, b = as_exact(alpha), as_exact(beta)
-        upper = [Fraction(1)] * (n + 1)
-        for k in range(n, 0, -1):
-            upper[k - 1] = upper[k] * (a + k)
-        coeffs, lower, denom = [], Fraction(1), math.factorial(n)
-        for k in range(n + 1):
-            coeffs.append(upper[k] * lower * Fraction(1, denom))
-            lower = lower * (k - n) * (n + a + b + 1 + k)
-            denom *= k + 1
-        return Polynomial(coeffs).compose_affine(Fraction(-1, 2), Fraction(1, 2))
+        return _jacobi_series_in_t(n, alpha, beta).compose_affine(
+            Fraction(-1, 2), Fraction(1, 2)
+        )
     raise ValueError(f"unknown family {family!r}")
+
+
+def _jacobi_series_in_t(n, alpha, beta):
+    """P_n^(alpha, beta) as a polynomial in t = (1-u)/2: the coefficients
+    d_k = (alpha+k+1)_(n-k) (-n)_k (n+alpha+beta+1)_k / (n! k!)."""
+    a, b = as_exact(alpha), as_exact(beta)
+    upper = [Fraction(1)] * (n + 1)
+    for k in range(n, 0, -1):
+        upper[k - 1] = upper[k] * (a + k)
+    coeffs, lower, denom = [], Fraction(1), math.factorial(n)
+    for k in range(n + 1):
+        coeffs.append(upper[k] * lower * Fraction(1, denom))
+        lower = lower * (k - n) * (n + a + b + 1 + k)
+        denom *= k + 1
+    return Polynomial(coeffs)
 
 
 # rescaling step of recurrence_values: an exact power of two, far inside the
@@ -312,25 +331,44 @@ def recurrence_poly(family, n, alpha=None, beta=None):
 
 
 def norm_sq(family, n, alpha=None, beta=None):
-    """Squared weighted L2 norm of the degree-n polynomial (float)."""
+    """Squared weighted L2 norm of the degree-n polynomial (float).
+
+    Summed as a logarithm from math.lgamma, so no factorial or gamma value
+    on the way has to fit in a float.  ParameterOutOfRange when the norm
+    itself is not a finite float: it overflows, or a weight exponent at or
+    below -1 makes the integral diverge.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     if family == "hermite":
-        return 2.0**n * math.factorial(n) * math.sqrt(math.pi)
-    if family == "laguerre":
-        a = scalar_float(alpha)
-        return gamma_fn(n + a + 1) / math.factorial(n)
-    if family == "jacobi":
-        a, b = scalar_float(alpha), scalar_float(beta)
-        return (
-            2.0 ** (a + b + 1)
-            * gamma_fn(n + a + 1)
-            * gamma_fn(n + b + 1)
-            / (
-                math.factorial(n)
-                * (2 * n + a + b + 1)
-                * gamma_fn(n + a + b + 1)
+        log_v = n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi)
+    elif family in ("laguerre", "jacobi"):
+        exps = (alpha,) if family == "laguerre" else (alpha, beta)
+        if any(not scalar_float(e) > -1 for e in exps):
+            raise ParameterOutOfRange(
+                f"{family} exponents {', '.join(map(str, exps))} must exceed -1"
             )
+        a = scalar_float(alpha)
+        log_v = math.lgamma(n + a + 1) - math.lgamma(n + 1)
+        if family == "jacobi":
+            b = scalar_float(beta)
+            # (2n+a+b+1) Gamma(n+a+b+1), which is Gamma(a+b+2) at n = 0
+            if n == 0:
+                tail = math.lgamma(a + b + 2)
+            else:
+                tail = math.log(2 * n + a + b + 1) + math.lgamma(n + a + b + 1)
+            log_v += (a + b + 1) * math.log(2.0) + math.lgamma(n + b + 1) - tail
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    try:
+        value = math.exp(log_v)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ParameterOutOfRange(
+            f"{family} norm of degree {n} is not a finite float (log {log_v:.6g})"
         )
-    raise ValueError(f"unknown family {family!r}")
+    return value
 
 
 def inner_product(family, p, q, alpha=None, beta=None, tol=1e-12, abs_tol=None):

@@ -27,12 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classical import (
-    classify_canonical,
-    eigen_lambda,
-    recurrence_values,
-    series_poly,
-)
+from .classical import eigen_lambda, recurrence_values
 from .errors import (
     EmptySpectrum,
     EnergyBelowRegion,
@@ -55,8 +50,7 @@ X = Polynomial.x()
 
 @dataclass(frozen=True)
 class ChangeOfVariable:
-    """Declared substitution s = forward(x) with its slope, inverse and a
-    flag recording whether the slope stays bounded on the whole line.
+    """Declared substitution s = forward(x) with its slope and inverse.
 
     affine_value, when set, evaluates c1*forward(x) + c0 in a form that
     keeps relative precision where the plain route would cancel; samplers
@@ -67,7 +61,6 @@ class ChangeOfVariable:
     forward: object
     deriv: object
     inverse: object
-    bounded_slope: bool
     affine_value: object = None
 
 
@@ -153,7 +146,6 @@ def harmonic(m=1.0, Omega=1.0, hbar=1.0):
             forward=lambda x: x,
             deriv=lambda x: 1.0,
             inverse=lambda s: s,
-            bounded_slope=True,
         ),
         ghe_builder=builder,
         reduced_potential=lambda x: x * x,
@@ -207,7 +199,6 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
             forward=lambda x: 2.0 * lamf * b * np.exp(-x),
             deriv=lambda x: -2.0 * lamf * b * math.exp(-x),
             inverse=lambda s: math.log(2.0 * lamf * b / s),
-            bounded_slope=False,
         ),
         ghe_builder=builder,
         reduced_potential=lambda x: lamf2 * (1.0 - b * np.exp(-x)) ** 2,
@@ -266,7 +257,6 @@ def rosen_morse2(v0, mu):
             forward=np.tanh,
             deriv=lambda x: 1.0 - math.tanh(x) ** 2,
             inverse=math.atanh,
-            bounded_slope=True,
             affine_value=_tanh_affine,
         ),
         ghe_builder=builder,
@@ -392,22 +382,22 @@ def _log_norm_sq(n, canonical):
     )
 
 
-def bound_state(spec, n):
-    br = _level(spec, n)
-    canonical = classify_canonical(spec.ghe_builder().phi, br.psi)
+def bound_state(spec, n, *, _branch=None):
+    """The n-th bound state; bound_spectrum passes the branch of level n it
+    has already quantized as _branch."""
+    br = _level(spec, n) if _branch is None else _branch
+    canonical = br.canonical
     lam_target = eigen_lambda(canonical.family, n, canonical.alpha, canonical.beta)
     if canonical.lambda_canonical(br.lam) != lam_target:
         raise RuntimeError(
             f"{spec.name}: eigenvalue identity broken at n={n}"
         )
-    poly_u = series_poly(canonical.family, n, canonical.alpha, canonical.beta)
-    poly_s = poly_u.compose_affine(canonical.scale, canonical.shift)
     log_norm = _log_norm_sq(n, canonical)
     return BoundState(
         n=n,
         eps=br.eps,
         energy=spec.energy_scale * scalar_float(br.eps),
-        poly=poly_s,
+        poly=canonical.polynomial(n),
         chi=br.chi,
         norm_const_sq=math.exp(log_norm) * spec.coordinate_scale,
         sampler=_state_sampler(spec, n, canonical, br.chi, log_norm),
@@ -462,18 +452,26 @@ def _state_sampler(spec, n, canonical, chi, log_norm):
 def bound_spectrum(spec, n_max=None):
     """All bound states (or the first n_max+1 of an infinite family).
 
-    Raises EmptySpectrum when the shape parameters admit no bound state at
-    all, and checks the strict ordering and region invariants before
-    returning.
+    One quantize walk over n = 0, 1, ... on one reduced equation finds each
+    level and its branch once.  Raises EmptySpectrum when the shape
+    parameters admit no bound state at all, and checks the strict ordering
+    and region invariants before returning.
     """
-    count = eigenvalue_count(spec)
-    if count == 0:
-        raise EmptySpectrum(f"{spec.name}: no bound level clears the cutoff")
-    if n_max is not None:
-        count = min(count, n_max + 1)
-    if not math.isfinite(count):
+    if n_max is None and not math.isfinite(spec.v_minus):
         raise ValueError("confining potential: pass n_max to cap the family")
-    states = [bound_state(spec, n) for n in range(int(count))]
+    ghe = spec.ghe_builder()
+    states = []
+    for n in itertools.count():
+        br = quantize(ghe, n)
+        if br is None:
+            if n == 0:
+                raise EmptySpectrum(f"{spec.name}: no bound level clears the cutoff")
+            break
+        if n_max is not None and n > n_max:
+            break  # a negative cap keeps no level
+        states.append(bound_state(spec, n, _branch=br))
+        if n == n_max:
+            break
     v_min, v_minus = spec.region_edges[0], spec.region_edges[1]
     for lo_state, hi_state in zip(states, states[1:]):
         if not scalar_float(lo_state.eps) < scalar_float(hi_state.eps):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .classical import classify_canonical
@@ -170,7 +170,10 @@ class FactorizedFunction:
 @dataclass(frozen=True)
 class NuBranch:
     """One consistent substitution: u = chi * y turns the input equation
-    into phi y'' + psi y' + lam y = 0."""
+    into phi y'' + psi y' + lam y = 0.
+
+    canonical is the classical form of that equation (classify_canonical)
+    on a branch quantize picked, None on the others."""
 
     k0: object
     pi: Polynomial
@@ -181,6 +184,7 @@ class NuBranch:
     weight_tilde: FactorizedFunction
     eps: object
     admissible: bool = False
+    canonical: object = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -432,7 +436,8 @@ def quantize(ghe, n):
     reduction identity lam_n phi = pi^2 + p1 phi + phi_t(eps) (psi_t =
     phi') is matched term by term: x^2 is a quadratic in p1, x^1 linear in
     p0, x^0 linear in eps.  The root p1 whose psi passes bound_canonical
-    gives the level; p1 = 0 leaves psi' = phi'', which binds nothing.
+    gives the level; p1 = 0 leaves psi' = phi'', which binds nothing.  The
+    returned branch carries the canonical form the predicate found.
     """
     phi, phi_t = ghe.phi, ghe.phi_tilde
     if ghe.psi_tilde != phi.derivative() or phi_t.linear.degree != 0:
@@ -447,10 +452,12 @@ def quantize(ghe, n):
         lam = -n * (2 * f2 + 2 * p1) - n * (n - 1) * f2  # psi' = phi'' + 2 p1
         p0 = (lam * f1 - p1 * f1 - c1) / (2 * p1)
         pi = Polynomial.of(p0, p1)
-        if bound_canonical(ghe, ghe.psi_tilde + 2 * pi) is None:
+        canonical = bound_canonical(ghe, ghe.psi_tilde + 2 * pi)
+        if canonical is None:
             continue
         eps = (lam * f0 - p0 * p0 - p1 * f0 - c0) / phi_t.linear.coeff(0)
-        found.append(replace(_make_branch(ghe, eps, pi, lam), admissible=True))
+        branch = _make_branch(ghe, eps, pi, lam)
+        found.append(replace(branch, admissible=True, canonical=canonical))
     if len(found) > 1:
         raise AmbiguousBranch(found)
     return found[0] if found else None

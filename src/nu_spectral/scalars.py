@@ -76,12 +76,22 @@ def _sqrt_int_float(n):
 
 
 def _core_product(d1, d2):
-    """sqrt(d1) * sqrt(d2) = mult * sqrt(core); returns (mult, core)."""
+    """sqrt(d1) * sqrt(d2) = mult * sqrt(core); returns (mult, core).
+
+    d1 and d2 are canonical radicands: neither holds the square of a prime
+    below the trial bound.  With g = gcd(d1, d2) the cofactors d1/g and d2/g
+    are coprime, so each such prime divides their product at most once and
+    trial division would find nothing; the perfect-square test alone gives
+    what _square_free gives.
+    """
     if d1 == d2:
         return d1, 1
     g = math.gcd(d1, d2)
-    out, core = _square_free((d1 // g) * (d2 // g))
-    return g * out, core
+    m = (d1 // g) * (d2 // g)
+    r = math.isqrt(m)
+    if r * r == m:
+        return g * r, 1
+    return g, m
 
 
 def sqrt_fraction(q):
@@ -101,7 +111,7 @@ def sqrt_fraction(q):
     coeff = Fraction(out, q.denominator)
     if core == 1:
         return coeff
-    return SurdSum({core: coeff})
+    return SurdSum._raw({core: coeff})
 
 
 class SurdSum:
@@ -123,15 +133,26 @@ class SurdSum:
             raise ValueError("SurdSum must carry an irrational term; use Fraction")
         self._t = t
 
+    @classmethod
+    def _raw(cls, t):
+        """Wrap t as it stands: canonical radicands mapped to nonzero
+        Fractions, at least one of them irrational.  The arithmetic below
+        builds its results in that form, so they skip the checks of the
+        public constructor."""
+        obj = object.__new__(cls)
+        obj._t = t
+        return obj
+
     @staticmethod
     def _wrap(terms):
-        """Build a SurdSum or collapse to Fraction if all radicals cancel."""
-        t = {core: Fraction(c) for core, c in terms.items() if c}
+        """Build a SurdSum from Fraction terms, or collapse to a Fraction
+        if all radicals cancel."""
+        t = {core: c for core, c in terms.items() if c}
         if not t:
             return Fraction(0)
-        if set(t) == {1}:
+        if len(t) == 1 and 1 in t:
             return t[1]
-        return SurdSum(t)
+        return SurdSum._raw(t)
 
     # -- views ---------------------------------------------------------
 
@@ -168,7 +189,7 @@ class SurdSum:
     __radd__ = __add__
 
     def __neg__(self):
-        return SurdSum({c: -v for c, v in self._t.items()})
+        return SurdSum._raw({c: -v for c, v in self._t.items()})
 
     def __sub__(self, other):
         return self.__add__(-other)
@@ -180,7 +201,7 @@ class SurdSum:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Fraction(0)
-            return SurdSum({c: v * other for c, v in self._t.items()})
+            return SurdSum._raw({c: v * other for c, v in self._t.items()})
         if isinstance(other, SurdSum):
             t = {}
             for d1, q1 in self._t.items():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -341,3 +342,100 @@ def test_jacobi_routes_agree_property(alpha, beta, n):
         "jacobi", n, alpha, beta
     )
     assert eigen_ode_residual("jacobi", n, alpha, beta).is_zero
+
+
+def _mp_family_norm_sq(family, n, a=None, b=None):
+    """The classical squared norms in mpmath (DLMF 18.3)."""
+    mp = mpmath.mp
+    if family == "hermite":
+        return 2**n * mp.factorial(n) * mp.sqrt(mp.pi)
+    a = mp.mpf(a.numerator) / a.denominator if isinstance(a, Fraction) else mp.mpf(a)
+    if family == "laguerre":
+        return mp.gamma(n + a + 1) / mp.factorial(n)
+    b = mp.mpf(b.numerator) / b.denominator if isinstance(b, Fraction) else mp.mpf(b)
+    if n == 0:
+        return 2 ** (a + b + 1) * mp.beta(a + 1, b + 1)
+    return (
+        2 ** (a + b + 1) * mp.gamma(n + a + 1) * mp.gamma(n + b + 1)
+        / (mp.factorial(n) * (2 * n + a + b + 1) * mp.gamma(n + a + b + 1))
+    )
+
+
+class TestLogDomainNorms:
+    CASES = [
+        ("hermite", 0, None, None),
+        ("hermite", 7, None, None),
+        ("hermite", 150, None, None),  # 1.4e308, just inside the float range
+        ("laguerre", 0, Fraction(-1, 2), None),
+        ("laguerre", 33, 3.7, None),
+        ("laguerre", 171, 0.5, None),  # 171! alone overflows
+        ("jacobi", 0, Fraction(-1, 2), Fraction(-1, 2)),  # a+b+1 = 0: pi
+        ("jacobi", 0, -0.7, -0.7),  # a+b+1 < 0
+        ("jacobi", 10, Fraction(-1, 2), Fraction(3, 10)),
+        ("jacobi", 40, 12.25, 0.0067),
+        ("jacobi", 200, 150.5, 150.5),  # e^136, from gammas near e^1000
+    ]
+
+    @pytest.mark.parametrize("family,n,a,b", CASES)
+    def test_matches_mpmath(self, family, n, a, b):
+        with mpmath.workdps(30):
+            want = _mp_family_norm_sq(family, n, a, b)
+            got = norm_sq(family, n, a, b)
+            assert abs(mpmath.mpf(got) / want - 1) <= 2e-13
+
+    def test_surd_exponent(self):
+        a = sqrt_scalar(Fraction(2))
+        with mpmath.workdps(30):
+            want = _mp_family_norm_sq("laguerre", 12, mpmath.sqrt(2))
+        assert norm_sq("laguerre", 12, a) == pytest.approx(float(want), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "family,n,a,b",
+        [
+            ("hermite", 170, None, None),
+            ("hermite", 171, None, None),
+            ("laguerre", 10, 200.0, None),
+            ("jacobi", 10, 1100.0, 1.0),
+        ],
+    )
+    def test_overflow_is_a_domain_error(self, family, n, a, b):
+        with pytest.raises(ParameterOutOfRange):
+            norm_sq(family, n, a, b)
+
+    @pytest.mark.parametrize(
+        "family,a,b",
+        [("laguerre", -1, None), ("laguerre", Fraction(-3, 2), None), ("jacobi", 0.5, -1)],
+    )
+    def test_divergent_weight_is_a_domain_error(self, family, a, b):
+        with pytest.raises(ParameterOutOfRange):
+            norm_sq(family, 2, a, b)
+
+
+class TestCanonicalPolynomial:
+    """CanonicalHde.polynomial against series_poly composed to x."""
+
+    def test_hermite_and_laguerre(self):
+        her = classify_canonical(Polynomial.of(2), Polynomial.of(1, -4))
+        lag = classify_canonical(Polynomial.of(0, 2), Polynomial.of(3, -3))
+        for n in range(12):
+            for can in (her, lag):
+                want = series_poly(can.family, n, can.alpha, can.beta)
+                assert can.polynomial(n) == want.compose_affine(can.scale, can.shift)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        r=st.sampled_from([2, 3, 5, 7]),
+        h=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-5, 2)]),
+        c=st.fractions(min_value=-1, max_value=1, max_denominator=7),
+        n=st.integers(min_value=0, max_value=9),
+    )
+    def test_jacobi_surd_affine_map(self, r, h, c, n):
+        # phi = r - (x-h)^2 has roots h +- sqrt(r): a surd scale, and a surd
+        # shift unless h = 0; psi has its zero at h + c, far enough inside
+        # for exponents above -1
+        phi = Polynomial.of(r - h * h, 2 * h, -1)
+        can = classify_canonical(phi, Polynomial.of(3 * (h + c), -3))
+        assert isinstance(can.scale, SurdSum)
+        assert h == 0 or isinstance(can.shift, SurdSum)
+        want = series_poly("jacobi", n, can.alpha, can.beta)
+        assert can.polynomial(n) == want.compose_affine(can.scale, can.shift)

@@ -15,6 +15,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from nu_spectral import potentials
+from nu_spectral.classical import classify_canonical, series_poly
 from nu_spectral.errors import (
     AmbiguousBranch,
     EmptySpectrum,
@@ -333,7 +335,6 @@ class TestHyperbolicWell:
                 forward=math.tanh,
                 deriv=lambda x: 1.02 * (1.0 - math.tanh(x) ** 2),
                 inverse=math.atanh,
-                bounded_slope=True,
             ),
         )
         with pytest.raises(ValueError):
@@ -590,6 +591,89 @@ class TestDerivedSpectra:
             eigen_eps(spec, 5)
         with pytest.raises(ValueError):
             bound_state(spec, 5)
+
+
+
+class TestSingleQuantizationWalk:
+    """bound_spectrum quantizes each level once, on one reduced equation."""
+
+    @staticmethod
+    def _counting(monkeypatch, spec):
+        calls = {"quantize": 0, "builder": 0}
+
+        def quantize_counted(ghe, n):
+            calls["quantize"] += 1
+            return quantize(ghe, n)
+
+        def builder_counted(eps=None):
+            calls["builder"] += 1
+            return spec.ghe_builder(eps)
+
+        monkeypatch.setattr(potentials, "quantize", quantize_counted)
+        return dataclasses.replace(spec, ghe_builder=builder_counted), calls
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            morse(Lambda=5),
+            morse(Lambda=Fraction(81, 4)),
+            morse(De=200.0),
+            rosen_morse2(4, 0.5),
+            rosen_morse2(62, 0.35),
+            rosen_morse2(238, 0.51),
+        ],
+        ids=["morse5", "morse81/4", "morseDe200", "rm2-4", "rm2-62", "rm2-238"],
+    )
+    def test_finite_well_walks_count_plus_one_levels(self, monkeypatch, spec):
+        count = closed_form_count(spec)
+        counted, calls = self._counting(monkeypatch, spec)
+        states = bound_spectrum(counted)
+        assert len(states) == count
+        assert calls == {"quantize": count + 1, "builder": 1}
+
+    def test_confining_well_walks_n_max_plus_one_levels(self, monkeypatch):
+        counted, calls = self._counting(monkeypatch, harmonic())
+        states = bound_spectrum(counted, n_max=12)
+        assert [st.n for st in states] == list(range(13))
+        assert calls == {"quantize": 13, "builder": 1}
+
+    def test_cap_below_the_count(self, monkeypatch):
+        counted, calls = self._counting(monkeypatch, morse(Lambda=20))
+        assert len(bound_spectrum(counted, n_max=3)) == 4
+        assert calls == {"quantize": 4, "builder": 1}
+        assert bound_spectrum(counted, n_max=-1) == []
+        with pytest.raises(EmptySpectrum):
+            bound_spectrum(rosen_morse2(0.75, 0.5), n_max=-1)
+
+    def test_walk_builds_the_same_states_as_bound_state(self):
+        for spec in (morse(De=200.0), rosen_morse2(62, 0.35)):
+            for st in bound_spectrum(spec):
+                solo = bound_state(spec, st.n)
+                assert (st.eps, st.poly, st.chi) == (solo.eps, solo.poly, solo.chi)
+                assert st.norm_const_sq == solo.norm_const_sq
+
+    def test_jacobi_single_composition_equals_two(self):
+        """The polynomial composed from t = (1-u)/2 straight to s equals the
+        series in u composed to s, at every level of seeded wells with surd
+        Jacobi exponents."""
+        rng = random.Random(4099)
+        wells = [
+            rosen_morse2(rng.uniform(20.0, 250.0), rng.uniform(0.1, 0.6))
+            for _ in range(6)
+        ] + [rosen_morse2(100.0, 0.3)]
+        levels = 0
+        for spec in wells:
+            ghe = spec.ghe_builder()
+            for st in bound_spectrum(spec):
+                br = quantize(ghe, st.n)
+                can = classify_canonical(ghe.phi, br.psi)
+                assert isinstance(can.alpha, SurdSum) and isinstance(can.beta, SurdSum)
+                two_step = series_poly("jacobi", st.n, can.alpha, can.beta)
+                two_step = two_step.compose_affine(can.scale, can.shift)
+                assert can.polynomial(st.n) == two_step
+                assert st.poly == two_step
+                levels += 1
+        assert levels == 35
 
 
 def _mp_norm_closed_form(family, n, a, b):

@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nu_spectral.scalars import (
     SurdSum,
+    _core_product,
+    _square_free,
     as_exact,
     scalar_sign,
     sqrt_fraction,
@@ -153,3 +155,121 @@ def test_square_then_sqrt_roundtrip(u, v, d):
     if float(x) < 0:
         x = -x
     assert sqrt_scalar(sq) == x
+
+
+# -- radicands that hide prime squares ------------------------------------------
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 31, 97, 997)  # squares _square_free extracts
+_LARGE_PRIMES = (1009, 1013, 7919, 104729)  # past the trial-division bound
+
+
+def _trial_division_core_product(d1, d2):
+    """The radicand product by full trial division, as _core_product once
+    computed it."""
+    if d1 == d2:
+        return d1, 1
+    g = math.gcd(d1, d2)
+    out, core = _square_free((d1 // g) * (d2 // g))
+    return g * out, core
+
+
+def _reduced(x):
+    """x with the hidden squares of the large test primes pulled out of its
+    radicands too, so equal values compare equal.  _square_free leaves them
+    inside, and two keys for one radical make dict equality fail."""
+    if not isinstance(x, SurdSum):
+        return x
+    out = F(0)
+    for core, coeff in x.terms().items():
+        for p in _LARGE_PRIMES:
+            while core % (p * p) == 0:
+                core //= p * p
+                coeff *= p
+        out = out + coeff * sqrt_fraction(core)
+    return out
+
+
+@st.composite
+def hidden_square_radicals(draw):
+    """sqrt_fraction of k * p^2 / q: a square-free k times the square of a
+    small prime (extracted) or of a large prime (kept in the radicand)."""
+    k = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 15, 21, 30, 1019]))
+    p = draw(st.sampled_from(_SMALL_PRIMES + _LARGE_PRIMES + (1,)))
+    q = draw(st.sampled_from([1, 2, 3, 4, 9, 25, 7 * 7 * 11]))
+    return sqrt_fraction(F(k * p * p, q))
+
+
+@st.composite
+def hidden_square_sums(draw, max_radicals=3):
+    x = draw(small_fracs)
+    for _ in range(draw(st.integers(min_value=1, max_value=max_radicals))):
+        x = x + draw(small_fracs) * draw(hidden_square_radicals())
+    return x
+
+
+def _keys(*xs):
+    return [d for x in xs if isinstance(x, SurdSum) for d in x.terms()]
+
+
+@given(hidden_square_sums(), hidden_square_sums())
+@settings(max_examples=150, deadline=None)
+def test_core_product_equals_trial_division(x, y):
+    for d1 in _keys(x, y) + [1]:
+        for d2 in _keys(x, y) + [1]:
+            assert _core_product(d1, d2) == _trial_division_core_product(d1, d2)
+
+
+@given(hidden_square_sums(), hidden_square_sums(), hidden_square_sums())
+@settings(max_examples=100, deadline=None)
+def test_ring_identities_with_hidden_squares(x, y, z):
+    pairs = [
+        ((x + y) + z, x + (y + z)),
+        (x * y, y * x),
+        ((x * y) * z, x * (y * z)),
+        (x * (y + z), x * y + x * z),
+        (-(x * y), (-x) * y),
+        (3 * x - x, 2 * x),
+        (x - x, F(0)),
+    ]
+    for lhs, rhs in pairs:
+        assert _reduced(lhs) == _reduced(rhs)
+    # products, sums and negations of fully reduced operands need no help
+    if all(_reduced(v) == v for v in (x, y, z)):
+        for lhs, rhs in pairs:
+            assert lhs == rhs
+
+
+def _has_dependent_radicals(x):
+    """Two radicands of x that differ by a hidden large-prime square."""
+    free = [next(iter(_reduced(sqrt_fraction(d)).terms())) for d in _keys(x) if d != 1]
+    return len(set(free)) < len(free)
+
+
+@given(hidden_square_sums())
+@settings(max_examples=100, deadline=None)
+def test_inverse_with_hidden_squares(x):
+    assume(isinstance(x, SurdSum) and not _has_dependent_radicals(x))
+    assert x * x.inverse() == 1
+
+
+@pytest.mark.xfail(strict=True, raises=ArithmeticError, reason=(
+    "sqrt(2) and sqrt(2 * 1009^2) keep separate radicand keys, so the "
+    "inverse's linear system over them is singular (ROADMAP item 4)"))
+def test_inverse_with_dependent_radicands():
+    x = sqrt_fraction(2) + sqrt_fraction(2 * 1009 * 1009)  # 1010 sqrt(2)
+    x.inverse()
+
+
+@given(hidden_square_sums(), hidden_square_sums())
+@settings(max_examples=100, deadline=None)
+def test_equality_and_hash_are_consistent(x, y):
+    results = [x, y, -x, x * y, y * x, x + y, y + x, 2 * x, x * 2, x * F(1, 3)]
+    if isinstance(x, SurdSum):
+        # the checked public constructor and the arithmetic agree
+        rebuilt = SurdSum(x.terms())
+        assert rebuilt == x and hash(rebuilt) == hash(x)
+        results.append(rebuilt)
+    for a in results:
+        for b in results:
+            if a == b:
+                assert hash(a) == hash(b)
