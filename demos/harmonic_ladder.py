@@ -19,7 +19,7 @@ from nu_spectral import (
 
 def show_branches(spec):
     eps0 = eigen_eps(spec, 0)
-    ghe = spec.ghe_builder(eps0)
+    ghe = spec.ghe
     res = reduce_ghe(ghe, eps0)
     print(f"reduced equation at eps = {eps0}:")
     print(f"  phi = {ghe.phi!r}, psi_tilde = {ghe.psi_tilde!r}")

@@ -34,7 +34,6 @@ from .oracle import FdGrid, compare_spectra
 from .potentials import (
     WELLS,
     bound_spectrum,
-    make_potential,
     normalization_defect,
     oracle_spectrum,
     wavefunction_residual,
@@ -98,13 +97,14 @@ def _factor_str(f):
 # -- flag parsing helpers --------------------------------------------------------
 
 
-def _canonical_potential(name):
-    key = name.replace("-", "_")
-    if key not in WELLS:
-        raise ParseError(
-            f"unknown potential {name!r}; choose from harmonic, morse, rosen-morse2"
-        )
-    return key
+def _potential_from_args(args):
+    """(name, params, spec) of the well named by --potential and --params."""
+    name = args.potential.replace("-", "_")
+    if name not in WELLS:
+        choices = ", ".join(key.replace("_", "-") for key in WELLS)
+        raise ParseError(f"unknown potential {args.potential!r}; choose from {choices}")
+    params = _parse_params(name, args.params)
+    return name, params, WELLS[name](**params)
 
 
 def _parse_params(potential, text):
@@ -180,13 +180,7 @@ def _cmd_reduce(args):
     sel_index = None
     reason = None
     if result.selected is not None:
-        for i, br in enumerate(result.branches):
-            if (
-                br.k0 == result.selected.k0
-                and br.pi.coeffs == result.selected.pi.coeffs
-            ):
-                sel_index = i
-                break
+        sel_index = result.branches.index(result.selected)
         psi = result.selected.psi
         zero = -psi.coeff(0) / psi.coeff(1)
         reason = (
@@ -249,9 +243,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_solve(args):
-    name = _canonical_potential(args.potential)
-    params = _parse_params(name, args.params)
-    spec = make_potential(name, **params)
+    name, params, spec = _potential_from_args(args)
     states = bound_spectrum(spec, n_max=args.n_max)
 
     oracle = None
@@ -345,9 +337,7 @@ def _cmd_eval(args):
 
 
 def _cmd_verify(args):
-    name = _canonical_potential(args.potential)
-    params = _parse_params(name, args.params)
-    spec = make_potential(name, **params)
+    name, params, spec = _potential_from_args(args)
     tols = _tolerances()
 
     n_max = args.n_max

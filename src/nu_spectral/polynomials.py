@@ -60,12 +60,6 @@ class Polynomial:
         """Coefficient of x**k (zero beyond the stored length)."""
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
-    @property
-    def leading(self):
-        if not self.coeffs:
-            raise NotPolynomialRoot("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     # -- ring operations -----------------------------------------------------
 
     def _lift(self, other):

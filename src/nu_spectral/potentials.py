@@ -1,9 +1,12 @@
 """Three end-to-end solvable one-dimensional quantum systems.
 
-Each potential declares its change of variable s = tau(x) and the reduced
-equation it produces.  Levels, their count, branches and norms are derived
-from that equation (reduction.quantize) and checked exactly against the
-reduction identity and the classical eigenvalue.  The systems:
+Each constructor returns one PotentialSpec record holding all that is
+particular to its well: the change of variable s = tau(x), the reduced
+equation it produces, the normalization window and the scattering solver;
+no function here branches on the well's name.  Levels, their count,
+branches and norms are derived from the reduced equation
+(reduction.quantize) and checked exactly against the reduction identity
+and the classical eigenvalue.  The systems:
 
   harmonic      v(x) = x^2 on the line (x in units of sqrt(hbar/(m*Omega)))
   morse         v(x) = Lambda^2 (1 - b e^{-x})^2, b = e^{a x_e}, x = a * x_phys
@@ -69,13 +72,17 @@ class PotentialSpec:
     name: str
     physical_params: dict
     tau: ChangeOfVariable
-    ghe_builder: object
+    ghe: GheProblem
     reduced_potential: object
-    region_edges: tuple  # (v_min, v_minus, v_plus, v_max)
+    region_edges: tuple  # (v_min, v_minus, v_plus)
     energy_scale: float  # physical E = energy_scale * eps
     coordinate_scale: float  # physical-coordinate norm = this * reduced norm
     fd_box: tuple  # (lo, hi, points) defaults for the oracle
     exact: dict  # rationalized shape parameters
+    # state -> (lo, hi, lo_plateau, hi_plateau): the quadrature window, and the
+    # plateau whose closed-form tail is added past each edge (None: no tail)
+    norm_window: object
+    scattering: object  # (spec, eps) -> ScatteringState; None when confining
 
     @property
     def v_minus(self):
@@ -131,13 +138,12 @@ def harmonic(m=1.0, Omega=1.0, hbar=1.0):
     _require_positive(m=m, Omega=Omega, hbar=hbar)
     x0 = math.sqrt(hbar / (m * Omega))
 
-    def builder(eps=None):
-        return GheProblem(
-            phi=Polynomial.of(1),
-            psi_tilde=Polynomial(),
-            phi_tilde=EpsAffinePoly(const=-(X * X), linear=Polynomial.of(1)),
-            interval=REAL_LINE,
-        )
+    def norm_window(state):
+        # gaussian times a polynomial: past the classical turning point
+        # sqrt(2n+1) the density decays like exp(-x^2); a margin of 5 leaves
+        # less than 1e-15 of the mass outside
+        edge = math.sqrt(2 * state.n + 1) + 5.0
+        return -edge, edge, None, None
 
     spec = PotentialSpec(
         name="harmonic",
@@ -147,13 +153,20 @@ def harmonic(m=1.0, Omega=1.0, hbar=1.0):
             deriv=lambda x: 1.0,
             inverse=lambda s: s,
         ),
-        ghe_builder=builder,
+        ghe=GheProblem(
+            phi=Polynomial.of(1),
+            psi_tilde=Polynomial(),
+            phi_tilde=EpsAffinePoly(const=-(X * X), linear=Polynomial.of(1)),
+            interval=REAL_LINE,
+        ),
         reduced_potential=lambda x: x * x,
-        region_edges=(0.0, math.inf, math.inf, math.inf),
+        region_edges=(0.0, math.inf, math.inf),
         energy_scale=hbar * Omega / 2.0,
         coordinate_scale=1.0 / x0,
         fd_box=(-10.0, 10.0, 4001),
         exact={},
+        norm_window=norm_window,
+        scattering=None,
     )
     _verify_declared_substitution(spec)
     return spec
@@ -180,17 +193,12 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
     b = math.exp(a * xe)
     lamf = scalar_float(lam)
     lamf2 = scalar_float(lam_sq)
+    # left wall: s = 2*lam*b*e^{-x} = 700 puts e^{-s/2} past underflow
+    wall = math.log(2.0 * lamf * b / 700.0)
 
-    def builder(eps=None):
-        return GheProblem(
-            phi=X,
-            psi_tilde=Polynomial.of(1),
-            phi_tilde=EpsAffinePoly(
-                const=Polynomial.of(-lam_sq, lam, Fraction(-1, 4)),
-                linear=Polynomial.of(1),
-            ),
-            interval=HALF_LINE,
-        )
+    def norm_window(state):
+        kappa = math.sqrt(scalar_float(lam_sq - state.eps))
+        return wall, max(20.0, 20.0 / kappa), None, lam_sq
 
     spec = PotentialSpec(
         name="morse",
@@ -200,13 +208,23 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
             deriv=lambda x: -2.0 * lamf * b * math.exp(-x),
             inverse=lambda s: math.log(2.0 * lamf * b / s),
         ),
-        ghe_builder=builder,
+        ghe=GheProblem(
+            phi=X,
+            psi_tilde=Polynomial.of(1),
+            phi_tilde=EpsAffinePoly(
+                const=Polynomial.of(-lam_sq, lam, Fraction(-1, 4)),
+                linear=Polynomial.of(1),
+            ),
+            interval=HALF_LINE,
+        ),
         reduced_potential=lambda x: lamf2 * (1.0 - b * np.exp(-x)) ** 2,
-        region_edges=(0.0, lamf2, math.inf, math.inf),
+        region_edges=(0.0, lamf2, math.inf),
         energy_scale=a * a * hbar * hbar / (2.0 * m),
         coordinate_scale=a,
         fd_box=(a * xe - 2.0, a * xe + 12.0, 2801),
         exact={"lam": lam, "lam_sq": lam_sq, "b": b},
+        norm_window=norm_window,
+        scattering=_morse_scattering,
     )
     _verify_declared_substitution(spec)
     return spec
@@ -238,17 +256,7 @@ def rosen_morse2(v0, mu):
     vm = v0x * (1 - t) / (1 + t)  # lower plateau, at x -> +inf
     vp = v0x * (1 + t) / (1 - t)  # upper plateau, at x -> -inf
     cf, tf = scalar_float(csq), scalar_float(t)
-
-    def builder(eps=None):
-        shifted = X - Polynomial.constant(t)
-        return GheProblem(
-            phi=Polynomial.of(1, 0, -1),
-            psi_tilde=Polynomial.of(0, -2),
-            phi_tilde=EpsAffinePoly(
-                const=-csq * (shifted * shifted), linear=Polynomial.of(1)
-            ),
-            interval=UNIT_INTERVAL,
-        )
+    shifted = X - Polynomial.constant(t)
 
     spec = PotentialSpec(
         name="rosen_morse2",
@@ -259,13 +267,22 @@ def rosen_morse2(v0, mu):
             inverse=math.atanh,
             affine_value=_tanh_affine,
         ),
-        ghe_builder=builder,
+        ghe=GheProblem(
+            phi=Polynomial.of(1, 0, -1),
+            psi_tilde=Polynomial.of(0, -2),
+            phi_tilde=EpsAffinePoly(
+                const=-csq * (shifted * shifted), linear=Polynomial.of(1)
+            ),
+            interval=UNIT_INTERVAL,
+        ),
         reduced_potential=lambda x: cf * (np.tanh(x) - tf) ** 2,
-        region_edges=(0.0, scalar_float(vm), scalar_float(vp), scalar_float(vp)),
+        region_edges=(0.0, scalar_float(vm), scalar_float(vp)),
         energy_scale=1.0,
         coordinate_scale=1.0,
         fd_box=(-15.0, 15.0, 3001),
         exact={"v0": v0x, "t": t, "csq": csq, "v1": v1, "v2": v2, "vm": vm, "vp": vp},
+        norm_window=lambda state: (-18.0, 18.0, vp, vm),
+        scattering=_rosen_morse2_scattering,
     )
     _verify_declared_substitution(spec)
     return spec
@@ -287,7 +304,7 @@ def _verify_declared_substitution(spec, probe_eps=Fraction(1)):
     """Check numerically that s = tau(x) really maps -psi'' + v psi = eps psi
     onto the declared equation coefficients; a mismatch means the declared
     table row and the declared substitution disagree."""
-    ghe = spec.ghe_builder(probe_eps)
+    ghe = spec.ghe
     phi = ghe.phi.as_float()
     psi_t = ghe.psi_tilde.as_float()
     phi_t = ghe.phi_tilde.at(probe_eps).as_float()
@@ -324,7 +341,7 @@ def pinned_branch(spec, eps):
     resolves the choice deterministically.
     """
     eps = as_exact(eps)
-    ghe = spec.ghe_builder(eps)
+    ghe = spec.ghe
     matches = [
         br
         for br in branch_candidates(ghe, eps)
@@ -341,7 +358,7 @@ def pinned_branch(spec, eps):
 
 
 def _level(spec, n):
-    br = quantize(spec.ghe_builder(), n)
+    br = quantize(spec.ghe, n)
     if br is None:
         raise ValueError(f"{spec.name}: level n={n} is not bound")
     return br
@@ -351,8 +368,7 @@ def eigenvalue_count(spec):
     """Number of bound states (math.inf for the confining well)."""
     if not math.isfinite(spec.v_minus):
         return math.inf
-    ghe = spec.ghe_builder()
-    return next(n for n in itertools.count() if quantize(ghe, n) is None)
+    return next(n for n in itertools.count() if quantize(spec.ghe, n) is None)
 
 
 def eigen_eps(spec, n):
@@ -459,10 +475,9 @@ def bound_spectrum(spec, n_max=None):
     """
     if n_max is None and not math.isfinite(spec.v_minus):
         raise ValueError("confining potential: pass n_max to cap the family")
-    ghe = spec.ghe_builder()
     states = []
     for n in itertools.count():
-        br = quantize(ghe, n)
+        br = quantize(spec.ghe, n)
         if br is None:
             if n == 0:
                 raise EmptySpectrum(f"{spec.name}: no bound level clears the cutoff")
@@ -523,40 +538,22 @@ def wavefunction_residual(spec, sampler, eps, xs, step=1e-3):
 def normalization_defect(spec, state):
     """|1 - integral of sampler^2| over the whole line.
 
-    The quadrature window stops where the density is still representable at
-    full precision; past it the density is a single decaying exponential to
-    machine accuracy, so the remaining mass is added in closed form rather
-    than chased numerically, at the decay rate sqrt(plateau - eps_n).
+    The quadrature window (spec.norm_window) stops where the density is
+    still representable at full precision; past an edge with a plateau the
+    density is a single decaying exponential to machine accuracy, so the
+    remaining mass is added in closed form rather than chased numerically,
+    at the decay rate sqrt(plateau - eps_n).
     """
-
-    def rate(plateau):
-        return math.sqrt(scalar_float(plateau - state.eps))
 
     def sq(x):
         return state.sampler(x) ** 2
 
-    if spec.name == "harmonic":
-        # gaussian times a polynomial: past the classical turning point
-        # sqrt(2n+1) the density decays like exp(-x^2); a margin of 5 leaves
-        # less than 1e-15 of the mass outside
-        edge = math.sqrt(2 * state.n + 1) + 5.0
-        total = quad_adaptive(sq, -edge, edge)
-    elif spec.name == "morse":
-        lamf = scalar_float(spec.exact["lam"])
-        kappa = rate(spec.exact["lam_sq"])
-        # left wall: s = 2*lam*b*e^{-x} = 700 puts e^{-s/2} past underflow
-        lo = math.log(2.0 * lamf * scalar_float(spec.exact["b"]) / 700.0)
-        hi = max(20.0, 20.0 / kappa)
-        total = quad_adaptive(sq, lo, hi) + sq(hi) / (2.0 * kappa)
-    elif spec.name == "rosen_morse2":
-        x0 = 18.0
-        total = (
-            quad_adaptive(sq, -x0, x0)
-            + sq(x0) / (2.0 * rate(spec.exact["vm"]))
-            + sq(-x0) / (2.0 * rate(spec.exact["vp"]))
-        )
-    else:
-        raise ValueError(f"no normalization window for {spec.name!r}")
+    lo, hi, lo_plateau, hi_plateau = spec.norm_window(state)
+    total = quad_adaptive(sq, lo, hi)
+    for edge, plateau in ((hi, hi_plateau), (lo, lo_plateau)):
+        if plateau is not None:
+            rate = math.sqrt(scalar_float(plateau - state.eps))
+            total += sq(edge) / (2.0 * rate)
     return abs(total - 1.0)
 
 
@@ -573,7 +570,7 @@ def _complex_sqrt_of_gap(edge, eps):
 
 def scattering_states(spec, eps):
     eps = float(eps)
-    if spec.name == "harmonic":
+    if spec.scattering is None:
         raise NoScatteringRegion(
             "confining well: both plateaus sit at infinite energy"
         )
@@ -581,11 +578,7 @@ def scattering_states(spec, eps):
         raise EnergyBelowRegion(
             f"eps={eps} does not exceed the lower plateau {spec.v_minus}"
         )
-    if spec.name == "morse":
-        return _morse_scattering(spec, eps)
-    if spec.name == "rosen_morse2":
-        return _rosen_morse2_scattering(spec, eps)
-    raise ValueError(f"unknown potential {spec.name!r}")
+    return spec.scattering(spec, eps)
 
 
 def _morse_scattering(spec, eps):

@@ -157,9 +157,6 @@ class FactorizedFunction:
             self.prefactor * other.prefactor,
         )
 
-    def scaled(self, c):
-        return replace(self, prefactor=self.prefactor * c)
-
     @property
     def is_constant(self):
         return (
@@ -183,7 +180,6 @@ class NuBranch:
     weight: FactorizedFunction
     weight_tilde: FactorizedFunction
     eps: object
-    admissible: bool = False
     canonical: object = field(default=None, compare=False)
 
 
@@ -457,7 +453,7 @@ def quantize(ghe, n):
             continue
         eps = (lam * f0 - p0 * p0 - p1 * f0 - c0) / phi_t.linear.coeff(0)
         branch = _make_branch(ghe, eps, pi, lam)
-        found.append(replace(branch, admissible=True, canonical=canonical))
+        found.append(replace(branch, canonical=canonical))
     if len(found) > 1:
         raise AmbiguousBranch(found)
     return found[0] if found else None
@@ -473,7 +469,7 @@ def select_branch(branches, interval):
         )
     if len(matches) > 1:
         raise AmbiguousBranch(matches)
-    return replace(matches[0], admissible=True)
+    return matches[0]
 
 
 def reduce_ghe(ghe, eps, select=True):
@@ -490,12 +486,6 @@ def reduce_ghe(ghe, eps, select=True):
         if select:
             raise
     return ReductionResult(ghe, eps, tuple(k0s), tuple(branches), selected)
-
-
-def corollary_applicable(branch, tau_prime_bounded):
-    """Whether the shortcut normalization route applies: the input weight
-    must be constant and the change of variables must have bounded slope."""
-    return branch.weight_tilde.is_constant and bool(tau_prime_bounded)
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ def gate_reduction_tables():
     # harmonic: phi = 1, single k0 = eps, deformation +-s
     spec = harmonic()
     eps0 = eigen_eps(spec, 0)
-    ghe = spec.ghe_builder(eps0)
+    ghe = spec.ghe
     res = reduce_ghe(ghe, eps0)
     assert res.k0_values == (eps0,)
     assert len(res.branches) == 2
@@ -201,7 +201,7 @@ def gate_reduction_tables():
     eps0 = eigen_eps(spec, 0)
     kappa = sqrt_scalar(spec.exact["lam_sq"] - eps0)
     depth = spec.exact["lam"]
-    ghe = spec.ghe_builder(eps0)
+    ghe = spec.ghe
     res = reduce_ghe(ghe, eps0)
     assert set(res.k0_values) == {depth - kappa, depth + kappa}
     assert len(res.branches) == 4
@@ -227,7 +227,7 @@ def gate_reduction_tables():
     # rosen-morse II: phi = 1 - s^2, two k0 values, surd coefficients
     spec = rosen_morse2(4, 0.5)
     eps0 = eigen_eps(spec, 0)
-    ghe = spec.ghe_builder(eps0)
+    ghe = spec.ghe
     km = sqrt_scalar(spec.exact["vm"] - eps0)
     kp = sqrt_scalar(spec.exact["vp"] - eps0)
     k_lo = (spec.exact["v0"] + eps0 - kp * km) / 2

@@ -102,7 +102,7 @@ class TestTwoRouteAgreement:
 def canonical_of(spec, n):
     """Canonical form of a well's n-th bound state, as bound_state finds it."""
     br = pinned_branch(spec, eigen_eps(spec, n))
-    return classify_canonical(spec.ghe_builder(br.eps).phi, br.psi)
+    return classify_canonical(spec.ghe.phi, br.psi)
 
 
 class TestSeriesRoute:

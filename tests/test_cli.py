@@ -119,7 +119,10 @@ class TestSolve:
     def test_unknown_potential_rejected(self, capsys):
         code, _, err = run(capsys, "solve", "--potential", "woods-saxon")
         assert code == 2
-        assert "unknown potential" in err
+        assert err == (
+            "nu-spectral: unknown potential 'woods-saxon'; "
+            "choose from harmonic, morse, rosen-morse2\n"
+        )
 
     def test_missing_required_parameters_rejected(self, capsys):
         code, _, err = run(capsys, "solve", "--potential", "rosen-morse2")

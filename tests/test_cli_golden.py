@@ -1,4 +1,6 @@
-"""Golden output of the README commands: stdout must stay byte-identical.
+"""Golden output of the README commands, and of `solve` on the other two
+wells so that every well's normalization window is pinned: stdout must stay
+byte-identical.
 
 The expected texts were captured from the command line before the exact
 pipeline was restructured; a change that moves any digit of an exact level,
@@ -59,6 +61,24 @@ n,eps_n,E_n,norm_defect
 4,24.75,12.375,1.3322676295501878e-15
 """
 
+SOLVE_HARMONIC = """\
+n,eps_n,E_n,norm_defect
+0,1,0.5,1.1102230246251565e-16
+1,3,1.5,0
+2,5,2.5,6.6613381477509392e-16
+3,7,3.5,0
+4,9,4.5,6.6613381477509392e-16
+5,11,5.5,1.2212453270876722e-15
+6,13,6.5,1.4432899320127035e-15
+7,15,7.5,4.4408920985006262e-16
+8,17,8.5,4.4408920985006262e-16
+"""
+
+SOLVE_ROSEN_MORSE2 = """\
+n,eps_n,E_n,norm_defect
+0,1.2099285593363514,1.2099285593363514,1.1102230246251565e-16
+"""
+
 
 @pytest.mark.parametrize(
     "argv, expected",
@@ -74,8 +94,13 @@ n,eps_n,E_n,norm_defect
         ),
         (["eval", "--fn", "hermite", "--nu", "3", "--z", "2"], EVAL_HERMITE),
         (["solve", "--potential", "morse", "--params", "Lambda=5"], SOLVE_MORSE),
+        (["solve", "--potential", "harmonic", "--n-max", "8"], SOLVE_HARMONIC),
+        (
+            ["solve", "--potential", "rosen-morse2", "--params", "v0=4,mu=0.5"],
+            SOLVE_ROSEN_MORSE2,
+        ),
     ],
-    ids=["reduce", "eval", "solve"],
+    ids=["reduce", "eval", "solve", "solve-harmonic", "solve-rosen-morse2"],
 )
 def test_readme_command_output_is_byte_identical(capsys, argv, expected):
     assert main(argv) == 0

@@ -465,7 +465,7 @@ class TestBranchPinning:
         spec = rosen_morse2(4, 0.5)
         eps0 = eigen_eps(spec, 0)
         with pytest.raises(AmbiguousBranch):
-            reduce_ghe(spec.ghe_builder(eps0), eps0)
+            reduce_ghe(spec.ghe, eps0)
 
     def test_pinning_resolves_the_ambiguity(self):
         spec = rosen_morse2(4, 0.5)
@@ -477,7 +477,7 @@ class TestBranchPinning:
         spec = morse(Lambda=5)
         eps = Fraction(2481, 100)  # edge exponent sqrt(19)/10 < 1/2
         with pytest.raises(AmbiguousBranch):
-            reduce_ghe(spec.ghe_builder(eps), eps)
+            reduce_ghe(spec.ghe, eps)
         branch = pinned_branch(spec, eps)
         expected = Fraction(9, 2) - sqrt_scalar(Fraction(19, 100))
         assert branch.lam == expected
@@ -487,6 +487,40 @@ class TestBranchPinning:
         assert make_potential("morse", Lambda=3).name == "morse"
         with pytest.raises(ValueError):
             make_potential("coulomb")
+
+
+# -- one record per well ---------------------------------------------------------
+
+
+def _scattering_verdict(spec, eps):
+    """(degeneracy, boundedness flags) of the scattering state at eps, or
+    the exception type the request raises."""
+    try:
+        state = scattering_states(spec, eps)
+    except NoScatteringRegion as exc:
+        return type(exc)
+    flags = [(s.bounded_at_minus_inf, s.bounded_at_plus_inf) for s in state.solutions]
+    return state.degeneracy, flags
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [harmonic(), morse(Lambda=5), rosen_morse2(62, 0.35)],
+    ids=["harmonic", "morse", "rosen_morse2"],
+)
+def test_renamed_well_behaves_the_same(spec):
+    """Normalization and scattering read the spec's fields, never its name."""
+    renamed = dataclasses.replace(spec, name="copy")
+    n_max = None if math.isfinite(spec.v_minus) else 8
+    states = bound_spectrum(spec, n_max=n_max)
+    renamed_states = bound_spectrum(renamed, n_max=n_max)
+    assert [st.eps for st in renamed_states] == [st.eps for st in states]
+    for st, twin in zip(states, renamed_states):
+        assert normalization_defect(renamed, twin) == normalization_defect(spec, st)
+    # between the plateaus and above both; any energy for the confining well
+    energies = [e + 0.5 for e in spec.region_edges[1:] if math.isfinite(e)] or [100.0]
+    for eps in energies:
+        assert _scattering_verdict(renamed, eps) == _scattering_verdict(spec, eps)
 
 
 # -- derived spectra against hand-written closed forms ---------------------------
@@ -555,7 +589,7 @@ class TestDerivedSpectra:
         for spec in wells:
             count = eigenvalue_count(spec)
             assert count == closed_form_count(spec)
-            ghe = spec.ghe_builder()
+            ghe = spec.ghe
             for n in range(count):
                 eps = eigen_eps(spec, n)
                 assert eps == closed_form_eps(spec, n)
@@ -595,22 +629,21 @@ class TestDerivedSpectra:
 
 
 class TestSingleQuantizationWalk:
-    """bound_spectrum quantizes each level once, on one reduced equation."""
+    """bound_spectrum quantizes each level once, on the spec's own reduced
+    equation."""
 
     @staticmethod
     def _counting(monkeypatch, spec):
-        calls = {"quantize": 0, "builder": 0}
+        """Counts quantize calls on spec.ghe itself apart from calls on any
+        other equation, which pass through to quantize all the same."""
+        calls = {"quantize": 0, "foreign": 0}
 
         def quantize_counted(ghe, n):
-            calls["quantize"] += 1
+            calls["quantize" if ghe is spec.ghe else "foreign"] += 1
             return quantize(ghe, n)
 
-        def builder_counted(eps=None):
-            calls["builder"] += 1
-            return spec.ghe_builder(eps)
-
         monkeypatch.setattr(potentials, "quantize", quantize_counted)
-        return dataclasses.replace(spec, ghe_builder=builder_counted), calls
+        return calls
 
     @pytest.mark.parametrize(
         "spec",
@@ -626,24 +659,27 @@ class TestSingleQuantizationWalk:
     )
     def test_finite_well_walks_count_plus_one_levels(self, monkeypatch, spec):
         count = closed_form_count(spec)
-        counted, calls = self._counting(monkeypatch, spec)
-        states = bound_spectrum(counted)
+        calls = self._counting(monkeypatch, spec)
+        states = bound_spectrum(spec)
         assert len(states) == count
-        assert calls == {"quantize": count + 1, "builder": 1}
+        assert calls == {"quantize": count + 1, "foreign": 0}
 
     def test_confining_well_walks_n_max_plus_one_levels(self, monkeypatch):
-        counted, calls = self._counting(monkeypatch, harmonic())
-        states = bound_spectrum(counted, n_max=12)
+        spec = harmonic()
+        calls = self._counting(monkeypatch, spec)
+        states = bound_spectrum(spec, n_max=12)
         assert [st.n for st in states] == list(range(13))
-        assert calls == {"quantize": 13, "builder": 1}
+        assert calls == {"quantize": 13, "foreign": 0}
 
     def test_cap_below_the_count(self, monkeypatch):
-        counted, calls = self._counting(monkeypatch, morse(Lambda=20))
-        assert len(bound_spectrum(counted, n_max=3)) == 4
-        assert calls == {"quantize": 4, "builder": 1}
-        assert bound_spectrum(counted, n_max=-1) == []
+        spec = morse(Lambda=20)
+        calls = self._counting(monkeypatch, spec)
+        assert len(bound_spectrum(spec, n_max=3)) == 4
+        assert calls == {"quantize": 4, "foreign": 0}
+        assert bound_spectrum(spec, n_max=-1) == []
         with pytest.raises(EmptySpectrum):
             bound_spectrum(rosen_morse2(0.75, 0.5), n_max=-1)
+        assert calls == {"quantize": 5, "foreign": 1}
 
     def test_walk_builds_the_same_states_as_bound_state(self):
         for spec in (morse(De=200.0), rosen_morse2(62, 0.35)):
@@ -663,7 +699,7 @@ class TestSingleQuantizationWalk:
         ] + [rosen_morse2(100.0, 0.3)]
         levels = 0
         for spec in wells:
-            ghe = spec.ghe_builder()
+            ghe = spec.ghe
             for st in bound_spectrum(spec):
                 br = quantize(ghe, st.n)
                 can = classify_canonical(ghe.phi, br.psi)

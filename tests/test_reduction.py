@@ -24,7 +24,6 @@ from nu_spectral.reduction import (
     branch_candidates,
     build_p2,
     chi_from_pi,
-    corollary_applicable,
     pearson_weight,
     reduce_ghe,
     select_branch,
@@ -299,13 +298,6 @@ class TestWeightSolver:
         for x in (-0.4, 0.2, 0.7):
             fd = (math.log(f(x + h)) - math.log(f(x - h))) / (2 * h)
             assert fd == pytest.approx(f.log_deriv(x), rel=1e-7)
-
-
-class TestCorollary:
-    def test_applicable_for_constant_input_weight(self):
-        br = reduce_ghe(parabolic_well(), Fraction(5)).selected
-        assert corollary_applicable(br, tau_prime_bounded=True)
-        assert not corollary_applicable(br, tau_prime_bounded=False)
 
 
 class TestGheValidation:
