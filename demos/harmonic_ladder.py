@@ -1,7 +1,7 @@
 """Walk the harmonic well from equation to spectrum.
 
 Shows the substitution branches the reducer finds, the exact odd-integer
-ladder of reduced eigenvalues, and a finite-difference cross-check.
+ladder of reduced eigenvalues, and a sinc-DVR cross-check.
 """
 
 from fractions import Fraction
@@ -41,9 +41,11 @@ def show_ladder(spec, n_top=8):
 
 
 def cross_check(spec, states):
-    oracle = oracle_spectrum(spec, k_max=6, grid=FdGrid(-10.0, 10.0, 4001))
+    oracle = oracle_spectrum(spec, k_max=6, grid=FdGrid(-10.0, 10.0, 1200))
     report = compare_spectra([s.eps for s in states[:6]], oracle, rel_tol=1e-5)
-    print("finite-difference oracle on [-10, 10], 4001 points:")
+    box = oracle.grid
+    print(f"sinc-DVR oracle from [-10, 10], settled on [{box.lo:.2f}, {box.hi:.2f}], "
+          f"{box.n} points:")
     for n, (a, o, r) in enumerate(zip(report.analytic, report.oracle, report.rel_errors)):
         print(f"  n = {n}   exact = {a:.6f}   oracle = {o:.10f}   rel err = {r:.2e}")
     print(f"  all within 1e-5: {report.ok}")

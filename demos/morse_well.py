@@ -1,7 +1,7 @@
 """The Morse well at depth parameter 5: five levels and then nothing.
 
 First the bound side: the well holds exactly five states, each eigenvalue
-agrees with the difference oracle, and the closed-form normalization
+agrees with the sinc-DVR oracle, and the closed-form normalization
 really integrates to one.  Then the scattering side: above the plateau
 both candidate solutions grow at the wall like exp(s/2) with an algebraic
 correction, so no energy up there carries a bounded state.

@@ -355,18 +355,24 @@ def _cmd_verify(args):
     checks = []
     try:
         orc = oracle_spectrum(spec, k_max=len(states), grid=grid)
+        grid = orc.grid
         vals = list(orc.eigenvalues)
         if not math.isfinite(spec.v_minus):
             vals = vals[: len(analytic)]
         report = compare_spectra(analytic, vals, tols["spectrum_rtol"])
+        worst = max(range(len(vals)), key=report.rel_errors.__getitem__)
         checks.append(
             {
                 "name": "spectrum_vs_oracle",
                 "pass": bool(report.ok),
                 "analytic_count": len(analytic),
                 "oracle_count": len(vals),
-                "max_rel_err": max(report.rel_errors),
+                "max_rel_err": report.rel_errors[worst],
+                "worst_n": worst,
                 "rel_tol": tols["spectrum_rtol"],
+                "box": [grid.lo, grid.hi],
+                "basis": grid.n,
+                "max_error_estimate": max(orc.error_estimates[: len(vals)]),
             }
         )
     except NuSpectralError as exc:
@@ -473,7 +479,14 @@ def _build_parser():
     p.add_argument("--potential", required=True)
     p.add_argument("--params", default="")
     p.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p.add_argument("--grid", default=None, help="lo:hi:points")
+    p.add_argument(
+        "--grid",
+        default=None,
+        help=(
+            "lo:hi:points for the sinc-DVR oracle: lo:hi is the box it starts "
+            "from (it then sizes its own box), points the largest basis it may use"
+        ),
+    )
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_verify)
 

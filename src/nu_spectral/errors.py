@@ -82,9 +82,14 @@ class EnergyBelowRegion(NuSpectralError):
     threshold."""
 
 
+class NonFiniteEnergy(NuSpectralError):
+    """A scattering energy was NaN or infinite."""
+
+
 class GridTooCoarse(NuSpectralError):
-    """Finite-difference eigenvalues from the two finest grids disagree by
-    more than the requested tolerance."""
+    """The spectral oracle cannot meet its tolerance within the allowed
+    basis: a level's error estimate is too large, or its box needs more
+    points than allowed."""
 
 
 class NoConvergence(NuSpectralError):

@@ -1,14 +1,39 @@
-"""Independent numerical cross-checks: finite-difference spectra and
+"""Independent numerical cross-checks: a sinc-DVR bound-state solver and
 adaptive quadrature.
 
-The eigenvalue oracle discretizes -psi'' + v(x) psi = eps psi with the
-standard three-point stencil on a uniform grid, Dirichlet walls at the box
-edges, and solves the symmetric tridiagonal problem by LAPACK bisection
-(scipy.linalg.eigvalsh_tridiagonal).  Raw eigenvalues carry an O(h^2)
-discretization bias, so the oracle always solves on the requested grid and
-on a coarsened companion and Richardson-extrapolates the pair; the
-difference between the two runs doubles as an error estimate and trips
-GridTooCoarse when it exceeds the caller's tolerance.
+The eigenvalue oracle solves -psi'' + v(x) psi = eps psi in the sinc
+discrete-variable representation (DVR) of Colbert & Miller (J. Chem. Phys.
+96, 1982 (1992)).  On n evenly spaced points x_i = lo + i h inside a box the
+kinetic matrix is T_ii = pi^2 / (3 h^2), T_ij = 2 (-1)^(i-j) / (h^2 (i-j)^2);
+the potential adds v(x_i) on the diagonal, and numpy.linalg.eigvalsh returns
+the levels.  For an analytic potential the error falls exponentially as h
+shrinks, so no extrapolation step is needed.
+
+The oracle sizes its basis from the potential alone; it never sees the
+analytic levels it is compared with.
+
+* The spacing starts at the sampling limit pi/h = SAMPLING * sqrt(E_ref -
+  min v).  E_ref is the threshold, or the top requested level when the
+  well confines.  A well that bends faster than that, |v''| > (E_ref -
+  min v)^2, is sampled at the wavenumber sqrt(|v''| / (E_ref - min v)).
+* Each wall sits past the top level's classical turning point by the WKB
+  decay length ln(1/tol)/(2 kappa), kappa = sqrt(v - E), that leaves the
+  level within TARGET * rtol of where an open wall would put it.
+* Under a finite threshold the number of levels is fixed first, by Sturm's
+  oscillation theorem: it is the number of nodes of the solution at the
+  threshold energy.  The box grows by BOX_GROWTH on its plateau sides until
+  the level count reaches that number and the top level settles, so a level
+  just below the threshold is not lost to a box that squeezes it out.  A
+  top level whose Sturm node lies d past the well sits less than 1/d^2
+  below the threshold; when that is inside the accuracy asked for, it is
+  placed midway in the gap and no box has to reach it.
+* The spacing then shrinks by COARSE_RATIO until a solve agrees with the
+  coarser one to TARGET * rtol.
+
+Each level's error estimate adds the walls' allowance to the larger of the
+last spacing change and twice the last box growth's change.  GridTooCoarse
+is raised when an estimate exceeds rtol, or when the box needs more points
+than the caller allows.
 
 Quadrature is implemented here and vectorised: integrands take a numpy
 array of abscissas and return the values with the same shape, so a whole
@@ -17,9 +42,8 @@ round of nodes costs one call.  quad_adaptive is a globally adaptive
 for smooth (possibly infinite-range) integrands.  tanh_sinh is a
 double-exponential rule for weights with endpoint exponents in (-1, 0),
 where the integrand must be evaluated with exact distances to the
-endpoints rather than through a rounded abscissa.  scipy serves only the
-tridiagonal eigensolver and is imported on the first oracle solve, so
-importing the package does not load it.
+endpoints rather than through a rounded abscissa.  numpy is the only
+dependency.
 """
 
 from __future__ import annotations
@@ -35,12 +59,30 @@ DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_GRID_RTOL = 1e-3
 QUAD_MAX_SUBINTERVALS = 200
 
+SAMPLING = 2.0  # pi/h over the largest local wavenumber sqrt(E_ref - min v)
+TARGET = 1e-2  # each wall and the spacing may add this fraction of rtol
+BOX_GROWTH = 1.5  # a plateau side's reach past the top turning point grows by this
+COARSE_RATIO = 1.5  # spacing of the companion solve over that of the answer
+MAX_ROUNDS = 16
+# the Sturm count's Numerov step, and the reach (both in spacings h) past
+# which a straight run heading for zero counts as a zero-energy resonance:
+# Numerov's own error puts a resonance's node some 5e5 h away
+NUMEROV_STEP = 0.125
+RESONANCE_REACH = 1e4
+
 
 @dataclass(frozen=True)
 class FdGrid:
+    """A box [lo, hi] and a number of points.
+
+    Passed to fd_bound_states, lo:hi is the starting box and n the largest
+    basis the oracle may use; on an OracleSpectrum it is the box the oracle
+    settled on and the basis it used there.
+    """
+
     lo: float
     hi: float
-    n: int  # grid points including both walls
+    n: int
 
     def __post_init__(self):
         if self.n < 9:
@@ -48,22 +90,16 @@ class FdGrid:
         if not self.lo < self.hi:
             raise ValueError("grid endpoints out of order")
 
-    @property
-    def h(self):
-        return (self.hi - self.lo) / (self.n - 1)
-
     def coarsened(self):
-        """Companion grid with (close to) twice the spacing."""
+        """The same box with (close to) half the points."""
         return FdGrid(self.lo, self.hi, (self.n - 1) // 2 + 1)
 
 
 @dataclass(frozen=True)
 class OracleSpectrum:
-    eigenvalues: tuple  # Richardson-extrapolated, below threshold
-    raw_fine: tuple
-    raw_coarse: tuple
-    error_estimates: tuple
-    grid: FdGrid
+    eigenvalues: tuple  # below threshold, ascending
+    error_estimates: tuple  # one per eigenvalue
+    grid: FdGrid  # the box and basis the eigenvalues come from
     threshold: float
 
 
@@ -76,83 +112,298 @@ class SpectraReport:
     ok: bool
 
 
-def _solve_grid(v, grid, threshold, k_max):
-    from scipy.linalg import eigvalsh_tridiagonal
+def _potential(v, x):
+    """v at the points x (an array or a number), as floats of x's shape;
+    overflow in a steep wall reads as inf."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.broadcast_to(np.asarray(v(x), dtype=float), x.shape)
 
-    x = np.linspace(grid.lo, grid.hi, grid.n)
-    h = x[1] - x[0]
-    xi = x[1:-1]
-    vi = np.asarray(v(xi), dtype=float)
-    d = 2.0 / h**2 + vi
-    e = np.full(len(xi) - 1, -1.0 / h**2)
-    if math.isfinite(threshold):
-        lo_ev = float(d.min()) - 2.0 / h**2 - 1.0
-        w = eigvalsh_tridiagonal(d, e, select="v", select_range=(lo_ev, threshold))
-    else:
-        top = min(k_max + 3, len(xi) - 1)
-        w = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, top))
-    return np.sort(w)
+
+def _sinc_dvr(v, x, v_cap):
+    """Eigenvalues of -d^2/dx^2 + v on the evenly spaced points x, with v
+    clipped at v_cap so that a deep wall costs no precision."""
+    n, h = len(x), x[1] - x[0]
+    k = np.arange(1, n, dtype=float)
+    row = np.empty(n)
+    row[0] = math.pi**2 / 3.0
+    row[1:] = np.where(k % 2, -2.0, 2.0) / (k * k)
+    row /= h * h
+    # t[i, j] = row[|i - j|], read as windows of the row mirrored about 0
+    mirrored = np.concatenate([row[:0:-1], row])
+    t = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
+    t.flat[:: n + 1] += np.minimum(_potential(v, x), v_cap)
+    return np.linalg.eigvalsh(t)
+
+
+def _walk(v, x0, direction, e, shift, step, limit):
+    """The wall past the turning point x0 of energy e, walking in direction
+    -1 or +1: the first point where a wall moves the level by less than
+    shift.  A wall where the WKB phase past x0 is phi and the decay rate
+    kappa = sqrt(v - e) moves it by about 4 kappa^2 exp(-2 phi), the shift of
+    a level held by its tail alone; on a plateau that puts the wall
+    ln(1/tol) / (2 kappa) past x0, with tol = shift / (4 kappa^2).  The
+    phase must reach at least 1 first, so that a wall is not placed where
+    kappa has not yet risen from 0.  Past limit, x0 + direction * limit."""
+    done = 0.0
+    for start in np.arange(0.0, limit, 256 * step):
+        xs = x0 + direction * (start + step * np.arange(1, 257))
+        kappa_sq = np.clip(_potential(v, xs) - e, 0.0, 1e300)
+        phase = done + step * np.cumsum(np.sqrt(kappa_sq))
+        with np.errstate(divide="ignore"):
+            moved = np.log(4.0 * kappa_sq) - 2.0 * phase
+        hit = np.flatnonzero((phase >= 1.0) & (moved <= math.log(shift)))
+        if hit.size:
+            return float(xs[hit[0]])
+        done = float(phase[-1])
+    return x0 + direction * limit
+
+
+def _turning_points(v, lo, hi, e, step):
+    """The outermost points of [lo, hi] where v < e (the box edges if none)."""
+    xs = np.arange(lo, hi, step)
+    inside = np.flatnonzero(_potential(v, xs) < e)
+    return (float(xs[inside[0]]), float(xs[inside[-1]])) if inside.size else (lo, hi)
+
+
+def _threshold_count(v, lo, hi, threshold, h, limit):
+    """Bound levels below a finite threshold, by Sturm's oscillation theorem.
+
+    The count is the number of nodes of the threshold-energy solution that
+    vanishes deep in the higher wall, integrated by Numerov steps towards
+    the lower side.  That side ends where the potential has reached the
+    threshold.  The solution runs straight from there, so one more node lies
+    ahead when it heads for zero; it is counted when it lies within
+    RESONANCE_REACH spacings, since a solution that runs flat (a zero-energy
+    resonance, as in Morse with half-integer Lambda) has no node ahead.  The
+    walks into the wall and along the plateau stop at limit.
+
+    Returns the count, the start and end of the integration, and the
+    distance d from the end to the node ahead (None if there is none).  The
+    node stands for a shallow level, whose tail exp(-kappa x) past the well
+    matches the straight run: kappa is at most 1/d, so the level lies less
+    than 1/d^2 below the threshold, and a box holds it only if it reaches
+    past the node.
+    """
+    walled = 1 if _potential(v, hi) > _potential(v, lo) else -1
+    turning = _turning_points(v, lo, hi, threshold, h)
+    start = _walk(v, turning[walled > 0], walled, threshold, 1e-9, h, limit)
+    end, reach = turning[walled < 0], h
+    tail = 1e-10 * max(1.0, threshold - float(_potential(v, end)))
+    while reach < limit and abs(
+            float(_potential(v, end - walled * reach)) - threshold) > tail:
+        reach *= 2.0
+    end -= walled * reach
+    # Numerov stays stable while step^2 (v - threshold) / 12 stays small
+    wall = float(_potential(v, start)) - threshold
+    step = NUMEROV_STEP * h
+    if wall > 0:
+        step = min(step, math.sqrt(6.0 / wall))
+    vs = _potential(v, np.linspace(start, end, int(abs(end - start) / step) + 2))
+    step = abs(end - start) / (len(vs) - 1)
+    g = step**2 / 12.0 * (threshold - vs)
+    c = (1.0 + g).tolist()
+    g12 = (12.0 * g).tolist()
+    # u = c psi obeys u[i+1] = 2 u[i] - u[i-1] - 12 g[i] psi[i]
+    u_prev, u = 0.0, c[1]
+    nodes = 0
+    for i in range(1, len(c) - 1):
+        u_next = 2.0 * u - u_prev - g12[i] * u / c[i]
+        nodes += (u_next < 0.0) != (u < 0.0)
+        u_prev, u = u, u_next
+        if abs(u) > 1e250:
+            u_prev, u = u_prev * 1e-250, u * 1e-250
+    psi, slope = u / c[-1], (u / c[-1] - u_prev / c[-2]) / step
+    if (psi < 0.0) == (slope < 0.0) or abs(psi) >= RESONANCE_REACH * h * abs(slope):
+        return nodes, start, end, None
+    return nodes + 1, start, end, abs(psi / slope)
+
+
+def _toward(edge, wanted, pivot, h, floor):
+    """A wall moved toward where it is wanted.  Measured from the pivot, it
+    moves out by at most BOX_GROWTH times its reach (or the floor) per round,
+    since a level squeezed by a short box sits high and asks for too much;
+    and it moves in only when it reaches more than BOX_GROWTH times as far
+    as wanted, so that a settled box does not wander."""
+    reach, need = abs(edge - pivot), abs(wanted - pivot)
+    if need > reach + h:
+        return pivot + math.copysign(min(need, BOX_GROWTH * max(reach, floor)), wanted - pivot)
+    if reach > BOX_GROWTH * need + h:
+        return wanted
+    return edge
 
 
 def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_RTOL):
-    """Bound-state energies of -psi'' + v psi = eps psi inside the box.
+    """Bound-state energies of -psi'' + v psi = eps psi by sinc-DVR.
 
-    v must accept a numpy array of positions.  threshold bounds the
-    spectrum from above (energies at or above it belong to the continuum
-    and are discarded); with an infinite threshold k_max picks how many
-    low-lying states to return.  Raises GridTooCoarse when the fine and
-    coarsened runs disagree beyond rtol after extrapolation.
+    v must accept a numpy array of positions.  grid.lo:grid.hi is the box
+    to start from and grid.n the largest basis allowed; the returned
+    spectrum's grid is the box and basis the levels come from.  threshold
+    bounds the spectrum from above (energies at or above it belong to the
+    continuum and are discarded); with an infinite threshold k_max picks how
+    many low-lying states to return.  Raises GridTooCoarse when the box
+    needs more than grid.n points, or when a level's error estimate exceeds
+    rtol * max(1, |level|).  A top level closer to the threshold than
+    TARGET * rtol allows is placed from its Sturm node rather than boxed; a
+    node further than RESONANCE_REACH spacings ahead is taken for a
+    zero-energy resonance and not counted.
     """
-    if not math.isfinite(threshold) and k_max is None:
+    finite = math.isfinite(threshold)
+    if not finite and k_max is None:
         raise ValueError("k_max is required when threshold is infinite")
-    fine = _solve_grid(v, grid, threshold, k_max)
-    coarse_grid = grid.coarsened()
-    coarse = _solve_grid(v, coarse_grid, threshold, k_max)
-    r = (coarse_grid.h / grid.h) ** 2
-    m = min(len(fine), len(coarse))
-    extr, errs, rf, rc = [], [], [], []
-    for i in range(m):
-        ei = (r * fine[i] - coarse[i]) / (r - 1.0)
-        est = abs(fine[i] - coarse[i]) / (r - 1.0)
-        if ei >= threshold:
+    probe = np.linspace(grid.lo, grid.hi, 257)
+    rim = _potential(v, probe)
+    with np.errstate(invalid="ignore"):
+        curvature = np.abs(np.diff(rim, 2)) / (probe[1] - probe[0]) ** 2
+    v_min = float(rim.min())
+    # the energy of the sampling limit: the threshold, or, for a confining
+    # well, first the starting box's rim and then the top requested level
+    e_ref = threshold if finite else float(rim.max())
+    if not e_ref > v_min:
+        raise GridTooCoarse(
+            f"the potential is at least {e_ref:.6g} on the whole starting box "
+            f"[{grid.lo:.6g}, {grid.hi:.6g}]; start from a box over the well"
+        )
+    centre = 0.5 * (grid.lo + grid.hi)
+
+    def spacing():
+        # the largest local wavenumber, or the potential's own: a shallow
+        # well that bends on a shorter scale than its levels' wavelength
+        # must still be sampled across
+        depth = e_ref - v_min
+        bends = curvature[(rim[1:-1] < e_ref) & np.isfinite(curvature)]
+        return math.pi / (SAMPLING * math.sqrt(max(depth, bends.max(initial=0.0) / depth)))
+
+    def lattice(box, h):
+        # points on a lattice through the centre: a grown box keeps every
+        # point it had, so the levels move by the walls' effect alone
+        return centre + h * np.arange(math.floor((box[0] - centre) / h) + 1,
+                                      math.ceil((box[1] - centre) / h))
+
+    solved = {}
+
+    def solve(box, h):
+        if (box, h) not in solved:
+            solved[box, h] = eigenvalues(box, h)
+        return solved[box, h]
+
+    def eigenvalues(box, h):
+        nonlocal v_min
+        x = lattice(box, h)
+        if len(x) < 2:
+            return np.empty(0)
+        if len(x) > grid.n:
+            raise GridTooCoarse(
+                f"the box [{box[0]:.6g}, {box[1]:.6g}] needs {len(x)} points at "
+                f"spacing {h:.3g}, more than the {grid.n} allowed"
+            )
+        # a box that has left the starting one may reach deeper
+        v_min = min(v_min, float(_potential(v, x).min()))
+        w = _sinc_dvr(v, x, v_min + 1e3 * (e_ref - v_min))
+        return w[w < threshold][:want] if finite else w[:k_max]
+
+    def grown(box, pivot):
+        # the plateau sides, those still open at the threshold, reach
+        # BOX_GROWTH times as far past the pivot
+        sides = _potential(v, box) - threshold <= 1e-9 * (threshold - v_min)
+        if not sides.any():
+            sides[:] = True
+        return tuple(p + (BOX_GROWTH if side else 1.0) * (edge - p)
+                     for edge, p, side in zip(box, pivot, sides))
+
+    def settled(new, old):
+        return len(new) == len(old) and bool(np.all(
+            np.abs(new - old) <= TARGET * rtol * np.maximum(1.0, np.abs(new))))
+
+    def refine(box, h, levels):
+        # the spacing: refine until a solve agrees with the one COARSE_RATIO coarser
+        coarse = solve(box, h * COARSE_RATIO)
+        while not settled(levels, coarse) and len(lattice(box, h / COARSE_RATIO)) <= grid.n:
+            h /= COARSE_RATIO
+            coarse, levels = levels, solve(box, h)
+        return levels, coarse, h
+
+    box, h, before, box_err = (grid.lo, grid.hi), spacing(), None, 0.0
+    want, shallow = k_max, None
+    if finite:
+        want, start, end, ahead = _threshold_count(v, *box, threshold, h, grid.n * h)
+        if ahead is not None and 0.5 / ahead**2 <= TARGET * rtol * max(1.0, abs(threshold)):
+            # the top level lies less than 1/ahead^2 below the threshold,
+            # closer than the accuracy asked for: it is placed midway in
+            # that gap instead of in a box that reaches past its node
+            want, shallow = want - 1, threshold - 0.5 / ahead**2
+        elif ahead is not None:
+            # a box holds that level once it reaches about half as far again
+            # past the node; raise now if that cannot fit
+            node = end + math.copysign(ahead, end - start)
+            if BOX_GROWTH * abs(node - start) > grid.n * h:
+                raise GridTooCoarse(
+                    f"a level lies so close to the threshold that its box reaches "
+                    f"past x = {node:.6g}, more than {grid.n} points at spacing "
+                    f"{h:.3g} from the wall at {start:.6g}"
+                )
+            box = (min(box[0], node), max(box[1], node))
+    pivot = (centre, centre)
+    levels = coarse = np.empty(0)
+    for _ in range(MAX_ROUNDS if want else 0):
+        levels = solve(box, h)
+        if len(levels) < want:
+            box, before = grown(box, pivot), None
             continue
-        extr.append(float(ei))
-        errs.append(float(est))
-        rf.append(float(fine[i]))
-        rc.append(float(coarse[i]))
+        top = float(levels[-1])
+        if not finite and not top <= e_ref <= top + 0.21 * (top - v_min):
+            # sample the top level's largest wavenumber, give or take 10%
+            e_ref = top + 0.1 * (top - v_min)
+            h, before = spacing(), None
+            continue
+        shift = TARGET * rtol * max(1.0, abs(top))
+        pivot = _turning_points(v, *box, top, h)
+        wanted = (_walk(v, pivot[0], -1, top, shift, h, grid.n * h),
+                  _walk(v, pivot[1], 1, top, shift, h, grid.n * h))
+        moved = tuple(_toward(edge, aim, p, h, 0.25 * (box[1] - box[0]))
+                      for edge, aim, p in zip(box, wanted, pivot))
+        if before is None and moved != box:
+            box = moved
+            continue
+        if not finite:
+            levels, coarse, h = refine(box, h, levels)
+            break
+        if before is not None and settled(levels, before[1]):
+            # the answer comes from the smaller box.  Growing the reach by
+            # half at least halves the walls' effect, so twice the change
+            # bounds its error
+            box_err = 2.0 * np.abs(levels - before[1])
+            box, levels = before
+            levels, coarse, h = refine(box, h, levels)
+            if settled(levels[-1:], before[1][-1:]):
+                break
+            # a finer spacing moved the top level, and with it the decay
+            # the walls were placed for: size and settle the box again
+            before = None
+            continue
+        before, box = (box, levels), grown(box, pivot)
+    else:
+        if want:
+            raise GridTooCoarse(f"the box did not settle within {MAX_ROUNDS} rounds")
+
+    errs = np.full(len(levels), np.inf)
+    m = min(len(levels), len(coarse))
+    errs[:m] = np.abs(levels[:m] - coarse[:m])
+    # the walls were placed to move the top level by at most TARGET * rtol
+    # of itself each; a deeper level feels them less
+    errs = np.maximum(errs, box_err) + 2.0 * TARGET * rtol * np.maximum(1.0, np.abs(levels))
+    if shallow is not None:
+        levels, errs = np.append(levels, shallow), np.append(errs, threshold - shallow)
     if k_max is not None:
-        extr, errs = extr[:k_max], errs[:k_max]
-        rf, rc = rf[:k_max], rc[:k_max]
-    for ei, est in zip(extr, errs):
+        levels, errs = levels[:k_max], errs[:k_max]
+    for ei, est in zip(levels, errs):
         if est > rtol * max(1.0, abs(ei)):
             raise GridTooCoarse(
-                f"fine/coarse grids disagree by {est:.2e} at eigenvalue {ei:.6g} "
-                f"(tolerance {rtol:.1e}); refine the grid"
+                f"level {ei:.6g} is uncertain by {est:.2e} (tolerance {rtol:.1e}); "
+                "allow more points"
             )
-    return OracleSpectrum(
-        tuple(extr), tuple(rf), tuple(rc), tuple(errs), grid, threshold
-    )
-
-
-def fd_convergence_ratio(v, grid, threshold=math.inf, state=0):
-    """Eigenvalue-difference ratio across three dyadic grids.
-
-    For an O(h^2) stencil the ratio (e_4h - e_2h)/(e_2h - e_h) approaches 4;
-    values far from 4 flag an implementation or resolution problem.
-    """
-    if (grid.n - 1) % 4:
-        raise ValueError("need n-1 divisible by 4 for three dyadic grids")
-    g1 = grid
-    g2 = grid.coarsened()
-    g4 = g2.coarsened()
-    k = state + 1
-    e1 = _solve_grid(v, g1, threshold, k)[state]
-    e2 = _solve_grid(v, g2, threshold, k)[state]
-    e4 = _solve_grid(v, g4, threshold, k)[state]
-    denom = e2 - e1
-    if denom == 0:
-        raise GridTooCoarse("eigenvalues identical across grids; cannot estimate order")
-    return float((e4 - e2) / denom)
+    return OracleSpectrum(tuple(map(float, levels)), tuple(map(float, errs)),
+                          FdGrid(box[0], box[1], max(len(lattice(box, h)), 9)), threshold)
 
 
 def compare_spectra(analytic, oracle, rel_tol):

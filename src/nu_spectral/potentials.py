@@ -34,6 +34,7 @@ from .classical import eigen_lambda, recurrence_values
 from .errors import (
     EmptySpectrum,
     EnergyBelowRegion,
+    NonFiniteEnergy,
     NoScatteringRegion,
 )
 from .hyper import _near_integer, hyp1f1, hyp2f1, limit_2f1_at_1
@@ -77,7 +78,9 @@ class PotentialSpec:
     region_edges: tuple  # (v_min, v_minus, v_plus)
     energy_scale: float  # physical E = energy_scale * eps
     coordinate_scale: float  # physical-coordinate norm = this * reduced norm
-    fd_box: tuple  # (lo, hi, points) defaults for the oracle
+    # (lo, hi, points): the oracle's starting box and largest basis; lo:hi
+    # also places the verify residual probes and the --samples-dir abscissas
+    fd_box: tuple
     exact: dict  # rationalized shape parameters
     # state -> (lo, hi, lo_plateau, hi_plateau): the quadrature window, and the
     # plateau whose closed-form tail is added past each edge (None: no tail)
@@ -163,7 +166,7 @@ def harmonic(m=1.0, Omega=1.0, hbar=1.0):
         region_edges=(0.0, math.inf, math.inf),
         energy_scale=hbar * Omega / 2.0,
         coordinate_scale=1.0 / x0,
-        fd_box=(-10.0, 10.0, 4001),
+        fd_box=(-10.0, 10.0, 1200),
         exact={},
         norm_window=norm_window,
         scattering=None,
@@ -221,7 +224,7 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
         region_edges=(0.0, lamf2, math.inf),
         energy_scale=a * a * hbar * hbar / (2.0 * m),
         coordinate_scale=a,
-        fd_box=(a * xe - 2.0, a * xe + 12.0, 2801),
+        fd_box=(a * xe - 2.0, a * xe + 12.0, 1200),
         exact={"lam": lam, "lam_sq": lam_sq, "b": b},
         norm_window=norm_window,
         scattering=_morse_scattering,
@@ -279,7 +282,7 @@ def rosen_morse2(v0, mu):
         region_edges=(0.0, scalar_float(vm), scalar_float(vp)),
         energy_scale=1.0,
         coordinate_scale=1.0,
-        fd_box=(-15.0, 15.0, 3001),
+        fd_box=(-15.0, 15.0, 1200),
         exact={"v0": v0x, "t": t, "csq": csq, "v1": v1, "v2": v2, "vm": vm, "vp": vp},
         norm_window=lambda state: (-18.0, 18.0, vp, vm),
         scattering=_rosen_morse2_scattering,
@@ -289,12 +292,6 @@ def rosen_morse2(v0, mu):
 
 
 WELLS = {"harmonic": harmonic, "morse": morse, "rosen_morse2": rosen_morse2}
-
-
-def make_potential(name, **params):
-    if name not in WELLS:
-        raise ValueError(f"unknown potential {name!r}")
-    return WELLS[name](**params)
 
 
 # -- declared-substitution and branch-selection verification ------------------
@@ -501,8 +498,9 @@ def bound_spectrum(spec, n_max=None):
 
 
 def oracle_spectrum(spec, k_max=None, grid=None, rtol=1e-3):
-    """Finite-difference eigenvalues on the potential's default box (or a
-    caller-supplied grid), thresholded at the lower plateau."""
+    """Sinc-DVR eigenvalues below the lower plateau.  The oracle starts from
+    the potential's default box (or a caller-supplied grid, whose points cap
+    the basis) and sizes its own box from the potential alone."""
     if grid is None:
         lo, hi, pts = spec.fd_box
         grid = FdGrid(lo, hi, pts)
@@ -570,6 +568,8 @@ def _complex_sqrt_of_gap(edge, eps):
 
 def scattering_states(spec, eps):
     eps = float(eps)
+    if not math.isfinite(eps):
+        raise NonFiniteEnergy(f"scattering energy must be finite, got {eps}")
     if spec.scattering is None:
         raise NoScatteringRegion(
             "confining well: both plateaus sit at infinite energy"

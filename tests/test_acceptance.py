@@ -28,7 +28,6 @@ from nu_spectral import (
     eigen_eps,
     eigen_lambda,
     eigenvalue_count,
-    fd_convergence_ratio,
     harmonic,
     hermite_fn,
     hyp1f1,
@@ -53,6 +52,7 @@ from nu_spectral import (
     wronskian_defect,
 )
 from nu_spectral.cli import main as cli_main
+from nu_spectral.oracle import _sinc_dvr
 
 HALF = Fraction(1, 2)
 
@@ -448,15 +448,19 @@ def gate_hypergeometric():
 
 
 def gate_invariants():
-    # second-order convergence of the difference oracle
-    h_spec = harmonic()
-    ratio = fd_convergence_ratio(h_spec.reduced_potential, FdGrid(-10.0, 10.0, 4001))
-    assert 3.5 <= ratio <= 4.5, ratio
+    # exponential convergence of the sinc-DVR oracle: on a fixed box the
+    # error falls by over 100x when the basis grows 1.5x
     m_spec = morse(Lambda=5)
-    ratio = fd_convergence_ratio(
-        m_spec.reduced_potential, FdGrid(*m_spec.fd_box), threshold=m_spec.v_minus
-    )
-    assert 3.5 <= ratio <= 4.5, ratio
+    for v, (lo, hi), exact, sizes in (
+        (harmonic().reduced_potential, (-8.0, 8.0), [1.0, 3.0, 5.0, 7.0], (16, 24, 36)),
+        (m_spec.reduced_potential, (-2.0, 20.0), [4.75, 12.75, 18.75], (40, 60, 90)),
+    ):
+        errs = [
+            np.max(np.abs(_sinc_dvr(v, np.linspace(lo, hi, n + 2)[1:-1], np.inf)[:len(exact)]
+                          - exact))
+            for n in sizes
+        ]
+        assert errs[1] < errs[0] / 100 and errs[2] < errs[1] / 100, errs
 
     # eigenvalue coefficients stay distinct deep into each family
     for family, alpha, beta in (

@@ -324,6 +324,38 @@ class TestVerify:
         assert code == 0, out
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--potential", "harmonic", "--n-max", "60"),
+            ("--potential", "morse", "--params", "Lambda=3.75"),
+            ("--potential", "morse", "--params", "Lambda=6.75"),
+            ("--potential", "rosen-morse2", "--params", "v0=62,mu=0.35"),
+        ],
+        ids=["harmonic-60", "morse-3.75", "morse-6.75", "rosen-morse2-62-0.35"],
+    )
+    def test_default_box_holds_every_level(self, capsys, argv):
+        # a wide harmonic ladder, Morse tops 1/16 below the plateau, and a
+        # Rosen-Morse II top 0.0029 below it, all under the default settings
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0, out
+        assert json.loads(out)["pass"] is True
+
+    def test_spectrum_check_reports_the_oracle(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--potential", "morse", "--params", "Lambda=3.75"
+        )
+        assert code == 0, out
+        doc = json.loads(out)
+        spectrum = doc["checks"][0]
+        assert 0 <= spectrum["worst_n"] < spectrum["analytic_count"] == 4
+        assert 0 < spectrum["max_error_estimate"] < 1e-3
+        lo, hi = spectrum["box"]
+        # the top level decays over 20 units past x = 3, beyond the default -2:12
+        assert hi > 12.0
+        assert doc["grid"] == {"lo": lo, "hi": hi, "points": spectrum["basis"]}
+        assert spectrum["basis"] <= 1200
+
     def test_coarse_grid_reported(self, capsys):
         code, out, _ = run(
             capsys,
@@ -365,16 +397,23 @@ class TestVerify:
 
 class TestImports:
     def test_scipy_waits_for_the_oracle(self):
-        probe = (
-            "import sys, nu_spectral; before = 'scipy' in sys.modules; "
-            "from nu_spectral.cli import main; "
-            "main(['eval', '--fn', 'hermite', '--nu', '3', '--z', '2']); "
-            "print(before, 'scipy' in sys.modules)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, check=True, text=True
-        )
-        assert proc.stdout.splitlines()[-1] == "False False"
+        # the sinc-DVR oracle needs numpy alone, so no subcommand loads scipy
+        for argv in (
+            ["eval", "--fn", "hermite", "--nu", "3", "--z", "2"],
+            ["verify", "--potential", "harmonic"],
+            ["verify", "--potential", "rosen-morse2", "--params", "v0=4,mu=0.5"],
+            ["solve", "--potential", "morse", "--params", "Lambda=5", "--with-oracle"],
+        ):
+            probe = (
+                "import sys, nu_spectral; before = 'scipy' in sys.modules; "
+                "from nu_spectral.cli import main; "
+                f"code = main({argv!r}); "
+                "print(code, before, 'scipy' in sys.modules)"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, check=True, text=True
+            )
+            assert proc.stdout.splitlines()[-1] == "0 False False", argv
 
 
 class TestUsage:

@@ -1,7 +1,7 @@
 """Bound and scattering analysis of the three worked potentials.
 
-Closed-form spectra and samplers are one route; the finite-difference
-oracle and direct quadrature are the independent route.  Exact assertions
+Closed-form spectra and samplers are one route; the sinc-DVR oracle and
+direct quadrature are the independent route.  Exact assertions
 (Fraction/SurdSum equality) cover the symbolic layer, tolerance assertions
 cover the numeric layer.
 """
@@ -21,17 +21,18 @@ from nu_spectral.errors import (
     AmbiguousBranch,
     EmptySpectrum,
     EnergyBelowRegion,
+    NonFiniteEnergy,
     NoScatteringRegion,
 )
 from nu_spectral.oracle import FdGrid, compare_spectra, quad_adaptive
 from nu_spectral.potentials import (
+    WELLS,
     ChangeOfVariable,
     bound_spectrum,
     bound_state,
     eigen_eps,
     eigenvalue_count,
     harmonic,
-    make_potential,
     morse,
     morse_envelope_growth,
     morse_second_solution_diverges,
@@ -426,7 +427,7 @@ class TestDeepSamplers:
 
     @pytest.mark.parametrize("name,params,n,window,ref", CASES)
     def test_sampler_matches_mpmath(self, name, params, n, window, ref):
-        spec = make_potential(name, **params)
+        spec = WELLS[name](**params)
         state = bound_state(spec, n)
         rng = random.Random(7919 + n)
         lo, hi = window
@@ -483,10 +484,19 @@ class TestBranchPinning:
         assert branch.lam == expected
 
     def test_factory_by_name(self):
-        assert make_potential("harmonic").name == "harmonic"
-        assert make_potential("morse", Lambda=3).name == "morse"
-        with pytest.raises(ValueError):
-            make_potential("coulomb")
+        assert WELLS["harmonic"]().name == "harmonic"
+        assert WELLS["morse"](Lambda=3).name == "morse"
+        assert "coulomb" not in WELLS
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [lambda: morse(Lambda=5), lambda: rosen_morse2(4, 0.5),
+                                  harmonic], ids=["morse", "rosen_morse2", "harmonic"])
+def test_non_finite_scattering_energy_rejected(make, eps):
+    # checked before the well is asked anything, so even the confining
+    # well reports the energy rather than its missing scattering region
+    with pytest.raises(NonFiniteEnergy):
+        scattering_states(make(), eps)
 
 
 # -- one record per well ---------------------------------------------------------
@@ -776,7 +786,7 @@ class TestClosedFormNorms:
 
     @pytest.mark.parametrize("name,params,n", CASES)
     def test_norm_matches_mpmath(self, name, params, n):
-        spec = make_potential(name, **params)
+        spec = WELLS[name](**params)
         state = bound_state(spec, n)
         with mpmath.workdps(30):
             family, a, b = _closed_form_exponents(spec, n)
