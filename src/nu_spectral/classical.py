@@ -15,7 +15,10 @@ arithmetic including surd-valued alpha, beta: the terminating
 hypergeometric series (series_poly, O(n) operations for Hermite and
 Laguerre, the route bound states take), a differentiated Rodrigues product
 (rodrigues_poly) and the three-term recurrence (recurrence_poly).
-recurrence_values runs the same recurrence in floats over numpy arrays.
+norm_sq gives their weighted norms in closed form.  Everything here is
+exact or plain float arithmetic: the float recurrence the samplers run
+lives in potentials, and the quadrature checks of these polynomials in
+oracle.
 """
 
 from __future__ import annotations
@@ -24,10 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DoubleRootUnsupported, ParameterOutOfRange
-from .oracle import quad_adaptive, tanh_sinh
 from .polynomials import (
     HALF_LINE,
     REAL_LINE,
@@ -38,9 +38,6 @@ from .polynomials import (
     quad_roots,
 )
 from .scalars import as_exact, scalar_float, scalar_sign, sqrt_scalar
-
-FAMILIES = ("hermite", "laguerre", "jacobi")
-
 
 @dataclass(frozen=True)
 class CanonicalHde:
@@ -238,62 +235,6 @@ def _jacobi_series_in_t(n, alpha, beta):
     return Polynomial(coeffs)
 
 
-# rescaling step of recurrence_values: an exact power of two, far inside the
-# float range on both sides
-_RESCALE_AT = 2.0**500
-_RESCALE_LOG = 500.0 * math.log(2.0)
-
-
-def recurrence_values(family, n, u, alpha=None, beta=None):
-    """The degree-n family polynomial at the float array u, by the forward
-    three-term recurrence (stable for real u: Gil, Segura & Temme,
-    Numerical Methods for Special Functions, ch. 4).
-
-    Returns (m, e) with P_n(u) = m * exp(e).  Where the recurrence grows
-    past 2^500 both carried terms are scaled down by that power of two and
-    e records it, so any degree stays inside the float range; pass e to
-    the caller's log-weight instead of forming P_n itself.
-    """
-    u = np.asarray(u, dtype=float)
-    e = np.zeros(u.shape)
-    prev = np.ones(u.shape)
-    if n == 0:
-        return prev, e
-    if family == "hermite":
-        cur = 2.0 * u
-
-        def step(k, cur, prev):
-            return 2.0 * u * cur - 2.0 * k * prev
-
-    elif family == "laguerre":
-        a = scalar_float(alpha)
-        cur = 1.0 + a - u
-
-        def step(k, cur, prev):
-            return ((2 * k + 1 + a - u) * cur - (k + a) * prev) / (k + 1)
-
-    elif family == "jacobi":
-        a, b = scalar_float(alpha), scalar_float(beta)
-        cur = 0.5 * ((a - b) + (a + b + 2.0) * u)
-
-        def step(k, cur, prev):
-            s = 2 * k + a + b
-            lead = (s + 1.0) * ((s + 2.0) * s * u + (a * a - b * b))
-            back = 2.0 * (k + a) * (k + b) * (s + 2.0)
-            return (lead * cur - back * prev) / (2.0 * (k + 1) * (k + a + b + 1) * s)
-
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    for k in range(1, n):
-        prev, cur = cur, step(k, cur, prev)
-        big = np.abs(cur) > _RESCALE_AT
-        if big.any():
-            cur = np.where(big, cur / _RESCALE_AT, cur)
-            prev = np.where(big, prev / _RESCALE_AT, prev)
-            e = e + np.where(big, _RESCALE_LOG, 0.0)
-    return cur, e
-
-
 def recurrence_poly(family, n, alpha=None, beta=None):
     """Same polynomial through the three-term recurrence; serves as an
     independent route for cross-checking rodrigues_poly."""
@@ -369,72 +310,3 @@ def norm_sq(family, n, alpha=None, beta=None):
             f"{family} norm of degree {n} is not a finite float (log {log_v:.6g})"
         )
     return value
-
-
-def inner_product(family, p, q, alpha=None, beta=None, tol=1e-12, abs_tol=None):
-    """Weighted integral of p*q over the canonical interval.
-
-    Endpoint-singular weights (negative exponents) go through the
-    double-exponential rule, which receives exact endpoint distances; the
-    smooth remainder uses adaptive quadrature.  abs_tol loosens only the
-    absolute target, for integrals that cancel to a tiny fraction of their
-    lobes.
-    """
-    pf, qf = p.as_float(), q.as_float()
-    if family == "hermite":
-        return quad_adaptive(
-            lambda x: pf(x) * qf(x) * np.exp(-x * x),
-            -math.inf,
-            math.inf,
-            tol=tol,
-            abs_tol=abs_tol,
-        )
-    if family == "laguerre":
-        a = scalar_float(alpha)
-        head = tanh_sinh(
-            lambda x, dlo, dhi: dlo**a * np.exp(-x) * pf(x) * qf(x), 0.0, 1.0
-        )
-        tail = quad_adaptive(
-            lambda x: x**a * np.exp(-x) * pf(x) * qf(x),
-            1.0,
-            math.inf,
-            tol=tol,
-            abs_tol=abs_tol,
-        )
-        return head + tail
-    if family == "jacobi":
-        a, b = scalar_float(alpha), scalar_float(beta)
-        return tanh_sinh(
-            lambda x, dlo, dhi: dhi**a * dlo**b * pf(x) * qf(x), -1.0, 1.0
-        )
-    raise ValueError(f"unknown family {family!r}")
-
-
-def orthogonality_defect(family, m, n, alpha=None, beta=None):
-    """|<P_m, P_n>| normalized by the two closed-form norms; zero for an
-    exactly orthogonal pair.
-
-    The quadrature tolerance is scaled by the norm product: the integrand's
-    lobes are that large, so asking for a fixed absolute accuracy on their
-    cancellation would demand more than double precision holds.
-    """
-    pm = rodrigues_poly(family, m, alpha, beta)
-    pn = rodrigues_poly(family, n, alpha, beta)
-    scale = math.sqrt(
-        scalar_float(norm_sq(family, m, alpha, beta))
-        * scalar_float(norm_sq(family, n, alpha, beta))
-    )
-    raw = inner_product(
-        family, pm, pn, alpha, beta, abs_tol=1e-12 * max(1.0, scale)
-    )
-    return abs(raw) / scale
-
-
-def norm_defect(family, n, alpha=None, beta=None):
-    """Relative gap between the quadrature norm and the closed form."""
-    pn = rodrigues_poly(family, n, alpha, beta)
-    ref = norm_sq(family, n, alpha, beta)
-    raw = inner_product(
-        family, pn, pn, alpha, beta, abs_tol=1e-12 * max(1.0, scalar_float(ref))
-    )
-    return abs(raw - ref) / ref

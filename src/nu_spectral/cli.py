@@ -13,6 +13,9 @@ the library, 4 a verification check failed.  Output is byte-identical across
 repeated runs with the same flags; floats carry 17 significant digits so
 they round-trip losslessly.  The environment variable NU_SPECTRAL_TOL, when
 set, replaces every default verification tolerance.
+
+Each subcommand imports the layers it runs when it runs, so eval (hyper)
+and reduce (the exact reduction) start without numpy.
 """
 
 from __future__ import annotations
@@ -26,20 +29,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .errors import CountMismatch, NuSpectralError, ParseError
-from .hyper import hermite_fn, hyp1f1, hyp2f1, hypU
-from .oracle import FdGrid, compare_spectra
-from .potentials import (
-    WELLS,
-    bound_spectrum,
-    normalization_defect,
-    oracle_spectrum,
-    wavefunction_residual,
-)
-from .reduction import parse_ghe_text, reduce_ghe, select_branch
-from .scalars import scalar_float
 
 _DEFAULT_TOLS = {"spectrum_rtol": 1e-4, "normalization": 1e-8, "residual": 1e-6}
 
@@ -99,17 +89,19 @@ def _factor_str(f):
 
 def _potential_from_args(args):
     """(name, params, spec) of the well named by --potential and --params."""
+    from .potentials import WELLS
+
     name = args.potential.replace("-", "_")
     if name not in WELLS:
         choices = ", ".join(key.replace("_", "-") for key in WELLS)
         raise ParseError(f"unknown potential {args.potential!r}; choose from {choices}")
-    params = _parse_params(name, args.params)
+    params = _parse_params(name, WELLS[name], args.params)
     return name, params, WELLS[name](**params)
 
 
-def _parse_params(potential, text):
+def _parse_params(potential, constructor, text):
     out = {}
-    declared = inspect.signature(WELLS[potential]).parameters
+    declared = inspect.signature(constructor).parameters
     allowed = tuple(declared)
     for item in text.split(",") if text else ():
         key, sep, raw = item.partition("=")
@@ -140,6 +132,8 @@ def _parse_params(potential, text):
 
 
 def _parse_grid(text):
+    from .oracle import FdGrid
+
     pieces = text.split(":")
     if len(pieces) == 3:
         try:
@@ -168,6 +162,8 @@ def _tolerances():
 
 
 def _cmd_reduce(args):
+    from .reduction import parse_ghe_text, reduce_ghe, select_branch
+
     ghe, needs_eps = parse_ghe_text(args.ghe)
     if needs_eps and args.eps is None:
         raise ParseError("this equation carries an eps placeholder; pass --eps")
@@ -243,6 +239,9 @@ def _cmd_reduce(args):
 
 
 def _cmd_solve(args):
+    from .potentials import bound_spectrum, normalization_defect, oracle_spectrum
+    from .scalars import scalar_float
+
     name, params, spec = _potential_from_args(args)
     states = bound_spectrum(spec, n_max=args.n_max)
 
@@ -282,7 +281,7 @@ def _cmd_solve(args):
         xs = [lo + i * step for i in range(args.sample_count)]
         for st in states:
             lines = [f"x,psi_{st.n}(x)"]
-            values = st.sampler(np.array(xs))
+            values = st.sampler(xs)
             lines.extend(f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values))
             (outdir / f"psi_{st.n}.csv").write_text("\n".join(lines) + "\n")
 
@@ -309,6 +308,8 @@ def _cmd_solve(args):
 
 
 def _cmd_eval(args):
+    from .hyper import hermite_fn, hyp1f1, hyp2f1, hypU
+
     def need(*names):
         missing = [n for n in names if getattr(args, n) is None]
         if missing:
@@ -337,6 +338,15 @@ def _cmd_eval(args):
 
 
 def _cmd_verify(args):
+    from .oracle import FdGrid, compare_spectra
+    from .potentials import (
+        bound_spectrum,
+        normalization_defect,
+        oracle_spectrum,
+        wavefunction_residual,
+    )
+    from .scalars import scalar_float
+
     name, params, spec = _potential_from_args(args)
     tols = _tolerances()
 

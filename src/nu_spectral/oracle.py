@@ -42,8 +42,10 @@ round of nodes costs one call.  quad_adaptive is a globally adaptive
 for smooth (possibly infinite-range) integrands.  tanh_sinh is a
 double-exponential rule for weights with endpoint exponents in (-1, 0),
 where the integrand must be evaluated with exact distances to the
-endpoints rather than through a rounded abscissa.  numpy is the only
-dependency.
+endpoints rather than through a rounded abscissa.  inner_product,
+orthogonality_defect and norm_defect apply the two rules to the classical
+polynomials, against the closed-form norms of classical.norm_sq.  numpy is
+the only dependency.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import norm_sq, rodrigues_poly
 from .errors import CountMismatch, GridTooCoarse, NoConvergence
+from .scalars import scalar_float
 
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_GRID_RTOL = 1e-3
@@ -237,8 +241,10 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
     """Bound-state energies of -psi'' + v psi = eps psi by sinc-DVR.
 
     v must accept a numpy array of positions.  grid.lo:grid.hi is the box
-    to start from and grid.n the largest basis allowed; the returned
-    spectrum's grid is the box and basis the levels come from.  threshold
+    to start from and grid.n the largest basis allowed; a starting box whose
+    lowest point is one of its ends lies on a slope off the well, and is
+    first extended along falling v past the well.  The returned spectrum's
+    grid is the box and basis the levels come from.  threshold
     bounds the spectrum from above (energies at or above it belong to the
     continuum and are discarded); with an infinite threshold k_max picks how
     many low-lying states to return.  Raises GridTooCoarse when the box
@@ -251,8 +257,20 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
     finite = math.isfinite(threshold)
     if not finite and k_max is None:
         raise ValueError("k_max is required when threshold is infinite")
-    probe = np.linspace(grid.lo, grid.hi, 257)
+    lo, hi = grid.lo, grid.hi
+    probe = np.linspace(lo, hi, 257)
     rim = _potential(v, probe)
+    lowest = int(np.argmin(rim))
+    if lowest in (0, len(probe) - 1):
+        # the starting box lies on a slope off the well: walk on along
+        # falling v, past the well and out through its far wall, and start
+        # from the box that reaches there
+        e, step = float(rim[lowest]), probe[1] - probe[0]
+        reach = _walk(v, float(probe[lowest]), 1 if lowest else -1, e,
+                      TARGET * rtol * max(1.0, abs(e)), step, grid.n * step)
+        lo, hi = (lo, reach) if lowest else (reach, hi)
+        probe = np.linspace(lo, hi, 257)
+        rim = _potential(v, probe)
     with np.errstate(invalid="ignore"):
         curvature = np.abs(np.diff(rim, 2)) / (probe[1] - probe[0]) ** 2
     v_min = float(rim.min())
@@ -262,9 +280,9 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
     if not e_ref > v_min:
         raise GridTooCoarse(
             f"the potential is at least {e_ref:.6g} on the whole starting box "
-            f"[{grid.lo:.6g}, {grid.hi:.6g}]; start from a box over the well"
+            f"[{lo:.6g}, {hi:.6g}]; start from a box over the well"
         )
-    centre = 0.5 * (grid.lo + grid.hi)
+    centre = 0.5 * (lo + hi)
 
     def spacing():
         # the largest local wavenumber, or the potential's own: a shallow
@@ -323,7 +341,7 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
             coarse, levels = levels, solve(box, h)
         return levels, coarse, h
 
-    box, h, before, box_err = (grid.lo, grid.hi), spacing(), None, 0.0
+    box, h, before, box_err = (lo, hi), spacing(), None, 0.0
     want, shallow = k_max, None
     if finite:
         want, start, end, ahead = _threshold_count(v, *box, threshold, h, grid.n * h)
@@ -596,3 +614,72 @@ def tanh_sinh(g, a, b, tol=1e-12, max_level=10):
             return new_total
         total = new_total
     raise NoConvergence("tanh-sinh rule did not settle within the level budget")
+
+
+def inner_product(family, p, q, alpha=None, beta=None, tol=1e-12, abs_tol=None):
+    """Weighted integral of p*q over the canonical interval.
+
+    Endpoint-singular weights (negative exponents) go through the
+    double-exponential rule, which receives exact endpoint distances; the
+    smooth remainder uses adaptive quadrature.  abs_tol loosens only the
+    absolute target, for integrals that cancel to a tiny fraction of their
+    lobes.
+    """
+    pf, qf = p.as_float(), q.as_float()
+    if family == "hermite":
+        return quad_adaptive(
+            lambda x: pf(x) * qf(x) * np.exp(-x * x),
+            -math.inf,
+            math.inf,
+            tol=tol,
+            abs_tol=abs_tol,
+        )
+    if family == "laguerre":
+        a = scalar_float(alpha)
+        head = tanh_sinh(
+            lambda x, dlo, dhi: dlo**a * np.exp(-x) * pf(x) * qf(x), 0.0, 1.0
+        )
+        tail = quad_adaptive(
+            lambda x: x**a * np.exp(-x) * pf(x) * qf(x),
+            1.0,
+            math.inf,
+            tol=tol,
+            abs_tol=abs_tol,
+        )
+        return head + tail
+    if family == "jacobi":
+        a, b = scalar_float(alpha), scalar_float(beta)
+        return tanh_sinh(
+            lambda x, dlo, dhi: dhi**a * dlo**b * pf(x) * qf(x), -1.0, 1.0
+        )
+    raise ValueError(f"unknown family {family!r}")
+
+
+def orthogonality_defect(family, m, n, alpha=None, beta=None):
+    """|<P_m, P_n>| normalized by the two closed-form norms; zero for an
+    exactly orthogonal pair.
+
+    The quadrature tolerance is scaled by the norm product: the integrand's
+    lobes are that large, so asking for a fixed absolute accuracy on their
+    cancellation would demand more than double precision holds.
+    """
+    pm = rodrigues_poly(family, m, alpha, beta)
+    pn = rodrigues_poly(family, n, alpha, beta)
+    scale = math.sqrt(
+        scalar_float(norm_sq(family, m, alpha, beta))
+        * scalar_float(norm_sq(family, n, alpha, beta))
+    )
+    raw = inner_product(
+        family, pm, pn, alpha, beta, abs_tol=1e-12 * max(1.0, scale)
+    )
+    return abs(raw) / scale
+
+
+def norm_defect(family, n, alpha=None, beta=None):
+    """Relative gap between the quadrature norm and the closed form."""
+    pn = rodrigues_poly(family, n, alpha, beta)
+    ref = norm_sq(family, n, alpha, beta)
+    raw = inner_product(
+        family, pn, pn, alpha, beta, abs_tol=1e-12 * max(1.0, scalar_float(ref))
+    )
+    return abs(raw - ref) / ref

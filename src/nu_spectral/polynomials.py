@@ -235,6 +235,12 @@ def quad_roots(p):
     return sorted([r1, r2], key=lambda v: v.real if isinstance(v, complex) else v)
 
 
+def _below(a, b):
+    if isinstance(a, float) or isinstance(b, float):
+        return float(a) < float(b)
+    return scalar_sign(b - a) > 0
+
+
 class Interval:
     """Open interval with optionally infinite endpoints."""
 
@@ -247,8 +253,9 @@ class Interval:
             raise ValueError("interval endpoints out of order")
 
     def contains(self, x):
-        v = float(x)
-        return float(self.lo) < v < float(self.hi)
+        """lo < x < hi, decided exactly unless a float takes part (an
+        infinite endpoint, or a float x)."""
+        return _below(self.lo, x) and _below(x, self.hi)
 
     @property
     def hi_finite(self):

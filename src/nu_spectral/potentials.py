@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classical import eigen_lambda, recurrence_values
+from .classical import eigen_lambda
 from .errors import (
     EmptySpectrum,
     EnergyBelowRegion,
@@ -415,6 +415,62 @@ def bound_state(spec, n, *, _branch=None):
         norm_const_sq=math.exp(log_norm) * spec.coordinate_scale,
         sampler=_state_sampler(spec, n, canonical, br.chi, log_norm),
     )
+
+
+# rescaling step of recurrence_values: an exact power of two, far inside the
+# float range on both sides
+_RESCALE_AT = 2.0**500
+_RESCALE_LOG = 500.0 * math.log(2.0)
+
+
+def recurrence_values(family, n, u, alpha=None, beta=None):
+    """The degree-n family polynomial at the float array u, by the forward
+    three-term recurrence (stable for real u: Gil, Segura & Temme,
+    Numerical Methods for Special Functions, ch. 4).
+
+    Returns (m, e) with P_n(u) = m * exp(e).  Where the recurrence grows
+    past 2^500 both carried terms are scaled down by that power of two and
+    e records it, so any degree stays inside the float range; pass e to
+    the caller's log-weight instead of forming P_n itself.
+    """
+    u = np.asarray(u, dtype=float)
+    e = np.zeros(u.shape)
+    prev = np.ones(u.shape)
+    if n == 0:
+        return prev, e
+    if family == "hermite":
+        cur = 2.0 * u
+
+        def step(k, cur, prev):
+            return 2.0 * u * cur - 2.0 * k * prev
+
+    elif family == "laguerre":
+        a = scalar_float(alpha)
+        cur = 1.0 + a - u
+
+        def step(k, cur, prev):
+            return ((2 * k + 1 + a - u) * cur - (k + a) * prev) / (k + 1)
+
+    elif family == "jacobi":
+        a, b = scalar_float(alpha), scalar_float(beta)
+        cur = 0.5 * ((a - b) + (a + b + 2.0) * u)
+
+        def step(k, cur, prev):
+            s = 2 * k + a + b
+            lead = (s + 1.0) * ((s + 2.0) * s * u + (a * a - b * b))
+            back = 2.0 * (k + a) * (k + b) * (s + 2.0)
+            return (lead * cur - back * prev) / (2.0 * (k + 1) * (k + a + b + 1) * s)
+
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    for k in range(1, n):
+        prev, cur = cur, step(k, cur, prev)
+        big = np.abs(cur) > _RESCALE_AT
+        if big.any():
+            cur = np.where(big, cur / _RESCALE_AT, cur)
+            prev = np.where(big, prev / _RESCALE_AT, prev)
+            e = e + np.where(big, _RESCALE_LOG, 0.0)
+    return cur, e
 
 
 def _state_sampler(spec, n, canonical, chi, log_norm):

@@ -22,6 +22,12 @@ divisor below the trial-division bound and for full perfect squares of any
 size.  A rational whose numerator hides the square of a large prime keeps
 that square inside the radicand; representations stay self-consistent, just
 not maximally reduced.
+
+Signs and order (scalar_sign, the SurdSum comparisons against exact values)
+are decided exactly: the float value decides only when it clears a bound
+on its own rounding error, and integer brackets of the radicals decide the
+rest.  A zero that a hidden square spreads over two radicand keys has no
+decidable sign and raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -302,23 +308,33 @@ class SurdSum:
         return hash(tuple(sorted(self._t.items())))
 
     def __abs__(self):
-        return self if float(self) >= 0 else -self
+        return self if _surd_sign(self._t) > 0 else -self
 
     def __bool__(self):
         return True  # never the zero element
 
+    def _versus(self, other):
+        """A pair that orders as self and other do: the exact sign of
+        self - other against 0 when other is exact, else the floats."""
+        if isinstance(other, (int, Fraction, SurdSum)):
+            return scalar_sign(self - other), 0
+        return float(self), other
+
     def __lt__(self, other):
-        o = float(other) if not isinstance(other, complex) else other
-        return float(self) < o
+        a, b = self._versus(other)
+        return a < b
 
     def __le__(self, other):
-        return float(self) <= float(other)
+        a, b = self._versus(other)
+        return a <= b
 
     def __gt__(self, other):
-        return float(self) > float(other)
+        a, b = self._versus(other)
+        return a > b
 
     def __ge__(self, other):
-        return float(self) >= float(other)
+        a, b = self._versus(other)
+        return a >= b
 
     # -- display ---------------------------------------------------------
 
@@ -373,13 +389,68 @@ def scalar_is_zero(x):
 
 
 def scalar_sign(x):
-    """Sign of an exact or float scalar: -1, 0, or 1."""
+    """Sign of an exact or float scalar: -1, 0, or 1.  Exact for Fractions
+    and SurdSums, whatever their float value rounds to."""
+    if isinstance(x, SurdSum):
+        return _surd_sign(x._t)
     if x == 0:
         return 0
-    v = scalar_float(x)
-    if isinstance(v, complex):
+    if isinstance(x, complex):
         raise ValueError("sign of a complex scalar")
-    return 1 if v > 0 else -1
+    return 1 if x > 0 else -1
+
+
+# brackets of a surd's sign start at this many bits and double up to the cap
+_SIGN_BITS = 64
+_SIGN_MAX_BITS = 1 << 14
+
+
+def _surd_sign(t):
+    """Sign, -1 or 1, of the sum of q * sqrt(d) over the terms t.
+
+    The float sum decides when it clears a bound on its own rounding error:
+    each term carries at most four roundings and the running sum one per
+    term, all relative to the sum of the terms' magnitudes, plus an
+    absolute allowance for subnormals.  Otherwise, over a common
+    denominator, integer brackets isqrt(d * 4^k) <= sqrt(d) 2^k < that + 1
+    of every radical are refined at doubling k until the bracket of the sum
+    excludes 0.  A nonzero sum always gets there; a sum still undecided at
+    _SIGN_MAX_BITS is a zero that radicand keys hide (a square of a prime
+    past the trial bound, as in sqrt(2 * 1009^2) - 1009 sqrt(2)), or closer
+    to one than that, and raises ArithmeticError.
+    """
+    approx = size = 0.0
+    try:
+        for core, coeff in t.items():
+            term = float(coeff) * (1.0 if core == 1 else _sqrt_int_float(core))
+            approx += term
+            size += abs(term)
+    except OverflowError:
+        approx = math.nan  # a coefficient past the float range: decide exactly
+    if abs(approx) > (len(t) + 3) * 2.0**-52 * size + 2.0**-1000:
+        return 1 if approx > 0 else -1
+    den = math.lcm(*(q.denominator for q in t.values()))
+    ints = [(core, q.numerator * (den // q.denominator)) for core, q in t.items()]
+    bits = _SIGN_BITS
+    while bits <= _SIGN_MAX_BITS:
+        lo = hi = 0
+        for core, c in ints:
+            if core == 1:
+                lo += c << bits
+                hi += c << bits
+            else:
+                r = math.isqrt(core << (2 * bits))
+                lo += min(c * r, c * (r + 1))
+                hi += max(c * r, c * (r + 1))
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+    raise ArithmeticError(
+        f"sign of {SurdSum._raw(t)!r} undecided at {_SIGN_MAX_BITS} bits: a zero "
+        "hidden by radicands that carry a square, or closer to zero than that"
+    )
 
 
 def _component_sqrt(q, w):
@@ -421,7 +492,7 @@ def sqrt_scalar(x):
             raise ValueError("sqrt of a pure radical term leaves the field")
         u, w = t[1], cores[1]
         v = t[w]
-        if float(x) < 0:
+        if _surd_sign(t) < 0:
             raise ValueError("square root of a negative scalar")
         disc = u * u - v * v * w
         if disc < 0:

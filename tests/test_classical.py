@@ -10,15 +10,13 @@ from nu_spectral.classical import (
     CanonicalHde,
     classify_canonical,
     eigen_lambda,
-    inner_product,
-    norm_defect,
     norm_sq,
-    orthogonality_defect,
     recurrence_poly,
     rodrigues_poly,
     series_poly,
 )
 from nu_spectral.errors import DoubleRootUnsupported, ParameterOutOfRange
+from nu_spectral.oracle import inner_product, norm_defect, orthogonality_defect
 from nu_spectral.polynomials import Polynomial
 from nu_spectral.potentials import eigen_eps, morse, pinned_branch, rosen_morse2
 from nu_spectral.scalars import SurdSum, sqrt_scalar

@@ -356,6 +356,19 @@ class TestVerify:
         assert doc["grid"] == {"lo": lo, "hi": hi, "points": spectrum["basis"]}
         assert spectrum["basis"] <= 1200
 
+    @pytest.mark.parametrize("grid", ["8:12:1200", "-14:-10:1200"], ids=["plateau", "wall"])
+    def test_starting_box_off_the_well(self, capsys, grid):
+        # both boxes lie on a slope of the Morse well (minimum at x = 0); the
+        # oracle walks down the slope to the well and sizes its box from there
+        code, out, _ = run(
+            capsys, "verify", "--potential", "morse", "--params", "Lambda=5", f"--grid={grid}"
+        )
+        assert code == 0, out
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        lo, hi = doc["checks"][0]["box"]
+        assert lo < 0.0 < hi
+
     def test_coarse_grid_reported(self, capsys):
         code, out, _ = run(
             capsys,
@@ -397,23 +410,27 @@ class TestVerify:
 
 class TestImports:
     def test_scipy_waits_for_the_oracle(self):
-        # the sinc-DVR oracle needs numpy alone, so no subcommand loads scipy
-        for argv in (
-            ["eval", "--fn", "hermite", "--nu", "3", "--z", "2"],
-            ["verify", "--potential", "harmonic"],
-            ["verify", "--potential", "rosen-morse2", "--params", "v0=4,mu=0.5"],
-            ["solve", "--potential", "morse", "--params", "Lambda=5", "--with-oracle"],
+        # the sinc-DVR oracle needs numpy alone, so no subcommand loads scipy;
+        # eval and reduce run exact or pure-Python layers, so they load no
+        # numpy either
+        for argv, numpy_loaded in (
+            (["eval", "--fn", "hermite", "--nu", "3", "--z", "2"], False),
+            (["reduce", HARMONIC_GHE, "--eps", "3"], False),
+            (["verify", "--potential", "harmonic"], True),
+            (["verify", "--potential", "rosen-morse2", "--params", "v0=4,mu=0.5"], True),
+            (["solve", "--potential", "morse", "--params", "Lambda=5", "--with-oracle"], True),
         ):
             probe = (
-                "import sys, nu_spectral; before = 'scipy' in sys.modules; "
+                "import sys, nu_spectral; "
+                "before = 'scipy' in sys.modules or 'numpy' in sys.modules; "
                 "from nu_spectral.cli import main; "
                 f"code = main({argv!r}); "
-                "print(code, before, 'scipy' in sys.modules)"
+                "print(code, before, 'scipy' in sys.modules, 'numpy' in sys.modules)"
             )
             proc = subprocess.run(
                 [sys.executable, "-c", probe], capture_output=True, check=True, text=True
             )
-            assert proc.stdout.splitlines()[-1] == "0 False False", argv
+            assert proc.stdout.splitlines()[-1] == f"0 False False {numpy_loaded}", argv
 
 
 class TestUsage:

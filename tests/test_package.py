@@ -1,0 +1,101 @@
+"""The package surface: lazy layer loading and what each layer imports."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+# every exported name, by the layer that defines it
+SURFACE = {
+    "errors": (
+        "AmbiguousBranch CancellationWarning CountMismatch EmptySpectrum "
+        "EnergyBelowRegion GridTooCoarse NoAdmissibleBranch NoConvergence "
+        "NoPerfectSquare NoScatteringRegion NonFiniteEnergy NuSpectralError ParseError"
+    ),
+    "scalars": "SurdSum as_exact scalar_float sqrt_scalar",
+    "polynomials": "HALF_LINE REAL_LINE UNIT_INTERVAL Interval Polynomial",
+    "hyper": (
+        "Limit2F1 SeriesResult gamma_fn hermite_fn hyp1f1 hyp2f1 hyp2f1_regularized "
+        "hypU limit_2f1_at_1 pochhammer wronskian_defect"
+    ),
+    "classical": (
+        "CanonicalHde classify_canonical eigen_lambda norm_sq recurrence_poly rodrigues_poly"
+    ),
+    "reduction": (
+        "EpsAffinePoly FactorizedFunction GheProblem NuBranch ReductionResult "
+        "branch_candidates chi_from_pi parse_ghe_text pearson_weight reduce_ghe"
+    ),
+    "oracle": (
+        "FdGrid compare_spectra fd_bound_states inner_product norm_defect "
+        "orthogonality_defect quad_adaptive tanh_sinh"
+    ),
+    "potentials": (
+        "BoundState PotentialSpec ScatteringState bound_spectrum bound_state eigen_eps "
+        "eigenvalue_count harmonic morse morse_envelope_growth "
+        "morse_second_solution_diverges normalization_defect oracle_spectrum "
+        "pinned_branch rosen_morse2 scattering_states wavefunction_residual"
+    ),
+}
+
+
+def _fresh(probe):
+    """The last stdout line of a fresh interpreter running probe."""
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, check=True, text=True
+    )
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "layer", ["scalars", "polynomials", "classical", "reduction", "hyper", "errors"]
+)
+def test_exact_layers_load_no_numpy(layer):
+    probe = f"import sys, nu_spectral.{layer}; print('numpy' in sys.modules)"
+    assert _fresh(probe) == "False"
+
+
+def test_import_loads_no_layer():
+    probe = (
+        "import sys, nu_spectral; "
+        "print(sorted(m for m in sys.modules if m.startswith(('nu_spectral.', 'numpy'))))"
+    )
+    assert _fresh(probe) == "[]"
+
+
+def test_first_attribute_loads_every_layer():
+    probe = (
+        "import sys, nu_spectral; nu_spectral.hypU; "
+        "print(sorted(m for m in sys.modules if m.startswith('nu_spectral.')))"
+    )
+    assert _fresh(probe) == str(sorted(f"nu_spectral.{layer}" for layer in SURFACE))
+
+
+def test_every_export_is_its_layers_object():
+    import nu_spectral
+
+    names = [name for group in SURFACE.values() for name in group.split()]
+    assert sorted(nu_spectral.__all__) == sorted(names)
+    for layer, group in SURFACE.items():
+        module = importlib.import_module(f"nu_spectral.{layer}")
+        for name in group.split():
+            assert getattr(nu_spectral, name) is getattr(module, name), name
+
+
+def test_dir_and_star_import():
+    # from a cold package: dir lists the exports before any layer loads, and
+    # a star import loads them all
+    probe = (
+        "import nu_spectral; listed = set(nu_spectral.__all__) <= set(dir(nu_spectral)); "
+        "ns = {}; exec('from nu_spectral import *', ns); ns.pop('__builtins__'); "
+        "print(listed, sorted(ns) == sorted(nu_spectral.__all__))"
+    )
+    assert _fresh(probe) == "True True"
+
+
+def test_unknown_attribute_raises():
+    import nu_spectral
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        nu_spectral.no_such_name
+    assert not hasattr(nu_spectral, "__no_such_dunder__")

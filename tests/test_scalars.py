@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nu_spectral.scalars import (
@@ -14,6 +14,7 @@ from nu_spectral.scalars import (
     sqrt_fraction,
     sqrt_scalar,
 )
+from nu_spectral.polynomials import HALF_LINE
 
 F = Fraction
 
@@ -93,6 +94,7 @@ def test_sign_and_ordering():
     assert scalar_sign(F(3, 2) - sqrt_fraction(2)) == 1
     assert scalar_sign(F(7, 5) - sqrt_fraction(2)) == -1
     assert scalar_sign(F(0)) == 0
+    assert scalar_sign(F(1, 10**400)) == 1  # its float underflows to 0.0
 
 
 def test_float_contamination():
@@ -273,3 +275,65 @@ def test_equality_and_hash_are_consistent(x, y):
         for b in results:
             if a == b:
                 assert hash(a) == hash(b)
+
+
+# -- exact signs near zero -------------------------------------------------------
+
+
+def _convergent(d, k):
+    """The k-th continued-fraction convergent p/q of sqrt(d), d not a square."""
+    a0 = math.isqrt(d)
+    m, den, a = 0, 1, a0
+    p_prev, p, q_prev, q = 1, a0, 0, 1
+    for _ in range(k):
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    return p, q
+
+
+nonzero_fracs = small_fracs.filter(bool)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 6, 7, 13, 1019, 2 * 1009 * 1009]),
+    st.integers(min_value=1, max_value=45),
+    nonzero_fracs,
+)
+@example(2, 30, F(1))  # q sqrt(2) - p = 1.4e-12 rounds to 0.0, and used to read -1
+@settings(max_examples=150, deadline=None)
+def test_sign_of_near_zero_surds(d, k, r):
+    p, q = _convergent(d, k)
+    x = r * (q * sqrt_fraction(d) - p)
+    # q sqrt(d) - p has the sign of the integer q^2 d - p^2
+    want = (1 if q * q * d > p * p else -1) * (1 if r > 0 else -1)
+    assert scalar_sign(x) == want and scalar_sign(-x) == -want
+    assert (x > 0, x < 0, x >= 0, x <= 0) == (want > 0, want < 0, want > 0, want < 0)
+    assert (r * q * sqrt_fraction(d) > r * p) == (want > 0)
+    assert abs(x) == want * x
+    assert HALF_LINE.contains(x) == (want > 0)
+
+
+def test_pell_convergent_sign():
+    p, q = 367296043199, 259717522849  # the 30th convergent of sqrt(2)
+    x = q * sqrt_fraction(2) - p
+    assert float(x) == 0.0
+    assert scalar_sign(x) == 1
+    assert x > 0 and not x < 0
+
+
+@given(st.sampled_from(_LARGE_PRIMES), st.sampled_from([2, 3, 5, 6, 7]), nonzero_fracs)
+@example(1009, 2, F(1))
+@settings(max_examples=40, deadline=None)
+def test_hidden_zero_sign_raises(p, k, r):
+    # sqrt(k p^2) keeps p^2 in its radicand, so this zero carries two keys;
+    # no bracket excludes 0, and the refinement stops at its cap
+    x = r * (sqrt_fraction(k * p * p) - p * sqrt_fraction(k))
+    assert isinstance(x, SurdSum)
+    deciders = (scalar_sign, abs, HALF_LINE.contains, lambda v: v < 0, lambda v: v >= 0)
+    for decide in deciders:
+        with pytest.raises(ArithmeticError):
+            decide(x)
+
