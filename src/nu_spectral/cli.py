@@ -396,11 +396,13 @@ def _cmd_verify(args):
 
     try:
         defects = [normalization_defect(spec, st) for st in states]
+        worst = max(range(len(defects)), key=defects.__getitem__)
         checks.append(
             {
                 "name": "normalization",
-                "pass": max(defects) <= tols["normalization"],
-                "max_defect": max(defects),
+                "pass": defects[worst] <= tols["normalization"],
+                "max_defect": defects[worst],
+                "worst_n": states[worst].n,
                 "tol": tols["normalization"],
             }
         )
@@ -415,14 +417,14 @@ def _cmd_verify(args):
 
     lo, hi, _ = spec.fd_box
     xs = [lo + (hi - lo) * (0.25 + 0.5 * i / 8.0) for i in range(9)]
-    worst = max(
-        wavefunction_residual(spec, st.sampler, st.eps, xs) for st in states
-    )
+    residuals = [wavefunction_residual(spec, st.sampler, st.eps, xs) for st in states]
+    worst = max(range(len(residuals)), key=residuals.__getitem__)
     checks.append(
         {
             "name": "ode_residual",
-            "pass": worst <= tols["residual"],
-            "max_residual": worst,
+            "pass": residuals[worst] <= tols["residual"],
+            "max_residual": residuals[worst],
+            "worst_n": states[worst].n,
             "tol": tols["residual"],
         }
     )

@@ -236,20 +236,32 @@ def quad_roots(p):
 
 
 def _below(a, b):
+    """a < b through scalar_sign; where a float takes part (an infinite
+    endpoint, or a float x) Python's own comparison, which orders a
+    Fraction against a float exactly."""
     if isinstance(a, float) or isinstance(b, float):
-        return float(a) < float(b)
+        return a < b
     return scalar_sign(b - a) > 0
 
 
+def _same(a, b):
+    """a == b, decided as _below decides a < b."""
+    if isinstance(a, float) or isinstance(b, float):
+        return a == b
+    return scalar_sign(b - a) == 0
+
+
 class Interval:
-    """Open interval with optionally infinite endpoints."""
+    """Open interval with optionally infinite endpoints.  Finite endpoints
+    are exact; order and equality are decided in the surd field, and a
+    float only enters through an infinite endpoint."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
         self.lo = lo
         self.hi = hi
-        if not float(lo) < float(hi):
+        if not _below(lo, hi):
             raise ValueError("interval endpoints out of order")
 
     def contains(self, x):
@@ -259,12 +271,17 @@ class Interval:
 
     @property
     def hi_finite(self):
-        return math.isfinite(float(self.hi))
+        return not isinstance(self.hi, float) or math.isfinite(self.hi)
 
     def __eq__(self, other):
         if not isinstance(other, Interval):
             return NotImplemented
-        return float(self.lo) == float(other.lo) and float(self.hi) == float(other.hi)
+        return _same(self.lo, other.lo) and _same(self.hi, other.hi)
+
+    def __hash__(self):
+        # equal ints, Fractions and floats hash alike, and an exact endpoint
+        # has one canonical form
+        return hash((self.lo, self.hi))
 
     def __repr__(self):
         return f"({self.lo}, {self.hi})"

@@ -23,6 +23,7 @@ field end to end; floats only appear in samplers and quadrature.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -102,16 +103,23 @@ class BoundState:
 
     sampler is the normalized wavefunction in the dimensionless coordinate:
     called with a float it returns a float, called with a numpy array of
-    positions it returns the values as an array of the same shape.
+    positions it returns the values as an array of the same shape.  poly is
+    expanded from canonical on first read; nothing on the solve path reads
+    it, since the sampler runs the family's float recurrence.
     """
 
     n: int
     eps: object  # exact reduced eigenvalue
     energy: float  # physical energy
-    poly: Polynomial  # exact polynomial factor, in s
+    canonical: object  # classical form of the level's reduced equation
     chi: object = None  # bare non-polynomial factor, in s
     norm_const_sq: float = 0.0  # physical-coordinate; underflows to 0.0 below ~1e-308
     sampler: object = None  # x -> normalized wavefunction value(s)
+
+    @functools.cached_property
+    def poly(self):
+        """Exact polynomial factor, in s."""
+        return self.canonical.polynomial(self.n)
 
 
 @dataclass(frozen=True)
@@ -410,7 +418,7 @@ def bound_state(spec, n, *, _branch=None):
         n=n,
         eps=br.eps,
         energy=spec.energy_scale * scalar_float(br.eps),
-        poly=canonical.polynomial(n),
+        canonical=canonical,
         chi=br.chi,
         norm_const_sq=math.exp(log_norm) * spec.coordinate_scale,
         sampler=_state_sampler(spec, n, canonical, br.chi, log_norm),
@@ -439,10 +447,11 @@ def recurrence_values(family, n, u, alpha=None, beta=None):
     if n == 0:
         return prev, e
     if family == "hermite":
-        cur = 2.0 * u
+        two_u = 2.0 * u
+        cur = two_u
 
         def step(k, cur, prev):
-            return 2.0 * u * cur - 2.0 * k * prev
+            return two_u * cur - 2.0 * k * prev
 
     elif family == "laguerre":
         a = scalar_float(alpha)
@@ -454,10 +463,11 @@ def recurrence_values(family, n, u, alpha=None, beta=None):
     elif family == "jacobi":
         a, b = scalar_float(alpha), scalar_float(beta)
         cur = 0.5 * ((a - b) + (a + b + 2.0) * u)
+        a2_b2 = a * a - b * b
 
         def step(k, cur, prev):
             s = 2 * k + a + b
-            lead = (s + 1.0) * ((s + 2.0) * s * u + (a * a - b * b))
+            lead = (s + 1.0) * ((s + 2.0) * s * u + a2_b2)
             back = 2.0 * (k + a) * (k + b) * (s + 2.0)
             return (lead * cur - back * prev) / (2.0 * (k + 1) * (k + a + b + 1) * s)
 
@@ -465,8 +475,10 @@ def recurrence_values(family, n, u, alpha=None, beta=None):
         raise ValueError(f"unknown family {family!r}")
     for k in range(1, n):
         prev, cur = cur, step(k, cur, prev)
-        big = np.abs(cur) > _RESCALE_AT
-        if big.any():
+        # one reduction per step; the elementwise rescale runs only when
+        # some value has grown past the threshold
+        if np.abs(cur).max(initial=0.0) > _RESCALE_AT:
+            big = np.abs(cur) > _RESCALE_AT
             cur = np.where(big, cur / _RESCALE_AT, cur)
             prev = np.where(big, prev / _RESCALE_AT, prev)
             e = e + np.where(big, _RESCALE_LOG, 0.0)

@@ -29,6 +29,7 @@ eps and the branch of level n.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -167,20 +168,30 @@ class FactorizedFunction:
 @dataclass(frozen=True)
 class NuBranch:
     """One consistent substitution: u = chi * y turns the input equation
-    into phi y'' + psi y' + lam y = 0.
+    ghe into phi y'' + psi y' + lam y = 0.
 
     canonical is the classical form of that equation (classify_canonical)
-    on a branch quantize picked, None on the others."""
+    on a branch quantize picked, None on the others.  weight and
+    weight_tilde are solved from psi and ghe on first read."""
 
     k0: object
     pi: Polynomial
     psi: Polynomial
     lam: object
     chi: FactorizedFunction
-    weight: FactorizedFunction
-    weight_tilde: FactorizedFunction
     eps: object
+    ghe: GheProblem = field(repr=False)
     canonical: object = field(default=None, compare=False)
+
+    @functools.cached_property
+    def weight(self):
+        """Pearson weight of the reduced equation: (phi w)' = psi w."""
+        return pearson_weight(self.ghe.phi, self.psi, self.ghe.interval)
+
+    @functools.cached_property
+    def weight_tilde(self):
+        """Weight of the input equation: (phi w)' = psi_tilde w."""
+        return weight_tilde(self.ghe)
 
 
 @dataclass(frozen=True)
@@ -193,20 +204,23 @@ class ReductionResult:
 
 
 def _interval_probe(interval):
-    lo, hi = float(interval.lo), float(interval.hi)
-    if math.isfinite(lo) and math.isfinite(hi):
-        return 0.5 * (lo + hi)
-    if math.isfinite(lo):
-        return lo + 1.0
-    if math.isfinite(hi):
-        return hi - 1.0
-    return 0.0
+    """An exact point inside the interval: the midpoint of a finite one,
+    else one unit in from its finite end, else 0."""
+    lo, hi = interval.lo, interval.hi
+    lo_finite = not isinstance(lo, float) or math.isfinite(lo)
+    if lo_finite and interval.hi_finite:
+        return (lo + hi) * Fraction(1, 2)
+    if lo_finite:
+        return lo + 1
+    if interval.hi_finite:
+        return hi - 1
+    return Fraction(0)
 
 
 def _oriented_base(root, interval):
     """Linear base vanishing at root, positive on the interval."""
     x = Polynomial.x()
-    if _interval_probe(interval) > float(root):
+    if scalar_sign(_interval_probe(interval) - root) > 0:
         return x - root
     return root - x
 
@@ -381,8 +395,7 @@ def _make_branch(ghe, eps, pi, lam):
     _assert_reduction_identity(ghe, eps, pi, lam)
     psi = ghe.psi_tilde + 2 * pi
     chi = chi_from_pi(pi, ghe.phi, ghe.interval)
-    w = pearson_weight(ghe.phi, psi, ghe.interval)
-    return NuBranch(lam - pi.coeff(1), pi, psi, lam, chi, w, weight_tilde(ghe), eps)
+    return NuBranch(lam - pi.coeff(1), pi, psi, lam, chi, eps, ghe)
 
 
 def _assert_reduction_identity(ghe, eps, pi, lam):
@@ -598,14 +611,16 @@ def parse_ghe_text(text):
         raise ParseError("interval needs exactly two endpoints", where)
     lo = _parse_endpoint(pieces[0], where)
     hi = _parse_endpoint(pieces[1], where + len(pieces[0]) + 1)
-    if not float(lo) < float(hi):
-        raise ParseError("interval endpoints out of order", where)
+    try:
+        interval = Interval(lo, hi)
+    except ValueError:
+        raise ParseError("interval endpoints out of order", where) from None
 
     linear = polys["phi_tilde"][1]
     ghe = GheProblem(
         phi=polys["phi"][0],
         psi_tilde=polys["psi_tilde"][0],
         phi_tilde=EpsAffinePoly(const=polys["phi_tilde"][0], linear=linear),
-        interval=Interval(lo, hi),
+        interval=interval,
     )
     return ghe, not linear.is_zero

@@ -62,6 +62,23 @@ class TestReduce:
         assert code == 3
         assert "NoPerfectSquare" in err
 
+    def test_interval_endpoints_one_apart_at_1e20(self, capsys):
+        # the endpoints round to the same float; their order is decided
+        # exactly, so the text parses and the reduction runs (the zero of
+        # psi lies outside the interval: no admissible branch, exit 3)
+        ghe = "phi=1 psi_tilde=0 phi_tilde=eps,0,-1 interval=100000000000000000000,100000000000000000001"
+        code, out, err = run(capsys, "reduce", ghe, "--eps", "1")
+        assert code == 3, err
+        assert "interval: (100000000000000000000, 100000000000000000001)" in out
+        assert "branches: 2" in out
+        assert "NoAdmissibleBranch" in out
+
+    def test_interval_endpoints_swapped_at_1e20(self, capsys):
+        ghe = "phi=1 psi_tilde=0 phi_tilde=eps,0,-1 interval=100000000000000000001,100000000000000000000"
+        code, _, err = run(capsys, "reduce", ghe, "--eps", "1")
+        assert code == 2
+        assert "out of order" in err
+
 
 class TestSolve:
     def test_harmonic_first_four(self, capsys):
@@ -355,6 +372,45 @@ class TestVerify:
         assert hi > 12.0
         assert doc["grid"] == {"lo": lo, "hi": hi, "points": spectrum["basis"]}
         assert spectrum["basis"] <= 1200
+
+    @pytest.mark.parametrize(
+        "name,params,n_max",
+        [("morse", {"Lambda": 5}, None), ("harmonic", {}, 8), ("rosen_morse2", {"v0": 62, "mu": 0.35}, None)],
+        ids=["morse-5", "harmonic-8", "rosen-morse2-62-0.35"],
+    )
+    def test_every_check_names_its_worst_level(self, capsys, name, params, n_max):
+        """worst_n of the normalization and residual checks is the argmax of
+        the same per-state figures computed in process."""
+        argv = ["verify", "--potential", name.replace("_", "-")]
+        if params:
+            argv += ["--params", ",".join(f"{k}={v}" for k, v in params.items())]
+        if n_max is not None:
+            argv += ["--n-max", str(n_max)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, out
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+
+        from nu_spectral.potentials import (
+            WELLS,
+            bound_spectrum,
+            normalization_defect,
+            wavefunction_residual,
+        )
+
+        spec = WELLS[name](**params)
+        states = bound_spectrum(spec, n_max=n_max)
+        lo, hi, _ = spec.fd_box
+        xs = [lo + (hi - lo) * (0.25 + 0.5 * i / 8.0) for i in range(9)]
+        defects = [normalization_defect(spec, st) for st in states]
+        residuals = [wavefunction_residual(spec, st.sampler, st.eps, xs) for st in states]
+        for check, key, values in (
+            ("normalization", "max_defect", defects),
+            ("ode_residual", "max_residual", residuals),
+        ):
+            worst = max(range(len(values)), key=values.__getitem__)
+            assert checks[check]["worst_n"] == states[worst].n
+            assert checks[check][key] == values[worst] == max(values)
+        assert "worst_n" in checks["spectrum_vs_oracle"]
 
     @pytest.mark.parametrize("grid", ["8:12:1200", "-14:-10:1200"], ids=["plateau", "wall"])
     def test_starting_box_off_the_well(self, capsys, grid):

@@ -98,6 +98,39 @@ def test_interval():
     assert not i.hi_finite
 
 
+# the 30th convergent p/q of sqrt(2): q sqrt(2) - p is positive, but its
+# float value is 0.0
+PELL_P, PELL_Q = 367296043199, 259717522849
+
+
+def test_interval_order_is_exact():
+    # both endpoints round to the float 1e20
+    i = Interval(F(10**20), F(10**20 + 1))
+    assert i.contains(F(2 * 10**20 + 1, 2))
+    assert not i.contains(F(10**20))
+    with pytest.raises(ValueError, match="out of order"):
+        Interval(F(10**20 + 1), F(10**20))
+    assert Interval(F(PELL_P, PELL_Q), sqrt_fraction(2)).hi == sqrt_fraction(2)
+    with pytest.raises(ValueError, match="out of order"):
+        Interval(sqrt_fraction(2), F(PELL_P, PELL_Q))
+    with pytest.raises(ValueError, match="out of order"):
+        Interval(sqrt_fraction(2), sqrt_fraction(2))
+    # an infinite endpoint orders against a finite one past the float range
+    assert Interval(F(10**400), math.inf).contains(F(10**401))
+    assert Interval(-math.inf, F(-(10**400))).hi_finite
+
+
+def test_interval_equality_is_exact():
+    assert Interval(0, F(10**20)) != Interval(0, F(10**20 + 1))
+    assert Interval(0, F(10**20)) == Interval(F(0), F(10**20))
+    assert Interval(F(PELL_P, PELL_Q), sqrt_fraction(2)) != Interval(
+        F(PELL_P, PELL_Q), F(PELL_P, PELL_Q) + F(1, 10**30)
+    )
+    assert Interval(0, math.inf) == Interval(F(0), math.inf)
+    assert hash(Interval(0, math.inf)) == hash(Interval(F(0), math.inf))
+    assert Interval(-math.inf, 0) != Interval(-math.inf, math.inf)
+
+
 coeff = st.fractions(min_value=F(-9), max_value=F(9), max_denominator=12)
 polys = st.lists(coeff, min_size=0, max_size=5).map(Polynomial)
 

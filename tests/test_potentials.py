@@ -15,8 +15,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from nu_spectral import potentials
-from nu_spectral.classical import classify_canonical, series_poly
+from nu_spectral import potentials, reduction
+from nu_spectral.classical import CanonicalHde, classify_canonical, series_poly
 from nu_spectral.errors import (
     AmbiguousBranch,
     EmptySpectrum,
@@ -39,6 +39,7 @@ from nu_spectral.potentials import (
     normalization_defect,
     oracle_spectrum,
     pinned_branch,
+    recurrence_values,
     rosen_morse2,
     scattering_states,
     wavefunction_residual,
@@ -720,6 +721,134 @@ class TestSingleQuantizationWalk:
                 assert st.poly == two_step
                 levels += 1
         assert levels == 35
+
+
+class TestLazyByProducts:
+    """A spectrum builds no exact eigenpolynomial and no Pearson weight;
+    each is built on its first read and equals the eager construction."""
+
+    def test_spectrum_builds_neither(self, monkeypatch):
+        calls = {"polynomial": 0, "pearson_weight": 0}
+        polynomial, weight = CanonicalHde.polynomial, reduction.pearson_weight
+
+        def polynomial_counted(self, n):
+            calls["polynomial"] += 1
+            return polynomial(self, n)
+
+        def weight_counted(*args):
+            calls["pearson_weight"] += 1
+            return weight(*args)
+
+        monkeypatch.setattr(CanonicalHde, "polynomial", polynomial_counted)
+        monkeypatch.setattr(reduction, "pearson_weight", weight_counted)
+        states = bound_spectrum(morse(De=579.0))
+        assert len(states) == 34
+        assert calls == {"polynomial": 0, "pearson_weight": 0}
+        first = states[7].poly
+        assert states[7].poly is first
+        assert calls == {"polynomial": 1, "pearson_weight": 0}
+
+    @pytest.mark.parametrize(
+        "spec,n_max,count",
+        [(morse(De=579.0), None, 34), (harmonic(), 60, 61), (rosen_morse2(125, 0.44), None, 4)],
+        ids=["morseDe579", "harmonic-60", "rm2-125"],
+    )
+    def test_poly_equals_the_expanded_series(self, spec, n_max, count):
+        states = bound_spectrum(spec, n_max=n_max)
+        assert len(states) == count
+        for st in states:
+            br = quantize(spec.ghe, st.n)
+            want = classify_canonical(spec.ghe.phi, br.psi).polynomial(st.n)
+            assert st.poly == want
+            assert st.poly.degree == st.n
+
+    def test_replaced_state_builds_its_own_poly(self):
+        st = bound_spectrum(morse(De=579.0))[12]
+        poly = st.poly
+        copy = dataclasses.replace(st, sampler=lambda x: 0.0)
+        assert "poly" not in vars(copy)  # nothing cached is carried over
+        assert copy.poly == poly and copy.poly is not poly
+
+
+def _recurrence_unhoisted(family, n, u, alpha=None, beta=None):
+    """recurrence_values as first written: every invariant recomputed in
+    each step and the rescale mask built at every step.  The reference for
+    bit-identity."""
+    u = np.asarray(u, dtype=float)
+    e = np.zeros(u.shape)
+    prev = np.ones(u.shape)
+    if n == 0:
+        return prev, e
+    a = None if alpha is None else float(alpha)
+    b = None if beta is None else float(beta)
+    if family == "hermite":
+        cur = 2.0 * u
+    elif family == "laguerre":
+        cur = 1.0 + a - u
+    else:
+        cur = 0.5 * ((a - b) + (a + b + 2.0) * u)
+    for k in range(1, n):
+        if family == "hermite":
+            nxt = 2.0 * u * cur - 2.0 * k * prev
+        elif family == "laguerre":
+            nxt = ((2 * k + 1 + a - u) * cur - (k + a) * prev) / (k + 1)
+        else:
+            s = 2 * k + a + b
+            lead = (s + 1.0) * ((s + 2.0) * s * u + (a * a - b * b))
+            back = 2.0 * (k + a) * (k + b) * (s + 2.0)
+            nxt = (lead * cur - back * prev) / (2.0 * (k + 1) * (k + a + b + 1) * s)
+        prev, cur = cur, nxt
+        big = np.abs(cur) > potentials._RESCALE_AT
+        if big.any():
+            cur = np.where(big, cur / potentials._RESCALE_AT, cur)
+            prev = np.where(big, prev / potentials._RESCALE_AT, prev)
+            e = e + np.where(big, potentials._RESCALE_LOG, 0.0)
+    return cur, e
+
+
+class TestRecurrenceRescaling:
+    """Where the forward recurrence grows past _RESCALE_AT, the values it
+    returns as m * exp(e) still match mpmath, and every float equals the
+    unhoisted recurrence bit for bit."""
+
+    CASES = [
+        # u = 0.3 stays below the threshold while u = 25 passes it: a mixed mask
+        ("hermite", 120, (0.3, 25.0), None, None),
+        ("hermite", 171, (0.5, 3.0), None, None),
+        ("hermite", 200, (-1.7, 40.0), None, None),
+        # past the largest zero (about 1205) the values pass 2^1000
+        ("laguerre", 300, (0.5, 700.0, 1500.0), 2.5, None),
+        ("jacobi", 400, (0.3, -1.5, 1.5), 3.5, 1.25),
+    ]
+
+    @staticmethod
+    def _mp_value(family, n, u, a, b):
+        if family == "hermite":
+            return mpmath.hermite(n, u)
+        if family == "laguerre":
+            return mpmath.laguerre(n, a, u)
+        return mpmath.jacobi(n, a, b, u)
+
+    @pytest.mark.parametrize("family,n,us,a,b", CASES)
+    def test_matches_mpmath(self, family, n, us, a, b):
+        m, e = recurrence_values(family, n, np.array(us), a, b)
+        assert (e > 0).any()
+        with mpmath.workdps(40):
+            for u, mi, ei in zip(us, m, e):
+                want = self._mp_value(family, n, u, a, b)
+                got = mpmath.mpf(float(mi)) * mpmath.exp(mpmath.mpf(float(ei)))
+                assert abs(got / want - 1) <= 1e-10
+
+    @pytest.mark.parametrize("family,n,us,a,b", CASES + [
+        ("hermite", 0, (1.0,), None, None),
+        ("laguerre", 1, (2.0,), Fraction(1, 3), None),
+        ("jacobi", 37, (-0.9, 0.0, 0.45), sqrt_scalar(Fraction(2)), Fraction(7, 2)),
+    ])
+    def test_bit_identical_to_the_unhoisted_recurrence(self, family, n, us, a, b):
+        xs = np.concatenate([np.array(us), np.linspace(-2.0, 2.0, 41)])
+        got = recurrence_values(family, n, xs, a, b)
+        want = _recurrence_unhoisted(family, n, xs, a, b)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def _mp_norm_closed_form(family, n, a, b):

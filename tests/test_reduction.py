@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -298,6 +299,63 @@ class TestWeightSolver:
         for x in (-0.4, 0.2, 0.7):
             fd = (math.log(f(x + h)) - math.log(f(x - h))) / (2 * h)
             assert fd == pytest.approx(f.log_deriv(x), rel=1e-7)
+
+
+class TestLazyWeights:
+    """NuBranch.weight and weight_tilde are solved from psi and the branch's
+    equation on first read, and equal the eager solutions."""
+
+    CASES = [
+        (parabolic_well(), Fraction(5)),
+        (exp_radial_well(25), Fraction(19, 4)),
+        (exp_radial_well(25), Fraction(3)),  # surd k0 and exponents
+        (tanh_well(62, Fraction(1, 3)), Fraction(7)),
+        (
+            GheProblem(
+                phi=X,
+                psi_tilde=Polynomial.of(2),
+                phi_tilde=EpsAffinePoly(const=Polynomial.of(-1), linear=Polynomial.of(1)),
+                interval=HALF_LINE,
+            ),
+            Fraction(1),
+        ),
+    ]
+
+    @pytest.mark.parametrize("ghe,eps", CASES, ids=["parabolic", "exp25", "exp25-surd", "tanh", "psi_tilde-2"])
+    def test_weights_equal_the_eager_solutions(self, ghe, eps):
+        res = reduce_ghe(ghe, eps, select=False)
+        assert res.branches
+        for br in res.branches:
+            assert "weight" not in vars(br) and "weight_tilde" not in vars(br)
+            assert br.weight == pearson_weight(ghe.phi, br.psi, ghe.interval)
+            assert br.weight_tilde == weight_tilde(ghe)
+            assert br.weight is br.weight  # kept on the record after the first read
+            # equality and hashing see the equation, not the cached weights
+            twin = replace(br)
+            assert twin == br and hash(twin) == hash(br)
+
+
+class TestExactOrientation:
+    """A linear base vanishing at an end of the interval is oriented to be
+    positive on it, decided exactly when the end and the interval's
+    midpoint share a float."""
+
+    LO, HI = Fraction(10**20), Fraction(10**20 + 1)
+
+    def test_root_at_the_lower_end(self):
+        chi = chi_from_pi(Polynomial.of(1), X - self.LO, Interval(self.LO, self.HI))
+        assert chi.power_terms == ((X - self.LO, Fraction(1)),)
+
+    def test_root_at_the_end_of_a_half_line(self):
+        # the probe point LO + 1 rounds to the float of LO
+        chi = chi_from_pi(Polynomial.of(1), X - self.LO, Interval(self.LO, math.inf))
+        assert chi.power_terms == ((X - self.LO, Fraction(1)),)
+        chi = chi_from_pi(Polynomial.of(1), X - self.HI, Interval(-math.inf, self.HI))
+        assert chi.power_terms == ((self.HI - X, Fraction(1)),)
+
+    def test_root_at_the_upper_end(self):
+        chi = chi_from_pi(Polynomial.of(1), X - self.HI, Interval(self.LO, self.HI))
+        assert chi.power_terms == ((self.HI - X, Fraction(1)),)
 
 
 class TestGheValidation:
