@@ -26,7 +26,7 @@ def series_with_diagnostics():
     r = hyp1f1(0.8, 1.6, -3.0)
     print(f"1F1(4/5; 8/5; -3)   = {r.value:.12f}  ({r.terms_used} terms)")
     r = hypU(0.9, 1.4, 2.5)
-    print(f"U(9/10, 7/5, 5/2)   = {r.value:.12f}  ({r.terms_used} terms)")
+    print(f"U(9/10, 7/5, 5/2)   = {r.value:.12f}  ({r.terms_used} integrand evaluations)")
     print()
 
 

@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 _LAYERS = {
     "errors": (
         "AmbiguousBranch",
-        "CancellationWarning",
         "CountMismatch",
         "EmptySpectrum",
         "EnergyBelowRegion",
@@ -87,7 +86,6 @@ _LAYERS = {
         "harmonic",
         "morse",
         "morse_envelope_growth",
-        "morse_second_solution_diverges",
         "normalization_defect",
         "oracle_spectrum",
         "pinned_branch",

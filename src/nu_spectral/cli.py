@@ -99,6 +99,13 @@ def _potential_from_args(args):
     return name, params, WELLS[name](**params)
 
 
+def _n_max(args):
+    """--n-max, a cap on the quantum number, so never negative."""
+    if args.n_max is not None and args.n_max < 0:
+        raise ParseError(f"--n-max must be at least 0, got {args.n_max}")
+    return args.n_max
+
+
 def _parse_params(potential, constructor, text):
     out = {}
     declared = inspect.signature(constructor).parameters
@@ -243,7 +250,7 @@ def _cmd_solve(args):
     from .scalars import scalar_float
 
     name, params, spec = _potential_from_args(args)
-    states = bound_spectrum(spec, n_max=args.n_max)
+    states = bound_spectrum(spec, n_max=_n_max(args))
 
     oracle = None
     if args.with_oracle:
@@ -350,7 +357,7 @@ def _cmd_verify(args):
     name, params, spec = _potential_from_args(args)
     tols = _tolerances()
 
-    n_max = args.n_max
+    n_max = _n_max(args)
     if n_max is None and not math.isfinite(spec.v_minus):
         n_max = 6
     states = bound_spectrum(spec, n_max=n_max)

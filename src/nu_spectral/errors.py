@@ -99,7 +99,3 @@ class NoConvergence(NuSpectralError):
 class CountMismatch(NuSpectralError):
     """Analytic and oracle spectra have different lengths."""
 
-
-class CancellationWarning(UserWarning):
-    """Significant digits were lost to cancellation; the result is still
-    returned but its accuracy is degraded."""

@@ -1,9 +1,10 @@
-"""Gauss and confluent hypergeometric evaluation by direct summation.
+"""Gauss and confluent hypergeometric evaluation.
 
-All evaluators share one series engine: sum terms until three consecutive
+The series routes share one engine: sum terms until three consecutive
 terms fall below ``tol`` relative to the running sum, give up at
-``max_terms``.  Each returns a SeriesResult carrying the value, the number
-of terms consumed and a truncation estimate so callers can audit accuracy.
+``max_terms``.  Every evaluator returns a SeriesResult carrying the value,
+the number of terms consumed and a truncation estimate so callers can audit
+accuracy.
 
 Routes (documented crossovers, all for real argument z):
 
@@ -13,28 +14,33 @@ Routes (documented crossovers, all for real argument z):
 * 1F1: direct series for z >= -8 (the alternating sum loses ~e^(2|z|)
   relative accuracy, acceptable in that range); e^z-reflected series
   (13.2.39) further left.
-* U: terminating polynomial form when a is a nonpositive integer, the
-  sin(pi c) connection (13.2.42) for moderate z, divergent large-z
-  asymptotic series (13.7.3) truncated at its smallest term for z >= 20.
-  Integer c is handled by averaging the connection at c +- 1e-5, which
-  costs ~5 digits and triggers CancellationWarning.
+* U: terminating polynomial form when a is a nonpositive integer; the
+  divergent large-z asymptotic series (13.7.3), truncated at its smallest
+  term, for z >= 20 when its truncation estimate meets tol; otherwise the
+  Laplace integral (13.4.4) by an exp-sinh rule, reached for Re a <= 1 by
+  the downward recurrence in a (13.3.7), stable because U is its minimal
+  solution [gst]_.  There terms_used counts integrand evaluations and the
+  truncation estimate is the last change between exp-sinh levels.
+* Hermite function: 2^nu U(-nu/2, 1/2, z^2) for real nu and z > 2; the
+  even/odd pair of 1F1 series elsewhere.
 
 Gamma is a Lanczos approximation (g = 7, 9 coefficients) with the
 reflection formula; the reciprocal variant returns exactly 0.0 at poles so
 degenerate prefactors annihilate terms instead of raising.
 
 .. [dlmf] NIST Digital Library of Mathematical Functions, chapters 13, 15.
+.. [gst] A. Gil, J. Segura, N. M. Temme, Numerical Methods for Special
+   Functions, SIAM 2007, ch. 4.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CancellationWarning, MaxTermsExceeded, PoleAtNonPositiveInteger
+from .errors import MaxTermsExceeded, PoleAtNonPositiveInteger
 
 SERIES_TOL = 1e-13
 MAX_TERMS = 10000
@@ -44,6 +50,10 @@ _STREAK = 3
 _2F1_DIRECT_MAX = 0.99
 _1F1_REFLECT_BELOW = -8.0
 _U_ASYMPTOTIC_MIN = 20.0
+_HERMITE_U_ABOVE = 2.0
+_ES_STEP0 = 0.5  # exp-sinh node spacing at level 0
+_ES_TAIL = 40.0  # e-folds below the peak at which level 0 stops on each side
+_ES_HALF_PI = 0.5 * math.pi
 _INT_TOL = 1e-12
 
 
@@ -344,15 +354,6 @@ def _hyp2f1_near_one(a, b, c, z, tol, max_terms, regularized):
     )
 
 
-def hyp2f1_deriv(a, b, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
-    """d/dz 2F1(a,b;c;z) = (a b / c) 2F1(a+1, b+1; c+1; z)."""
-    inner = hyp2f1(a + 1, b + 1, c + 1, z, tol, max_terms)
-    a, b, c = map(_to_number, (a, b, c))
-    return SeriesResult(
-        a * b / c * inner.value, inner.terms_used, inner.truncation_estimate
-    )
-
-
 # ---------------------------------------------------------------------------
 # confluent
 
@@ -443,13 +444,8 @@ def _u_asymptotic(a, c, z, tol, max_terms):
 
 
 def hypU(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
-    """Tricomi's confluent U(a, c, z) for real z > 0.
-
-    Emits CancellationWarning when the connection formula loses more than
-    six digits (integer c always does: it is evaluated as the mean of the
-    connection at c +- 1e-5).
-    """
-    a, c = _to_number(a), _to_number(c)
+    """Tricomi's confluent U(a, c, z) for real z > 0 (routes: module docstring)."""
+    a, c = (_real_part(v) if _is_real(v) else v for v in map(_to_number, (a, c)))
     z = _to_number(z)
     if isinstance(z, complex):
         if z.imag != 0.0:
@@ -462,51 +458,82 @@ def hypU(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
     if na is not None and na <= 0:
         return _u_terminating(-na, c, z, tol)
     if z >= _U_ASYMPTOTIC_MIN:
-        return _u_asymptotic(a, c, z, tol, max_terms)
-    nc = _near_integer(c, 1e-8)
-    if nc is not None:
-        delta = 1e-5
-        up = _u_connection(a, c + delta, z, tol, max_terms)
-        dn = _u_connection(a, c - delta, z, tol, max_terms)
-        value = 0.5 * (up[0].value + dn[0].value)
-        spread = abs(up[0].value - dn[0].value)
-        warnings.warn(
-            f"U(a, c, z) at integer c = {nc} evaluated by parameter "
-            f"perturbation; expect roughly {spread:.1e} absolute spread",
-            CancellationWarning,
-        )
-        return SeriesResult(
-            value,
-            up[0].terms_used + dn[0].terms_used,
-            max(up[0].truncation_estimate, dn[0].truncation_estimate),
-        )
-    res, loss = _u_connection(a, c, z, tol, max_terms)
-    if loss > 1e6:
-        warnings.warn(
-            f"U(a, c, z) connection formula lost ~{math.log10(loss):.0f} digits",
-            CancellationWarning,
-        )
-    return res
+        res = _u_asymptotic(a, c, z, tol, max_terms)
+        if res.truncation_estimate <= tol:
+            return res
+    # the integral gives U(b) and U(b+1) at b = a + m in (1, 2] when Re a <= 1;
+    # U(b-1) = (2b - c + z) U(b) - b (b - c + 1) U(b+1) (13.3.7) then runs down
+    # to a, stably since U is the minimal solution as a grows.  Run on the last
+    # two exp-sinh levels, it gives U(a)'s own level change.
+    m = max(0, math.floor(1.0 - _real_part(a)) + 1)
+    levels, evals = _u_laplace_levels(a + m, c, z, tol, max_terms)
+    values = []
+    for u0, u1 in levels:
+        for b in (a + k for k in range(m, 0, -1)):
+            u0, u1 = (2.0 * b - c + z) * u0 - b * (b - c + 1.0) * u1, u0
+        values.append(u0)
+    change = abs(values[1] - values[0]) / max(abs(values[1]), 1e-300)
+    return SeriesResult(values[1], evals, change)
 
 
-def _u_connection(a, c, z, tol, max_terms):
-    """U via pi/sin(pi c) [M*(a,c,z)/gamma(a-c+1) - z^(1-c) M*(..)/gamma(a)]."""
-    m1 = hyp1f1_regularized(a, c, z, tol, max_terms)
-    m2 = hyp1f1_regularized(a - c + 1.0, 2.0 - c, z, tol, max_terms)
-    cc = complex(c)
-    pref = math.pi / cmath.sin(math.pi * cc)
-    p1 = rgamma(a - c + 1.0) * m1.value
-    p2 = (z ** (1.0 - cc)) * rgamma(a) * m2.value
-    value = pref * (p1 - p2)
-    if _is_real(a) and _is_real(c) and isinstance(value, complex):
-        value = value.real
-    loss = (abs(pref) * max(abs(p1), abs(p2))) / max(abs(value), 1e-300)
-    res = SeriesResult(
-        value,
-        m1.terms_used + m2.terms_used,
-        max(m1.truncation_estimate, m2.truncation_estimate),
-    )
-    return res, loss
+def _u_laplace_levels(b, c, z, tol, max_terms):
+    """(U(b, c, z), U(b+1, c, z)) at the last two exp-sinh levels, Re b > 1,
+    and the number of integrand evaluations.
+
+    With s = z t, 13.4.4 reads U(b) = z^-b/gamma(b) int_0^inf e^-s s^(b-1)
+    (1 + s/z)^(c-b-1) ds; U(b+1)'s integrand is that times s / (b (z + s)).
+    s = exp(pi/2 sinh t) makes both ends decay double exponentially, and the
+    step in t halves until a level moves both values by at most tol.  Terms
+    carry the prefactor in their exponent, so only a U that itself overflows
+    or underflows can.
+    """
+    cplx = not (_is_real(b) and _is_real(c))
+    exp = cmath.exp if cplx else math.exp
+    log_pref = -b * math.log(z) - (cmath.log(gamma_fn(b)) if cplx else math.lgamma(b))
+    p = c - b - 1.0
+
+    def node(t):
+        """x, cosh t and s / (z + s) at s = exp(pi/2 sinh t), where e^x is s
+        times U(b)'s integrand in s: the integrand in t is pi/2 cosh t e^x."""
+        w = _ES_HALF_PI * math.sinh(t)
+        s = math.exp(w)
+        return log_pref + b * w - s + p * math.log1p(s / z), math.cosh(t), s / (z + s)
+
+    # level 0 walks out from t = 0 until both integrands sit _ES_TAIL e-folds
+    # below the largest node seen; for Re b > 1 each is unimodal in t, so the
+    # nodes beyond are negligible at every level
+    h = _ES_STEP0
+    sf = sg = 0.0
+    peak_f = peak_g = -math.inf
+    ends = []
+    for direction in (-1, 1):
+        k = 0 if direction < 0 else 1
+        while True:
+            x, ch, q = node(direction * k * h)
+            f = exp(x) * ch
+            sf, sg = sf + f, sg + f * q
+            log_f = x.real + math.log(ch)
+            log_g = log_f + math.log(q) if q else -math.inf  # s underflowed
+            peak_f, peak_g = max(peak_f, log_f), max(peak_g, log_g)
+            if log_f < peak_f - _ES_TAIL and log_g < peak_g - _ES_TAIL:
+                break
+            k += 1
+        ends.append(k)
+    n = ends[0] + ends[1]  # intervals of width h across the range kept
+    lo, evals, last = -ends[0] * h, n + 1, (h * sf, h * sg)
+    while True:
+        h *= 0.5
+        evals += n
+        if evals > max_terms:
+            raise MaxTermsExceeded(f"U integral did not converge in {max_terms} evaluations")
+        for j in range(n):
+            x, ch, q = node(lo + (2 * j + 1) * h)
+            f = exp(x) * ch
+            sf, sg = sf + f, sg + f * q
+        n *= 2
+        prev, last = last, (h * sf, h * sg)
+        if all(abs(v - u) <= tol * abs(v) for u, v in zip(prev, last)):
+            return [(_ES_HALF_PI * f, _ES_HALF_PI / b * g) for f, g in (prev, last)], evals
 
 
 def hypU_deriv(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
@@ -524,17 +551,22 @@ def hypU_deriv(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
 def hermite_fn(nu, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
     """Hermite function H_nu(z) for arbitrary real or complex degree.
 
-    Evaluated from its two even/odd confluent pieces:
+    For real nu and real z > 2 it is 2^nu U(-nu/2, 1/2, z^2).  Elsewhere it
+    is evaluated from its two even/odd confluent pieces:
 
         H_nu = 2^nu sqrt(pi) [ M(-nu/2, 1/2, z^2) / gamma((1-nu)/2)
                                - 2 z M((1-nu)/2, 3/2, z^2) / gamma(-nu/2) ]
 
     For integer nu >= 0 one reciprocal gamma vanishes and the other piece
-    terminates, reproducing the Hermite polynomials.  The two pieces cancel
-    badly for |z| >~ 4; intended use is the |z| <= 2 sampling window.
+    terminates, reproducing the Hermite polynomials.  For z > 0 the two
+    pieces cancel as z grows, which is why z > 2 takes the U form.
     """
     nu, z = _to_number(nu), _to_number(z)
     zz = z * z
+    if _is_real(nu) and _is_real(z) and _real_part(z) > _HERMITE_U_ABOVE:
+        u = hypU(-0.5 * nu, 0.5, zz, tol, max_terms)
+        value = 2.0 ** _real_part(nu) * u.value
+        return SeriesResult(value, u.terms_used, u.truncation_estimate)
     e = hyp1f1(-0.5 * nu, 0.5, zz, tol, max_terms)
     o = hyp1f1(0.5 * (1.0 - nu), 1.5, zz, tol, max_terms)
     two_pow = cmath.exp(nu * math.log(2.0)) if not _is_real(nu) else 2.0**nu
@@ -549,16 +581,6 @@ def hermite_fn(nu, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
         value,
         e.terms_used + o.terms_used,
         max(e.truncation_estimate, o.truncation_estimate),
-    )
-
-
-def hermite_fn_deriv(nu, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
-    """d/dz H_nu(z) = 2 nu H_(nu-1)(z)."""
-    inner = hermite_fn(nu - 1.0, z, tol, max_terms)
-    return SeriesResult(
-        2.0 * _to_number(nu) * inner.value,
-        inner.terms_used,
-        inner.truncation_estimate,
     )
 
 

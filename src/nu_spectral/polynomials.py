@@ -227,12 +227,12 @@ def quad_roots(p):
     if scalar_sign(disc) < 0:
         raise ValueError("negative discriminant: roots leave the real field")
     r = sqrt_scalar(disc)
+    # r >= 0, so (-b - r) / 2a <= (-b + r) / 2a exactly when a > 0
+    lo, hi = -b - r, -b + r
+    if scalar_sign(a) < 0:
+        lo, hi = hi, lo
     two_a = 2 * a
-    r1 = (-b - r) / two_a
-    r2 = (-b + r) / two_a
-    if not isinstance(r1, (float, complex)) and not isinstance(r2, (float, complex)):
-        return sorted([r1, r2], key=float)
-    return sorted([r1, r2], key=lambda v: v.real if isinstance(v, complex) else v)
+    return [lo / two_a, hi / two_a]
 
 
 def _below(a, b):

@@ -781,34 +781,3 @@ def _rosen_morse2_scattering(spec, eps):
     )
     return ScatteringState(eps=eps, solutions=solutions, degeneracy=degeneracy)
 
-
-def morse_second_solution_diverges(spec, eps, probes=(0.5, 0.25, 0.125)):
-    """Confirm non-square-integrability of the companion bound-side
-    solution near the outer tail (s -> 0+).
-
-    At 2*kappa integer the companion is the logarithmic-case irregular
-    confluent solution; its |Psi|^2/s density must grow at least like 1/s,
-    which the log-log slope over the probe points certifies.  Probes stay
-    at moderate s: the leading s^(1-c) term already dominates there, and
-    the integer-c evaluation loses too many digits deeper in.
-    """
-    from .hyper import hypU
-
-    lamf = scalar_float(spec.exact["lam"])
-    gap = lamf * lamf - float(eps)
-    if gap <= 0:
-        raise ValueError("companion analysis applies below the plateau only")
-    kappa = math.sqrt(gap)
-    a = kappa + 0.5 - lamf
-    c = 1.0 + 2.0 * kappa
-    densities = []
-    for s in probes:
-        psi = math.exp(-s / 2.0) * s**kappa * hypU(a, c, s).value
-        densities.append(abs(psi) ** 2 / s)
-    slopes = [
-        (math.log(d2) - math.log(d1)) / (math.log(s2) - math.log(s1))
-        for (s1, d1), (s2, d2) in zip(
-            zip(probes, densities), zip(probes[1:], densities[1:])
-        )
-    ]
-    return all(slope <= -0.9 for slope in slopes)

@@ -227,6 +227,14 @@ class TestClassification:
         assert c.alpha == Fraction(1, 2)
         assert c.beta == Fraction(3, 2)
 
+    def test_jacobi_orientation_at_roots_one_float_apart(self):
+        # roots 10**20 -+ 1 round to the same float; the order stays exact
+        n = 10**20
+        c = classify_canonical(Polynomial.of(-(n * n - 1), 2 * n, -1), Polynomial.of(n, -1))
+        assert c.family == "jacobi"
+        assert c.scale == 1
+        assert c.alpha == c.beta == Fraction(-1, 2)
+
     def test_jacobi_shifted_interval(self):
         # phi = -(x-1)(x-3): interval (1, 3) maps to (-1, 1)
         phi = Polynomial.of(-3, 4, -1)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from nu_spectral.cli import main
@@ -221,6 +222,11 @@ class TestSolve:
         assert out == ""
         assert target.read_text().startswith("n,eps_n,E_n,norm_defect")
 
+    def test_negative_n_max_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "solve", "--potential", "harmonic", "--n-max", "-1")
+        assert (code, out) == (2, "")
+        assert err == "nu-spectral: --n-max must be at least 0, got -1\n"
+
     def test_deep_morse_norms_stay_finite(self, capsys):
         code, out, _ = run(capsys, "solve", "--potential", "morse", "--params", "Lambda=100")
         assert code == 0
@@ -296,6 +302,19 @@ class TestEval:
         assert code == 0
         value = float(self.parse(out)["value"])
         assert abs(value - 2.0**-0.5) < 1e-12
+
+    def test_tricomi_integer_c_moderate_z(self):
+        # the old connection formula printed -0.0013 here with a clean exit
+        proc = subprocess.run(
+            [sys.executable, "-m", "nu_spectral.cli", "eval", "--fn", "u",
+             "--a", "2.59", "--c", "1", "--z", "13.18"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        value = float(self.parse(proc.stdout)["value"])
+        want = float(mpmath.hyperu(2.59, 1, 13.18))
+        assert abs(value - want) <= 1e-10 * abs(want)
 
     def test_missing_argument_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "2f1", "--a", "1", "--b", "2")
@@ -455,6 +474,11 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--potential", "harmonic")
         assert code == 2
         assert "NU_SPECTRAL_TOL" in err
+
+    def test_negative_n_max_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--potential", "harmonic", "--n-max", "-1")
+        assert (code, out) == (2, "")
+        assert err == "nu-spectral: --n-max must be at least 0, got -1\n"
 
     def test_bad_grid_flag_is_usage_error(self, capsys):
         code, _, err = run(

@@ -1,21 +1,23 @@
 import cmath
 import math
+import random
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
-from nu_spectral.errors import CancellationWarning, PoleAtNonPositiveInteger
+from nu_spectral import hyper
+from nu_spectral.errors import PoleAtNonPositiveInteger
 from nu_spectral.hyper import (
     gamma_fn,
     hermite_fn,
-    hermite_fn_deriv,
     hyp1f1,
     hyp1f1_deriv_regularized,
     hyp1f1_regularized,
     hyp2f1,
-    hyp2f1_deriv,
     hyp2f1_regularized,
     hypU,
     hypU_deriv,
@@ -197,7 +199,7 @@ def test_2f1_regularized_consistency_with_plain():
 
 def test_2f1_derivative_contiguous():
     a, b, c, z = 0.9, 1.4, 2.1, 0.35
-    d = hyp2f1_deriv(a, b, c, z).value
+    d = a * b / c * hyp2f1(a + 1, b + 1, c + 1, z).value
     h = 1e-6
     fd = (hyp2f1(a, b, c, z + h).value - hyp2f1(a, b, c, z - h).value) / (2 * h)
     assert rel_err(d, fd) < 1e-8
@@ -205,7 +207,7 @@ def test_2f1_derivative_contiguous():
 
 def gauss_ode_residual(a, b, c, z):
     f = hyp2f1(a, b, c, z).value
-    f1 = hyp2f1_deriv(a, b, c, z).value
+    f1 = a * b / c * hyp2f1(a + 1, b + 1, c + 1, z).value
     f2 = (
         a * b / c * (a + 1) * (b + 1) / (c + 1) * hyp2f1(a + 2, b + 2, c + 2, z).value
     )
@@ -325,15 +327,61 @@ def test_u_large_z_power_envelope():
         assert rel_err(got, val * rgamma(a)) < 1e-9
 
 
-def test_u_integer_c_warns_and_stays_accurate():
+def test_u_integer_c_stays_accurate():
     a, z = 0.9, 2.0
-    with pytest.warns(CancellationWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = hypU(a, 2.0, z)
     val, _ = integrate.quad(
-        lambda t: math.exp(-z * t) * t ** (a - 1) * (1 + t) ** (2 - a - 1), 0, np.inf
+        lambda t: math.exp(-z * t) * t ** (a - 1) * (1 + t) ** (2 - a - 1),
+        0,
+        np.inf,
+        epsabs=0.0,
+        epsrel=1e-13,
     )
     want = val * rgamma(a)
-    assert rel_err(got.value, want) < 1e-7
+    assert rel_err(got.value, want) < 1e-12
+
+
+def _u_route_cases(rng):
+    """Seeded (a, c, z) in each route region of hypU, every integer c in -1..3
+    included, and the ROADMAP's wrong-sign case."""
+    u = rng.uniform
+    cs = [-1.0, 0.0, 1.0, 2.0, 3.0]
+    terminating = [(-rng.randrange(0, 6), u(-2, 3), u(0.1, 30)) for _ in range(4)]
+    integral = [(u(1.01, 4), c, u(0.05, 19.9)) for c in cs + [u(-2, 4)]]
+    recurrence = [(u(-4, 1), c, u(0.05, 19.9)) for c in cs] + [
+        (-k - u(0.05, 0.95), u(-2, 4), u(0.05, 19.9)) for k in range(4)
+    ]
+    large_z = [(u(0.1, 3), c, u(20, 60)) for c in cs] + [
+        (u(-3, 3), u(-2, 4), u(60, 100)) for _ in range(4)
+    ]
+    # near z = 20 with c < -1 the truncated series is wrong in the 3rd digit
+    large_z += [(u(2, 4), u(-2, -1), u(20, 24)) for _ in range(2)]
+    return terminating + integral + recurrence + large_z + [(2.596, 1.0, 13.18)]
+
+
+def test_u_and_hermite_routes_match_mpmath():
+    rng = random.Random(9101)
+    cases = _u_route_cases(rng)
+    tol = hyper.SERIES_TOL
+    large_z = [(a, c, z) for a, c, z in cases if z >= 20]
+    # both sides of the asymptotic series' own acceptance test are sampled
+    accepted = [
+        hyper._u_asymptotic(a, c, z, tol, hyper.MAX_TERMS).truncation_estimate <= tol
+        for a, c, z in large_z
+    ]
+    assert any(accepted) and not all(accepted)
+    hermite = [(rng.uniform(-3, 6), rng.uniform(2.01, 8)) for _ in range(8)]
+    hermite += [(rng.uniform(-3, 6), -rng.uniform(2.01, 6)) for _ in range(8)]
+    with warnings.catch_warnings(), mpmath.workdps(30):
+        warnings.simplefilter("error")
+        for a, c, z in cases + [(complex(0.5, 0.8), complex(1.3, -0.4), 2.0)]:
+            want = complex(mpmath.hyperu(a, c, z))
+            assert rel_err(hypU(a, c, z).value, want) < 1e-10, (a, c, z)
+        for nu, z in hermite + [(-2.87, 5.95)]:
+            want = complex(mpmath.hermite(nu, z))
+            assert rel_err(hermite_fn(nu, z).value, want) < 1e-10, (nu, z)
 
 
 def test_u_small_z_singular_form():
@@ -415,7 +463,7 @@ def test_hermite_fn_integral_representation():
 
 def test_hermite_fn_derivative():
     nu, z = 1.7, 0.8
-    d = hermite_fn_deriv(nu, z).value
+    d = 2 * nu * hermite_fn(nu - 1, z).value
     h = 1e-6
     fd = (hermite_fn(nu, z + h).value - hermite_fn(nu, z - h).value) / (2 * h)
     assert rel_err(d, fd) < 1e-8

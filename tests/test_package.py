@@ -9,7 +9,7 @@ import pytest
 # every exported name, by the layer that defines it
 SURFACE = {
     "errors": (
-        "AmbiguousBranch CancellationWarning CountMismatch EmptySpectrum "
+        "AmbiguousBranch CountMismatch EmptySpectrum "
         "EnergyBelowRegion GridTooCoarse NoAdmissibleBranch NoConvergence "
         "NoPerfectSquare NoScatteringRegion NonFiniteEnergy NuSpectralError ParseError"
     ),
@@ -33,7 +33,7 @@ SURFACE = {
     "potentials": (
         "BoundState PotentialSpec ScatteringState bound_spectrum bound_state eigen_eps "
         "eigenvalue_count harmonic morse morse_envelope_growth "
-        "morse_second_solution_diverges normalization_defect oracle_spectrum "
+        "normalization_defect oracle_spectrum "
         "pinned_branch rosen_morse2 scattering_states wavefunction_residual"
     ),
 }

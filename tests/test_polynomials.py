@@ -82,6 +82,13 @@ def test_quad_roots_exact_surds():
     assert quad_roots(P(3, -2)) == [F(3, 2)]
 
 
+def test_quad_roots_order_is_exact():
+    # the two roots round to one float; a < 0 must not reverse them
+    n = 10**20
+    assert quad_roots(P(-(n * n - 1), 2 * n, -1)) == [n - 1, n + 1]
+    assert quad_roots(P(n * n - 1, -2 * n, 1)) == [n - 1, n + 1]
+
+
 def test_quad_roots_guards():
     with pytest.raises(NotPolynomialRoot):
         quad_roots(P(4))

@@ -35,7 +35,6 @@ from nu_spectral.potentials import (
     harmonic,
     morse,
     morse_envelope_growth,
-    morse_second_solution_diverges,
     normalization_defect,
     oracle_spectrum,
     pinned_branch,
@@ -211,23 +210,6 @@ class TestMorseWell:
             assert count == j + 1
             oracle = oracle_spectrum(spec, grid=grid)
             assert len(oracle.eigenvalues) == count
-
-    def test_integer_edge_companion_not_normalizable(self):
-        spec = morse(Lambda=5)
-        # 2*kappa = 4 and an off-integer control, both between levels
-        for eps in (21.0, 20.0):
-            assert morse_second_solution_diverges(spec, eps)
-        # 2*kappa = 3 between levels needs a half-integer well depth
-        assert morse_second_solution_diverges(morse(Lambda=4.5), 18.0)
-
-    def test_companion_degenerates_at_a_true_level(self):
-        # 91/4 is the n=3 level of the Lambda=5 well; there the companion
-        # construction collapses onto the bound state and stays integrable
-        assert not morse_second_solution_diverges(morse(Lambda=5), 22.75)
-
-    def test_companion_analysis_rejects_plateau_energies(self):
-        with pytest.raises(ValueError):
-            morse_second_solution_diverges(morse(Lambda=5), 26.0)
 
 
 class TestMorseScattering:
