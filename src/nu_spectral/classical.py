@@ -9,16 +9,17 @@ affinely equivalent to exactly one of the three classical forms
                                                       (Jacobi)
 
 classify_canonical finds the affine map u = scale*x + shift together with
-the eigenvalue rescaling lam_c = lam / lambda_scale.  Polynomial
+the eigenvalue rescaling lam_c = lam / lambda_scale.  What is particular to
+each family is declared once, in its Family record (FAMILIES); every
+function here is a family_record lookup plus one generic loop.  Polynomial
 eigenfunctions are produced three independent ways, all in exact
 arithmetic including surd-valued alpha, beta: the terminating
 hypergeometric series (series_poly, O(n) operations for Hermite and
 Laguerre, the route bound states take), a differentiated Rodrigues product
-(rodrigues_poly) and the three-term recurrence (recurrence_poly).
-norm_sq gives their weighted norms in closed form.  Everything here is
-exact or plain float arithmetic: the float recurrence the samplers run
-lives in potentials, and the quadrature checks of these polynomials in
-oracle.
+(rodrigues_poly) and the three-term recurrence (recurrence_poly), whose
+operator-only step potentials.recurrence_values runs over float arrays.
+norm_sq gives their weighted norms in closed form.  Nothing here loads
+numpy; the quadrature checks of these polynomials live in oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DoubleRootUnsupported, ParameterOutOfRange
 from .polynomials import (
@@ -39,6 +41,170 @@ from .polynomials import (
 )
 from .scalars import as_exact, scalar_float, scalar_sign, sqrt_scalar
 
+
+class Family(NamedTuple):
+    """What is particular to one classical family (a NamedTuple: immutable,
+    and cheaper to define at import than a frozen dataclass).
+
+    Each callable takes the degree n (or the variable x) and then the
+    family's weight exponents: none for Hermite, alpha for Laguerre, alpha
+    and beta for Jacobi; exact for the polynomial data, floats for the
+    norms.  The recurrence step only applies operators to x, so x may be
+    Polynomial.x() or a float array.  log_x_norm_const is the norm under
+    the wells' x-measure du/phi_c, which holds when |tau'| = phi and u = s.
+    """
+
+    interval: Interval
+    arity: int  # how many of (alpha, beta) the family takes
+    equation: object  # *exps -> (phi, psi) of the canonical equation
+    eigen_lambda: object  # n, *exps -> lam_c = -n psi' - n(n-1) phi''/2
+    rodrigues_factor: object  # n -> factor in front of the Rodrigues derivative
+    series: object  # n, *exps -> P_n in the series variable t
+    recurrence: object  # x, *exps -> (P_1(x), step(k, P_k, P_(k-1)) = P_(k+1))
+    log_norm_sq: object  # n, *floats -> log of the integral of P_n^2 w du
+    log_x_norm_const: object  # n, *floats -> -log of that integral in du/phi_c
+    series_var: tuple = (Fraction(1), Fraction(0))  # (c1, c0) with t = c1*u + c0
+
+    def exact(self, alpha, beta):
+        return tuple(map(as_exact, (alpha, beta)[: self.arity]))
+
+    def floats(self, alpha, beta):
+        return tuple(map(scalar_float, (alpha, beta)[: self.arity]))
+
+
+def _hermite_series(n):
+    # H_n = sum_m (-1)^m n! / (m! (n-2m)!) (2u)^(n-2m)
+    coeffs = [Fraction(0)] * (n + 1)
+    c = Fraction(2**n)
+    for m in range(n // 2 + 1):
+        k = n - 2 * m
+        coeffs[k] = c
+        c = c * Fraction(-k * (k - 1), 4 * (m + 1))
+    return Polynomial(coeffs)
+
+
+def _laguerre_series(n, a):
+    # from the top: c_n = (-1)^n / n!, c_{k-1} = -c_k k (alpha+k) / (n-k+1)
+    coeffs = [Fraction(0)] * (n + 1)
+    c = Fraction((-1) ** n, math.factorial(n))
+    for k in range(n, 0, -1):
+        coeffs[k] = c
+        c = c * (a + k) * Fraction(-k, n - k + 1)
+    coeffs[0] = c
+    return Polynomial(coeffs)
+
+
+def _jacobi_series(n, a, b):
+    """P_n^(alpha, beta) in t = (1-u)/2, from running Pochhammer products so
+    that no surd is ever inverted: the coefficients
+    d_k = (alpha+k+1)_(n-k) (-n)_k (n+alpha+beta+1)_k / (n! k!)."""
+    upper = [Fraction(1)] * (n + 1)
+    for k in range(n, 0, -1):
+        upper[k - 1] = upper[k] * (a + k)
+    coeffs, lower, denom = [], Fraction(1), math.factorial(n)
+    for k in range(n + 1):
+        coeffs.append(upper[k] * lower * Fraction(1, denom))
+        lower = lower * (k - n) * (n + a + b + 1 + k)
+        denom *= k + 1
+    return Polynomial(coeffs)
+
+
+def _hermite_recurrence(x):
+    two_x = x + x  # 2x without an int scalar, which numpy handles slowly
+    return two_x, lambda k, cur, prev: two_x * cur - 2 * k * prev
+
+
+def _laguerre_recurrence(x, a):
+    def step(k, cur, prev):
+        return ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
+
+    return 1 + a - x, step
+
+
+def _jacobi_recurrence(x, a, b):
+    a2_b2 = a * a - b * b
+
+    def step(k, cur, prev):
+        s = 2 * k + a + b
+        lead = (s + 1) * ((s + 2) * s * x + a2_b2)
+        back = 2 * (k + a) * (k + b) * (s + 2)
+        return (lead * cur - back * prev) / (2 * (k + 1) * (k + a + b + 1) * s)
+
+    return ((a - b) + (a + b + 2) * x) / 2, step
+
+
+def _hermite_log_norm_sq(n):
+    return n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi)
+
+
+def _laguerre_log_norm_sq(n, a):
+    return math.lgamma(n + a + 1) - math.lgamma(n + 1)
+
+
+def _jacobi_log_norm_sq(n, a, b):
+    # (2n+a+b+1) Gamma(n+a+b+1), which is Gamma(a+b+2) at n = 0
+    if n == 0:
+        tail = math.lgamma(a + b + 2)
+    else:
+        tail = math.log(2 * n + a + b + 1) + math.lgamma(n + a + b + 1)
+    return _laguerre_log_norm_sq(n, a) + (
+        (a + b + 1) * math.log(2.0) + math.lgamma(n + b + 1) - tail
+    )
+
+
+FAMILIES = {
+    "hermite": Family(
+        interval=REAL_LINE,
+        arity=0,
+        equation=lambda: (Polynomial.of(1), Polynomial.of(0, -2)),
+        eigen_lambda=lambda n: Fraction(2 * n),
+        rodrigues_factor=lambda n: Fraction((-1) ** n),
+        series=_hermite_series,
+        recurrence=_hermite_recurrence,
+        log_norm_sq=_hermite_log_norm_sq,
+        # phi_c = 1: the x-measure is the weighted one
+        log_x_norm_const=lambda n: -_hermite_log_norm_sq(n),
+    ),
+    "laguerre": Family(
+        interval=HALF_LINE,
+        arity=1,
+        equation=lambda a: (Polynomial.x(), Polynomial.of(1 + a, -1)),
+        eigen_lambda=lambda n, a: Fraction(n),
+        rodrigues_factor=lambda n: Fraction(1, math.factorial(n)),
+        series=_laguerre_series,
+        recurrence=_laguerre_recurrence,
+        log_norm_sq=_laguerre_log_norm_sq,
+        # u^(alpha-1) e^-u: Gamma(n+alpha+1) / (n! alpha)
+        log_x_norm_const=lambda n, a: math.log(a) + math.lgamma(n + 1) - math.lgamma(n + a + 1),
+    ),
+    "jacobi": Family(
+        interval=UNIT_INTERVAL,
+        arity=2,
+        equation=lambda a, b: (Polynomial.of(1, 0, -1), Polynomial.of(b - a, -(a + b + 2))),
+        eigen_lambda=lambda n, a, b: n * (n + a + b + 1),
+        rodrigues_factor=lambda n: Fraction((-1) ** n, 2**n * math.factorial(n)),
+        series=_jacobi_series,
+        series_var=(Fraction(-1, 2), Fraction(1, 2)),
+        recurrence=_jacobi_recurrence,
+        log_norm_sq=_jacobi_log_norm_sq,
+        # (1-u)^(alpha-1) (1+u)^(beta-1): 2^(alpha+beta-1) (1/alpha + 1/beta)
+        # Gamma(n+alpha+1) Gamma(n+beta+1) / (n! Gamma(n+alpha+beta+1))
+        log_x_norm_const=lambda n, a, b: (
+            math.lgamma(n + 1) + math.lgamma(n + a + b + 1) - (a + b - 1) * math.log(2.0)
+            - math.lgamma(n + a + 1) - math.lgamma(n + b + 1) - math.log(1.0 / a + 1.0 / b)
+        ),
+    ),
+}
+
+
+def family_record(name):
+    """The Family record of a family name."""
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}") from None
+
+
 @dataclass(frozen=True)
 class CanonicalHde:
     family: str
@@ -47,7 +213,6 @@ class CanonicalHde:
     scale: object
     shift: object
     lambda_scale: object
-    interval: Interval
 
     def to_canonical(self, x):
         return self.scale * x + self.shift
@@ -56,17 +221,13 @@ class CanonicalHde:
         return lam / self.lambda_scale
 
     def polynomial(self, n):
-        """series_poly of degree n at u = scale*x + shift, expanded in x.
-
-        Jacobi goes from its series in t = (1-u)/2 straight to x with one
-        O(n^2) composition, t = (1-shift)/2 - (scale/2) x, instead of
-        passing through u."""
-        if self.family == "jacobi":
-            return _jacobi_series_in_t(n, self.alpha, self.beta).compose_affine(
-                -self.scale / 2, (1 - self.shift) / 2
-            )
-        poly_u = series_poly(self.family, n, self.alpha, self.beta)
-        return poly_u.compose_affine(self.scale, self.shift)
+        """series_poly of degree n at u = scale*x + shift, expanded in x by
+        one composition from the series variable t = c1*u + c0."""
+        rec = family_record(self.family)
+        c1, c0 = rec.series_var
+        return rec.series(n, *rec.exact(self.alpha, self.beta)).compose_affine(
+            c1 * self.scale, c1 * self.shift + c0
+        )
 
 
 def _exact_or_float_sqrt(x):
@@ -97,9 +258,7 @@ def classify_canonical(phi, psi):
             raise ParameterOutOfRange("psi must decrease against constant phi")
         sigma = _exact_or_float_sqrt(ratio)
         shift = sigma * psi.coeff(0) / psi1
-        return CanonicalHde(
-            "hermite", None, None, sigma, shift, -psi1 / 2, REAL_LINE
-        )
+        return CanonicalHde("hermite", None, None, sigma, shift, -psi1 / 2)
 
     if d == 1:
         f1 = phi.coeff(1)
@@ -108,9 +267,7 @@ def classify_canonical(phi, psi):
         alpha = psi(s0) / f1 - 1
         if scalar_sign(alpha + 1) <= 0:
             raise ParameterOutOfRange(f"Laguerre exponent {alpha!r} is <= -1")
-        return CanonicalHde(
-            "laguerre", alpha, None, sigma, -sigma * s0, -psi1, HALF_LINE
-        )
+        return CanonicalHde("laguerre", alpha, None, sigma, -sigma * s0, -psi1)
 
     if scalar_sign(quad_discriminant(phi)) <= 0:
         raise DoubleRootUnsupported(
@@ -132,18 +289,7 @@ def classify_canonical(phi, psi):
         raise ParameterOutOfRange(
             f"Jacobi exponents ({alpha!r}, {beta!r}) must exceed -1"
         )
-    return CanonicalHde("jacobi", alpha, beta, sigma, shift, kk, UNIT_INTERVAL)
-
-
-def _family_eq(family, alpha, beta):
-    if family == "hermite":
-        return Polynomial.of(1), Polynomial.of(0, -2)
-    if family == "laguerre":
-        return Polynomial.x(), Polynomial.of(1 + as_exact(alpha), -1)
-    if family == "jacobi":
-        a, b = as_exact(alpha), as_exact(beta)
-        return Polynomial.of(1, 0, -1), Polynomial.of(b - a, -(a + b + 2))
-    raise ValueError(f"unknown family {family!r}")
+    return CanonicalHde("jacobi", alpha, beta, sigma, shift, kk)
 
 
 def eigen_lambda(family, n, alpha=None, beta=None):
@@ -151,21 +297,8 @@ def eigen_lambda(family, n, alpha=None, beta=None):
     solution, exact in the parameters."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if family == "hermite":
-        return Fraction(2 * n)
-    if family == "laguerre":
-        return Fraction(n)
-    if family == "jacobi":
-        return n * (n + as_exact(alpha) + as_exact(beta) + 1)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _leading_norm(family, n, alpha, beta):
-    if family == "hermite":
-        return Fraction((-1) ** n)
-    if family == "laguerre":
-        return Fraction(1, math.factorial(n))
-    return Fraction((-1) ** n, 2**n * math.factorial(n))
+    rec = family_record(family)
+    return rec.eigen_lambda(n, *rec.exact(alpha, beta))
 
 
 def rodrigues_poly(family, n, alpha=None, beta=None):
@@ -175,12 +308,13 @@ def rodrigues_poly(family, n, alpha=None, beta=None):
     weight never has to be represented explicitly; everything stays in
     exact arithmetic.
     """
-    phi, psi = _family_eq(family, alpha, beta)
+    rec = family_record(family)
+    phi, psi = rec.equation(*rec.exact(alpha, beta))
     dphi = phi.derivative()
     q = Polynomial.of(1)
     for k in range(n):
         q = (psi + (n - k - 1) * dphi) * q + phi * q.derivative()
-    return _leading_norm(family, n, alpha, beta) * q
+    return rec.rodrigues_factor(n) * q
 
 
 def series_poly(family, n, alpha=None, beta=None):
@@ -188,87 +322,26 @@ def series_poly(family, n, alpha=None, beta=None):
 
     Neighbouring coefficients differ by the series' term ratio, so Hermite
     and Laguerre cost O(n) exact operations.  Jacobi is the 2F1 series in
-    t = (1-u)/2, built from running Pochhammer products so that no surd is
-    ever inverted, followed by one compose_affine back to u.  The result
-    equals rodrigues_poly exactly.
+    t = (1-u)/2, composed back to u.  The result equals rodrigues_poly
+    exactly.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if family == "hermite":
-        # H_n = sum_m (-1)^m n! / (m! (n-2m)!) (2u)^(n-2m)
-        coeffs = [Fraction(0)] * (n + 1)
-        c = Fraction(2**n)
-        for m in range(n // 2 + 1):
-            k = n - 2 * m
-            coeffs[k] = c
-            c = c * Fraction(-k * (k - 1), 4 * (m + 1))
-        return Polynomial(coeffs)
-    if family == "laguerre":
-        # from the top: c_n = (-1)^n / n!, c_{k-1} = -c_k k (alpha+k) / (n-k+1)
-        a = as_exact(alpha)
-        coeffs = [Fraction(0)] * (n + 1)
-        c = Fraction((-1) ** n, math.factorial(n))
-        for k in range(n, 0, -1):
-            coeffs[k] = c
-            c = c * (a + k) * Fraction(-k, n - k + 1)
-        coeffs[0] = c
-        return Polynomial(coeffs)
-    if family == "jacobi":
-        return _jacobi_series_in_t(n, alpha, beta).compose_affine(
-            Fraction(-1, 2), Fraction(1, 2)
-        )
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _jacobi_series_in_t(n, alpha, beta):
-    """P_n^(alpha, beta) as a polynomial in t = (1-u)/2: the coefficients
-    d_k = (alpha+k+1)_(n-k) (-n)_k (n+alpha+beta+1)_k / (n! k!)."""
-    a, b = as_exact(alpha), as_exact(beta)
-    upper = [Fraction(1)] * (n + 1)
-    for k in range(n, 0, -1):
-        upper[k - 1] = upper[k] * (a + k)
-    coeffs, lower, denom = [], Fraction(1), math.factorial(n)
-    for k in range(n + 1):
-        coeffs.append(upper[k] * lower * Fraction(1, denom))
-        lower = lower * (k - n) * (n + a + b + 1 + k)
-        denom *= k + 1
-    return Polynomial(coeffs)
+    rec = family_record(family)
+    return rec.series(n, *rec.exact(alpha, beta)).compose_affine(*rec.series_var)
 
 
 def recurrence_poly(family, n, alpha=None, beta=None):
     """Same polynomial through the three-term recurrence; serves as an
     independent route for cross-checking rodrigues_poly."""
-    x = Polynomial.x()
-    one = Polynomial.of(1)
+    prev = Polynomial.of(1)
     if n == 0:
-        return one
-    if family == "hermite":
-        prev, cur = one, 2 * x
-        for m in range(1, n):
-            prev, cur = cur, 2 * x * cur - 2 * m * prev
-        return cur
-    if family == "laguerre":
-        a = as_exact(alpha)
-        prev, cur = one, Polynomial.of(1 + a, -1)
-        for m in range(1, n):
-            nxt = (Polynomial.of(2 * m + 1 + a, -1) * cur - (m + a) * prev) * Fraction(
-                1, m + 1
-            )
-            prev, cur = cur, nxt
-        return cur
-    if family == "jacobi":
-        a, b = as_exact(alpha), as_exact(beta)
-        prev = one
-        cur = Polynomial.of((a - b) / 2, (a + b + 2) / 2)
-        for m in range(1, n):
-            s = 2 * m + a + b
-            lead = Polynomial.of(a * a - b * b, s * (s + 2)) * (s + 1)
-            rhs = lead * cur - (2 * (m + a) * (m + b) * (s + 2)) * prev
-            denom = 2 * (m + 1) * (m + a + b + 1) * s
-            nxt = rhs * (1 / as_exact(denom))
-            prev, cur = cur, nxt
-        return cur
-    raise ValueError(f"unknown family {family!r}")
+        return prev
+    rec = family_record(family)
+    cur, step = rec.recurrence(Polynomial.x(), *rec.exact(alpha, beta))
+    for k in range(1, n):
+        prev, cur = cur, step(k, cur, prev)
+    return cur
 
 
 def norm_sq(family, n, alpha=None, beta=None):
@@ -281,26 +354,11 @@ def norm_sq(family, n, alpha=None, beta=None):
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if family == "hermite":
-        log_v = n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi)
-    elif family in ("laguerre", "jacobi"):
-        exps = (alpha,) if family == "laguerre" else (alpha, beta)
-        if any(not scalar_float(e) > -1 for e in exps):
-            raise ParameterOutOfRange(
-                f"{family} exponents {', '.join(map(str, exps))} must exceed -1"
-            )
-        a = scalar_float(alpha)
-        log_v = math.lgamma(n + a + 1) - math.lgamma(n + 1)
-        if family == "jacobi":
-            b = scalar_float(beta)
-            # (2n+a+b+1) Gamma(n+a+b+1), which is Gamma(a+b+2) at n = 0
-            if n == 0:
-                tail = math.lgamma(a + b + 2)
-            else:
-                tail = math.log(2 * n + a + b + 1) + math.lgamma(n + a + b + 1)
-            log_v += (a + b + 1) * math.log(2.0) + math.lgamma(n + b + 1) - tail
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    rec = family_record(family)
+    exps = rec.floats(alpha, beta)
+    if any(not e > -1 for e in exps):
+        raise ParameterOutOfRange(f"{family} exponents {exps} must exceed -1")
+    log_v = rec.log_norm_sq(n, *exps)
     try:
         value = math.exp(log_v)
     except OverflowError:

@@ -126,6 +126,8 @@ def _parse_params(potential, constructor, text):
             out[key] = float(raw)
         except ValueError:
             raise ParseError(f"parameter {key} is not a number: {raw!r}") from None
+        if not math.isfinite(out[key]):
+            raise ParseError(f"parameter {key} must be finite, got {raw!r}")
     missing = [
         key
         for key, param in declared.items()
@@ -323,6 +325,9 @@ def _cmd_eval(args):
             raise ParseError(
                 f"--fn {args.fn} needs " + ", ".join(f"--{n}" for n in missing)
             )
+        for n in names:
+            if not math.isfinite(getattr(args, n)):
+                raise ParseError(f"--{n} must be finite, got {getattr(args, n)}")
 
     if args.fn == "2f1":
         need("a", "b", "c", "z")

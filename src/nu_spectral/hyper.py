@@ -182,14 +182,30 @@ def pochhammer(a, n):
 # series engine
 
 
-def _sum_terms(terms, tol, max_terms, leading_zero_allowance=3, what="series"):
-    """Sum a term iterator with a three-small-terms stopping rule."""
+def _sum_series(uppers, c, z, regularized, tol, max_terms, what):
+    """sum_n prod_p (p)_n / n! * z^n * [1/gamma(c+n) or 1/(c)_n] over the
+    upper parameters p, (a, b) for 2F1 and (a,) for 1F1, with a
+    three-small-terms stopping rule.
+
+    Plain variant divides by (c)_n; regularized multiplies by 1/gamma(c+n).
+    The term ratio is applied in this loop, not in a generator, which would
+    add a call per term.
+    """
+    uppers = tuple(map(_to_number, uppers))
+    c, z = _to_number(c), _to_number(z)
+    u = 1.0 + 0.0j if not all(map(_is_real, (*uppers, c, z))) else 1.0
+    # 1/gamma(c+n) vanishes while c+n is a nonpositive integer
+    ci = _near_integer(c) if regularized else None
+    leading_zero_allowance = max(3, 2 - ci) if ci is not None and ci <= 0 else 3
     total = 0.0
     last = 0.0
     streak = 0
     n_used = 0
     for n in range(max_terms):
-        t = next(terms)
+        t = u * rgamma(c + n) if regularized else u
+        for p in uppers:
+            u = u * (p + n)
+        u = u * z / (n + 1.0) if regularized else u * z / ((c + n) * (n + 1.0))
         total = total + t
         last = t
         n_used = n + 1
@@ -206,49 +222,6 @@ def _sum_terms(terms, tol, max_terms, leading_zero_allowance=3, what="series"):
         raise MaxTermsExceeded(f"{what} did not converge in {max_terms} terms")
     trunc = abs(last) / max(abs(total), 1e-300) if total != 0 else abs(last)
     return SeriesResult(total, n_used, trunc)
-
-
-def _gauss_terms(a, b, c, z, regularized):
-    """Terms of sum_n (a)_n (b)_n / n! * z^n * [1/gamma(c+n) or 1/(c)_n...].
-
-    Plain variant divides by (c)_n; regularized multiplies by 1/gamma(c+n).
-    """
-    a, b, c, z = map(_to_number, (a, b, c, z))
-    u = 1.0 + 0.0j if not all(map(_is_real, (a, b, c, z))) else 1.0
-    n = 0
-    if regularized:
-        while True:
-            yield u * rgamma(c + n)
-            u = u * (a + n) * (b + n) * z / (n + 1.0)
-            n += 1
-    else:
-        while True:
-            yield u
-            u = u * (a + n) * (b + n) * z / ((c + n) * (n + 1.0))
-            n += 1
-
-
-def _confluent_terms(a, c, z, regularized):
-    a, c, z = map(_to_number, (a, c, z))
-    u = 1.0 + 0.0j if not all(map(_is_real, (a, c, z))) else 1.0
-    n = 0
-    if regularized:
-        while True:
-            yield u * rgamma(c + n)
-            u = u * (a + n) * z / (n + 1.0)
-            n += 1
-    else:
-        while True:
-            yield u
-            u = u * (a + n) * z / ((c + n) * (n + 1.0))
-            n += 1
-
-
-def _leading_allowance(c):
-    ci = _near_integer(c)
-    if ci is not None and ci <= 0:
-        return max(3, 2 - ci)
-    return 3
 
 
 # ---------------------------------------------------------------------------
@@ -304,38 +277,19 @@ def _hyp2f1_any(a, b, c, z, tol, max_terms, regularized):
     nb = _near_integer(b)
     terminating = (na is not None and na <= 0) or (nb is not None and nb <= 0)
 
-    if z <= _2F1_DIRECT_MAX or terminating:
-        gen = _gauss_terms(a, b, c, z, regularized)
-        return _sum_terms(
-            gen, tol, max_terms, _leading_allowance(c) if regularized else 3, "2F1"
-        )
+    # with integer c-a-b the connection formula is singular: the direct
+    # series has to fight for convergence
+    if z <= _2F1_DIRECT_MAX or terminating or _near_integer(c - a - b, 1e-9) is not None:
+        return _sum_series((a, b), c, z, regularized, tol, max_terms, "2F1")
     return _hyp2f1_near_one(a, b, c, z, tol, max_terms, regularized)
 
 
 def _hyp2f1_near_one(a, b, c, z, tol, max_terms, regularized):
     """Connection formula in powers of 1-z, valid for non-integer c-a-b."""
     s = c - a - b
-    if _near_integer(s, 1e-9) is not None:
-        # fall back to the direct series and let it fight for convergence
-        gen = _gauss_terms(a, b, c, z, regularized)
-        return _sum_terms(
-            gen, tol, max_terms, _leading_allowance(c) if regularized else 3, "2F1"
-        )
     w = 1.0 - z
-    f1 = _sum_terms(
-        _gauss_terms(a, b, a + b - c + 1.0, w, True),
-        tol,
-        max_terms,
-        _leading_allowance(a + b - c + 1.0),
-        "2F1 connection",
-    )
-    f2 = _sum_terms(
-        _gauss_terms(c - a, c - b, s + 1.0, w, True),
-        tol,
-        max_terms,
-        _leading_allowance(s + 1.0),
-        "2F1 connection",
-    )
+    f1 = _sum_series((a, b), a + b - c + 1.0, w, True, tol, max_terms, "2F1 connection")
+    f2 = _sum_series((c - a, c - b), s + 1.0, w, True, tol, max_terms, "2F1 connection")
     sc = complex(s)
     pref = math.pi / cmath.sin(math.pi * sc)
     bracket = (
@@ -389,10 +343,7 @@ def _hyp1f1_any(a, c, z, tol, max_terms, regularized):
         inner = _hyp1f1_any(c - a, c, -zr, tol, max_terms, regularized)
         value = math.exp(zr) * inner.value
         return SeriesResult(value, inner.terms_used, inner.truncation_estimate)
-    gen = _confluent_terms(a, c, zr, regularized)
-    return _sum_terms(
-        gen, tol, max_terms, _leading_allowance(c) if regularized else 3, "1F1"
-    )
+    return _sum_series((a,), c, zr, regularized, tol, max_terms, "1F1")
 
 
 def hyp1f1_deriv_regularized(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):

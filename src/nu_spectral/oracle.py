@@ -44,7 +44,8 @@ double-exponential rule for weights with endpoint exponents in (-1, 0),
 where the integrand must be evaluated with exact distances to the
 endpoints rather than through a rounded abscissa.  inner_product,
 orthogonality_defect and norm_defect apply the two rules to the classical
-polynomials, against the closed-form norms of classical.norm_sq.  numpy is
+polynomials, against the closed-form norms of classical.norm_sq, choosing
+the rule by the finiteness of each end of the family's interval.  numpy is
 the only dependency.
 """
 
@@ -55,8 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import norm_sq, rodrigues_poly
+from .classical import family_record, norm_sq, rodrigues_poly
 from .errors import CountMismatch, GridTooCoarse, NoConvergence
+from .reduction import pearson_weight
 from .scalars import scalar_float
 
 DEFAULT_QUAD_TOL = 1e-11
@@ -89,6 +91,8 @@ class FdGrid:
     n: int
 
     def __post_init__(self):
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError("grid endpoints and their span must be finite floats")
         if self.n < 9:
             raise ValueError("grid needs at least 9 points")
         if not self.lo < self.hi:
@@ -617,42 +621,36 @@ def tanh_sinh(g, a, b, tol=1e-12, max_level=10):
 
 
 def inner_product(family, p, q, alpha=None, beta=None, tol=1e-12, abs_tol=None):
-    """Weighted integral of p*q over the canonical interval.
+    """Weighted integral of p*q over the family's canonical interval, with
+    the weight from Pearson's equation of its canonical equation.
 
-    Endpoint-singular weights (negative exponents) go through the
-    double-exponential rule, which receives exact endpoint distances; the
-    smooth remainder uses adaptive quadrature.  abs_tol loosens only the
-    absolute target, for integrals that cancel to a tiny fraction of their
-    lobes.
+    Next to a finite end, where a negative exponent is singular, the
+    double-exponential rule runs on exact endpoint distances; an infinite
+    end uses adaptive quadrature, whose absolute target abs_tol loosens for
+    integrals that cancel to a tiny fraction of their lobes.
     """
-    pf, qf = p.as_float(), q.as_float()
-    if family == "hermite":
-        return quad_adaptive(
-            lambda x: pf(x) * qf(x) * np.exp(-x * x),
-            -math.inf,
-            math.inf,
-            tol=tol,
-            abs_tol=abs_tol,
-        )
-    if family == "laguerre":
-        a = scalar_float(alpha)
-        head = tanh_sinh(
-            lambda x, dlo, dhi: dlo**a * np.exp(-x) * pf(x) * qf(x), 0.0, 1.0
-        )
-        tail = quad_adaptive(
-            lambda x: x**a * np.exp(-x) * pf(x) * qf(x),
-            1.0,
-            math.inf,
-            tol=tol,
-            abs_tol=abs_tol,
-        )
-        return head + tail
-    if family == "jacobi":
-        a, b = scalar_float(alpha), scalar_float(beta)
-        return tanh_sinh(
-            lambda x, dlo, dhi: dhi**a * dlo**b * pf(x) * qf(x), -1.0, 1.0
-        )
-    raise ValueError(f"unknown family {family!r}")
+    rec = family_record(family)
+    lo, hi = float(rec.interval.lo), float(rec.interval.hi)
+    weight = pearson_weight(*rec.equation(*rec.exact(alpha, beta)), rec.interval)
+    # each base is x - end or end - x, the distance to the end it vanishes at
+    powers = [(base.coeff(1) > 0, scalar_float(e)) for base, e in weight.power_terms]
+    pf, qf, log_w = p.as_float(), q.as_float(), weight.exp_poly.as_float()
+
+    def weighted(x, d_lo, d_hi):
+        w = np.exp(log_w(x)) * pf(x) * qf(x)
+        for at_lo, e in powers:
+            w = w * (d_lo if at_lo else d_hi) ** e
+        return w
+
+    if math.isfinite(hi):  # a classical interval with a finite hi is (-1, 1)
+        return tanh_sinh(weighted, lo, hi)
+    head, start = 0.0, lo
+    if math.isfinite(lo):
+        head, start = tanh_sinh(weighted, lo, lo + 1.0), lo + 1.0
+    tail = quad_adaptive(
+        lambda x: weighted(x, x - lo, hi - x), start, hi, tol=tol, abs_tol=abs_tol
+    )
+    return head + tail
 
 
 def orthogonality_defect(family, m, n, alpha=None, beta=None):
@@ -665,13 +663,8 @@ def orthogonality_defect(family, m, n, alpha=None, beta=None):
     """
     pm = rodrigues_poly(family, m, alpha, beta)
     pn = rodrigues_poly(family, n, alpha, beta)
-    scale = math.sqrt(
-        scalar_float(norm_sq(family, m, alpha, beta))
-        * scalar_float(norm_sq(family, n, alpha, beta))
-    )
-    raw = inner_product(
-        family, pm, pn, alpha, beta, abs_tol=1e-12 * max(1.0, scale)
-    )
+    scale = math.sqrt(norm_sq(family, m, alpha, beta) * norm_sq(family, n, alpha, beta))
+    raw = inner_product(family, pm, pn, alpha, beta, abs_tol=1e-12 * max(1.0, scale))
     return abs(raw) / scale
 
 
@@ -679,7 +672,5 @@ def norm_defect(family, n, alpha=None, beta=None):
     """Relative gap between the quadrature norm and the closed form."""
     pn = rodrigues_poly(family, n, alpha, beta)
     ref = norm_sq(family, n, alpha, beta)
-    raw = inner_product(
-        family, pn, pn, alpha, beta, abs_tol=1e-12 * max(1.0, scalar_float(ref))
-    )
+    raw = inner_product(family, pn, pn, alpha, beta, abs_tol=1e-12 * max(1.0, ref))
     return abs(raw - ref) / ref

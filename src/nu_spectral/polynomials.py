@@ -104,6 +104,12 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, d):
+        """Division by a scalar; a surd is inverted once, not per coefficient."""
+        if isinstance(d, SurdSum):
+            return self * d.inverse()
+        return Polynomial(tuple(c / d for c in self.coeffs))
+
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
@@ -138,9 +144,9 @@ class Polynomial:
     # -- evaluation ------------------------------------------------------------
 
     def __call__(self, x):
-        """Horner evaluation; works for exact scalars, floats and complex."""
+        """Horner evaluation; works for exact scalars, floats, complex and arrays."""
         if not self.coeffs:
-            return 0 * x if isinstance(x, (float, complex)) else Fraction(0)
+            return Fraction(0) if isinstance(x, (int, Fraction, SurdSum)) else 0 * x
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c

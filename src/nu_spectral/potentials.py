@@ -3,10 +3,13 @@
 Each constructor returns one PotentialSpec record holding all that is
 particular to its well: the change of variable s = tau(x), the reduced
 equation it produces, the normalization window and the scattering solver;
-no function here branches on the well's name.  Levels, their count,
-branches and norms are derived from the reduced equation
-(reduction.quantize) and checked exactly against the reduction identity
-and the classical eigenvalue.  The systems:
+no function here branches on the well's name, nor on a family's (the
+float recurrence and the x-measure norm come from classical.FAMILIES).
+Levels, their count, branches and norms are derived from the reduced
+equation (reduction.quantize) and checked exactly against the reduction
+identity and the classical eigenvalue.  A parameter, or a scale derived
+from them, that is zero or leaves the float range is a ValueError.  The
+systems:
 
   harmonic      v(x) = x^2 on the line (x in units of sqrt(hbar/(m*Omega)))
   morse         v(x) = Lambda^2 (1 - b e^{-x})^2, b = e^{a x_e}, x = a * x_phys
@@ -31,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classical import eigen_lambda
+from .classical import eigen_lambda, family_record
 from .errors import (
     EmptySpectrum,
     EnergyBelowRegion,
@@ -138,8 +141,20 @@ class ScatteringState:
 
 def _require_positive(**params):
     for key, val in params.items():
-        if not scalar_float(val) > 0:
-            raise ValueError(f"{key} must be positive, got {val!r}")
+        if not 0 < scalar_float(val) < math.inf:
+            raise ValueError(f"{key} must be positive and finite, got {val!r}")
+
+
+def _derived_scale(name, compute):
+    """compute(), a positive scale a well derives from its parameters, as a
+    float; ValueError when it is zero, not finite or overflows on the way."""
+    try:
+        value = scalar_float(compute())
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"these parameters put {name} at zero or out of the float range")
+    return value
 
 
 # -- constructors -------------------------------------------------------------
@@ -147,7 +162,7 @@ def _require_positive(**params):
 
 def harmonic(m=1.0, Omega=1.0, hbar=1.0):
     _require_positive(m=m, Omega=Omega, hbar=hbar)
-    x0 = math.sqrt(hbar / (m * Omega))
+    x0 = _derived_scale("the length unit", lambda: math.sqrt(hbar / (m * Omega)))
 
     def norm_window(state):
         # gaussian times a polynomial: past the classical turning point
@@ -172,8 +187,8 @@ def harmonic(m=1.0, Omega=1.0, hbar=1.0):
         ),
         reduced_potential=lambda x: x * x,
         region_edges=(0.0, math.inf, math.inf),
-        energy_scale=hbar * Omega / 2.0,
-        coordinate_scale=1.0 / x0,
+        energy_scale=_derived_scale("the energy unit", lambda: hbar * Omega / 2.0),
+        coordinate_scale=_derived_scale("the inverse length unit", lambda: 1.0 / x0),
         fd_box=(-10.0, 10.0, 1200),
         exact={},
         norm_window=norm_window,
@@ -196,16 +211,16 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
         _require_positive(Lambda=Lambda)
         lam = as_exact(Lambda)
         lam_sq = lam * lam
-        De = scalar_float(lam_sq) * a * a * hbar * hbar / (2.0 * m)
+        De = _derived_scale("De", lambda: scalar_float(lam_sq) * a * a * hbar * hbar / (2.0 * m))
     else:
         _require_positive(De=De)
-        lam_sq = as_exact(2.0 * m * De / (a * hbar) ** 2)
+        lam_sq = as_exact(_derived_scale("Lambda^2", lambda: 2.0 * m * De / (a * hbar) ** 2))
         lam = sqrt_scalar(lam_sq)
-    b = math.exp(a * xe)
+    b = _derived_scale("exp(a*xe)", lambda: math.exp(a * xe))
     lamf = scalar_float(lam)
     lamf2 = scalar_float(lam_sq)
     # left wall: s = 2*lam*b*e^{-x} = 700 puts e^{-s/2} past underflow
-    wall = math.log(2.0 * lamf * b / 700.0)
+    wall = math.log(_derived_scale("s at x = 0", lambda: 2.0 * lamf * b) / 700.0)
 
     def norm_window(state):
         kappa = math.sqrt(scalar_float(lam_sq - state.eps))
@@ -230,7 +245,7 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
         ),
         reduced_potential=lambda x: lamf2 * (1.0 - b * np.exp(-x)) ** 2,
         region_edges=(0.0, lamf2, math.inf),
-        energy_scale=a * a * hbar * hbar / (2.0 * m),
+        energy_scale=_derived_scale("the energy unit", lambda: a * a * hbar * hbar / (2.0 * m)),
         coordinate_scale=a,
         fd_box=(a * xe - 2.0, a * xe + 12.0, 1200),
         exact={"lam": lam, "lam_sq": lam_sq, "b": b},
@@ -261,12 +276,13 @@ def rosen_morse2(v0, mu):
     _require_positive(v0=v0, mu=mu)
     v0x = as_exact(v0)
     t = as_exact(math.tanh(mu))
+    _derived_scale("1 - tanh(mu)^2", lambda: 1 - t * t)
     csq = v0x / (1 - t * t)  # v0 cosh^2(mu)
     v1 = csq * t  # (v0/2) sinh(2 mu)
     v2 = csq + Fraction(1, 4)
     vm = v0x * (1 - t) / (1 + t)  # lower plateau, at x -> +inf
     vp = v0x * (1 + t) / (1 - t)  # upper plateau, at x -> -inf
-    cf, tf = scalar_float(csq), scalar_float(t)
+    cf, tf = _derived_scale("v0 cosh^2(mu)", lambda: csq), scalar_float(t)
     shifted = X - Polynomial.constant(t)
 
     spec = PotentialSpec(
@@ -287,7 +303,7 @@ def rosen_morse2(v0, mu):
             interval=UNIT_INTERVAL,
         ),
         reduced_potential=lambda x: cf * (np.tanh(x) - tf) ** 2,
-        region_edges=(0.0, scalar_float(vm), scalar_float(vp)),
+        region_edges=(0.0, scalar_float(vm), _derived_scale("the upper plateau", lambda: vp)),
         energy_scale=1.0,
         coordinate_scale=1.0,
         fd_box=(-15.0, 15.0, 1200),
@@ -381,28 +397,6 @@ def eigen_eps(spec, n):
     return _level(spec, n).eps
 
 
-def _log_norm_sq(n, canonical):
-    """Log of the squared constant that makes the sampler unit-norm in x.
-
-    The wells map x to s with |tau'| = phi(s) and reduce to u = s, so the
-    x-measure is du/phi_c(u): the family's weight loses one power on each
-    finite edge."""
-    if canonical.family == "hermite":
-        return -(n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi))
-    a = scalar_float(canonical.alpha)
-    if canonical.family == "laguerre":
-        return math.log(a) + math.lgamma(n + 1) - math.lgamma(n + a + 1)
-    b = scalar_float(canonical.beta)
-    return (
-        math.lgamma(n + 1)
-        + math.lgamma(n + a + b + 1)
-        - (a + b - 1) * math.log(2.0)
-        - math.lgamma(n + a + 1)
-        - math.lgamma(n + b + 1)
-        - math.log(1.0 / a + 1.0 / b)
-    )
-
-
 def bound_state(spec, n, *, _branch=None):
     """The n-th bound state; bound_spectrum passes the branch of level n it
     has already quantized as _branch."""
@@ -413,7 +407,8 @@ def bound_state(spec, n, *, _branch=None):
         raise RuntimeError(
             f"{spec.name}: eigenvalue identity broken at n={n}"
         )
-    log_norm = _log_norm_sq(n, canonical)
+    rec = family_record(canonical.family)
+    log_norm = rec.log_x_norm_const(n, *rec.floats(canonical.alpha, canonical.beta))
     return BoundState(
         n=n,
         eps=br.eps,
@@ -441,39 +436,20 @@ def recurrence_values(family, n, u, alpha=None, beta=None):
     e records it, so any degree stays inside the float range; pass e to
     the caller's log-weight instead of forming P_n itself.
     """
+    rec = family_record(family)
+    return _scaled_recurrence(rec.recurrence, n, u, rec.floats(alpha, beta))
+
+
+def _scaled_recurrence(recurrence, n, u, exps):
+    """recurrence_values once the record is looked up (a sampler does it once)."""
     u = np.asarray(u, dtype=float)
     e = np.zeros(u.shape)
     prev = np.ones(u.shape)
     if n == 0:
         return prev, e
-    if family == "hermite":
-        two_u = 2.0 * u
-        cur = two_u
-
-        def step(k, cur, prev):
-            return two_u * cur - 2.0 * k * prev
-
-    elif family == "laguerre":
-        a = scalar_float(alpha)
-        cur = 1.0 + a - u
-
-        def step(k, cur, prev):
-            return ((2 * k + 1 + a - u) * cur - (k + a) * prev) / (k + 1)
-
-    elif family == "jacobi":
-        a, b = scalar_float(alpha), scalar_float(beta)
-        cur = 0.5 * ((a - b) + (a + b + 2.0) * u)
-        a2_b2 = a * a - b * b
-
-        def step(k, cur, prev):
-            s = 2 * k + a + b
-            lead = (s + 1.0) * ((s + 2.0) * s * u + a2_b2)
-            back = 2.0 * (k + a) * (k + b) * (s + 2.0)
-            return (lead * cur - back * prev) / (2.0 * (k + 1) * (k + a + b + 1) * s)
-
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    for k in range(1, n):
+    cur, step = recurrence(u, *exps)
+    # float k: numpy scales by a Python float faster than by an int; k is exact
+    for k in map(float, range(1, n)):
         prev, cur = cur, step(k, cur, prev)
         # one reduction per step; the elementwise rescale runs only when
         # some value has grown past the threshold
@@ -497,7 +473,8 @@ def _state_sampler(spec, n, canonical, chi, log_norm):
     """
     tau = spec.tau.forward
     stable = spec.tau.affine_value
-    family, alpha, beta = canonical.family, canonical.alpha, canonical.beta
+    rec = family_record(canonical.family)
+    recurrence, exps = rec.recurrence, rec.floats(canonical.alpha, canonical.beta)
     scale, shift = scalar_float(canonical.scale), scalar_float(canonical.shift)
     pieces = tuple(
         (scalar_float(base.coeff(1)), scalar_float(base.coeff(0)), scalar_float(expo))
@@ -514,7 +491,7 @@ def _state_sampler(spec, n, canonical, chi, log_norm):
     def sampler(x):
         xs = np.asarray(x, dtype=float)
         s = tau(xs)
-        m, log_w = recurrence_values(family, n, scale * s + shift, alpha, beta)
+        m, log_w = _scaled_recurrence(recurrence, n, scale * s + shift, exps)
         log_w = log_w + log_head
         with np.errstate(divide="ignore"):
             for c1, c0, expo in pieces:

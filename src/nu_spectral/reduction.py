@@ -240,7 +240,10 @@ def solve_k0(ghe, eps):
     roots).  NoPerfectSquare when no real solution exists in the surd
     field.
     """
-    base, kc = build_p2(ghe, eps)
+    return _k0_roots(*build_p2(ghe, eps))
+
+
+def _k0_roots(base, kc):
     a0, b0, c0 = base.coeff(2), base.coeff(1), base.coeff(0)
     a1, b1, c1 = kc.coeff(2), kc.coeff(1), kc.coeff(0)
     if scalar_is_zero(a0) and scalar_is_zero(a1):
@@ -361,9 +364,13 @@ def branch_candidates(ghe, eps):
     Branches whose square root leaves the real surd field are skipped; if
     none survives, NoPerfectSquare propagates.
     """
-    eps = as_exact(eps)
-    k0s = solve_k0(ghe, eps)
+    return _candidates(ghe, as_exact(eps))[1]
+
+
+def _candidates(ghe, eps):
+    """(k0 values, branches) from one P2."""
     base, kc = build_p2(ghe, eps)
+    k0s = _k0_roots(base, kc)
     h = (ghe.phi.derivative() - ghe.psi_tilde) * Fraction(1, 2)
     branches = []
     last_err = None
@@ -386,7 +393,7 @@ def branch_candidates(ghe, eps):
         raise NoPerfectSquare(
             f"no branch admits an exact real square root: {last_err}"
         )
-    return branches
+    return k0s, branches
 
 
 def _make_branch(ghe, eps, pi, lam):
@@ -490,8 +497,7 @@ def reduce_ghe(ghe, eps, select=True):
     select=True, otherwise selected is None if the filter does not pick a
     unique branch."""
     eps = as_exact(eps)
-    k0s = solve_k0(ghe, eps)
-    branches = branch_candidates(ghe, eps)
+    k0s, branches = _candidates(ghe, eps)
     selected = None
     try:
         selected = select_branch(branches, ghe.interval)

@@ -10,6 +10,7 @@ from nu_spectral.classical import (
     CanonicalHde,
     classify_canonical,
     eigen_lambda,
+    family_record,
     norm_sq,
     recurrence_poly,
     rodrigues_poly,
@@ -152,9 +153,8 @@ class TestSeriesRoute:
 
 
 def eigen_ode_residual(family, n, alpha=None, beta=None):
-    from nu_spectral.classical import _family_eq
-
-    phi, psi = _family_eq(family, alpha, beta)
+    rec = family_record(family)
+    phi, psi = rec.equation(*rec.exact(alpha, beta))
     p = rodrigues_poly(family, n, alpha, beta)
     lam = eigen_lambda(family, n, alpha, beta)
     return phi * p.derivative().derivative() + psi * p.derivative() + lam * p

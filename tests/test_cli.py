@@ -227,6 +227,27 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert err == "nu-spectral: --n-max must be at least 0, got -1\n"
 
+    @pytest.mark.parametrize(
+        "potential,params,want_code",
+        [
+            ("harmonic", "m=inf", 2),
+            ("harmonic", "m=1e200,Omega=1e200", 3),
+            ("morse", "Lambda=inf", 2),
+            ("morse", "Lambda=1e200", 3),
+            ("morse", "Lambda=5,xe=800", 3),
+            ("morse", "De=1e308,a=1e-200", 3),
+            ("rosen-morse2", "v0=4,mu=40", 3),  # tanh(40) rounds to 1
+        ],
+    )
+    def test_out_of_range_parameters_exit_cleanly(self, capsys, potential, params, want_code):
+        # a non-finite number is a usage error; a finite one whose derived
+        # scale leaves the float range is a domain error, never a traceback
+        code, out, err = run(
+            capsys, "solve", "--potential", potential, "--params", params, "--n-max", "2"
+        )
+        assert (code, out) == (want_code, "")
+        assert err.startswith("nu-spectral: ") and err.count("\n") == 1
+
     def test_deep_morse_norms_stay_finite(self, capsys):
         code, out, _ = run(capsys, "solve", "--potential", "morse", "--params", "Lambda=100")
         assert code == 0
@@ -320,6 +341,20 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--fn", "2f1", "--a", "1", "--b", "2")
         assert code == 2
         assert "--c" in err and "--z" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--fn", "2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "nan"),
+            ("--fn", "1f1", "--a", "1", "--c", "1", "--z", "inf"),
+            ("--fn", "hermite", "--nu", "inf", "--z", "1"),
+        ],
+        ids=["2f1-nan-z", "1f1-inf-z", "hermite-inf-nu"],
+    )
+    def test_non_finite_argument_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, out) == (2, "")
+        assert "must be finite" in err
 
     def test_pole_is_domain_error(self, capsys):
         code, _, err = run(
@@ -479,6 +514,12 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--potential", "harmonic", "--n-max", "-1")
         assert (code, out) == (2, "")
         assert err == "nu-spectral: --n-max must be at least 0, got -1\n"
+
+    @pytest.mark.parametrize("grid", ["-inf:inf:100", "0:inf:100", "-1e308:1e308:100"])
+    def test_grid_span_beyond_floats_is_usage_error(self, capsys, grid):
+        code, out, err = run(capsys, "verify", "--potential", "harmonic", f"--grid={grid}")
+        assert (code, out) == (2, "")
+        assert err.endswith("bad grid: grid endpoints and their span must be finite floats\n")
 
     def test_bad_grid_flag_is_usage_error(self, capsys):
         code, _, err = run(

@@ -1,8 +1,10 @@
 """The package surface: lazy layer loading and what each layer imports."""
 
 import importlib
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,3 +101,16 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         nu_spectral.no_such_name
     assert not hasattr(nu_spectral, "__no_such_dunder__")
+
+
+def test_only_classical_tells_families_apart():
+    # every family-specific fact lives in classical's Family records; the one
+    # name test left is the lookup that rejects an unknown family
+    import nu_spectral
+
+    pattern = re.compile(r"family (==|in \()|unknown family")
+    hits = {
+        path.name: sum(bool(pattern.search(line)) for line in path.read_text().splitlines())
+        for path in Path(nu_spectral.__file__).parent.glob("*.py")
+    }
+    assert {name: n for name, n in hits.items() if n} == {"classical.py": 1}
