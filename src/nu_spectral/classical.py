@@ -247,27 +247,45 @@ def classify_canonical(phi, psi):
     """
     if psi.degree != 1:
         raise ParameterOutOfRange("psi must be exactly linear")
-    psi1 = psi.coeff(1)
+    return canonical_frame(phi)(psi)
+
+
+def canonical_frame(phi):
+    """psi -> classify_canonical(phi, psi) for one phi: phi's roots, and the
+    Jacobi scale and shift, are found once for every psi.  What
+    classify_canonical raises for phi itself is raised here; the returned
+    function raises what it raises for psi (psi must be linear)."""
     d = phi.degree
     if d is None:
         raise ParameterOutOfRange("phi must be nonzero")
 
     if d == 0:
-        ratio = -psi1 / (2 * phi.coeff(0))
-        if scalar_sign(ratio) <= 0:
-            raise ParameterOutOfRange("psi must decrease against constant phi")
-        sigma = _exact_or_float_sqrt(ratio)
-        shift = sigma * psi.coeff(0) / psi1
-        return CanonicalHde("hermite", None, None, sigma, shift, -psi1 / 2)
+        f0 = phi.coeff(0)
+
+        def hermite(psi):
+            psi1 = psi.coeff(1)
+            ratio = -psi1 / (2 * f0)
+            if scalar_sign(ratio) <= 0:
+                raise ParameterOutOfRange("psi must decrease against constant phi")
+            sigma = _exact_or_float_sqrt(ratio)
+            shift = sigma * psi.coeff(0) / psi1
+            return CanonicalHde("hermite", None, None, sigma, shift, -psi1 / 2)
+
+        return hermite
 
     if d == 1:
         f1 = phi.coeff(1)
         s0 = quad_roots(phi)[0]
-        sigma = -psi1 / f1
-        alpha = psi(s0) / f1 - 1
-        if scalar_sign(alpha + 1) <= 0:
-            raise ParameterOutOfRange(f"Laguerre exponent {alpha!r} is <= -1")
-        return CanonicalHde("laguerre", alpha, None, sigma, -sigma * s0, -psi1)
+
+        def laguerre(psi):
+            psi1 = psi.coeff(1)
+            sigma = -psi1 / f1
+            alpha = psi(s0) / f1 - 1
+            if scalar_sign(alpha + 1) <= 0:
+                raise ParameterOutOfRange(f"Laguerre exponent {alpha!r} is <= -1")
+            return CanonicalHde("laguerre", alpha, None, sigma, -sigma * s0, -psi1)
+
+        return laguerre
 
     if scalar_sign(quad_discriminant(phi)) <= 0:
         raise DoubleRootUnsupported(
@@ -283,13 +301,17 @@ def classify_canonical(phi, psi):
     sigma = 2 / as_exact(span) if not isinstance(span, float) else 2.0 / span
     shift = -(r1 + r2) / span
     kk = -f2
-    alpha = -1 - sigma * psi(r2) / (2 * kk)
-    beta = sigma * psi(r1) / (2 * kk) - 1
-    if scalar_sign(alpha + 1) <= 0 or scalar_sign(beta + 1) <= 0:
-        raise ParameterOutOfRange(
-            f"Jacobi exponents ({alpha!r}, {beta!r}) must exceed -1"
-        )
-    return CanonicalHde("jacobi", alpha, beta, sigma, shift, kk)
+
+    def jacobi(psi):
+        alpha = -1 - sigma * psi(r2) / (2 * kk)
+        beta = sigma * psi(r1) / (2 * kk) - 1
+        if scalar_sign(alpha + 1) <= 0 or scalar_sign(beta + 1) <= 0:
+            raise ParameterOutOfRange(
+                f"Jacobi exponents ({alpha!r}, {beta!r}) must exceed -1"
+            )
+        return CanonicalHde("jacobi", alpha, beta, sigma, shift, kk)
+
+    return jacobi
 
 
 def eigen_lambda(family, n, alpha=None, beta=None):

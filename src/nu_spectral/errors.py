@@ -68,6 +68,10 @@ class MaxTermsExceeded(NuSpectralError):
     """A series failed to converge within the term budget."""
 
 
+class SeriesOverflow(NuSpectralError):
+    """A series sum left the float range: its value is not finite."""
+
+
 class EmptySpectrum(NuSpectralError):
     """The requested potential binds no states at these parameters."""
 

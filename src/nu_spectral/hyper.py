@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MaxTermsExceeded, PoleAtNonPositiveInteger
+from .errors import MaxTermsExceeded, PoleAtNonPositiveInteger, SeriesOverflow
 
 SERIES_TOL = 1e-13
 MAX_TERMS = 10000
@@ -220,6 +220,10 @@ def _sum_series(uppers, c, z, regularized, tol, max_terms, what):
             streak = 0
     else:
         raise MaxTermsExceeded(f"{what} did not converge in {max_terms} terms")
+    # an infinite term leaves the total inf or nan, so one test after the
+    # loop catches every overflow; inf <= tol * inf would pass as converged
+    if not cmath.isfinite(total):
+        raise SeriesOverflow(f"{what} series left the float range after {n_used} terms")
     trunc = abs(last) / max(abs(total), 1e-300) if total != 0 else abs(last)
     return SeriesResult(total, n_used, trunc)
 

@@ -5,9 +5,10 @@ particular to its well: the change of variable s = tau(x), the reduced
 equation it produces, the normalization window and the scattering solver;
 no function here branches on the well's name, nor on a family's (the
 float recurrence and the x-measure norm come from classical.FAMILIES).
-Levels, their count, branches and norms are derived from the reduced
-equation (reduction.quantize) and checked exactly against the reduction
-identity and the classical eigenvalue.  A parameter, or a scale derived
+Levels, their count and branches are read from the reduced equation's
+ladder (reduction.Ladder), which derives them once, in closed form in n,
+and asserts the reduction identity once; each level is checked exactly
+against the classical eigenvalue.  A parameter, or a scale derived
 from them, that is zero or leaves the float range is a ValueError.  The
 systems:
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,13 +44,7 @@ from .errors import (
 from .hyper import _near_integer, hyp1f1, hyp2f1, limit_2f1_at_1
 from .oracle import FdGrid, fd_bound_states, quad_adaptive
 from .polynomials import HALF_LINE, REAL_LINE, UNIT_INTERVAL, Polynomial
-from .reduction import (
-    EpsAffinePoly,
-    GheProblem,
-    bound_canonical,
-    branch_candidates,
-    quantize,
-)
+from .reduction import EpsAffinePoly, GheProblem, bound_canonical, branch_candidates
 from .scalars import as_exact, scalar_float, sqrt_scalar
 
 X = Polynomial.x()
@@ -378,29 +372,19 @@ def pinned_branch(spec, eps):
 # -- bound spectra -------------------------------------------------------------
 
 
-def _level(spec, n):
-    br = quantize(spec.ghe, n)
-    if br is None:
-        raise ValueError(f"{spec.name}: level n={n} is not bound")
-    return br
-
-
 def eigenvalue_count(spec):
     """Number of bound states (math.inf for the confining well)."""
-    if not math.isfinite(spec.v_minus):
-        return math.inf
-    return next(n for n in itertools.count() if quantize(spec.ghe, n) is None)
+    return spec.ghe.ladder.count
 
 
 def eigen_eps(spec, n):
     """Exact reduced eigenvalue of the n-th bound state."""
-    return _level(spec, n).eps
+    return spec.ghe.ladder.branch(n).eps
 
 
-def bound_state(spec, n, *, _branch=None):
-    """The n-th bound state; bound_spectrum passes the branch of level n it
-    has already quantized as _branch."""
-    br = _level(spec, n) if _branch is None else _branch
+def bound_state(spec, n):
+    """The n-th bound state, from the reduced equation's ladder."""
+    br = spec.ghe.ladder.branch(n)
     canonical = br.canonical
     lam_target = eigen_lambda(canonical.family, n, canonical.alpha, canonical.beta)
     if canonical.lambda_canonical(br.lam) != lam_target:
@@ -510,25 +494,19 @@ def _state_sampler(spec, n, canonical, chi, log_norm):
 def bound_spectrum(spec, n_max=None):
     """All bound states (or the first n_max+1 of an infinite family).
 
-    One quantize walk over n = 0, 1, ... on one reduced equation finds each
-    level and its branch once.  Raises EmptySpectrum when the shape
+    The reduced equation's ladder gives the level count, solved once from
+    inequalities in n, and each level's branch in closed form; every state
+    is built through bound_state.  Raises EmptySpectrum when the shape
     parameters admit no bound state at all, and checks the strict ordering
     and region invariants before returning.
     """
-    if n_max is None and not math.isfinite(spec.v_minus):
+    count = eigenvalue_count(spec)
+    if n_max is None and count == math.inf:
         raise ValueError("confining potential: pass n_max to cap the family")
-    states = []
-    for n in itertools.count():
-        br = quantize(spec.ghe, n)
-        if br is None:
-            if n == 0:
-                raise EmptySpectrum(f"{spec.name}: no bound level clears the cutoff")
-            break
-        if n_max is not None and n > n_max:
-            break  # a negative cap keeps no level
-        states.append(bound_state(spec, n, _branch=br))
-        if n == n_max:
-            break
+    if count == 0:
+        raise EmptySpectrum(f"{spec.name}: no bound level clears the cutoff")
+    top = count if n_max is None else min(count, n_max + 1)  # a negative cap keeps no level
+    states = [bound_state(spec, n) for n in range(top)]
     v_min, v_minus = spec.region_edges[0], spec.region_edges[1]
     for lo_state, hi_state in zip(states, states[1:]):
         if not scalar_float(lo_state.eps) < scalar_float(hi_state.eps):

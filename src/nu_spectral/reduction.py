@@ -22,8 +22,15 @@ numerical near-zero.
 Branch admissibility (psi' < 0 with the root of psi inside the interval) is
 necessary, not sufficient; when several branches satisfy it the caller gets
 AmbiguousBranch and must disambiguate on integrability grounds
-(bound_canonical).  quantize solves lam = -n psi' - n(n-1) phi''/2 for the
-eps and the branch of level n.
+(bound_canonical).
+
+Quantization runs the other way: the Nikiforov-Uvarov condition lam =
+-n psi' - n(n-1) phi''/2 fixes eps for each n.  A GheProblem's ladder
+(Ladder) solves it once for every n: the x^2 match has the same
+discriminant at every level, so one square root gives p1, lam, p0 and eps
+in closed form in n, the x^2 match is asserted once as an identity in n,
+and the level count comes from exact inequalities in n.  quantize reads
+level n from it.
 """
 
 from __future__ import annotations
@@ -32,10 +39,10 @@ import cmath
 import functools
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .classical import classify_canonical
+from .classical import canonical_frame, classify_canonical
 from .errors import (
     AmbiguousBranch,
     DoubleRootUnsupported,
@@ -90,6 +97,11 @@ class GheProblem:
         elif self.phi.degree == 1:
             if self.interval.contains(quad_roots(self.phi)[0]):
                 raise ValueError("phi vanishes inside the working interval")
+
+    @functools.cached_property
+    def ladder(self):
+        """Every bound level of the equation (Ladder), derived on first read."""
+        return Ladder(self)
 
 
 @dataclass(frozen=True)
@@ -232,17 +244,6 @@ def build_p2(ghe, eps):
     return base, ghe.phi
 
 
-def solve_k0(ghe, eps):
-    """Values of k for which P2(x; k) is a perfect square (exact).
-
-    The discriminant of P2 in x is a quadratic in k; its real roots are
-    returned (two entries when the quadratic has two, possibly equal,
-    roots).  NoPerfectSquare when no real solution exists in the surd
-    field.
-    """
-    return _k0_roots(*build_p2(ghe, eps))
-
-
 def _k0_roots(base, kc):
     a0, b0, c0 = base.coeff(2), base.coeff(1), base.coeff(0)
     a1, b1, c1 = kc.coeff(2), kc.coeff(1), kc.coeff(0)
@@ -297,55 +298,58 @@ def _sqrt_of_square(p):
     return Polynomial((sqrt_scalar(as_exact(c)),))
 
 
-def _solve_log_derivative(p, phi, interval):
-    """Closed-form f with f'/f = p/phi, deg p <= 1, as a FactorizedFunction."""
+def _log_derivative_solver(phi, interval):
+    """p -> the closed-form f with f'/f = p/phi, deg p <= 1, as a
+    FactorizedFunction; phi's roots and their oriented bases are found once
+    for every p."""
     d = phi.degree
     if d == 0:
         scale = 1 / as_exact(phi.coeff(0))
-        return FactorizedFunction(exp_poly=(p * scale).antiderivative())
+        return lambda p: FactorizedFunction(exp_poly=(p * scale).antiderivative())
     if d == 1:
         f1 = phi.coeff(1)
         r = quad_roots(phi)[0]
-        expo = p(r) / f1
-        slope = p.coeff(1) / f1
-        exp_poly = Polynomial((0, slope)) if not scalar_is_zero(slope) else Polynomial()
-        return FactorizedFunction(
-            power_terms=((_oriented_base(r, interval), expo),),
-            exp_poly=exp_poly,
-        )
-    disc = quad_discriminant(phi)
-    if scalar_is_zero(disc):
+        base = _oriented_base(r, interval)
+
+        def linear(p):
+            slope = p.coeff(1) / f1
+            exp_poly = Polynomial((0, slope)) if not scalar_is_zero(slope) else Polynomial()
+            return FactorizedFunction(power_terms=((base, p(r) / f1),), exp_poly=exp_poly)
+
+        return linear
+    if scalar_is_zero(quad_discriminant(phi)):
         f2 = phi.coeff(2)
         r = quad_roots(phi)[0]
-        slope = p.coeff(1) / f2
-        terms = ()
-        if not scalar_is_zero(slope):
-            terms = ((_oriented_base(r, interval), slope),)
-        pr = p(r)
-        inv = ()
-        if not scalar_is_zero(pr):
-            inv = ((r, -pr / f2),)
-        return FactorizedFunction(power_terms=terms, inv_exp_terms=inv)
-    r1, r2 = quad_roots(phi)
+        base = _oriented_base(r, interval)
+
+        def double_root(p):
+            slope = p.coeff(1) / f2
+            terms = ((base, slope),) if not scalar_is_zero(slope) else ()
+            pr = p(r)
+            inv = ((r, -pr / f2),) if not scalar_is_zero(pr) else ()
+            return FactorizedFunction(power_terms=terms, inv_exp_terms=inv)
+
+        return double_root
     dphi = phi.derivative()
-    e1 = p(r1) / dphi(r1)
-    e2 = p(r2) / dphi(r2)
-    terms = []
-    if not scalar_is_zero(e1):
-        terms.append((_oriented_base(r1, interval), e1))
-    if not scalar_is_zero(e2):
-        terms.append((_oriented_base(r2, interval), e2))
-    return FactorizedFunction(power_terms=tuple(terms))
+    roots = tuple((_oriented_base(r, interval), r, dphi(r)) for r in quad_roots(phi))
+
+    def two_roots(p):
+        exponents = ((base, p(r) / slope) for base, r, slope in roots)
+        return FactorizedFunction(
+            power_terms=tuple((base, e) for base, e in exponents if not scalar_is_zero(e))
+        )
+
+    return two_roots
 
 
 def chi_from_pi(pi, phi, interval):
     """The multiplier chi with chi'/chi = pi/phi."""
-    return _solve_log_derivative(pi, phi, interval)
+    return _log_derivative_solver(phi, interval)(pi)
 
 
 def pearson_weight(phi, psi, interval):
     """Weight omega solving the Pearson equation (phi omega)' = psi omega."""
-    return _solve_log_derivative(psi - phi.derivative(), phi, interval)
+    return _log_derivative_solver(phi, interval)(psi - phi.derivative())
 
 
 def weight_tilde(ghe):
@@ -353,9 +357,7 @@ def weight_tilde(ghe):
     psi_t = phi' identically."""
     if ghe.psi_tilde == ghe.phi.derivative():
         return FactorizedFunction()
-    return _solve_log_derivative(
-        ghe.psi_tilde - ghe.phi.derivative(), ghe.phi, ghe.interval
-    )
+    return _log_derivative_solver(ghe.phi, ghe.interval)(ghe.psi_tilde - ghe.phi.derivative())
 
 
 def branch_candidates(ghe, eps):
@@ -446,37 +448,155 @@ def bound_canonical(ghe, psi):
 
 
 def quantize(ghe, n):
-    """The bound branch of level n, or None when level n is not bound.
+    """The bound branch of level n, or None when level n is not bound: a
+    read of the equation's ladder (GheProblem.ladder), which derives every
+    level at once.  The branch carries its canonical form.  ValueError
+    unless psi_tilde = phi' and eps enters phi_tilde(0) only, and when the
+    level condition has no real root."""
+    return ghe.ladder.level(n)
 
-    With pi = p0 + p1 x and lam = lam_n = -n psi' - n(n-1) phi''/2, the
-    reduction identity lam_n phi = pi^2 + p1 phi + phi_t(eps) (psi_t =
-    phi') is matched term by term: x^2 is a quadratic in p1, x^1 linear in
-    p0, x^0 linear in eps.  The root p1 whose psi passes bound_canonical
-    gives the level; p1 = 0 leaves psi' = phi'', which binds nothing.  The
-    returned branch carries the canonical form the predicate found.
+
+class Ladder:
+    """Every bound level of one reduced equation, derived once, in closed
+    form in n.
+
+    With pi = p0 + p1 x, psi_tilde = phi' and lam = lam_n = -n psi' -
+    n(n-1) phi''/2, the reduction identity lam phi = pi^2 + p1 phi +
+    phi_t(eps) is matched term by term: x^2 is a quadratic in p1, x^1
+    linear in p0, x^0 linear in eps.  The quadratic's discriminant f2^2 -
+    4 c2 is the same at every n, so one square root r serves every level.
+    Of its roots p1(n) = (-(2n+1) f2 -+ r)/2 only the lower can bind: a
+    bound level has p1 < 0 (psi' = 2 p1 < 0 when f2 = 0, and pi decreasing
+    from phi's lower root to its upper one when f2 < 0; f2 > 0 has no
+    classical form), and the upper root is nonnegative whenever f2 <= 0.
+    So p1(n) is affine in n, lam(n) quadratic, and with w = 2 p1 the
+    numerator P(n) = w p0 quadratic.  The x^2 match is asserted once, as an
+    identity of polynomials in n; x^1 and x^0 hold by construction, as p0
+    and eps are solved from them.
+
+    A level is bound when bound_canonical accepts its psi: psi decreases,
+    its zero lies inside the interval, and the weight exponent pi/phi' at
+    each root of phi is positive (with no root, pi/phi decreases).  With
+    w < 0, which all of that implies and which implies psi' < 0, each
+    condition is the sign of a polynomial of degree <= 2 in n.  count, the
+    first level that is not bound (math.inf when none is), is solved from
+    those inequalities with O(log count) exact sign tests each; no level is
+    derived to find it.
     """
-    phi, phi_t = ghe.phi, ghe.phi_tilde
-    if ghe.psi_tilde != phi.derivative() or phi_t.linear.degree != 0:
-        raise ValueError("quantization needs psi_tilde = phi' and eps in phi_tilde(0) only")
-    f0, f1, f2 = (phi.coeff(k) for k in range(3))
-    c0, c1, c2 = (phi_t.const.coeff(k) for k in range(3))
-    p1_roots = quad_roots(Polynomial.of(n * (n + 1) * f2 * f2 + c2, (2 * n + 1) * f2, 1))
-    found = []
-    for p1 in dict.fromkeys(p1_roots):  # a double root is one branch
-        if scalar_is_zero(p1):
-            continue
-        lam = -n * (2 * f2 + 2 * p1) - n * (n - 1) * f2  # psi' = phi'' + 2 p1
-        p0 = (lam * f1 - p1 * f1 - c1) / (2 * p1)
+
+    def __init__(self, ghe):
+        phi, phi_t = ghe.phi, ghe.phi_tilde
+        if ghe.psi_tilde != phi.derivative() or phi_t.linear.degree != 0:
+            raise ValueError("quantization needs psi_tilde = phi' and eps in phi_tilde(0) only")
+        self.ghe = ghe
+        f0, f1, f2 = (phi.coeff(k) for k in range(3))
+        c0, c1, c2 = (phi_t.const.coeff(k) for k in range(3))
+        disc = f2 * f2 - 4 * c2
+        if scalar_sign(disc) < 0:
+            raise ValueError("negative discriminant: roots leave the real field")
+        r = sqrt_scalar(disc)
+        try:
+            self._frame = canonical_frame(phi)
+        except (ParameterOutOfRange, DoubleRootUnsupported):
+            self.conditions = [(Polynomial(), 1)]  # no classical form: nothing is bound
+            self.count = 0
+            return
+        self._chi = _log_derivative_solver(phi, ghe.interval)
+        # p1 = (-(2n+1) f2 - r)/2, and lam = -n (2 f2 + 2 p1) - n(n-1) f2 = f2 n^2 + r n
+        self.p1 = p1 = Polynomial.of((-f2 - r) * Fraction(1, 2), -f2)
+        self.lam = lam = Polynomial.of(0, r, f2)
+        if lam * f2 != p1 * p1 + p1 * f2 + c2:
+            raise AssertionError(f"internal error: x^2 match violated; p1={p1!r}, lam={lam!r}")
+        w = 2 * p1
+        self.big_p = big_p = lam * f1 - p1 * f1 - c1  # w p0: the x^1 match
+        w_sq = w * w
+        dphi = phi.derivative()
+        # psi = phi' + 2 pi has the sign of phi' at a root of phi where
+        # pi/phi' > 0, so a finite end of the interval there needs no test
+        roots = [(x0, scalar_sign(dphi(x0))) for x0 in quad_roots(phi)] if phi.degree else []
+        ends = [
+            (x0, s)
+            for x0, s in ((ghe.interval.lo, 1), (ghe.interval.hi, -1))
+            if (not isinstance(x0, float) or math.isfinite(x0)) and (x0, s) not in roots
+        ]
+        # (q, s): sign(q(n)) = s; as w < 0, sign(w f) = -sign(f)
+        self.conditions = [(w, -1)]
+        self.conditions += [(w * dphi(x0) + 2 * big_p + w_sq * x0, -s) for x0, s in ends]
+        self.conditions += [(big_p + w_sq * (x0 * Fraction(1, 2)), -s) for x0, s in roots]
+        if not roots:
+            self.conditions.append((Polynomial.constant(f0), 1))  # pi/phi decreases
+        self.count = math.inf
+        for q, s in self.conditions:  # each search stops at the least failure found so far
+            self.count = _first_failure(q, s, 0, self.count)
+
+    def level(self, n):
+        """The bound branch of level n (quantize), or None."""
+        if n < 0 or (
+            n >= self.count and not all(scalar_sign(q(n)) == s for q, s in self.conditions)
+        ):
+            return None
+        ghe = self.ghe
+        p1, lam = self.p1(n), self.lam(n)
+        p0 = self.big_p(n) / (2 * p1)
+        # the x^0 match
+        eps = (lam * ghe.phi.coeff(0) - p0 * p0 - p1 * ghe.phi.coeff(0)
+               - ghe.phi_tilde.const.coeff(0)) / ghe.phi_tilde.linear.coeff(0)
         pi = Polynomial.of(p0, p1)
-        canonical = bound_canonical(ghe, ghe.psi_tilde + 2 * pi)
-        if canonical is None:
+        psi = ghe.psi_tilde + 2 * pi
+        return NuBranch(lam - p1, pi, psi, lam, self._chi(pi), eps, ghe, self._frame(psi))
+
+    def branch(self, n):
+        """The bound branch of level n; ValueError when it is not bound."""
+        br = self.level(n)
+        if br is None:
+            raise ValueError(f"level n={n} is not bound")
+        return br
+
+
+def _first_failure(q, want, lo, hi=math.inf):
+    """The least integer n in [lo, hi) with sign(q(n)) != want; hi if none
+    (or if the range is empty).
+
+    q is a polynomial in n of degree <= 2 with exact coefficients, so over
+    the integers it turns at most once, where its difference q(n+1) - q(n),
+    of degree <= 1, changes sign.  On each monotone stretch the failures
+    form a prefix or a suffix: an exact sign test at each end and a
+    bisection (after a doubling search on an unbounded stretch) find the
+    first one with O(log) tests.
+    """
+
+    if lo >= hi:
+        return hi
+
+    def fails(k):
+        return scalar_sign(q(k)) != want
+
+    cuts = [lo, hi]
+    if q.degree == 2:
+        step = q.compose_affine(1, 1) - q
+        turn = _first_failure(step, scalar_sign(step(lo)), lo, hi)
+        if turn < hi:
+            cuts.insert(1, turn)
+    for a, b in zip(cuts, cuts[1:]):
+        if fails(a):
+            return a
+        # a passes, so the failures on [a, b) are a suffix of it
+        if b == math.inf:
+            if not q.degree or scalar_sign(q.coeffs[-1]) == want:
+                continue  # q ends with the sign it has at a
+            size = 1
+            while not fails(a + size):
+                a, size = a + size, 2 * size
+            b = a + size
+        elif fails(b - 1):
+            b -= 1
+        else:
             continue
-        eps = (lam * f0 - p0 * p0 - p1 * f0 - c0) / phi_t.linear.coeff(0)
-        branch = _make_branch(ghe, eps, pi, lam)
-        found.append(replace(branch, canonical=canonical))
-    if len(found) > 1:
-        raise AmbiguousBranch(found)
-    return found[0] if found else None
+        while b - a > 1:  # a passes, b fails
+            mid = (a + b) // 2
+            a, b = (a, mid) if fails(mid) else (mid, b)
+        return b
+    return hi
 
 
 def select_branch(branches, interval):

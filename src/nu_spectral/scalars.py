@@ -238,9 +238,23 @@ class SurdSum:
     def inverse(self):
         """Exact multiplicative inverse.
 
-        Closes the radicand set under products and solves Y * X = 1 as a
-        rational linear system over that basis.
+        With one radical, 1/(a + b sqrt(d)) = (a - b sqrt(d)) / (a^2 - b^2 d);
+        with more, closes the radicand set under products and solves
+        Y * X = 1 as a rational linear system over that basis.
         """
+        cores = sorted(self._t)
+        if len(cores) == 1 or (len(cores) == 2 and cores[0] == 1):
+            d = cores[-1]
+            a, b = self._t.get(1, Fraction(0)), self._t[d]
+            norm = a * a - b * b * d  # nonzero: a core is never a perfect square
+            inv = SurdSum._wrap({1: a / norm, d: -b / norm})
+        else:
+            inv = self._basis_inverse()
+        if self * inv != 1:
+            raise ArithmeticError("inverse verification failed")
+        return inv
+
+    def _basis_inverse(self):
         basis = set(self._t) | {1}
         changed = True
         while changed:
@@ -265,11 +279,7 @@ class SurdSum:
         rhs = [Fraction(0)] * n
         rhs[index[1]] = Fraction(1)
         x = _solve_fraction_system(mat, rhs)
-        inv = SurdSum._wrap({blist[j]: x[j] for j in range(n)})
-        check = self * inv
-        if check != 1:
-            raise ArithmeticError("inverse verification failed")
-        return inv
+        return SurdSum._wrap({blist[j]: x[j] for j in range(n)})
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

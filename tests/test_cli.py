@@ -356,6 +356,19 @@ class TestEval:
         assert (code, out) == (2, "")
         assert "must be finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--fn", "2f1", "--a", "1e300", "--b", "1", "--c", "2", "--z", "0.5"),
+            ("--fn", "1f1", "--a", "1e300", "--c", "2", "--z", "0.5"),
+        ],
+        ids=["2f1", "1f1"],
+    )
+    def test_overflowing_series_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "SeriesOverflow" in err
+
     def test_pole_is_domain_error(self, capsys):
         code, _, err = run(
             capsys, "eval", "--fn", "2f1", "--a", "1", "--b", "2", "--c", "0", "--z", "0.5"

@@ -1,6 +1,7 @@
 """The package surface: lazy layer loading and what each layer imports."""
 
 import importlib
+import importlib.util
 import re
 import subprocess
 import sys
@@ -114,3 +115,43 @@ def test_only_classical_tells_families_apart():
         for path in Path(nu_spectral.__file__).parent.glob("*.py")
     }
     assert {name: n for name, n in hits.items() if n} == {"classical.py": 1}
+
+
+def _tracer_module():
+    """perfbench/tracer.py, loaded from its file (it imports only the
+    standard library)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the traced benchmark run patches these names from outside; one that
+    # no longer resolves breaks the traced run, not this package's own tests
+    tracer = _tracer_module()
+    for layer, name, _ in tracer._FUNCTIONS:
+        module = importlib.import_module(f"nu_spectral.{layer}")
+        assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    for layer, cls_name, attrs in tracer._OPERATORS:
+        cls = getattr(importlib.import_module(f"nu_spectral.{layer}"), cls_name)
+        missing = [attr for attr in attrs if attr not in cls.__dict__]
+        assert not missing, f"{layer}.{cls_name}: {missing}"
+    potentials = importlib.import_module("nu_spectral.potentials")
+    assert callable(potentials.bound_state) and callable(potentials.pinned_branch)
+
+
+def test_spectrum_states_come_through_the_module_bound_state(monkeypatch):
+    # the traced run wraps each state's sampler by replacing
+    # potentials.bound_state, so bound_spectrum must look it up there
+    potentials = importlib.import_module("nu_spectral.potentials")
+    original, levels = potentials.bound_state, []
+
+    def counted(spec, n):
+        levels.append(n)
+        return original(spec, n)
+
+    monkeypatch.setattr(potentials, "bound_state", counted)
+    states = potentials.bound_spectrum(potentials.morse(Lambda=3))
+    assert levels == [st.n for st in states] == [0, 1, 2]

@@ -622,57 +622,66 @@ class TestDerivedSpectra:
 
 
 class TestSingleQuantizationWalk:
-    """bound_spectrum quantizes each level once, on the spec's own reduced
-    equation."""
+    """bound_spectrum quantizes once per spectrum: it builds one ladder, on
+    the spec's own reduced equation, and one state per level it keeps,
+    each through the module-level bound_state."""
 
     @staticmethod
     def _counting(monkeypatch, spec):
-        """Counts quantize calls on spec.ghe itself apart from calls on any
-        other equation, which pass through to quantize all the same."""
-        calls = {"quantize": 0, "foreign": 0}
+        """Counts ladders built on spec.ghe apart from those built on any
+        other equation, and records the levels bound_state is asked for."""
+        calls = {"ladder": 0, "foreign": 0, "levels": []}
+        ladder, state = reduction.Ladder, potentials.bound_state
 
-        def quantize_counted(ghe, n):
-            calls["quantize" if ghe is spec.ghe else "foreign"] += 1
-            return quantize(ghe, n)
+        def ladder_counted(ghe):
+            calls["ladder" if ghe is spec.ghe else "foreign"] += 1
+            return ladder(ghe)
 
-        monkeypatch.setattr(potentials, "quantize", quantize_counted)
+        def state_counted(spec_, n):
+            calls["levels"].append(n)
+            return state(spec_, n)
+
+        monkeypatch.setattr(reduction, "Ladder", ladder_counted)
+        monkeypatch.setattr(potentials, "bound_state", state_counted)
         return calls
 
     @pytest.mark.parametrize(
-        "spec",
+        "make",
         [
-            morse(Lambda=5),
-            morse(Lambda=Fraction(81, 4)),
-            morse(De=200.0),
-            rosen_morse2(4, 0.5),
-            rosen_morse2(62, 0.35),
-            rosen_morse2(238, 0.51),
+            lambda: morse(Lambda=5),
+            lambda: morse(Lambda=Fraction(81, 4)),
+            lambda: morse(De=200.0),
+            lambda: rosen_morse2(4, 0.5),
+            lambda: rosen_morse2(62, 0.35),
+            lambda: rosen_morse2(238, 0.51),
         ],
         ids=["morse5", "morse81/4", "morseDe200", "rm2-4", "rm2-62", "rm2-238"],
     )
-    def test_finite_well_walks_count_plus_one_levels(self, monkeypatch, spec):
+    def test_finite_well_walks_count_plus_one_levels(self, monkeypatch, make):
+        spec = make()
         count = closed_form_count(spec)
         calls = self._counting(monkeypatch, spec)
         states = bound_spectrum(spec)
         assert len(states) == count
-        assert calls == {"quantize": count + 1, "foreign": 0}
+        assert calls == {"ladder": 1, "foreign": 0, "levels": list(range(count))}
+        assert eigenvalue_count(spec) == count and calls["ladder"] == 1
 
     def test_confining_well_walks_n_max_plus_one_levels(self, monkeypatch):
         spec = harmonic()
         calls = self._counting(monkeypatch, spec)
         states = bound_spectrum(spec, n_max=12)
         assert [st.n for st in states] == list(range(13))
-        assert calls == {"quantize": 13, "foreign": 0}
+        assert calls == {"ladder": 1, "foreign": 0, "levels": list(range(13))}
 
     def test_cap_below_the_count(self, monkeypatch):
         spec = morse(Lambda=20)
         calls = self._counting(monkeypatch, spec)
         assert len(bound_spectrum(spec, n_max=3)) == 4
-        assert calls == {"quantize": 4, "foreign": 0}
+        assert calls == {"ladder": 1, "foreign": 0, "levels": [0, 1, 2, 3]}
         assert bound_spectrum(spec, n_max=-1) == []
         with pytest.raises(EmptySpectrum):
             bound_spectrum(rosen_morse2(0.75, 0.5), n_max=-1)
-        assert calls == {"quantize": 5, "foreign": 1}
+        assert calls == {"ladder": 1, "foreign": 1, "levels": [0, 1, 2, 3]}
 
     def test_walk_builds_the_same_states_as_bound_state(self):
         for spec in (morse(De=200.0), rosen_morse2(62, 0.35)):

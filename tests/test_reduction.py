@@ -22,13 +22,13 @@ from nu_spectral.reduction import (
     EpsAffinePoly,
     FactorizedFunction,
     GheProblem,
+    _k0_roots,
     branch_candidates,
     build_p2,
     chi_from_pi,
     pearson_weight,
     reduce_ghe,
     select_branch,
-    solve_k0,
     weight_tilde,
 )
 from nu_spectral.scalars import SurdSum, as_exact, sqrt_scalar
@@ -87,7 +87,7 @@ def reduction_identity_defect(ghe, br):
 class TestParabolicWell:
     def test_k0_equals_eps(self):
         ghe = parabolic_well()
-        assert solve_k0(ghe, Fraction(5)) == [Fraction(5)]
+        assert _k0_roots(*build_p2(ghe, Fraction(5))) == [Fraction(5)]
 
     def test_selected_branch_fields(self):
         res = reduce_ghe(parabolic_well(), Fraction(5))
@@ -113,7 +113,7 @@ class TestParabolicWell:
 class TestExpRadialWell:
     def test_k0_pair(self):
         ghe = exp_radial_well(25)
-        k0s = solve_k0(ghe, Fraction(19, 4))
+        k0s = _k0_roots(*build_p2(ghe, Fraction(19, 4)))
         assert k0s == [Fraction(1, 2), Fraction(19, 2)]
 
     def test_selected_branch_ground_state(self):
@@ -135,7 +135,7 @@ class TestExpRadialWell:
 
     def test_surd_k0_when_gap_not_square(self):
         ghe = exp_radial_well(25)
-        k0s = solve_k0(ghe, Fraction(3))
+        k0s = _k0_roots(*build_p2(ghe, Fraction(3)))
         expected = sqrt_scalar(Fraction(22))
         assert k0s == [5 - expected, 5 + expected]
 
@@ -231,7 +231,7 @@ class TestK0Degeneracies:
             interval=REAL_LINE,
         )
         with pytest.raises(NoPerfectSquare):
-            solve_k0(ghe, Fraction(1))
+            _k0_roots(*build_p2(ghe, Fraction(1)))
 
     def test_constant_phi_tilde_degenerate(self):
         ghe = GheProblem(
@@ -241,7 +241,7 @@ class TestK0Degeneracies:
             interval=REAL_LINE,
         )
         with pytest.raises(NoPerfectSquare):
-            solve_k0(ghe, Fraction(1))
+            _k0_roots(*build_p2(ghe, Fraction(1)))
 
     def test_build_p2_shape(self):
         base, kcoef = build_p2(parabolic_well(), Fraction(2))
