@@ -13,10 +13,11 @@ the eigenvalue rescaling lam_c = lam / lambda_scale.  What is particular to
 each family is declared once, in its Family record (FAMILIES); every
 function here is a family_record lookup plus one generic loop.  Polynomial
 eigenfunctions are produced three independent ways, all in exact
-arithmetic including surd-valued alpha, beta: the terminating
-hypergeometric series (series_poly, O(n) operations for Hermite and
-Laguerre, the route bound states take), a differentiated Rodrigues product
-(rodrigues_poly) and the three-term recurrence (recurrence_poly), whose
+arithmetic including surd-valued alpha, beta: series_poly runs the
+canonical equation's own coefficient recurrence down from the
+Nikiforov-Uvarov leading coefficient (O(n) operations for every family,
+the route bound states take), rodrigues_poly differentiates the weight
+product, and recurrence_poly runs the three-term recurrence, whose
 operator-only step potentials.recurrence_values runs over float arrays.
 norm_sq gives their weighted norms in closed form.  Nothing here loads
 numpy; the quadrature checks of these polynomials live in oracle.
@@ -49,9 +50,12 @@ class Family(NamedTuple):
     Each callable takes the degree n (or the variable x) and then the
     family's weight exponents: none for Hermite, alpha for Laguerre, alpha
     and beta for Jacobi; exact for the polynomial data, floats for the
-    norms.  The recurrence step only applies operators to x, so x may be
-    Polynomial.x() or a float array.  log_x_norm_const is the norm under
-    the wells' x-measure du/phi_c, which holds when |tau'| = phi and u = s.
+    norms.  equation and rodrigues_factor alone fix the eigenpolynomials
+    (series_poly); eigen_lambda is their eigenvalue, declared so that the
+    solve path does not build the equation per level.  The recurrence step
+    only applies operators to x, so x may be Polynomial.x() or a float
+    array.  log_x_norm_const is the norm under the wells' x-measure
+    du/phi_c, which holds when |tau'| = phi and u = s.
     """
 
     interval: Interval
@@ -59,54 +63,15 @@ class Family(NamedTuple):
     equation: object  # *exps -> (phi, psi) of the canonical equation
     eigen_lambda: object  # n, *exps -> lam_c = -n psi' - n(n-1) phi''/2
     rodrigues_factor: object  # n -> factor in front of the Rodrigues derivative
-    series: object  # n, *exps -> P_n in the series variable t
     recurrence: object  # x, *exps -> (P_1(x), step(k, P_k, P_(k-1)) = P_(k+1))
     log_norm_sq: object  # n, *floats -> log of the integral of P_n^2 w du
     log_x_norm_const: object  # n, *floats -> -log of that integral in du/phi_c
-    series_var: tuple = (Fraction(1), Fraction(0))  # (c1, c0) with t = c1*u + c0
 
     def exact(self, alpha, beta):
         return tuple(map(as_exact, (alpha, beta)[: self.arity]))
 
     def floats(self, alpha, beta):
         return tuple(map(scalar_float, (alpha, beta)[: self.arity]))
-
-
-def _hermite_series(n):
-    # H_n = sum_m (-1)^m n! / (m! (n-2m)!) (2u)^(n-2m)
-    coeffs = [Fraction(0)] * (n + 1)
-    c = Fraction(2**n)
-    for m in range(n // 2 + 1):
-        k = n - 2 * m
-        coeffs[k] = c
-        c = c * Fraction(-k * (k - 1), 4 * (m + 1))
-    return Polynomial(coeffs)
-
-
-def _laguerre_series(n, a):
-    # from the top: c_n = (-1)^n / n!, c_{k-1} = -c_k k (alpha+k) / (n-k+1)
-    coeffs = [Fraction(0)] * (n + 1)
-    c = Fraction((-1) ** n, math.factorial(n))
-    for k in range(n, 0, -1):
-        coeffs[k] = c
-        c = c * (a + k) * Fraction(-k, n - k + 1)
-    coeffs[0] = c
-    return Polynomial(coeffs)
-
-
-def _jacobi_series(n, a, b):
-    """P_n^(alpha, beta) in t = (1-u)/2, from running Pochhammer products so
-    that no surd is ever inverted: the coefficients
-    d_k = (alpha+k+1)_(n-k) (-n)_k (n+alpha+beta+1)_k / (n! k!)."""
-    upper = [Fraction(1)] * (n + 1)
-    for k in range(n, 0, -1):
-        upper[k - 1] = upper[k] * (a + k)
-    coeffs, lower, denom = [], Fraction(1), math.factorial(n)
-    for k in range(n + 1):
-        coeffs.append(upper[k] * lower * Fraction(1, denom))
-        lower = lower * (k - n) * (n + a + b + 1 + k)
-        denom *= k + 1
-    return Polynomial(coeffs)
 
 
 def _hermite_recurrence(x):
@@ -159,7 +124,6 @@ FAMILIES = {
         equation=lambda: (Polynomial.of(1), Polynomial.of(0, -2)),
         eigen_lambda=lambda n: Fraction(2 * n),
         rodrigues_factor=lambda n: Fraction((-1) ** n),
-        series=_hermite_series,
         recurrence=_hermite_recurrence,
         log_norm_sq=_hermite_log_norm_sq,
         # phi_c = 1: the x-measure is the weighted one
@@ -171,7 +135,6 @@ FAMILIES = {
         equation=lambda a: (Polynomial.x(), Polynomial.of(1 + a, -1)),
         eigen_lambda=lambda n, a: Fraction(n),
         rodrigues_factor=lambda n: Fraction(1, math.factorial(n)),
-        series=_laguerre_series,
         recurrence=_laguerre_recurrence,
         log_norm_sq=_laguerre_log_norm_sq,
         # u^(alpha-1) e^-u: Gamma(n+alpha+1) / (n! alpha)
@@ -183,8 +146,6 @@ FAMILIES = {
         equation=lambda a, b: (Polynomial.of(1, 0, -1), Polynomial.of(b - a, -(a + b + 2))),
         eigen_lambda=lambda n, a, b: n * (n + a + b + 1),
         rodrigues_factor=lambda n: Fraction((-1) ** n, 2**n * math.factorial(n)),
-        series=_jacobi_series,
-        series_var=(Fraction(-1, 2), Fraction(1, 2)),
         recurrence=_jacobi_recurrence,
         log_norm_sq=_jacobi_log_norm_sq,
         # (1-u)^(alpha-1) (1+u)^(beta-1): 2^(alpha+beta-1) (1/alpha + 1/beta)
@@ -214,19 +175,13 @@ class CanonicalHde:
     shift: object
     lambda_scale: object
 
-    def to_canonical(self, x):
-        return self.scale * x + self.shift
-
     def lambda_canonical(self, lam):
         return lam / self.lambda_scale
 
     def polynomial(self, n):
-        """series_poly of degree n at u = scale*x + shift, expanded in x by
-        one composition from the series variable t = c1*u + c0."""
-        rec = family_record(self.family)
-        c1, c0 = rec.series_var
-        return rec.series(n, *rec.exact(self.alpha, self.beta)).compose_affine(
-            c1 * self.scale, c1 * self.shift + c0
+        """series_poly of degree n at u = scale*x + shift, expanded in x."""
+        return series_poly(self.family, n, self.alpha, self.beta).compose_affine(
+            self.scale, self.shift
         )
 
 
@@ -340,17 +295,48 @@ def rodrigues_poly(family, n, alpha=None, beta=None):
 
 
 def series_poly(family, n, alpha=None, beta=None):
-    """Degree-n eigenpolynomial from its terminating hypergeometric series.
+    """Degree-n eigenpolynomial in u from the family's canonical equation.
 
-    Neighbouring coefficients differ by the series' term ratio, so Hermite
-    and Laguerre cost O(n) exact operations.  Jacobi is the 2F1 series in
-    t = (1-u)/2, composed back to u.  The result equals rodrigues_poly
-    exactly.
+    With phi = f0 + f1 u + f2 u^2 and psi = g0 + g1 u, matching powers of u
+    in phi P'' + psi P' + lam_n P = 0 gives for the coefficients c_k
+
+        d_k c_k = -(k+1)(f1 k + g0) c_(k+1) - f0 (k+2)(k+1) c_(k+2),
+
+    d_k = lam_n - lam_k = (n-k)(-g1 - (n+k-1) f2), and the Rodrigues factor
+    B_n fixes c_n = B_n prod_(k<n) (g1 + (n+k-1) f2) (Nikiforov-Uvarov).
+    Written as c_k = e_k d_0 ... d_(k-1) the recurrence needs no division,
+
+        e_k = -(k+1)(f1 k + g0) e_(k+1) - f0 (k+2)(k+1) d_(k+1) e_(k+2),
+
+    from e_n = (-1)^n B_n / n!: O(n) exact products for every family, and
+    no surd is ever inverted.  The result equals rodrigues_poly exactly.  ParameterOutOfRange where some d_k = 0: a Jacobi
+    alpha + beta <= -2, at which c_n vanishes as well.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     rec = family_record(family)
-    return rec.series(n, *rec.exact(alpha, beta)).compose_affine(*rec.series_var)
+    exps = rec.exact(alpha, beta)
+    phi, psi = rec.equation(*exps)
+    f0, f1, f2 = phi.coeff(0), phi.coeff(1), phi.coeff(2)
+    g0, g1 = psi.coeff(0), psi.coeff(1)
+    gaps = [(n - k) * (-g1 - (n + k - 1) * f2) for k in range(n)]
+    if 0 in gaps:
+        raise ParameterOutOfRange(
+            f"{family} exponents {exps} fix no degree-{n} polynomial: "
+            f"lam_{gaps.index(0)} = lam_{n}"
+        )
+    gaps.append(Fraction(0))  # multiplies e_(n+1) = 0
+    e = [Fraction(0)] * (n + 2)
+    e[n] = rec.rodrigues_factor(n) * Fraction((-1) ** n, math.factorial(n))
+    for k in range(n - 1, -1, -1):
+        e[k] = -(k + 1) * (f1 * k + g0) * e[k + 1] - (
+            f0 * (k + 2) * (k + 1) * gaps[k + 1] * e[k + 2]
+        )
+    coeffs, below = [], Fraction(1)
+    for k in range(n + 1):
+        coeffs.append(e[k] * below)
+        below = below * gaps[k]
+    return Polynomial(coeffs)
 
 
 def recurrence_poly(family, n, alpha=None, beta=None):

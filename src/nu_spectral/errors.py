@@ -69,7 +69,7 @@ class MaxTermsExceeded(NuSpectralError):
 
 
 class SeriesOverflow(NuSpectralError):
-    """A series sum left the float range: its value is not finite."""
+    """A value the evaluation needs left the float range."""
 
 
 class EmptySpectrum(NuSpectralError):

@@ -13,7 +13,8 @@ Routes (documented crossovers, all for real argument z):
   an integer.
 * 1F1: direct series for z >= -8 (the alternating sum loses ~e^(2|z|)
   relative accuracy, acceptable in that range); e^z-reflected series
-  (13.2.39) further left.
+  (13.2.39) further left, and where that series overflows (z past ~-709)
+  the large-argument expansion (13.7.2) in 1/z, cut at its smallest term.
 * U: terminating polynomial form when a is a nonpositive integer; the
   divergent large-z asymptotic series (13.7.3), truncated at its smallest
   term, for z >= 20 when its truncation estimate meets tol; otherwise the
@@ -138,7 +139,8 @@ def _near_integer(z, tol=_INT_TOL):
 def gamma_fn(z):
     """Gamma function for real or complex arguments (Lanczos + reflection).
 
-    Raises PoleAtNonPositiveInteger at the poles.
+    Raises PoleAtNonPositiveInteger at the poles, and SeriesOverflow where
+    the Lanczos power t^(z+1/2) leaves the float range (Re z above ~142).
     """
     z = _to_number(z)
     if is_nonpositive_integer(z):
@@ -154,7 +156,10 @@ def gamma_fn(z):
         for i, ci in enumerate(_LANCZOS_C[1:], start=1):
             x += ci / (zc + i)
         t = zc + _LANCZOS_G + 0.5
-        val = math.sqrt(2.0 * math.pi) * t ** (zc + 0.5) * cmath.exp(-t) * x
+        try:
+            val = math.sqrt(2.0 * math.pi) * t ** (zc + 0.5) * cmath.exp(-t) * x
+        except OverflowError:
+            raise SeriesOverflow(f"gamma({z}) needs a power beyond the float range") from None
     if was_real:
         return val.real
     return val
@@ -344,10 +349,34 @@ def _hyp1f1_any(a, c, z, tol, max_terms, regularized):
     terminating = na is not None and na <= 0
     if zr < _1F1_REFLECT_BELOW and not terminating:
         # 1F1(a;c;z) = e^z 1F1(c-a; c; -z), with -z on the stable side
-        inner = _hyp1f1_any(c - a, c, -zr, tol, max_terms, regularized)
+        try:
+            inner = _hyp1f1_any(c - a, c, -zr, tol, max_terms, regularized)
+        except SeriesOverflow:
+            return _hyp1f1_far_left(a, c, -zr, tol, max_terms, regularized)
         value = math.exp(zr) * inner.value
         return SeriesResult(value, inner.terms_used, inner.truncation_estimate)
     return _sum_series((a,), c, zr, regularized, tol, max_terms, "1F1")
+
+
+def _hyp1f1_far_left(a, c, x, tol, max_terms, regularized):
+    """1F1(a; c; -x) where the reflected series overflows (x past ~709).
+
+    Kummer's transformation and the large-argument expansion (13.2.39,
+    13.7.2) give gamma(c)/gamma(c-a) x^-a 2F0(a, a-c+1; 1/x) up to a
+    relative O(e^-x), which is below the float range there.
+    """
+    total, n_used, trunc = _2f0_sum(a, c, 1.0 / x, tol, max_terms)
+    if trunc > tol:
+        raise MaxTermsExceeded(f"1F1 large-argument series stops at {trunc:.1e} relative")
+    try:
+        value = x ** (-a) * total * rgamma(c - a) * (1.0 if regularized else gamma_fn(c))
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise SeriesOverflow(f"1F1 at z = {-x} leaves the float range")
+    if all(map(_is_real, (a, c))) and isinstance(value, complex):
+        value = value.real
+    return SeriesResult(value, n_used, trunc)
 
 
 def hyp1f1_deriv_regularized(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
@@ -373,15 +402,15 @@ def _u_terminating(n, c, z, tol):
     return SeriesResult(value, n + 1, 0.0)
 
 
-def _u_asymptotic(a, c, z, tol, max_terms):
-    """Large-z asymptotic series z^-a 2F0(a, a-c+1; -1/z), smallest-term cut."""
-    a, c = _to_number(a), _to_number(c)
+def _2f0_sum(a, c, w, tol, max_terms):
+    """2F0(a, a-c+1; w) cut at its smallest term: the sum, the terms used
+    and the truncation estimate |smallest| / |sum|."""
     term = 1.0 if _is_real(a) and _is_real(c) else complex(1.0)
     total = term
     best = abs(term)
     n_used = 1
     for k in range(1, max_terms):
-        term = term * (a + k - 1.0) * (a - c + k) * (-1.0 / z) / k
+        term = term * (a + k - 1.0) * (a - c + k) * w / k
         if abs(term) >= best:
             break  # divergence sets in; stop at the smallest term
         total += term
@@ -389,13 +418,18 @@ def _u_asymptotic(a, c, z, tol, max_terms):
         n_used += 1
         if best <= tol * max(abs(total), 1e-300):
             break
+    return total, n_used, best / max(abs(total), 1e-300)
+
+
+def _u_asymptotic(a, c, z, tol, max_terms):
+    """Large-z asymptotic series z^-a 2F0(a, a-c+1; -1/z), smallest-term cut."""
+    a, c = _to_number(a), _to_number(c)
+    total, n_used, trunc = _2f0_sum(a, c, -1.0 / z, tol, max_terms)
     if _is_real(a):
         pref = z ** (-(a.real if isinstance(a, complex) else a))
     else:
         pref = z ** (-a)
-    value = pref * total
-    trunc = best / max(abs(total), 1e-300)
-    return SeriesResult(value, n_used, trunc)
+    return SeriesResult(pref * total, n_used, trunc)
 
 
 def hypU(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
@@ -421,12 +455,17 @@ def hypU(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
     # to a, stably since U is the minimal solution as a grows.  Run on the last
     # two exp-sinh levels, it gives U(a)'s own level change.
     m = max(0, math.floor(1.0 - _real_part(a)) + 1)
-    levels, evals = _u_laplace_levels(a + m, c, z, tol, max_terms)
+    try:
+        levels, evals = _u_laplace_levels(a + m, c, z, tol, max_terms)
+    except OverflowError:
+        raise SeriesOverflow(f"U integrand at ({a}, {c}, {z}) left the float range") from None
     values = []
     for u0, u1 in levels:
         for b in (a + k for k in range(m, 0, -1)):
             u0, u1 = (2.0 * b - c + z) * u0 - b * (b - c + 1.0) * u1, u0
         values.append(u0)
+    if not cmath.isfinite(values[1]):
+        raise SeriesOverflow(f"U({a}, {c}, {z}) left the float range in the recurrence")
     change = abs(values[1] - values[0]) / max(abs(values[1]), 1e-300)
     return SeriesResult(values[1], evals, change)
 
@@ -440,7 +479,7 @@ def _u_laplace_levels(b, c, z, tol, max_terms):
     s = exp(pi/2 sinh t) makes both ends decay double exponentially, and the
     step in t halves until a level moves both values by at most tol.  Terms
     carry the prefactor in their exponent, so only a U that itself overflows
-    or underflows can.
+    or underflows can; an overflow raises OverflowError.
     """
     cplx = not (_is_real(b) and _is_real(c))
     exp = cmath.exp if cplx else math.exp

@@ -41,7 +41,6 @@ from .errors import (
     NonFiniteEnergy,
     NoScatteringRegion,
 )
-from .hyper import _near_integer, hyp1f1, hyp2f1, limit_2f1_at_1
 from .oracle import FdGrid, fd_bound_states, quad_adaptive
 from .polynomials import HALF_LINE, REAL_LINE, UNIT_INTERVAL, Polynomial
 from .reduction import EpsAffinePoly, GheProblem, bound_canonical, branch_candidates
@@ -605,6 +604,8 @@ def scattering_states(spec, eps):
 
 
 def _morse_scattering(spec, eps):
+    from .hyper import hyp1f1  # the solve and verify paths never load hyper
+
     lamf = scalar_float(spec.exact["lam"])
     kappa = _complex_sqrt_of_gap(lamf * lamf, eps)  # purely imaginary here
     tau = spec.tau.forward
@@ -656,11 +657,15 @@ def morse_envelope_growth(spec, eps, s_anchor=40.0, s_step=8.0):
 def _bounded_limit_regime(a, b, c):
     """Whether t^0-side prefactors aside, F(a,b;c;t) stays bounded as the
     argument approaches 1."""
+    from .hyper import limit_2f1_at_1
+
     regime = limit_2f1_at_1(a, b, c).regime
     return regime in ("finite", "oscillatory")
 
 
 def _rosen_morse2_scattering(spec, eps):
+    from .hyper import _near_integer, hyp2f1, limit_2f1_at_1
+
     vm, vp = spec.v_minus, spec.v_plus
     km = _complex_sqrt_of_gap(vm, eps)  # purely imaginary: open channel at +inf
     kp = _complex_sqrt_of_gap(vp, eps)

@@ -142,40 +142,6 @@ class FactorizedFunction:
             result = result.real
         return result
 
-    def log_deriv(self, x):
-        """(d/dx log f)(x) evaluated in floats."""
-        total = 0.0
-        for base, expo in self.power_terms:
-            b = base.as_float()
-            total += float(expo) * b.derivative()(x) / b(x)
-        if not self.exp_poly.is_zero:
-            total += self.exp_poly.as_float().derivative()(x)
-        for root, coeff in self.inv_exp_terms:
-            total -= float(coeff) / (x - float(root)) ** 2
-        return total
-
-    def squared(self):
-        return FactorizedFunction(
-            tuple((b, 2 * e) for b, e in self.power_terms),
-            2 * self.exp_poly,
-            tuple((r, 2 * c) for r, c in self.inv_exp_terms),
-            self.prefactor * self.prefactor,
-        )
-
-    def times(self, other):
-        return FactorizedFunction(
-            self.power_terms + other.power_terms,
-            self.exp_poly + other.exp_poly,
-            self.inv_exp_terms + other.inv_exp_terms,
-            self.prefactor * other.prefactor,
-        )
-
-    @property
-    def is_constant(self):
-        return (
-            not self.power_terms and self.exp_poly.is_zero and not self.inv_exp_terms
-        )
-
 
 @dataclass(frozen=True)
 class NuBranch:

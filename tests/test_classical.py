@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -151,6 +152,65 @@ class TestSeriesRoute:
                 "jacobi", n, can.alpha, can.beta
             )
 
+    @staticmethod
+    def sweep(seed, family, n_max, count):
+        """(n, alpha, beta) draws: rational exponents, or one-radical surds
+        a + b sqrt(d), all above -1; the first two, one of each kind, at n = n_max."""
+        rng = random.Random(seed)
+        out = []
+        for i in range(count):
+            exps = []
+            while len(exps) < 2:
+                if i % 2:
+                    e = Fraction(rng.randint(-4, 6), rng.randint(1, 5)) + Fraction(
+                        rng.randint(1, 5), rng.randint(1, 4)
+                    ) * sqrt_scalar(Fraction(rng.choice([2, 3, 5, 7, 11])))
+                else:
+                    e = Fraction(rng.randint(-9, 60), rng.randint(1, 12))
+                if e > -1:
+                    exps.append(e)
+            out.append((n_max if i < 2 else rng.randint(0, n_max), *exps))
+        return [(n, *(a, b)[: family_record(family).arity]) for n, a, b in out]
+
+    @pytest.mark.parametrize(
+        "family,n_max,count", [("hermite", 60, 4), ("laguerre", 30, 10), ("jacobi", 30, 8)]
+    )
+    def test_seeded_sweep_three_routes(self, family, n_max, count):
+        for n, *exps in self.sweep(12, family, n_max, count):
+            p = series_poly(family, n, *exps)
+            assert p == rodrigues_poly(family, n, *exps), (n, exps)
+            assert p == recurrence_poly(family, n, *exps), (n, exps)
+
+    @pytest.mark.parametrize("family", ["hermite", "laguerre", "jacobi"])
+    def test_eigenvalue_gaps_are_the_series_divisors(self, family):
+        # the declared eigenvalue against the gaps the series reads from the
+        # equation, lam_n - lam_k = (n-k)(-psi' - (n+k-1) phi''/2), and
+        # against its closed form per family
+        rec = family_record(family)
+        for n, *exps in self.sweep(13, family, 30, 8):
+            phi, psi = rec.equation(*exps)
+            f2, g1 = phi.coeff(2), psi.coeff(1)
+            closed = {"hermite": 2 * n, "laguerre": n, "jacobi": n * (n + sum(exps) + 1)}
+            lam_n = eigen_lambda(family, n, *exps)
+            assert lam_n == closed[family]
+            for k in range(n):
+                gap = lam_n - eigen_lambda(family, k, *exps)
+                assert gap == (n - k) * (-g1 - (n + k - 1) * f2), (n, k, exps)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,n",
+        [(Fraction(-3, 2), Fraction(-3, 2), 2), (Fraction(-3, 2), Fraction(-5, 2), 2)],
+    )
+    def test_jacobi_without_own_polynomial_is_a_domain_error(self, alpha, beta, n):
+        # n + k + alpha + beta + 1 = 0 for some k < n: lam_k = lam_n and the
+        # leading coefficient vanishes, so the equation does not fix P_n;
+        # the two reference routes still return a polynomial there
+        with pytest.raises(ParameterOutOfRange):
+            series_poly("jacobi", n, alpha, beta)
+        rodrigues_poly("jacobi", n, alpha, beta)
+        recurrence_poly("jacobi", n, alpha, beta)
+        assert series_poly("jacobi", 1, alpha, beta) == rodrigues_poly("jacobi", 1, alpha, beta)
+
 
 def eigen_ode_residual(family, n, alpha=None, beta=None):
     rec = family_record(family)
@@ -204,7 +264,7 @@ class TestClassification:
         assert c.shift == Fraction(-1, 4)
         assert c.lambda_scale == 2
         # the map really sends psi to the canonical -2u
-        u = c.to_canonical(Fraction(3))
+        u = c.scale * Fraction(3) + c.shift
         assert Polynomial.of(1, -4)(Fraction(3)) / (2 * c.scale) == -2 * u
 
     def test_plain_laguerre(self):
@@ -242,7 +302,7 @@ class TestClassification:
         c = classify_canonical(phi, psi)
         assert c.family == "jacobi"
         assert c.scale == 1 and c.shift == -2
-        assert c.to_canonical(Fraction(2)) == 0
+        assert c.scale * Fraction(2) + c.shift == 0
         assert c.alpha == Fraction(-1, 2)
         assert c.beta == Fraction(1, 2)
 

@@ -361,13 +361,27 @@ class TestEval:
         [
             ("--fn", "2f1", "--a", "1e300", "--b", "1", "--c", "2", "--z", "0.5"),
             ("--fn", "1f1", "--a", "1e300", "--c", "2", "--z", "0.5"),
+            ("--fn", "2f1", "--a", "0.5", "--b", "0.3", "--c", "180.3", "--z", "0.995"),
+            ("--fn", "u", "--a", "0.5", "--c", "300.5", "--z", "0.5"),
+            ("--fn", "u", "--a", "-300.5", "--c", "2.5", "--z", "0.5"),
+            ("--fn", "hermite", "--nu", "300.5", "--z", "1.5"),
         ],
-        ids=["2f1", "1f1"],
+        ids=["2f1", "1f1", "2f1-gamma", "u-integrand", "u-recurrence", "hermite-gamma"],
     )
     def test_overflowing_series_is_domain_error(self, capsys, argv):
         code, out, err = run(capsys, "eval", *argv)
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and "SeriesOverflow" in err
+
+    def test_kummer_far_left_of_zero(self, capsys):
+        # the reflected series overflows past z ~ -709; the large-argument
+        # expansion gives the value
+        code, out, err = run(
+            capsys, "eval", "--fn", "1f1", "--a", "0.5", "--c", "1.5", "--z", "-800"
+        )
+        assert (code, err) == (0, "")
+        want = float(mpmath.hyp1f1(0.5, 1.5, -800))
+        assert abs(float(self.parse(out)["value"]) - want) <= 1e-12 * abs(want)
 
     def test_pole_is_domain_error(self, capsys):
         code, _, err = run(
@@ -546,7 +560,8 @@ class TestImports:
     def test_scipy_waits_for_the_oracle(self):
         # the sinc-DVR oracle needs numpy alone, so no subcommand loads scipy;
         # eval and reduce run exact or pure-Python layers, so they load no
-        # numpy either
+        # numpy either; only eval evaluates special functions, so only eval
+        # loads hyper
         for argv, numpy_loaded in (
             (["eval", "--fn", "hermite", "--nu", "3", "--z", "2"], False),
             (["reduce", HARMONIC_GHE, "--eps", "3"], False),
@@ -559,12 +574,16 @@ class TestImports:
                 "before = 'scipy' in sys.modules or 'numpy' in sys.modules; "
                 "from nu_spectral.cli import main; "
                 f"code = main({argv!r}); "
-                "print(code, before, 'scipy' in sys.modules, 'numpy' in sys.modules)"
+                "print(code, before, 'scipy' in sys.modules, 'numpy' in sys.modules, "
+                "'nu_spectral.hyper' in sys.modules)"
             )
             proc = subprocess.run(
                 [sys.executable, "-c", probe], capture_output=True, check=True, text=True
             )
-            assert proc.stdout.splitlines()[-1] == f"0 False False {numpy_loaded}", argv
+            hyper_loaded = argv[0] == "eval"
+            assert proc.stdout.splitlines()[-1] == (
+                f"0 False False {numpy_loaded} {hyper_loaded}"
+            ), argv
 
 
 class TestUsage:

@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate
 
 from nu_spectral import hyper
-from nu_spectral.errors import PoleAtNonPositiveInteger
+from nu_spectral.errors import MaxTermsExceeded, PoleAtNonPositiveInteger, SeriesOverflow
 from nu_spectral.hyper import (
     gamma_fn,
     hermite_fn,
@@ -272,6 +272,33 @@ def test_1f1_reflected_branch_accuracy():
     got = hyp1f1(a, c, -30.0).value
     want = math.exp(-30.0) * hyp1f1(c - a, c, 30.0).value
     assert rel_err(got, want) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "a,c,z",
+    [
+        (0.5, 1.5, -800.0),
+        (0.25, 0.5, -715.0),
+        (2.5, 3.25, -1500.0),
+        (-3.3, 4.1, -1500.0),
+        (0.75, 10.0, -5000.0),
+    ],
+)
+def test_1f1_far_left_matches_mpmath(a, c, z):
+    # the reflected series e^z 1F1(c-a; c; -z) overflows here; the
+    # large-argument expansion takes over
+    with pytest.raises(SeriesOverflow):
+        hyp1f1(c - a, c, -z)
+    for regularized, fn in ((False, hyp1f1), (True, hyp1f1_regularized)):
+        want = mpmath.hyp1f1(a, c, z) / (mpmath.gamma(c) if regularized else 1)
+        assert rel_err(fn(a, c, z).value, float(want)) < 1e-12
+
+
+def test_1f1_far_left_short_of_tolerance_raises():
+    # at x = 800 the expansion in 1/x cannot resolve a = -199.5; the
+    # value (9.5e221 by mpmath) is not returned at a lower accuracy
+    with pytest.raises(MaxTermsExceeded):
+        hyp1f1(-199.5, 1.5, -800.0)
 
 
 def test_u_terminating_is_laguerre():

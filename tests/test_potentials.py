@@ -691,9 +691,9 @@ class TestSingleQuantizationWalk:
                 assert st.norm_const_sq == solo.norm_const_sq
 
     def test_jacobi_single_composition_equals_two(self):
-        """The polynomial composed from t = (1-u)/2 straight to s equals the
-        series in u composed to s, at every level of seeded wells with surd
-        Jacobi exponents."""
+        """BoundState.poly and CanonicalHde.polynomial equal the series in u
+        composed to s, at every level of seeded wells with surd Jacobi
+        exponents."""
         rng = random.Random(4099)
         wells = [
             rosen_morse2(rng.uniform(20.0, 250.0), rng.uniform(0.1, 0.6))
