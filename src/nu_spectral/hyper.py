@@ -13,7 +13,8 @@ Routes (documented crossovers, all for real argument z):
   an integer.
 * 1F1: direct series for z >= -8 (the alternating sum loses ~e^(2|z|)
   relative accuracy, acceptable in that range); e^z-reflected series
-  (13.2.39) further left, and where that series overflows (z past ~-709)
+  (13.2.39) further left (times e^(z/2) twice where e^z is subnormal),
+  and where that series overflows (z past ~-709)
   the large-argument expansion (13.7.2) in 1/z, cut at its smallest term.
 * U: terminating polynomial form when a is a nonpositive integer; the
   divergent large-z asymptotic series (13.7.3), truncated at its smallest
@@ -27,7 +28,8 @@ Routes (documented crossovers, all for real argument z):
 
 Gamma is a Lanczos approximation (g = 7, 9 coefficients) with the
 reflection formula; the reciprocal variant returns exactly 0.0 at poles so
-degenerate prefactors annihilate terms instead of raising.
+degenerate prefactors annihilate terms instead of raising.  A power that
+alone leaves the float range is split in halves around its small factor.
 
 .. [dlmf] NIST Digital Library of Mathematical Functions, chapters 13, 15.
 .. [gst] A. Gil, J. Segura, N. M. Temme, Numerical Methods for Special
@@ -50,6 +52,8 @@ _STREAK = 3
 # crossover points, see module docstring
 _2F1_DIRECT_MAX = 0.99
 _1F1_REFLECT_BELOW = -8.0
+_FLOAT_MIN = 2.0**-1022  # the least normal float
+_EXP_SUBNORMAL_BELOW = math.log(_FLOAT_MIN)
 _U_ASYMPTOTIC_MIN = 20.0
 _HERMITE_U_ABOVE = 2.0
 _ES_STEP0 = 0.5  # exp-sinh node spacing at level 0
@@ -140,7 +144,7 @@ def gamma_fn(z):
     """Gamma function for real or complex arguments (Lanczos + reflection).
 
     Raises PoleAtNonPositiveInteger at the poles, and SeriesOverflow where
-    the Lanczos power t^(z+1/2) leaves the float range (Re z above ~142).
+    the value leaves the float range (real z above ~171.6).
     """
     z = _to_number(z)
     if is_nonpositive_integer(z):
@@ -159,7 +163,13 @@ def gamma_fn(z):
         try:
             val = math.sqrt(2.0 * math.pi) * t ** (zc + 0.5) * cmath.exp(-t) * x
         except OverflowError:
-            raise SeriesOverflow(f"gamma({z}) needs a power beyond the float range") from None
+            try:  # half of the power on each side of the small e^-t
+                half = t ** (0.5 * (zc + 0.5))
+            except OverflowError:
+                half = math.inf
+            val = math.sqrt(2.0 * math.pi) * half * cmath.exp(-t) * half * x
+            if not cmath.isfinite(val):
+                raise SeriesOverflow(f"gamma({z}) needs a power beyond the float range") from None
     if was_real:
         return val.real
     return val
@@ -302,8 +312,8 @@ def _hyp2f1_near_one(a, b, c, z, tol, max_terms, regularized):
     sc = complex(s)
     pref = math.pi / cmath.sin(math.pi * sc)
     bracket = (
-        rgamma(c - a) * rgamma(c - b) * f1.value
-        - (w ** sc) * rgamma(a) * rgamma(b) * f2.value
+        _times(rgamma(c - a), rgamma(c - b), f1.value)
+        - _times((w ** sc) * rgamma(a), rgamma(b), f2.value)
     )
     value = pref * bracket
     if not regularized:
@@ -315,6 +325,15 @@ def _hyp2f1_near_one(a, b, c, z, tol, max_terms, regularized):
         f1.terms_used + f2.terms_used,
         max(f1.truncation_estimate, f2.truncation_estimate),
     )
+
+
+def _times(g1, g2, v):
+    """g1 * g2 * v, with g2 * v formed first where g1 * g2 alone would
+    underflow (two reciprocal gammas at large c) though v makes up for it."""
+    head = g1 * g2
+    if g1 and g2 and abs(head) < _FLOAT_MIN:
+        return g1 * (g2 * v)
+    return head * v
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +372,10 @@ def _hyp1f1_any(a, c, z, tol, max_terms, regularized):
             inner = _hyp1f1_any(c - a, c, -zr, tol, max_terms, regularized)
         except SeriesOverflow:
             return _hyp1f1_far_left(a, c, -zr, tol, max_terms, regularized)
-        value = math.exp(zr) * inner.value
+        if zr < _EXP_SUBNORMAL_BELOW:  # e^z alone would lose digits
+            value = math.exp(0.5 * zr) * inner.value * math.exp(0.5 * zr)
+        else:
+            value = math.exp(zr) * inner.value
         return SeriesResult(value, inner.terms_used, inner.truncation_estimate)
     return _sum_series((a,), c, zr, regularized, tol, max_terms, "1F1")
 
@@ -371,7 +393,11 @@ def _hyp1f1_far_left(a, c, x, tol, max_terms, regularized):
     try:
         value = x ** (-a) * total * rgamma(c - a) * (1.0 if regularized else gamma_fn(c))
     except OverflowError:
-        value = math.inf
+        try:  # half of the power on each side of the small 1/gamma(c-a)
+            half = x ** (-0.5 * a)
+            value = half * total * rgamma(c - a) * half * (1.0 if regularized else gamma_fn(c))
+        except OverflowError:
+            value = math.inf
     if not cmath.isfinite(value):
         raise SeriesOverflow(f"1F1 at z = {-x} leaves the float range")
     if all(map(_is_real, (a, c))) and isinstance(value, complex):
@@ -558,23 +584,25 @@ def hermite_fn(nu, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
     nu, z = _to_number(nu), _to_number(z)
     zz = z * z
     if _is_real(nu) and _is_real(z) and _real_part(z) > _HERMITE_U_ABOVE:
-        u = hypU(-0.5 * nu, 0.5, zz, tol, max_terms)
-        value = 2.0 ** _real_part(nu) * u.value
-        return SeriesResult(value, u.terms_used, u.truncation_estimate)
-    e = hyp1f1(-0.5 * nu, 0.5, zz, tol, max_terms)
-    o = hyp1f1(0.5 * (1.0 - nu), 1.5, zz, tol, max_terms)
-    two_pow = cmath.exp(nu * math.log(2.0)) if not _is_real(nu) else 2.0**nu
-    value = (
-        two_pow
-        * math.sqrt(math.pi)
-        * (rgamma(0.5 * (1.0 - nu)) * e.value - 2.0 * z * rgamma(-0.5 * nu) * o.value)
-    )
-    if _is_real(nu) and _is_real(z) and isinstance(value, complex):
-        value = value.real
+        parts = (hypU(-0.5 * nu, 0.5, zz, tol, max_terms),)
+        value = 2.0 ** _real_part(nu) * parts[0].value
+    else:
+        parts = e, o = (
+            hyp1f1(-0.5 * nu, 0.5, zz, tol, max_terms),
+            hyp1f1(0.5 * (1.0 - nu), 1.5, zz, tol, max_terms),
+        )
+        two_pow = cmath.exp(nu * math.log(2.0)) if not _is_real(nu) else 2.0**nu
+        value = (
+            two_pow
+            * math.sqrt(math.pi)
+            * (rgamma(0.5 * (1.0 - nu)) * e.value - 2.0 * z * rgamma(-0.5 * nu) * o.value)
+        )
+        if _is_real(nu) and _is_real(z) and isinstance(value, complex):
+            value = value.real
+    if not cmath.isfinite(value):
+        raise SeriesOverflow(f"H_{nu}({z}) leaves the float range")
     return SeriesResult(
-        value,
-        e.terms_used + o.terms_used,
-        max(e.truncation_estimate, o.truncation_estimate),
+        value, sum(p.terms_used for p in parts), max(p.truncation_estimate for p in parts)
     )
 
 

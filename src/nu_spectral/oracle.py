@@ -59,7 +59,6 @@ import numpy as np
 from .classical import family_record, norm_sq, rodrigues_poly
 from .errors import CountMismatch, GridTooCoarse, NoConvergence
 from .reduction import pearson_weight
-from .scalars import scalar_float
 
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_GRID_RTOL = 1e-3
@@ -622,25 +621,24 @@ def tanh_sinh(g, a, b, tol=1e-12, max_level=10):
 
 def inner_product(family, p, q, alpha=None, beta=None, tol=1e-12, abs_tol=None):
     """Weighted integral of p*q over the family's canonical interval, with
-    the weight from Pearson's equation of its canonical equation.
+    the weight from Pearson's equation of its canonical equation, evaluated
+    by its log_value with each base read as the exact distance to the end
+    it vanishes at.
 
     Next to a finite end, where a negative exponent is singular, the
-    double-exponential rule runs on exact endpoint distances; an infinite
+    double-exponential rule runs on those distances; an infinite
     end uses adaptive quadrature, whose absolute target abs_tol loosens for
     integrals that cancel to a tiny fraction of their lobes.
     """
     rec = family_record(family)
     lo, hi = float(rec.interval.lo), float(rec.interval.hi)
     weight = pearson_weight(*rec.equation(*rec.exact(alpha, beta)), rec.interval)
-    # each base is x - end or end - x, the distance to the end it vanishes at
-    powers = [(base.coeff(1) > 0, scalar_float(e)) for base, e in weight.power_terms]
-    pf, qf, log_w = p.as_float(), q.as_float(), weight.exp_poly.as_float()
+    pf, qf = p.as_float(), q.as_float()
 
     def weighted(x, d_lo, d_hi):
-        w = np.exp(log_w(x)) * pf(x) * qf(x)
-        for at_lo, e in powers:
-            w = w * (d_lo if at_lo else d_hi) ** e
-        return w
+        # each base is x - lo or hi - x
+        log_w = weight.log_value(x, np.log, lambda c1, c0: d_lo if c1 > 0 else d_hi)
+        return np.exp(log_w) * pf(x) * qf(x)
 
     if math.isfinite(hi):  # a classical interval with a finite hi is (-1, 1)
         return tanh_sinh(weighted, lo, hi)

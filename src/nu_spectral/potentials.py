@@ -448,43 +448,25 @@ def _state_sampler(spec, n, canonical, chi, log_norm):
     """x -> exp(log_norm/2) * P_n(scale*tau(x) + shift) * chi(tau(x)).
 
     The polynomial comes from the family's float recurrence, never from
-    the expanded coefficients, and the weight goes through logs: each
-    linear factor of chi through the substitution's cancellation-free
-    affine form when it has one (the reduced variable saturates in floats
-    long before the weight's true decay runs out), else through its value
-    at s.  Elementwise, so one call evaluates a whole array of positions.
+    the expanded coefficients, and chi from chi.log_value added to the
+    recurrence's scale exponent, each base through the substitution's
+    cancellation-free affine form when it has one (the reduced variable
+    saturates in floats long before the weight's true decay runs out).
+    Elementwise, so one call evaluates a whole array of positions.
     """
-    tau = spec.tau.forward
-    stable = spec.tau.affine_value
+    tau, stable = spec.tau.forward, spec.tau.affine_value
     rec = family_record(canonical.family)
     recurrence, exps = rec.recurrence, rec.floats(canonical.alpha, canonical.beta)
     scale, shift = scalar_float(canonical.scale), scalar_float(canonical.shift)
-    pieces = tuple(
-        (scalar_float(base.coeff(1)), scalar_float(base.coeff(0)), scalar_float(expo))
-        for base, expo in chi.power_terms
-    )
-    exp_part = None if chi.exp_poly.is_zero else chi.exp_poly.as_float()
-    inv_terms = tuple(
-        (scalar_float(root), scalar_float(coeff)) for root, coeff in chi.inv_exp_terms
-    )
-    pref = scalar_float(chi.prefactor)
-    sign = math.copysign(1.0, pref)
-    log_head = 0.5 * log_norm + math.log(abs(pref))
 
     def sampler(x):
         xs = np.asarray(x, dtype=float)
         s = tau(xs)
         m, log_w = _scaled_recurrence(recurrence, n, scale * s + shift, exps)
-        log_w = log_w + log_head
+        base = None if stable is None else lambda c1, c0: stable(c1, c0, xs)
         with np.errstate(divide="ignore"):
-            for c1, c0, expo in pieces:
-                base = c1 * s + c0 if stable is None else stable(c1, c0, xs)
-                log_w = log_w + expo * np.log(base)
-        if exp_part is not None:
-            log_w = log_w + exp_part(s)
-        for root, coeff in inv_terms:
-            log_w = log_w + coeff / (s - root)
-        vals = sign * m * np.exp(log_w)
+            log_w = chi.log_value(s, np.log, base, log_w + 0.5 * log_norm)
+        vals = m * np.exp(log_w)
         return vals if vals.ndim else float(vals)
 
     return sampler

@@ -35,7 +35,6 @@ level n from it.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import re
@@ -109,38 +108,45 @@ class FactorizedFunction:
     """Product of linear-base powers, a polynomial exponential and
     reciprocal exponentials:
 
-        prefactor * prod base_i(x)^e_i * exp(poly(x)) * prod exp(c_j/(x-r_j))
+        prod base_i(x)^e_i * exp(poly(x)) * prod exp(c_j/(x-r_j))
 
-    Bases are linear polynomials oriented to be positive on the working
-    interval, so non-integer powers stay real where it matters.
+    Bases are linear polynomials oriented to be positive on the open
+    working interval, and f(x), the exponential of log_value, is defined
+    there.  log_value is the one float evaluator of a factor: callers that
+    need a logarithm, an array or a more accurate base go through it, not
+    through the terms.
     """
 
     power_terms: tuple = ()
     exp_poly: Polynomial = Polynomial()
     inv_exp_terms: tuple = ()
-    prefactor: object = Fraction(1)
+
+    @functools.cached_property
+    def _float_terms(self):
+        """The terms in floats: (c1, c0, e) per base c1 x + c0, the exponent
+        polynomial or None, (r, c) per reciprocal exponential."""
+        f = scalar_float
+        powers = tuple((f(b.coeff(1)), f(b.coeff(0)), f(e)) for b, e in self.power_terms)
+        poly = None if self.exp_poly.is_zero else self.exp_poly.as_float()
+        return powers, poly, tuple((f(r), f(c)) for r, c in self.inv_exp_terms)
+
+    def log_value(self, x, log=math.log, base_value=None, acc=0.0):
+        """acc + log f(x); elementwise over an array x with log=numpy.log.
+
+        base_value(c1, c0), when given, returns the base c1 x + c0 at x, for
+        a caller that knows it more accurately than the rounded x does.
+        """
+        powers, poly, inv = self._float_terms
+        for c1, c0, e in powers:
+            acc = acc + e * log(c1 * x + c0 if base_value is None else base_value(c1, c0))
+        if poly is not None:
+            acc = acc + poly(x)
+        for root, coeff in inv:
+            acc = acc + coeff / (x - root)
+        return acc
 
     def __call__(self, x):
-        result = scalar_float(self.prefactor)
-        for base, expo in self.power_terms:
-            bv = base.as_float()(x)
-            ev = expo if isinstance(expo, complex) else float(expo)
-            if isinstance(bv, complex) or isinstance(ev, complex) or bv <= 0:
-                if bv == 0:
-                    if (ev.real if isinstance(ev, complex) else ev) > 0:
-                        return 0.0
-                    raise ZeroDivisionError("power base vanishes with nonpositive exponent")
-                result = result * cmath.exp(ev * cmath.log(bv))
-            else:
-                result = result * bv**ev
-        if not self.exp_poly.is_zero:
-            pv = self.exp_poly.as_float()(x)
-            result = result * (cmath.exp(pv) if isinstance(pv, complex) else math.exp(pv))
-        for root, coeff in self.inv_exp_terms:
-            result = result * math.exp(float(coeff) / (x - float(root)))
-        if isinstance(result, complex) and result.imag == 0.0:
-            result = result.real
-        return result
+        return math.exp(self.log_value(x))
 
 
 @dataclass(frozen=True)
@@ -267,45 +273,32 @@ def _sqrt_of_square(p):
 def _log_derivative_solver(phi, interval):
     """p -> the closed-form f with f'/f = p/phi, deg p <= 1, as a
     FactorizedFunction; phi's roots and their oriented bases are found once
-    for every p."""
+    for every p.  A simple root r gets the residue p(r)/phi'(r) as its
+    exponent and the polynomial part of p/phi (p/f0, or p1/f1 for linear
+    phi) integrates into exp_poly; a double root gives base^(p1/f2) times
+    exp(-p(r)/(f2 (x - r))).  Zero exponents are dropped."""
+    def nonzero(terms):
+        return tuple((at, e) for at, e in terms if not scalar_is_zero(e))
+
     d = phi.degree
-    if d == 0:
-        scale = 1 / as_exact(phi.coeff(0))
-        return lambda p: FactorizedFunction(exp_poly=(p * scale).antiderivative())
-    if d == 1:
-        f1 = phi.coeff(1)
+    lead = phi.coeff(d)
+    if d == 2 and scalar_is_zero(quad_discriminant(phi)):
         r = quad_roots(phi)[0]
         base = _oriented_base(r, interval)
+        return lambda p: FactorizedFunction(
+            power_terms=nonzero([(base, p.coeff(1) / lead)]),
+            inv_exp_terms=nonzero([(r, -p(r) / lead)]),
+        )
+    dphi, steps = phi.derivative(), (1 / lead, 1 / (2 * lead))  # x^k/lead -> x^(k+1) steps[k]
+    roots = [(_oriented_base(r, interval), r, dphi(r)) for r in (quad_roots(phi) if d else ())]
 
-        def linear(p):
-            slope = p.coeff(1) / f1
-            exp_poly = Polynomial((0, slope)) if not scalar_is_zero(slope) else Polynomial()
-            return FactorizedFunction(power_terms=((base, p(r) / f1),), exp_poly=exp_poly)
-
-        return linear
-    if scalar_is_zero(quad_discriminant(phi)):
-        f2 = phi.coeff(2)
-        r = quad_roots(phi)[0]
-        base = _oriented_base(r, interval)
-
-        def double_root(p):
-            slope = p.coeff(1) / f2
-            terms = ((base, slope),) if not scalar_is_zero(slope) else ()
-            pr = p(r)
-            inv = ((r, -pr / f2),) if not scalar_is_zero(pr) else ()
-            return FactorizedFunction(power_terms=terms, inv_exp_terms=inv)
-
-        return double_root
-    dphi = phi.derivative()
-    roots = tuple((_oriented_base(r, interval), r, dphi(r)) for r in quad_roots(phi))
-
-    def two_roots(p):
-        exponents = ((base, p(r) / slope) for base, r, slope in roots)
+    def simple_roots(p):
         return FactorizedFunction(
-            power_terms=tuple((base, e) for base, e in exponents if not scalar_is_zero(e))
+            power_terms=nonzero((base, p(r) / slope) for base, r, slope in roots),
+            exp_poly=Polynomial((0, *(c * k for c, k in zip(p.coeffs[d:], steps)))),
         )
 
-    return two_roots
+    return simple_roots
 
 
 def chi_from_pi(pi, phi, interval):
@@ -319,11 +312,8 @@ def pearson_weight(phi, psi, interval):
 
 
 def weight_tilde(ghe):
-    """Weight of the input equation: (phi w)' = psi_t w; constant 1 when
-    psi_t = phi' identically."""
-    if ghe.psi_tilde == ghe.phi.derivative():
-        return FactorizedFunction()
-    return _log_derivative_solver(ghe.phi, ghe.interval)(ghe.psi_tilde - ghe.phi.derivative())
+    """Weight of the input equation: (phi w)' = psi_t w."""
+    return pearson_weight(ghe.phi, ghe.psi_tilde, ghe.interval)
 
 
 def branch_candidates(ghe, eps):

@@ -258,7 +258,6 @@ def gate_reduction_tables():
             }
             assert factor.exp_poly.is_zero
             assert not factor.inv_exp_terms
-            assert factor.prefactor == 1
         assert _branch_identity_holds(ghe, br)
     chosen = pinned_branch(spec, eps0)
     assert chosen.lam == 0

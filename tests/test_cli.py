@@ -63,6 +63,17 @@ class TestReduce:
         assert code == 3
         assert "NoPerfectSquare" in err
 
+    def test_zero_exponent_is_dropped(self, capsys):
+        # both branches have pi = +-x/2, which vanishes at phi's root x = 0, so
+        # chi carries no x^0 factor
+        code, out, _ = run(
+            capsys, "reduce", "phi=0,1 psi_tilde=1 phi_tilde=-9+eps,3,-1/4 interval=0,inf",
+            "--eps", "9",
+        )
+        assert code == 0
+        chis = [line.strip() for line in out.splitlines() if line.strip().startswith("chi = ")]
+        assert chis == ["chi = exp((1/2)*x)", "chi = exp((-1/2)*x)"]
+
     def test_interval_endpoints_one_apart_at_1e20(self, capsys):
         # the endpoints round to the same float; their order is decided
         # exactly, so the text parses and the reduction runs (the zero of
@@ -409,6 +420,17 @@ class TestVerify:
         spectrum = doc["checks"][0]
         assert spectrum["analytic_count"] == 5
         assert spectrum["oracle_count"] == 5
+
+    def test_capped_finite_well_compares_the_lowest_levels(self, capsys):
+        # Morse Lambda = 10 holds 10 levels; --n-max 2 compares the lowest 3
+        code, out, _ = run(
+            capsys, "verify", "--potential", "morse", "--params", "Lambda=10", "--n-max", "2"
+        )
+        assert code == 0, out
+        spectrum = json.loads(out)["checks"][0]
+        assert spectrum["pass"] is True
+        assert spectrum["analytic_count"] == spectrum["oracle_count"] == 3
+        assert spectrum["max_rel_err"] < 1e-8
 
     def test_deep_morse_passes(self, capsys):
         code, out, _ = run(

@@ -46,6 +46,18 @@ def test_gamma_matches_math_on_reals():
         assert rel_err(gamma_fn(x), math.gamma(x)) < 1e-12
 
 
+@pytest.mark.parametrize("z", [143.0, 150.0, 157.3, 165.5, 171.0, 171.5])
+def test_gamma_near_the_top_of_the_float_range_matches_mpmath(z):
+    # the Lanczos power alone overflows from z ~ 143; the value does not
+    assert rel_err(gamma_fn(z), mpmath.gamma(z)) < 1e-12
+
+
+@pytest.mark.parametrize("z", [171.7, 172.0, 300.0, 1e6])
+def test_gamma_beyond_the_float_range_raises(z):
+    with pytest.raises(SeriesOverflow):
+        gamma_fn(z)
+
+
 def test_gamma_integers_and_half_integers():
     assert rel_err(gamma_fn(7), 720.0) < 1e-14
     assert rel_err(gamma_fn(0.5), math.sqrt(math.pi)) < 1e-14
@@ -292,6 +304,46 @@ def test_1f1_far_left_matches_mpmath(a, c, z):
     for regularized, fn in ((False, hyp1f1), (True, hyp1f1_regularized)):
         want = mpmath.hyp1f1(a, c, z) / (mpmath.gamma(c) if regularized else 1)
         assert rel_err(fn(a, c, z).value, float(want)) < 1e-12
+
+
+def test_1f1_far_left_with_an_overflowing_power_matches_mpmath():
+    # x^-a alone is 20000^80.5 ~ 1e346; the value is 3.6e225
+    got = hyp1f1(-80.5, 1.5, -20000.0).value
+    assert rel_err(got, mpmath.hyp1f1(-80.5, 1.5, -20000)) < 1e-12
+
+
+@pytest.mark.parametrize("a,c,z", [(12.25, 24.75, -742.0), (3.5, 2.0, -720.0)])
+def test_1f1_reflection_where_exp_z_is_subnormal(a, c, z):
+    got = hyp1f1(a, c, z)
+    assert rel_err(got.value, mpmath.hyp1f1(a, c, z)) < 1e-12
+
+
+def test_1f1_reflection_sweep_below_exp_underflow():
+    rng = random.Random(5)
+    worst = 0.0
+    for _ in range(200):
+        a, c, z = rng.uniform(-20, 20), rng.uniform(0.5, 30), rng.uniform(-745, -700)
+        try:
+            got = hyp1f1(a, c, z).value
+        except MaxTermsExceeded:
+            continue  # reported, not a wrong number
+        worst = max(worst, rel_err(got, mpmath.hyp1f1(a, c, z)))
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("c", [120.5, 140.5, 150.5])
+def test_2f1_connection_at_large_c_matches_mpmath(c):
+    # the two reciprocal gammas of the connection formula underflow together
+    for fn, scale in ((hyp2f1, 1), (hyp2f1_regularized, mpmath.gamma(c))):
+        got = fn(0.5, 0.3, c, 0.995).value
+        assert rel_err(got, mpmath.hyp2f1(0.5, 0.3, c, 0.995) / scale) < 1e-12
+
+
+@pytest.mark.parametrize("nu,z", [(300.5, 1.5), (300.5, 2.5), (281.0, 0.3)])
+def test_hermite_past_the_float_range_raises(nu, z):
+    # |H_nu(z)| is above 1e300 here
+    with pytest.raises(SeriesOverflow):
+        hermite_fn(nu, z)
 
 
 def test_1f1_far_left_short_of_tolerance_raises():

@@ -1,5 +1,6 @@
 """The package surface: lazy layer loading and what each layer imports."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -115,6 +116,21 @@ def test_only_classical_tells_families_apart():
         for path in Path(nu_spectral.__file__).parent.glob("*.py")
     }
     assert {name: n for name, n in hits.items() if n} == {"classical.py": 1}
+
+
+def test_only_reduction_reads_factor_terms():
+    # FactorizedFunction.log_value is the one float evaluator of a factor;
+    # outside reduction only the renderer cli._factor_str reads the terms
+    import nu_spectral
+
+    terms = {"power_terms", "exp_poly", "inv_exp_terms"}
+    readers = set()
+    for path in Path(nu_spectral.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            nodes = ast.walk(top)
+            if any(isinstance(node, ast.Attribute) and node.attr in terms for node in nodes):
+                readers.add((path.name, getattr(top, "name", None)))
+    assert {r for r in readers if r[0] != "reduction.py"} == {("cli.py", "_factor_str")}
 
 
 def _tracer_module():

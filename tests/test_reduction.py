@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,12 +18,16 @@ from nu_spectral.polynomials import (
     UNIT_INTERVAL,
     Interval,
     Polynomial,
+    quad_discriminant,
+    quad_roots,
 )
 from nu_spectral.reduction import (
     EpsAffinePoly,
     FactorizedFunction,
     GheProblem,
     _k0_roots,
+    _log_derivative_solver,
+    _oriented_base,
     branch_candidates,
     build_p2,
     chi_from_pi,
@@ -31,7 +36,7 @@ from nu_spectral.reduction import (
     select_branch,
     weight_tilde,
 )
-from nu_spectral.scalars import SurdSum, as_exact, sqrt_scalar
+from nu_spectral.scalars import SurdSum, as_exact, scalar_is_zero, sqrt_scalar
 
 X = Polynomial.x()
 
@@ -425,3 +430,118 @@ def test_surd_branch_fields_stay_exact():
     assert br.k0 == 5 - gap
     assert br.lam == Fraction(9, 2) - gap
     assert br.chi.power_terms == ((X, gap),)
+
+
+def reference_solver(phi, interval):
+    """The four per-degree closures that solved f'/f = p/phi before the
+    residue formula, kept to check it against."""
+    d = phi.degree
+    if d == 0:
+        scale = 1 / as_exact(phi.coeff(0))
+        return lambda p: FactorizedFunction(exp_poly=(p * scale).antiderivative())
+    if d == 1:
+        f1 = phi.coeff(1)
+        r = quad_roots(phi)[0]
+        base = _oriented_base(r, interval)
+
+        def linear(p):
+            slope = p.coeff(1) / f1
+            exp_poly = Polynomial((0, slope)) if not scalar_is_zero(slope) else Polynomial()
+            return FactorizedFunction(power_terms=((base, p(r) / f1),), exp_poly=exp_poly)
+
+        return linear
+    if scalar_is_zero(quad_discriminant(phi)):
+        f2 = phi.coeff(2)
+        r = quad_roots(phi)[0]
+        base = _oriented_base(r, interval)
+
+        def double_root(p):
+            slope = p.coeff(1) / f2
+            terms = ((base, slope),) if not scalar_is_zero(slope) else ()
+            pr = p(r)
+            inv = ((r, -pr / f2),) if not scalar_is_zero(pr) else ()
+            return FactorizedFunction(power_terms=terms, inv_exp_terms=inv)
+
+        return double_root
+    dphi = phi.derivative()
+    roots = tuple((_oriented_base(r, interval), r, dphi(r)) for r in quad_roots(phi))
+
+    def two_roots(p):
+        exponents = ((base, p(r) / slope) for base, r, slope in roots)
+        return FactorizedFunction(
+            power_terms=tuple((base, e) for base, e in exponents if not scalar_is_zero(e))
+        )
+
+    return two_roots
+
+
+def _sweep_cases(rng):
+    """(phi, interval, p) over constant, linear, double-root and two-root
+    phi, with rational or one-radical surd coefficients; about a third of
+    the p vanish at a root of phi."""
+
+    def rational(nonzero=False):
+        while True:
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            if q or not nonzero:
+                return q
+
+    def number(k, nonzero=False):
+        q = rational(nonzero)
+        if k and rng.random() < 0.5:
+            q = q + rational(nonzero=True) * sqrt_scalar(Fraction(k))
+        return q
+
+    for _ in range(240):
+        k = rng.choice((0, 2, 3, 5))
+        kind = rng.choice(("constant", "linear", "double", "two"))
+        if kind == "constant":
+            phi, roots = Polynomial.of(number(k, nonzero=True)), []
+            interval = REAL_LINE
+        elif kind == "linear":
+            r = number(k)
+            phi, roots = number(k, nonzero=True) * (X - r), [r]
+            interval = rng.choice((Interval(r, math.inf), Interval(-math.inf, r)))
+        elif kind == "double":
+            r = number(k)
+            phi, roots = number(k, nonzero=True) * (X - r) * (X - r), [r]
+            interval = rng.choice((Interval(r, math.inf), Interval(-math.inf, r)))
+        else:
+            # rational roots, or a conjugate pair a +- b sqrt(k)
+            if k:
+                a, b = rational(), abs(rational(nonzero=True))
+                lo, hi = a - b * sqrt_scalar(Fraction(k)), a + b * sqrt_scalar(Fraction(k))
+            else:
+                lo, hi = sorted({rational(), rational()} | {Fraction(10)})[:2]
+            lead = rational(nonzero=True)
+            phi, roots = lead * (X - lo) * (X - hi), [lo, hi]
+            interval = rng.choice(
+                (Interval(lo, hi), Interval(hi, math.inf), Interval(-math.inf, lo))
+            )
+        if roots and rng.random() < 0.35:
+            p = number(k, nonzero=True) * (X - rng.choice(roots))
+        else:
+            p = Polynomial.of(number(k), number(k))
+        yield phi, interval, p
+
+
+def test_residue_formula_equals_the_per_degree_solvers():
+    zero_exponents = 0
+    for phi, interval, p in _sweep_cases(random.Random(13)):
+        got = _log_derivative_solver(phi, interval)(p)
+        want = reference_solver(phi, interval)(p)
+        kept = tuple((base, e) for base, e in want.power_terms if not scalar_is_zero(e))
+        zero_exponents += len(want.power_terms) - len(kept)
+        assert got.power_terms == kept, (phi, interval, p)
+        assert got.exp_poly == want.exp_poly, (phi, interval, p)
+        assert got.inv_exp_terms == want.inv_exp_terms, (phi, interval, p)
+    assert zero_exponents  # the one allowed difference is exercised
+
+
+def test_factor_call_is_the_exponential_of_its_log_value():
+    f = pearson_weight((X - 1) * (X - 1), Polynomial.of(-1, 3), Interval(1, math.inf))
+    for x in (1.5, 2.0, 4.0):
+        assert f(x) == math.exp(f.log_value(x))
+        assert f.log_value(x, acc=2.5) == pytest.approx(2.5 + f.log_value(x), rel=1e-15)
+        # a base_value hook replaces the base computed from x
+        assert f.log_value(x, base_value=lambda c1, c0: c1 * x + c0) == f.log_value(x)
