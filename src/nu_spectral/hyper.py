@@ -1,8 +1,8 @@
 """Gauss and confluent hypergeometric evaluation.
 
 The series routes share one engine: sum terms until three consecutive
-terms fall below ``tol`` relative to the running sum, give up at
-``max_terms``.  Every evaluator returns a SeriesResult carrying the value,
+terms fall below ``SERIES_TOL`` relative to the running sum, give up at
+``MAX_TERMS``.  Every evaluator returns a SeriesResult carrying the value,
 the number of terms consumed and a truncation estimate so callers can audit
 accuracy.
 
@@ -16,10 +16,11 @@ Routes (documented crossovers, all for real argument z):
   (13.2.39) further left (times e^(z/2) twice where e^z is subnormal),
   and where that series overflows (z past ~-709)
   the large-argument expansion (13.7.2) in 1/z, cut at its smallest term.
-* U: terminating polynomial form when a is a nonpositive integer; the
-  divergent large-z asymptotic series (13.7.3), truncated at its smallest
-  term, for z >= 20 when its truncation estimate meets tol; otherwise the
-  Laplace integral (13.4.4) by an exp-sinh rule, reached for Re a <= 1 by
+* U: terminating polynomial form when a is a nonpositive integer, where its
+  rounding bound certifies it to SERIES_TOL; the divergent large-z
+  asymptotic series (13.7.3), truncated at its smallest term, for z >= 20
+  when its truncation estimate meets SERIES_TOL; otherwise the Laplace
+  integral (13.4.4) by an exp-sinh rule, reached for Re a <= 1 by
   the downward recurrence in a (13.3.7), stable because U is its minimal
   solution [gst]_.  There terms_used counts integrand evaluations and the
   truncation estimate is the last change between exp-sinh levels.
@@ -60,6 +61,7 @@ _ES_STEP0 = 0.5  # exp-sinh node spacing at level 0
 _ES_TAIL = 40.0  # e-folds below the peak at which level 0 stops on each side
 _ES_HALF_PI = 0.5 * math.pi
 _INT_TOL = 1e-12
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -197,7 +199,7 @@ def pochhammer(a, n):
 # series engine
 
 
-def _sum_series(uppers, c, z, regularized, tol, max_terms, what):
+def _sum_series(uppers, c, z, regularized, what):
     """sum_n prod_p (p)_n / n! * z^n * [1/gamma(c+n) or 1/(c)_n] over the
     upper parameters p, (a, b) for 2F1 and (a,) for 1F1, with a
     three-small-terms stopping rule.
@@ -216,7 +218,7 @@ def _sum_series(uppers, c, z, regularized, tol, max_terms, what):
     last = 0.0
     streak = 0
     n_used = 0
-    for n in range(max_terms):
+    for n in range(MAX_TERMS):
         t = u * rgamma(c + n) if regularized else u
         for p in uppers:
             u = u * (p + n)
@@ -225,7 +227,7 @@ def _sum_series(uppers, c, z, regularized, tol, max_terms, what):
         last = t
         n_used = n + 1
         ref = abs(total)
-        if abs(t) <= tol * max(ref, 1e-300):
+        if abs(t) <= SERIES_TOL * max(ref, 1e-300):
             if total == 0 and t == 0 and n < leading_zero_allowance:
                 continue  # a degenerate prefactor has not kicked in yet
             streak += 1
@@ -234,9 +236,9 @@ def _sum_series(uppers, c, z, regularized, tol, max_terms, what):
         else:
             streak = 0
     else:
-        raise MaxTermsExceeded(f"{what} did not converge in {max_terms} terms")
+        raise MaxTermsExceeded(f"{what} did not converge in {MAX_TERMS} terms")
     # an infinite term leaves the total inf or nan, so one test after the
-    # loop catches every overflow; inf <= tol * inf would pass as converged
+    # loop catches every overflow; inf <= SERIES_TOL * inf would pass as converged
     if not cmath.isfinite(total):
         raise SeriesOverflow(f"{what} series left the float range after {n_used} terms")
     trunc = abs(last) / max(abs(total), 1e-300) if total != 0 else abs(last)
@@ -247,7 +249,7 @@ def _sum_series(uppers, c, z, regularized, tol, max_terms, what):
 # Gauss 2F1
 
 
-def hyp2f1(a, b, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
+def hyp2f1(a, b, c, z):
     """2F1(a, b; c; z) for real z < 1.
 
     Raises PoleAtNonPositiveInteger when c is a nonpositive integer (use
@@ -258,15 +260,15 @@ def hyp2f1(a, b, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
         raise PoleAtNonPositiveInteger(
             f"2F1 undefined at c = {c}; use hyp2f1_regularized"
         )
-    return _hyp2f1_any(a, b, c, z, tol, max_terms, regularized=False)
+    return _hyp2f1_any(a, b, c, z, regularized=False)
 
 
-def hyp2f1_regularized(a, b, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
+def hyp2f1_regularized(a, b, c, z):
     """2F1(a, b; c; z) / gamma(c), defined for every c."""
-    return _hyp2f1_any(a, b, c, z, tol, max_terms, regularized=True)
+    return _hyp2f1_any(a, b, c, z, regularized=True)
 
 
-def _hyp2f1_any(a, b, c, z, tol, max_terms, regularized):
+def _hyp2f1_any(a, b, c, z, regularized):
     a, b, c, z = map(_to_number, (a, b, c, z))
     if isinstance(z, complex):
         if z.imag != 0.0:
@@ -281,7 +283,7 @@ def _hyp2f1_any(a, b, c, z, tol, max_terms, regularized):
     if z < 0.0:
         # Pfaff: 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
         w = z / (z - 1.0)
-        inner = _hyp2f1_any(a, c - b, c, w, tol, max_terms, regularized)
+        inner = _hyp2f1_any(a, c - b, c, w, regularized)
         if _is_real(a):
             pref = (1.0 - z) ** (-(a.real if isinstance(a, complex) else a))
         else:
@@ -299,16 +301,16 @@ def _hyp2f1_any(a, b, c, z, tol, max_terms, regularized):
     # with integer c-a-b the connection formula is singular: the direct
     # series has to fight for convergence
     if z <= _2F1_DIRECT_MAX or terminating or _near_integer(c - a - b, 1e-9) is not None:
-        return _sum_series((a, b), c, z, regularized, tol, max_terms, "2F1")
-    return _hyp2f1_near_one(a, b, c, z, tol, max_terms, regularized)
+        return _sum_series((a, b), c, z, regularized, "2F1")
+    return _hyp2f1_near_one(a, b, c, z, regularized)
 
 
-def _hyp2f1_near_one(a, b, c, z, tol, max_terms, regularized):
+def _hyp2f1_near_one(a, b, c, z, regularized):
     """Connection formula in powers of 1-z, valid for non-integer c-a-b."""
     s = c - a - b
     w = 1.0 - z
-    f1 = _sum_series((a, b), a + b - c + 1.0, w, True, tol, max_terms, "2F1 connection")
-    f2 = _sum_series((c - a, c - b), s + 1.0, w, True, tol, max_terms, "2F1 connection")
+    f1 = _sum_series((a, b), a + b - c + 1.0, w, True, "2F1 connection")
+    f2 = _sum_series((c - a, c - b), s + 1.0, w, True, "2F1 connection")
     sc = complex(s)
     pref = math.pi / cmath.sin(math.pi * sc)
     bracket = (
@@ -340,7 +342,7 @@ def _times(g1, g2, v):
 # confluent
 
 
-def hyp1f1(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
+def hyp1f1(a, c, z):
     """Kummer's 1F1(a; c; z) for real z.
 
     Raises PoleAtNonPositiveInteger when c is a nonpositive integer.
@@ -349,15 +351,15 @@ def hyp1f1(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
         raise PoleAtNonPositiveInteger(
             f"1F1 undefined at c = {c}; use hyp1f1_regularized"
         )
-    return _hyp1f1_any(a, c, z, tol, max_terms, regularized=False)
+    return _hyp1f1_any(a, c, z, regularized=False)
 
 
-def hyp1f1_regularized(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
+def hyp1f1_regularized(a, c, z):
     """1F1(a; c; z) / gamma(c), entire in every parameter."""
-    return _hyp1f1_any(a, c, z, tol, max_terms, regularized=True)
+    return _hyp1f1_any(a, c, z, regularized=True)
 
 
-def _hyp1f1_any(a, c, z, tol, max_terms, regularized):
+def _hyp1f1_any(a, c, z, regularized):
     a, c, z = map(_to_number, (a, c, z))
     zr = z.real if isinstance(z, complex) else float(z)
     if isinstance(z, complex) and z.imag != 0.0:
@@ -369,26 +371,26 @@ def _hyp1f1_any(a, c, z, tol, max_terms, regularized):
     if zr < _1F1_REFLECT_BELOW and not terminating:
         # 1F1(a;c;z) = e^z 1F1(c-a; c; -z), with -z on the stable side
         try:
-            inner = _hyp1f1_any(c - a, c, -zr, tol, max_terms, regularized)
+            inner = _hyp1f1_any(c - a, c, -zr, regularized)
         except SeriesOverflow:
-            return _hyp1f1_far_left(a, c, -zr, tol, max_terms, regularized)
+            return _hyp1f1_far_left(a, c, -zr, regularized)
         if zr < _EXP_SUBNORMAL_BELOW:  # e^z alone would lose digits
             value = math.exp(0.5 * zr) * inner.value * math.exp(0.5 * zr)
         else:
             value = math.exp(zr) * inner.value
         return SeriesResult(value, inner.terms_used, inner.truncation_estimate)
-    return _sum_series((a,), c, zr, regularized, tol, max_terms, "1F1")
+    return _sum_series((a,), c, zr, regularized, "1F1")
 
 
-def _hyp1f1_far_left(a, c, x, tol, max_terms, regularized):
+def _hyp1f1_far_left(a, c, x, regularized):
     """1F1(a; c; -x) where the reflected series overflows (x past ~709).
 
     Kummer's transformation and the large-argument expansion (13.2.39,
     13.7.2) give gamma(c)/gamma(c-a) x^-a 2F0(a, a-c+1; 1/x) up to a
     relative O(e^-x), which is below the float range there.
     """
-    total, n_used, trunc = _2f0_sum(a, c, 1.0 / x, tol, max_terms)
-    if trunc > tol:
+    total, n_used, trunc = _2f0_sum(a, c, 1.0 / x)
+    if trunc > SERIES_TOL:
         raise MaxTermsExceeded(f"1F1 large-argument series stops at {trunc:.1e} relative")
     try:
         value = x ** (-a) * total * rgamma(c - a) * (1.0 if regularized else gamma_fn(c))
@@ -405,60 +407,70 @@ def _hyp1f1_far_left(a, c, x, tol, max_terms, regularized):
     return SeriesResult(value, n_used, trunc)
 
 
-def hyp1f1_deriv_regularized(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
+def hyp1f1_deriv_regularized(a, c, z):
     """d/dz of the regularized 1F1: a * 1F1reg(a+1; c+1; z)."""
-    inner = hyp1f1_regularized(a + 1, c + 1, z, tol, max_terms)
+    inner = hyp1f1_regularized(a + 1, c + 1, z)
     return SeriesResult(
         _to_number(a) * inner.value, inner.terms_used, inner.truncation_estimate
     )
 
 
-def _u_terminating(n, c, z, tol):
-    """U(-n, c, z) as the exact degree-n polynomial.
-
-    U(-n,c,z) = (-1)^n sum_k [(-n)_k / k!] (c+k)_{n-k} z^k, safe for any c.
-    """
+def _u_terminating(n, c, z):
+    """U(-n,c,z) = (-1)^n sum_k [(-n)_k / k!] (c+k)_{n-k} z^k, for any c; None
+    where its rounding bound (2n + 3) 2^-53 sum |t_k| exceeds SERIES_TOL
+    relative (the sum cancels), or where a term leaves the float range."""
     c, z = _to_number(c), _to_number(z)
     total = 0.0 if _is_real(c) else complex(0.0)
+    mass = 0.0  # sum |t_k|
     coeff = 1.0  # (-n)_k / k!
-    for k in range(n + 1):
-        total += coeff * pochhammer(c + k, n - k) * z**k
-        coeff *= (-n + k) / (k + 1.0)
+    try:
+        for k in range(n + 1):
+            t = coeff * pochhammer(c + k, n - k) * z**k
+            total += t
+            mass += abs(t)
+            coeff *= (-n + k) / (k + 1.0)
+    except OverflowError:
+        return None
+    if not mass < math.inf or (2 * n + 3) * _UNIT_ROUNDOFF * mass > SERIES_TOL * abs(total):
+        return None
     value = (-1.0) ** n * total
     return SeriesResult(value, n + 1, 0.0)
 
 
-def _2f0_sum(a, c, w, tol, max_terms):
+def _2f0_sum(a, c, w):
     """2F0(a, a-c+1; w) cut at its smallest term: the sum, the terms used
     and the truncation estimate |smallest| / |sum|."""
     term = 1.0 if _is_real(a) and _is_real(c) else complex(1.0)
     total = term
     best = abs(term)
     n_used = 1
-    for k in range(1, max_terms):
+    for k in range(1, MAX_TERMS):
         term = term * (a + k - 1.0) * (a - c + k) * w / k
         if abs(term) >= best:
             break  # divergence sets in; stop at the smallest term
         total += term
         best = abs(term)
         n_used += 1
-        if best <= tol * max(abs(total), 1e-300):
+        if best <= SERIES_TOL * max(abs(total), 1e-300):
             break
     return total, n_used, best / max(abs(total), 1e-300)
 
 
-def _u_asymptotic(a, c, z, tol, max_terms):
-    """Large-z asymptotic series z^-a 2F0(a, a-c+1; -1/z), smallest-term cut."""
+def _u_asymptotic(a, c, z):
+    """Large-z asymptotic series z^-a 2F0(a, a-c+1; -1/z), smallest-term cut;
+    SeriesOverflow where a value that meets SERIES_TOL leaves the float range."""
     a, c = _to_number(a), _to_number(c)
-    total, n_used, trunc = _2f0_sum(a, c, -1.0 / z, tol, max_terms)
-    if _is_real(a):
-        pref = z ** (-(a.real if isinstance(a, complex) else a))
-    else:
-        pref = z ** (-a)
-    return SeriesResult(pref * total, n_used, trunc)
+    total, n_used, trunc = _2f0_sum(a, c, -1.0 / z)
+    try:
+        value = z ** (-(_real_part(a) if _is_real(a) else a)) * total
+    except OverflowError:
+        value = math.inf
+    if trunc <= SERIES_TOL and not cmath.isfinite(value):
+        raise SeriesOverflow(f"U({a}, {c}, {z}) leaves the float range")
+    return SeriesResult(value, n_used, trunc)
 
 
-def hypU(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
+def hypU(a, c, z):
     """Tricomi's confluent U(a, c, z) for real z > 0 (routes: module docstring)."""
     a, c = (_real_part(v) if _is_real(v) else v for v in map(_to_number, (a, c)))
     z = _to_number(z)
@@ -471,10 +483,12 @@ def hypU(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
         raise ValueError("U evaluation requires z > 0")
     na = _near_integer(a)
     if na is not None and na <= 0:
-        return _u_terminating(-na, c, z, tol)
+        res = _u_terminating(-na, c, z)
+        if res is not None:
+            return res
     if z >= _U_ASYMPTOTIC_MIN:
-        res = _u_asymptotic(a, c, z, tol, max_terms)
-        if res.truncation_estimate <= tol:
+        res = _u_asymptotic(a, c, z)
+        if res.truncation_estimate <= SERIES_TOL:
             return res
     # the integral gives U(b) and U(b+1) at b = a + m in (1, 2] when Re a <= 1;
     # U(b-1) = (2b - c + z) U(b) - b (b - c + 1) U(b+1) (13.3.7) then runs down
@@ -482,7 +496,7 @@ def hypU(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
     # two exp-sinh levels, it gives U(a)'s own level change.
     m = max(0, math.floor(1.0 - _real_part(a)) + 1)
     try:
-        levels, evals = _u_laplace_levels(a + m, c, z, tol, max_terms)
+        levels, evals = _u_laplace_levels(a + m, c, z)
     except OverflowError:
         raise SeriesOverflow(f"U integrand at ({a}, {c}, {z}) left the float range") from None
     values = []
@@ -496,14 +510,14 @@ def hypU(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
     return SeriesResult(values[1], evals, change)
 
 
-def _u_laplace_levels(b, c, z, tol, max_terms):
+def _u_laplace_levels(b, c, z):
     """(U(b, c, z), U(b+1, c, z)) at the last two exp-sinh levels, Re b > 1,
     and the number of integrand evaluations.
 
     With s = z t, 13.4.4 reads U(b) = z^-b/gamma(b) int_0^inf e^-s s^(b-1)
     (1 + s/z)^(c-b-1) ds; U(b+1)'s integrand is that times s / (b (z + s)).
     s = exp(pi/2 sinh t) makes both ends decay double exponentially, and the
-    step in t halves until a level moves both values by at most tol.  Terms
+    step in t halves until a level moves both values by at most SERIES_TOL.  Terms
     carry the prefactor in their exponent, so only a U that itself overflows
     or underflows can; an overflow raises OverflowError.
     """
@@ -544,21 +558,21 @@ def _u_laplace_levels(b, c, z, tol, max_terms):
     while True:
         h *= 0.5
         evals += n
-        if evals > max_terms:
-            raise MaxTermsExceeded(f"U integral did not converge in {max_terms} evaluations")
+        if evals > MAX_TERMS:
+            raise MaxTermsExceeded(f"U integral did not converge in {MAX_TERMS} evaluations")
         for j in range(n):
             x, ch, q = node(lo + (2 * j + 1) * h)
             f = exp(x) * ch
             sf, sg = sf + f, sg + f * q
         n *= 2
         prev, last = last, (h * sf, h * sg)
-        if all(abs(v - u) <= tol * abs(v) for u, v in zip(prev, last)):
+        if all(abs(v - u) <= SERIES_TOL * abs(v) for u, v in zip(prev, last)):
             return [(_ES_HALF_PI * f, _ES_HALF_PI / b * g) for f, g in (prev, last)], evals
 
 
-def hypU_deriv(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
+def hypU_deriv(a, c, z):
     """d/dz U(a, c, z) = -a U(a+1, c+1, z)."""
-    inner = hypU(a + 1.0, c + 1.0, z, tol, max_terms)
+    inner = hypU(a + 1.0, c + 1.0, z)
     return SeriesResult(
         -_to_number(a) * inner.value, inner.terms_used, inner.truncation_estimate
     )
@@ -568,7 +582,7 @@ def hypU_deriv(a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
 # Hermite function of arbitrary (possibly complex) degree
 
 
-def hermite_fn(nu, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
+def hermite_fn(nu, z):
     """Hermite function H_nu(z) for arbitrary real or complex degree.
 
     For real nu and real z > 2 it is 2^nu U(-nu/2, 1/2, z^2).  Elsewhere it
@@ -584,13 +598,10 @@ def hermite_fn(nu, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
     nu, z = _to_number(nu), _to_number(z)
     zz = z * z
     if _is_real(nu) and _is_real(z) and _real_part(z) > _HERMITE_U_ABOVE:
-        parts = (hypU(-0.5 * nu, 0.5, zz, tol, max_terms),)
+        parts = (hypU(-0.5 * nu, 0.5, zz),)
         value = 2.0 ** _real_part(nu) * parts[0].value
     else:
-        parts = e, o = (
-            hyp1f1(-0.5 * nu, 0.5, zz, tol, max_terms),
-            hyp1f1(0.5 * (1.0 - nu), 1.5, zz, tol, max_terms),
-        )
+        parts = e, o = hyp1f1(-0.5 * nu, 0.5, zz), hyp1f1(0.5 * (1.0 - nu), 1.5, zz)
         two_pow = cmath.exp(nu * math.log(2.0)) if not _is_real(nu) else 2.0**nu
         value = (
             two_pow
@@ -640,7 +651,7 @@ def limit_2f1_at_1(a, b, c):
 # Wronskian defects for the confluent solution pairs
 
 
-def wronskian_defect(pair, a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
+def wronskian_defect(pair, a, c, z):
     """Deviation of the numerical Wronskian from its closed form.
 
     pair 'mm': {M*(a,c,z), z^(1-c) M*(a-c+1, 2-c, z)}, whose Wronskian is
@@ -654,18 +665,18 @@ def wronskian_defect(pair, a, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
     """
     a, c = _to_number(a), _to_number(c)
     z = float(z)
-    y1 = hyp1f1_regularized(a, c, z, tol, max_terms).value
-    d1 = hyp1f1_deriv_regularized(a, c, z, tol, max_terms).value
+    y1 = hyp1f1_regularized(a, c, z).value
+    d1 = hyp1f1_deriv_regularized(a, c, z).value
     if pair == "mm":
-        m2 = hyp1f1_regularized(a - c + 1.0, 2.0 - c, z, tol, max_terms).value
-        dm2 = hyp1f1_deriv_regularized(a - c + 1.0, 2.0 - c, z, tol, max_terms).value
+        m2 = hyp1f1_regularized(a - c + 1.0, 2.0 - c, z).value
+        dm2 = hyp1f1_deriv_regularized(a - c + 1.0, 2.0 - c, z).value
         cc = complex(c)
         y2 = z ** (1.0 - cc) * m2
         d2 = (1.0 - cc) * z ** (-cc) * m2 + z ** (1.0 - cc) * dm2
         closed = cmath.sin(math.pi * cc) * z ** (-cc) * math.exp(z) / math.pi
     elif pair == "mu":
-        y2 = hypU(a, c, z, tol, max_terms).value
-        d2 = hypU_deriv(a, c, z, tol, max_terms).value
+        y2 = hypU(a, c, z).value
+        d2 = hypU_deriv(a, c, z).value
         closed = -(z ** (-complex(c))) * math.exp(z) * rgamma(a)
     else:
         raise ValueError(f"unknown Wronskian pair {pair!r}")

@@ -63,6 +63,9 @@ from .reduction import pearson_weight
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_GRID_RTOL = 1e-3
 QUAD_MAX_SUBINTERVALS = 200
+TANH_SINH_TOL = 1e-12  # relative change between levels at which tanh_sinh stops
+TANH_SINH_LEVELS = 10  # halvings of the step tanh_sinh tries before giving up
+INNER_PRODUCT_TOL = 1e-12  # relative target of inner_product's adaptive tail
 
 SAMPLING = 2.0  # pi/h over the largest local wavenumber sqrt(E_ref - min v)
 TARGET = 1e-2  # each wall and the spacing may add this fraction of rtol
@@ -576,7 +579,7 @@ def quad_adaptive(f, lo, hi, tol=DEFAULT_QUAD_TOL, abs_tol=None):
         errs = np.concatenate([errs[keep], new_e])
 
 
-def tanh_sinh(g, a, b, tol=1e-12, max_level=10):
+def tanh_sinh(g, a, b):
     """Tanh-sinh quadrature on (a, b) for endpoint-singular integrands.
 
     g is called as g(x, d_lo, d_hi) with three float arrays of the same
@@ -607,19 +610,19 @@ def tanh_sinh(g, a, b, tol=1e-12, max_level=10):
 
     h = 1.0
     total = h * level_sum(np.arange(-int(t_max), int(t_max) + 1) * h)
-    for level in range(1, max_level + 1):
+    for level in range(1, TANH_SINH_LEVELS + 1):
         h *= 0.5
         j_top = int(t_max / h)
         j_start = -j_top if j_top % 2 else -j_top + 1  # odd multiples only
         add = level_sum(np.arange(j_start, j_top + 1, 2) * h)
         new_total = 0.5 * total + h * add
-        if level >= 3 and abs(new_total - total) <= tol * max(1.0, abs(new_total)):
+        if level >= 3 and abs(new_total - total) <= TANH_SINH_TOL * max(1.0, abs(new_total)):
             return new_total
         total = new_total
     raise NoConvergence("tanh-sinh rule did not settle within the level budget")
 
 
-def inner_product(family, p, q, alpha=None, beta=None, tol=1e-12, abs_tol=None):
+def inner_product(family, p, q, alpha=None, beta=None, abs_tol=None):
     """Weighted integral of p*q over the family's canonical interval, with
     the weight from Pearson's equation of its canonical equation, evaluated
     by its log_value with each base read as the exact distance to the end
@@ -646,7 +649,7 @@ def inner_product(family, p, q, alpha=None, beta=None, tol=1e-12, abs_tol=None):
     if math.isfinite(lo):
         head, start = tanh_sinh(weighted, lo, lo + 1.0), lo + 1.0
     tail = quad_adaptive(
-        lambda x: weighted(x, x - lo, hi - x), start, hi, tol=tol, abs_tol=abs_tol
+        lambda x: weighted(x, x - lo, hi - x), start, hi, INNER_PRODUCT_TOL, abs_tol
     )
     return head + tail
 

@@ -44,7 +44,7 @@ from .errors import (
 from .oracle import FdGrid, fd_bound_states, quad_adaptive
 from .polynomials import HALF_LINE, REAL_LINE, UNIT_INTERVAL, Polynomial
 from .reduction import EpsAffinePoly, GheProblem, bound_canonical, branch_candidates
-from .scalars import as_exact, scalar_float, sqrt_scalar
+from .scalars import as_exact, scalar_float, scalar_sign, sqrt_scalar
 
 X = Polynomial.x()
 
@@ -72,7 +72,7 @@ class PotentialSpec:
     tau: ChangeOfVariable
     ghe: GheProblem
     reduced_potential: object
-    region_edges: tuple  # (v_min, v_minus, v_plus)
+    region_edges: tuple  # exact (v_min, v_minus, v_plus); math.inf for no plateau
     energy_scale: float  # physical E = energy_scale * eps
     coordinate_scale: float  # physical-coordinate norm = this * reduced norm
     # (lo, hi, points): the oracle's starting box and largest basis; lo:hi
@@ -86,11 +86,11 @@ class PotentialSpec:
 
     @property
     def v_minus(self):
-        return self.region_edges[1]
+        return scalar_float(self.region_edges[1])
 
     @property
     def v_plus(self):
-        return self.region_edges[2]
+        return scalar_float(self.region_edges[2])
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def harmonic(m=1.0, Omega=1.0, hbar=1.0):
             interval=REAL_LINE,
         ),
         reduced_potential=lambda x: x * x,
-        region_edges=(0.0, math.inf, math.inf),
+        region_edges=(Fraction(0), math.inf, math.inf),
         energy_scale=_derived_scale("the energy unit", lambda: hbar * Omega / 2.0),
         coordinate_scale=_derived_scale("the inverse length unit", lambda: 1.0 / x0),
         fd_box=(-10.0, 10.0, 1200),
@@ -237,7 +237,7 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
             interval=HALF_LINE,
         ),
         reduced_potential=lambda x: lamf2 * (1.0 - b * np.exp(-x)) ** 2,
-        region_edges=(0.0, lamf2, math.inf),
+        region_edges=(Fraction(0), lam_sq, math.inf),
         energy_scale=_derived_scale("the energy unit", lambda: a * a * hbar * hbar / (2.0 * m)),
         coordinate_scale=a,
         fd_box=(a * xe - 2.0, a * xe + 12.0, 1200),
@@ -276,6 +276,7 @@ def rosen_morse2(v0, mu):
     vm = v0x * (1 - t) / (1 + t)  # lower plateau, at x -> +inf
     vp = v0x * (1 + t) / (1 - t)  # upper plateau, at x -> -inf
     cf, tf = _derived_scale("v0 cosh^2(mu)", lambda: csq), scalar_float(t)
+    _derived_scale("the upper plateau", lambda: vp)
     shifted = X - Polynomial.constant(t)
 
     spec = PotentialSpec(
@@ -296,7 +297,7 @@ def rosen_morse2(v0, mu):
             interval=UNIT_INTERVAL,
         ),
         reduced_potential=lambda x: cf * (np.tanh(x) - tf) ** 2,
-        region_edges=(0.0, scalar_float(vm), _derived_scale("the upper plateau", lambda: vp)),
+        region_edges=(Fraction(0), vm, vp),
         energy_scale=1.0,
         coordinate_scale=1.0,
         fd_box=(-15.0, 15.0, 1200),
@@ -314,14 +315,14 @@ WELLS = {"harmonic": harmonic, "morse": morse, "rosen_morse2": rosen_morse2}
 # -- declared-substitution and branch-selection verification ------------------
 
 
-def _verify_declared_substitution(spec, probe_eps=Fraction(1)):
+def _verify_declared_substitution(spec):
     """Check numerically that s = tau(x) really maps -psi'' + v psi = eps psi
-    onto the declared equation coefficients; a mismatch means the declared
-    table row and the declared substitution disagree."""
+    onto the declared equation coefficients, at eps = 1; a mismatch means the
+    declared table row and the declared substitution disagree."""
     ghe = spec.ghe
     phi = ghe.phi.as_float()
     psi_t = ghe.psi_tilde.as_float()
-    phi_t = ghe.phi_tilde.at(probe_eps).as_float()
+    phi_t = ghe.phi_tilde.at(Fraction(1)).as_float()
     h = 1e-5
     # moderate abscissas: far enough out to probe shape, close enough in
     # that the slope has not collapsed below finite-difference resolution
@@ -336,7 +337,7 @@ def _verify_declared_substitution(spec, probe_eps=Fraction(1)):
                 f"{spec.name}: declared slope disagrees with psi_t/phi at x={x}"
             )
         lhs2 = phi_t(s) / phi(s) ** 2
-        rhs2 = (float(probe_eps) - float(spec.reduced_potential(x))) / dtau**2
+        rhs2 = (1.0 - float(spec.reduced_potential(x))) / dtau**2
         if abs(lhs2 - rhs2) > 1e-7 * max(1.0, abs(rhs2)):
             raise ValueError(
                 f"{spec.name}: declared equation disagrees with eps - v at x={x}"
@@ -490,18 +491,17 @@ def bound_spectrum(spec, n_max=None):
     states = [bound_state(spec, n) for n in range(top)]
     v_min, v_minus = spec.region_edges[0], spec.region_edges[1]
     for lo_state, hi_state in zip(states, states[1:]):
-        if not scalar_float(lo_state.eps) < scalar_float(hi_state.eps):
+        if scalar_sign(hi_state.eps - lo_state.eps) <= 0:
             raise RuntimeError(f"{spec.name}: spectrum not strictly increasing")
     for st in states:
-        ef = scalar_float(st.eps)
-        if not v_min < ef < v_minus:
+        if scalar_sign(st.eps - v_min) <= 0 or scalar_sign(v_minus - st.eps) <= 0:
             raise RuntimeError(
-                f"{spec.name}: eps_{st.n}={ef} escapes the bound region"
+                f"{spec.name}: eps_{st.n}={scalar_float(st.eps)} escapes the bound region"
             )
     return states
 
 
-def oracle_spectrum(spec, k_max=None, grid=None, rtol=1e-3):
+def oracle_spectrum(spec, k_max=None, grid=None):
     """Sinc-DVR eigenvalues below the lower plateau.  The oracle starts from
     the potential's default box (or a caller-supplied grid, whose points cap
     the basis) and sizes its own box from the potential alone."""
@@ -512,22 +512,18 @@ def oracle_spectrum(spec, k_max=None, grid=None, rtol=1e-3):
     if not math.isfinite(threshold):
         if k_max is None:
             raise ValueError("confining potential: pass k_max for the oracle")
-        return fd_bound_states(
-            spec.reduced_potential, grid, k_max=k_max, rtol=rtol
-        )
-    return fd_bound_states(
-        spec.reduced_potential, grid, threshold=threshold, rtol=rtol
-    )
+        return fd_bound_states(spec.reduced_potential, grid, k_max=k_max)
+    return fd_bound_states(spec.reduced_potential, grid, threshold=threshold)
 
 
-def wavefunction_residual(spec, sampler, eps, xs, step=1e-3):
+def wavefunction_residual(spec, sampler, eps, xs):
     """Worst scaled defect of psi'' + (eps - v) psi = 0 over the points.
 
     Five-point central differences, all stencil points in one call of
     sampler, which takes a numpy array as BoundState.sampler does; the
     denominator guard keeps nodes (psi ~ 0) from reading as false failures.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs, step = np.asarray(xs, dtype=float), 1e-3  # the stencil's spacing
     if not xs.size:
         return 0.0
     f = sampler(xs[:, None] + np.arange(-2, 3) * step).T
@@ -615,18 +611,18 @@ def _morse_scattering(spec, eps):
     return ScatteringState(eps=eps, solutions=solutions, degeneracy=0)
 
 
-def morse_envelope_growth(spec, eps, s_anchor=40.0, s_step=8.0):
+def morse_envelope_growth(spec, eps):
     """Sampled growth of both scattering candidates against the envelope.
 
     Deep in the wall region every solution grows like e^{s/2} s^{-1/2-L};
-    the returned pair is |Psi_j(s_anchor+s_step)| / |Psi_j(s_anchor)|
-    divided by the same quotient of the envelope.  Values near 1 certify
-    that the candidates really do blow up at the envelope rate (the
-    leading-constant itself is only reached far beyond double-precision
-    range, so amplitudes are compared through their growth, not pointwise).
+    the returned pair is |Psi_j(s=48)| / |Psi_j(s=40)| divided by the same
+    quotient of the envelope.  Values near 1 certify that the candidates
+    really do blow up at the envelope rate (the leading-constant itself is
+    only reached far beyond double-precision range, so amplitudes are
+    compared through their growth, not pointwise).
     """
     lamf = scalar_float(spec.exact["lam"])
-    s1, s2 = s_anchor, s_anchor + s_step
+    s1, s2 = 40.0, 48.0
     x1, x2 = spec.tau.inverse(s1), spec.tau.inverse(s2)
     env_growth = math.exp((s2 - s1) / 2.0) * (s2 / s1) ** (-0.5 - lamf)
     state = _morse_scattering(spec, eps)

@@ -264,6 +264,14 @@ class TestSolve:
         assert code == 0
         assert out.count("\n") == 101
 
+    def test_top_level_a_float_ulp_below_the_plateau(self, capsys):
+        # eps_5 = Lambda^2 - 1e-26 and Lambda^2 round to the same float
+        code, out, err = run(
+            capsys, "solve", "--potential", "morse", "--params", "Lambda=5.5000000000001"
+        )
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 7
+
     def test_byte_identical_across_processes(self):
         cmd = [
             sys.executable,
@@ -380,6 +388,38 @@ class TestEval:
         ids=["2f1", "1f1", "2f1-gamma", "u-integrand", "u-recurrence", "hermite-gamma"],
     )
     def test_overflowing_series_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "SeriesOverflow" in err
+
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (("--fn", "u", "--a", "-60", "--c", "3", "--z", "35"), (mpmath.hyperu, -60, 3, 35)),
+            (("--fn", "hermite", "--nu", "40", "--z", "3"), (mpmath.hermite, 40, 3)),
+        ],
+        ids=["u", "hermite"],
+    )
+    def test_cancelling_u_polynomial_takes_another_route(self, capsys, argv, want):
+        # the degree-n polynomial for U(-n, c, z) cancels to a few digits here
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, err) == (0, "")
+        with mpmath.workdps(40):
+            want = want[0](*want[1:])
+        assert abs(float(self.parse(out)["value"]) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--fn", "u", "--a", "-400", "--c", "0.5", "--z", "9"),
+            ("--fn", "hermite", "--nu", "2000", "--z", "3"),
+            ("--fn", "u", "--a", "-62.5", "--c", "1", "--z", "1e5"),
+        ],
+        ids=["u", "hermite", "u-asymptotic"],
+    )
+    def test_u_beyond_the_float_range_is_domain_error(self, capsys, argv):
+        # the values are 1.4e869, 2.7e3169 and 3.0e312: a term of the
+        # polynomial overflows, and the large-z series' power z^-a
         code, out, err = run(capsys, "eval", *argv)
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and "SeriesOverflow" in err

@@ -133,6 +133,25 @@ def test_only_reduction_reads_factor_terms():
     assert {r for r in readers if r[0] != "reduction.py"} == {("cli.py", "_factor_str")}
 
 
+def test_evaluators_take_no_settings():
+    # tolerances, term budgets and step sizes that no caller varies are
+    # module constants; the two settings that do take two values stay
+    import nu_spectral
+
+    settings = {"tol", "max_terms", "max_level", "rtol", "step", "s_anchor", "s_step"}
+    kept = {("oracle.py", "fd_bound_states", "rtol"), ("oracle.py", "quad_adaptive", "tol")}
+    found = set()
+    for name in ("hyper.py", "oracle.py", "potentials.py"):
+        tree = ast.parse((Path(nu_spectral.__file__).parent / name).read_text())
+        public = [n for n in tree.body if not getattr(n, "name", "_").startswith("_")]
+        public += [m for c in public if isinstance(c, ast.ClassDef) for m in c.body]
+        for fn in public:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+                found |= {(name, fn.name, a.arg) for a in args if a.arg in settings}
+    assert found == kept
+
+
 def _tracer_module():
     """perfbench/tracer.py, loaded from its file (it imports only the
     standard library)."""

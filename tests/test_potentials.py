@@ -198,6 +198,14 @@ class TestMorseWell:
         assert eigenvalue_count(morse(Lambda=Fraction(3, 2))) == 1
         assert eigenvalue_count(morse(Lambda=Fraction(7, 2))) == 3
 
+    def test_top_level_a_float_ulp_below_the_plateau(self):
+        # eps_5 = Lambda^2 - 2^-80 rounds to the plateau as a float; the
+        # order and region checks decide on the exact values
+        lam = Fraction(11, 2) + Fraction(1, 2**40)
+        states = bound_spectrum(morse(Lambda=5.5 + 2**-40))
+        assert len(states) == 6
+        assert states[-1].eps == lam * lam - Fraction(1, 2**80)
+
     def test_bound_state_count_tracks_well_depth(self):
         rng = random.Random(20250814)
         grid = FdGrid(-2.0, 40.0, 4201)
@@ -434,7 +442,7 @@ class TestDeepSamplers:
             d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * step * step)
             gap = float(st.eps) - float(spec.reduced_potential(x))
             worst = max(worst, abs(d2 + gap * f[2]) / max(1.0, abs(f[2]) * abs(gap)))
-        assert wavefunction_residual(spec, st.sampler, st.eps, xs, step) == worst
+        assert wavefunction_residual(spec, st.sampler, st.eps, xs) == worst
 
     def test_harmonic_n60_normalized(self):
         spec = harmonic()
