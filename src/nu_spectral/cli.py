@@ -373,7 +373,20 @@ def _cmd_verify(args):
         grid = FdGrid(lo, hi, pts)
 
     checks = []
-    try:
+
+    def check(name, run):
+        try:
+            checks.append({"name": name, **run()})
+        except NuSpectralError as exc:
+            checks.append({"name": name, "pass": False, "error": f"{type(exc).__name__}: {exc}"})
+
+    def worst_level(values, key, tol):
+        worst = max(range(len(values)), key=values.__getitem__)
+        return {"pass": values[worst] <= tol, key: values[worst],
+                "worst_n": states[worst].n, "tol": tol}
+
+    def spectrum():
+        nonlocal grid
         orc = oracle_spectrum(spec, k_max=len(states), grid=grid)
         grid = orc.grid
         vals = list(orc.eigenvalues)
@@ -381,63 +394,26 @@ def _cmd_verify(args):
             vals = vals[: n_max + 1]
         report = compare_spectra(analytic, vals, tols["spectrum_rtol"])
         worst = max(range(len(vals)), key=report.rel_errors.__getitem__)
-        checks.append(
-            {
-                "name": "spectrum_vs_oracle",
-                "pass": bool(report.ok),
-                "analytic_count": len(analytic),
-                "oracle_count": len(vals),
-                "max_rel_err": report.rel_errors[worst],
-                "worst_n": worst,
-                "rel_tol": tols["spectrum_rtol"],
-                "box": [grid.lo, grid.hi],
-                "basis": grid.n,
-                "max_error_estimate": max(orc.error_estimates[: len(vals)]),
-            }
-        )
-    except NuSpectralError as exc:
-        checks.append(
-            {
-                "name": "spectrum_vs_oracle",
-                "pass": False,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        )
-
-    try:
-        defects = [normalization_defect(spec, st) for st in states]
-        worst = max(range(len(defects)), key=defects.__getitem__)
-        checks.append(
-            {
-                "name": "normalization",
-                "pass": defects[worst] <= tols["normalization"],
-                "max_defect": defects[worst],
-                "worst_n": states[worst].n,
-                "tol": tols["normalization"],
-            }
-        )
-    except NuSpectralError as exc:
-        checks.append(
-            {
-                "name": "normalization",
-                "pass": False,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        )
+        return {
+            "pass": report.ok,
+            "analytic_count": len(analytic),
+            "oracle_count": len(vals),
+            "max_rel_err": report.rel_errors[worst],
+            "worst_n": worst,
+            "rel_tol": tols["spectrum_rtol"],
+            "box": [grid.lo, grid.hi],
+            "basis": grid.n,
+            "max_error_estimate": max(orc.error_estimates[: len(vals)]),
+        }
 
     lo, hi, _ = spec.fd_box
     xs = [lo + (hi - lo) * (0.25 + 0.5 * i / 8.0) for i in range(9)]
-    residuals = [wavefunction_residual(spec, st.sampler, st.eps, xs) for st in states]
-    worst = max(range(len(residuals)), key=residuals.__getitem__)
-    checks.append(
-        {
-            "name": "ode_residual",
-            "pass": residuals[worst] <= tols["residual"],
-            "max_residual": residuals[worst],
-            "worst_n": states[worst].n,
-            "tol": tols["residual"],
-        }
-    )
+    check("spectrum_vs_oracle", spectrum)
+    check("normalization", lambda: worst_level(
+        [normalization_defect(spec, st) for st in states], "max_defect", tols["normalization"]))
+    check("ode_residual", lambda: worst_level(
+        [wavefunction_residual(spec, st.sampler, st.eps, xs) for st in states],
+        "max_residual", tols["residual"]))
 
     ok = all(c["pass"] for c in checks)
     doc = {

@@ -227,7 +227,7 @@ def _sum_series(uppers, c, z, regularized, what):
         last = t
         n_used = n + 1
         ref = abs(total)
-        if abs(t) <= SERIES_TOL * max(ref, 1e-300):
+        if not abs(t) > SERIES_TOL * max(ref, 1e-300):
             if total == 0 and t == 0 and n < leading_zero_allowance:
                 continue  # a degenerate prefactor has not kicked in yet
             streak += 1
@@ -237,8 +237,8 @@ def _sum_series(uppers, c, z, regularized, what):
             streak = 0
     else:
         raise MaxTermsExceeded(f"{what} did not converge in {MAX_TERMS} terms")
-    # an infinite term leaves the total inf or nan, so one test after the
-    # loop catches every overflow; inf <= SERIES_TOL * inf would pass as converged
+    # an overflowing term leaves the total inf or nan; the test above counts
+    # an inf or nan term as small, so the loop ends and this test reports it
     if not cmath.isfinite(total):
         raise SeriesOverflow(f"{what} series left the float range after {n_used} terms")
     trunc = abs(last) / max(abs(total), 1e-300) if total != 0 else abs(last)

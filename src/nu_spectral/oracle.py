@@ -119,7 +119,10 @@ class SpectraReport:
     oracle: tuple
     rel_errors: tuple
     rel_tol: float
-    ok: bool
+
+    @property
+    def ok(self):
+        return all(r <= self.rel_tol for r in self.rel_errors)
 
 
 def _potential(v, x):
@@ -441,8 +444,7 @@ def compare_spectra(analytic, oracle, rel_tol):
     rel = tuple(
         abs(a - o) / max(1.0, abs(a)) for a, o in zip(analytic, ov)
     )
-    ok = all(r <= rel_tol for r in rel)
-    return SpectraReport(analytic, tuple(ov), rel, rel_tol, ok)
+    return SpectraReport(analytic, tuple(ov), rel, rel_tol)
 
 
 # ---------------------------------------------------------------------------

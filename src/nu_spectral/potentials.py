@@ -127,9 +127,15 @@ class ScatteringSolution:
 
 @dataclass(frozen=True)
 class ScatteringState:
+    """The continuum at one energy.  Its degeneracy is the count of its
+    solutions bounded at both ends."""
+
     eps: float
     solutions: tuple
-    degeneracy: int
+
+    @property
+    def degeneracy(self):
+        return sum(s.bounded_at_minus_inf and s.bounded_at_plus_inf for s in self.solutions)
 
 
 def _require_positive(**params):
@@ -212,12 +218,15 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
     b = _derived_scale("exp(a*xe)", lambda: math.exp(a * xe))
     lamf = scalar_float(lam)
     lamf2 = scalar_float(lam_sq)
-    # left wall: s = 2*lam*b*e^{-x} = 700 puts e^{-s/2} past underflow
-    wall = math.log(_derived_scale("s at x = 0", lambda: 2.0 * lamf * b) / 700.0)
+    s0 = _derived_scale("s at x = 0", lambda: 2.0 * lamf * b)
+    # left wall: s = 2*lam*b*e^{-x} = 700 puts e^{-s/2} past underflow; right
+    # cap: past s = 2^-1022, e^{-s/2} L_n(s) is exactly 1 in floats, so the
+    # closed-form plateau tail is exact there however small kappa is
+    wall, flat = math.log(s0 / 700.0), math.log(s0) + 1022.0 * math.log(2.0)
 
     def norm_window(state):
         kappa = math.sqrt(scalar_float(lam_sq - state.eps))
-        return wall, max(20.0, 20.0 / kappa), None, lam_sq
+        return wall, min(max(20.0, 20.0 / kappa), flat), None, lam_sq
 
     spec = PotentialSpec(
         name="morse",
@@ -608,7 +617,7 @@ def _morse_scattering(spec, eps):
     solutions = tuple(
         ScatteringSolution(make(e, a, c), False, True) for e, a, c in params
     )
-    return ScatteringState(eps=eps, solutions=solutions, degeneracy=0)
+    return ScatteringState(eps=eps, solutions=solutions)
 
 
 def morse_envelope_growth(spec, eps):
@@ -625,20 +634,11 @@ def morse_envelope_growth(spec, eps):
     s1, s2 = 40.0, 48.0
     x1, x2 = spec.tau.inverse(s1), spec.tau.inverse(s2)
     env_growth = math.exp((s2 - s1) / 2.0) * (s2 / s1) ** (-0.5 - lamf)
-    state = _morse_scattering(spec, eps)
+    state = scattering_states(spec, eps)
     return tuple(
         abs(sol.sampler(x2)) / abs(sol.sampler(x1)) / env_growth
         for sol in state.solutions
     )
-
-
-def _bounded_limit_regime(a, b, c):
-    """Whether t^0-side prefactors aside, F(a,b;c;t) stays bounded as the
-    argument approaches 1."""
-    from .hyper import limit_2f1_at_1
-
-    regime = limit_2f1_at_1(a, b, c).regime
-    return regime in ("finite", "oscillatory")
 
 
 def _rosen_morse2_scattering(spec, eps):
@@ -653,11 +653,12 @@ def _rosen_morse2_scattering(spec, eps):
     b = big_b + 0.5 + sq2
     c = kp + 1.0
 
-    def t_of(x):
-        return 0.5 * (1.0 + math.tanh(x))
+    def bounded_at_one(a, b, c):
+        # F(a, b; c; t) stays bounded as t -> 1, prefactors aside
+        return limit_2f1_at_1(a, b, c).regime in ("finite", "oscillatory")
 
     def head(x, sign):
-        t = t_of(x)
+        t = 0.5 * (1.0 + math.tanh(x))
         out = cmath.exp(0.5 * km * cmath.log(1.0 - t))
         return out * cmath.exp(0.5 * sign * kp * cmath.log(t)), t
 
@@ -665,57 +666,30 @@ def _rosen_morse2_scattering(spec, eps):
         pre, t = head(x, +1)
         return pre * hyp2f1(a, b, c, t).value
 
+    first = ScatteringSolution(psi1, True, bounded_at_one(a, b, c))
     kp_real_integer = kp.imag == 0.0 and _near_integer(kp.real) is not None
-    if not kp_real_integer:
-
-        def psi2(x):
-            pre, t = head(x, -1)
-            return pre * hyp2f1(a - c + 1.0, b - c + 1.0, 2.0 - c, t).value
-
-        second_bounded_lo = kp.real == 0.0  # oscillatory when above both plateaus
-    else:
+    if kp_real_integer:
         # integer edge exponent: the companion solution is built around the
         # opposite endpoint and examined there through its limiting regime
         c_alt = a + b - c + 1.0
         lim = limit_2f1_at_1(a, b, c_alt)
 
-        def companion(u, t):
-            if u <= 0.99:
-                return hyp2f1(a, b, c_alt, u).value
-            if lim.regime == "log":
-                return -lim.constant * math.log(t)
-            return lim.constant * cmath.exp((c_alt - a - b) * cmath.log(t))
-
         def psi2(x):
             pre, t = head(x, +1)
-            return pre * companion(1.0 - t, t)
+            if 1.0 - t <= 0.99:
+                return pre * hyp2f1(a, b, c_alt, 1.0 - t).value
+            if lim.regime == "log":
+                return pre * (-lim.constant * math.log(t))
+            return pre * (lim.constant * cmath.exp((c_alt - a - b) * cmath.log(t)))
 
-        second_bounded_lo = False
-
-    sol1 = ScatteringSolution(
-        sampler=psi1,
-        bounded_at_minus_inf=True,
-        bounded_at_plus_inf=_bounded_limit_regime(a, b, c),
-    )
-    if not kp_real_integer:
-        sol2 = ScatteringSolution(
-            sampler=psi2,
-            bounded_at_minus_inf=second_bounded_lo,
-            bounded_at_plus_inf=_bounded_limit_regime(
-                a - c + 1.0, b - c + 1.0, 2.0 - c
-            ),
-        )
+        second = ScatteringSolution(psi2, False, True)
     else:
-        sol2 = ScatteringSolution(
-            sampler=psi2,
-            bounded_at_minus_inf=False,
-            bounded_at_plus_inf=True,
-        )
-    solutions = (sol1, sol2)
-    degeneracy = sum(
-        1
-        for sol in solutions
-        if sol.bounded_at_minus_inf and sol.bounded_at_plus_inf
-    )
-    return ScatteringState(eps=eps, solutions=solutions, degeneracy=degeneracy)
+        a2, b2, c2 = a - c + 1.0, b - c + 1.0, 2.0 - c
 
+        def psi2(x):
+            pre, t = head(x, -1)
+            return pre * hyp2f1(a2, b2, c2, t).value
+
+        # oscillatory at -inf when above both plateaus
+        second = ScatteringSolution(psi2, kp.real == 0.0, bounded_at_one(a2, b2, c2))
+    return ScatteringState(eps=eps, solutions=(first, second))

@@ -272,6 +272,16 @@ class TestSolve:
         assert (code, err) == (0, "")
         assert out.count("\n") == 7
 
+    @pytest.mark.parametrize("lam", ["5.5001", "5.5000000000001"])
+    def test_levels_just_below_the_plateau_are_normalized(self, capsys, lam):
+        # the top level's decay length is 1e4 and 1e13: its window stops
+        # where the closed-form plateau tail is exact
+        code, out, err = run(capsys, "solve", "--potential", "morse", "--params", f"Lambda={lam}")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 6
+        assert max(float(row.split(",")[3]) for row in rows) <= 1e-8
+
     def test_byte_identical_across_processes(self):
         cmd = [
             sys.executable,
@@ -584,6 +594,19 @@ class TestVerify:
         spectrum = doc["checks"][0]
         assert spectrum["pass"] is False
         assert "GridTooCoarse" in spectrum["error"]
+
+    def test_every_check_reports_a_domain_error(self, capsys, monkeypatch):
+        from nu_spectral.errors import NoConvergence
+
+        def fails(*args):
+            raise NoConvergence("probe")
+
+        monkeypatch.setattr("nu_spectral.potentials.wavefunction_residual", fails)
+        code, out, _ = run(capsys, "verify", "--potential", "harmonic")
+        assert code == 4
+        checks = json.loads(out)["checks"]
+        assert [c["pass"] for c in checks] == [True, True, False]
+        assert checks[2] == {"name": "ode_residual", "pass": False, "error": "NoConvergence: probe"}
 
     def test_env_tolerance_override(self, capsys, monkeypatch):
         monkeypatch.setenv("NU_SPECTRAL_TOL", "1e-15")

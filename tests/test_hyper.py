@@ -645,3 +645,10 @@ def test_wronskian_defects():
 def test_wronskian_unknown_pair():
     with pytest.raises(ValueError):
         wronskian_defect("xy", 1.0, 1.5, 1.0)
+
+
+def test_complex_series_overflow_stops_at_once():
+    # the overflowing complex term is nan, which no magnitude test passes;
+    # the sum must still end and report the overflow, as real parameters do
+    with pytest.raises(SeriesOverflow):
+        hyp1f1(0.5 + 0.3j, 1.2 + 0.1j, 800.0)

@@ -152,6 +152,18 @@ def test_evaluators_take_no_settings():
     assert found == kept
 
 
+def test_reports_store_no_derived_verdicts():
+    # a degeneracy and a pass/fail verdict are read off the data they
+    # summarise, so a report cannot disagree with itself
+    import dataclasses
+
+    from nu_spectral.oracle import SpectraReport
+    from nu_spectral.potentials import ScatteringState
+
+    assert [f.name for f in dataclasses.fields(ScatteringState)] == ["eps", "solutions"]
+    assert "ok" not in {f.name for f in dataclasses.fields(SpectraReport)}
+
+
 def _tracer_module():
     """perfbench/tracer.py, loaded from its file (it imports only the
     standard library)."""

@@ -252,6 +252,20 @@ class TestMorseScattering:
                 scattering_states(spec, eps)
 
 
+    @pytest.mark.parametrize("eps", [20.0, 25.0])
+    def test_envelope_growth_needs_a_scattering_energy(self, eps):
+        with pytest.raises(EnergyBelowRegion):
+            morse_envelope_growth(morse(Lambda=5), eps)
+
+    def test_sampler_in_the_wall_reports_overflow(self):
+        from nu_spectral.errors import SeriesOverflow
+
+        # s is about 1484 at x = -5: 1F1 leaves the float range there
+        state = scattering_states(morse(Lambda=5), 26.0)
+        with pytest.raises(SeriesOverflow):
+            state.solutions[0].sampler(-5.0)
+
+
 # -- rosen-morse ---------------------------------------------------------------
 
 
@@ -331,6 +345,24 @@ class TestHyperbolicWell:
         )
         with pytest.raises(ValueError):
             _verify_declared_substitution(crooked)
+
+
+class TestScatteringDegeneracy:
+    @pytest.mark.parametrize(
+        "flags,want",
+        [
+            ((), 0),
+            (((False, True), (True, False)), 0),
+            (((True, True), (False, True)), 1),
+            (((True, True), (True, True)), 2),
+            (((True, True), (False, False), (True, True)), 2),
+        ],
+    )
+    def test_counts_solutions_bounded_at_both_ends(self, flags, want):
+        solutions = tuple(
+            potentials.ScatteringSolution(lambda x: 0j, lo, hi) for lo, hi in flags
+        )
+        assert potentials.ScatteringState(eps=1.0, solutions=solutions).degeneracy == want
 
 
 class TestHyperbolicScattering:
