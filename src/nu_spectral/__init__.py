@@ -85,7 +85,6 @@ _LAYERS = {
         "eigenvalue_count",
         "harmonic",
         "morse",
-        "morse_envelope_growth",
         "normalization_defect",
         "oracle_spectrum",
         "pinned_branch",

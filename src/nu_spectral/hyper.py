@@ -19,11 +19,14 @@ Routes (documented crossovers, all for real argument z):
 * U: terminating polynomial form when a is a nonpositive integer, where its
   rounding bound certifies it to SERIES_TOL; the divergent large-z
   asymptotic series (13.7.3), truncated at its smallest term, for z >= 20
-  when its truncation estimate meets SERIES_TOL; otherwise the Laplace
-  integral (13.4.4) by an exp-sinh rule, reached for Re a <= 1 by
-  the downward recurrence in a (13.3.7), stable because U is its minimal
-  solution [gst]_.  There terms_used counts integrand evaluations and the
-  truncation estimate is the last change between exp-sinh levels.
+  when its truncation estimate meets SERIES_TOL; for non-real c, the pair
+  of regularized M series (13.2.42) where the terms of both series cancel
+  by less than a factor _U_PAIR_CANCEL (its truncation estimate is scaled
+  by that factor); otherwise the Laplace integral (13.4.4) by an exp-sinh rule,
+  reached for Re a <= 1 by the downward recurrence in a (13.3.7), stable
+  because U is its minimal solution [gst]_.  There terms_used counts
+  integrand evaluations and the truncation estimate is the last change
+  between exp-sinh levels.
 * Hermite function: 2^nu U(-nu/2, 1/2, z^2) for real nu and z > 2; the
   even/odd pair of 1F1 series elsewhere.
 
@@ -56,6 +59,7 @@ _1F1_REFLECT_BELOW = -8.0
 _FLOAT_MIN = 2.0**-1022  # the least normal float
 _EXP_SUBNORMAL_BELOW = math.log(_FLOAT_MIN)
 _U_ASYMPTOTIC_MIN = 20.0
+_U_PAIR_CANCEL = 1e3  # most sum |terms| / |U| for the M pair: about SERIES_TOL / 2^-53
 _HERMITE_U_ABOVE = 2.0
 _ES_STEP0 = 0.5  # exp-sinh node spacing at level 0
 _ES_TAIL = 40.0  # e-folds below the peak at which level 0 stops on each side
@@ -202,7 +206,7 @@ def pochhammer(a, n):
 def _sum_series(uppers, c, z, regularized, what):
     """sum_n prod_p (p)_n / n! * z^n * [1/gamma(c+n) or 1/(c)_n] over the
     upper parameters p, (a, b) for 2F1 and (a,) for 1F1, with a
-    three-small-terms stopping rule.
+    three-small-terms stopping rule: the SeriesResult and sum_n |term_n|.
 
     Plain variant divides by (c)_n; regularized multiplies by 1/gamma(c+n).
     The term ratio is applied in this loop, not in a generator, which would
@@ -215,6 +219,7 @@ def _sum_series(uppers, c, z, regularized, what):
     ci = _near_integer(c) if regularized else None
     leading_zero_allowance = max(3, 2 - ci) if ci is not None and ci <= 0 else 3
     total = 0.0
+    mass = 0.0
     last = 0.0
     streak = 0
     n_used = 0
@@ -224,10 +229,13 @@ def _sum_series(uppers, c, z, regularized, what):
             u = u * (p + n)
         u = u * z / (n + 1.0) if regularized else u * z / ((c + n) * (n + 1.0))
         total = total + t
+        size = abs(t)
+        mass = mass + size
         last = t
         n_used = n + 1
         ref = abs(total)
-        if not abs(t) > SERIES_TOL * max(ref, 1e-300):
+        # max(ref, 1e-300) without a builtin call (a nan ref stays nan)
+        if not size > SERIES_TOL * (ref if not ref < 1e-300 else 1e-300):
             if total == 0 and t == 0 and n < leading_zero_allowance:
                 continue  # a degenerate prefactor has not kicked in yet
             streak += 1
@@ -242,7 +250,7 @@ def _sum_series(uppers, c, z, regularized, what):
     if not cmath.isfinite(total):
         raise SeriesOverflow(f"{what} series left the float range after {n_used} terms")
     trunc = abs(last) / max(abs(total), 1e-300) if total != 0 else abs(last)
-    return SeriesResult(total, n_used, trunc)
+    return SeriesResult(total, n_used, trunc), mass
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +309,7 @@ def _hyp2f1_any(a, b, c, z, regularized):
     # with integer c-a-b the connection formula is singular: the direct
     # series has to fight for convergence
     if z <= _2F1_DIRECT_MAX or terminating or _near_integer(c - a - b, 1e-9) is not None:
-        return _sum_series((a, b), c, z, regularized, "2F1")
+        return _sum_series((a, b), c, z, regularized, "2F1")[0]
     return _hyp2f1_near_one(a, b, c, z, regularized)
 
 
@@ -309,8 +317,8 @@ def _hyp2f1_near_one(a, b, c, z, regularized):
     """Connection formula in powers of 1-z, valid for non-integer c-a-b."""
     s = c - a - b
     w = 1.0 - z
-    f1 = _sum_series((a, b), a + b - c + 1.0, w, True, "2F1 connection")
-    f2 = _sum_series((c - a, c - b), s + 1.0, w, True, "2F1 connection")
+    f1 = _sum_series((a, b), a + b - c + 1.0, w, True, "2F1 connection")[0]
+    f2 = _sum_series((c - a, c - b), s + 1.0, w, True, "2F1 connection")[0]
     sc = complex(s)
     pref = math.pi / cmath.sin(math.pi * sc)
     bracket = (
@@ -379,7 +387,7 @@ def _hyp1f1_any(a, c, z, regularized):
         else:
             value = math.exp(zr) * inner.value
         return SeriesResult(value, inner.terms_used, inner.truncation_estimate)
-    return _sum_series((a,), c, zr, regularized, "1F1")
+    return _sum_series((a,), c, zr, regularized, "1F1")[0]
 
 
 def _hyp1f1_far_left(a, c, x, regularized):
@@ -490,6 +498,10 @@ def hypU(a, c, z):
         res = _u_asymptotic(a, c, z)
         if res.truncation_estimate <= SERIES_TOL:
             return res
+    if not _is_real(c):
+        res = _u_kummer_pair(a, c, z)
+        if res is not None:
+            return res
     # the integral gives U(b) and U(b+1) at b = a + m in (1, 2] when Re a <= 1;
     # U(b-1) = (2b - c + z) U(b) - b (b - c + 1) U(b+1) (13.3.7) then runs down
     # to a, stably since U is the minimal solution as a grows.  Run on the last
@@ -508,6 +520,29 @@ def hypU(a, c, z):
         raise SeriesOverflow(f"U({a}, {c}, {z}) left the float range in the recurrence")
     change = abs(values[1] - values[0]) / max(abs(values[1]), 1e-300)
     return SeriesResult(values[1], evals, change)
+
+
+def _u_kummer_pair(a, c, z):
+    """U(a, c, z) = pi/sin(pi c) [M*(a, c, z)/gamma(a-c+1) - z^(1-c)
+    M*(a-c+1, 2-c, z)/gamma(a)] (13.2.42) for non-real c, with M* the
+    regularized 1F1; None where the terms of both series cancel by more
+    than _U_PAIR_CANCEL, or where a piece leaves the float range."""
+    try:
+        (m1, mass1), (m2, mass2) = (
+            _sum_series((p,), q, z, True, "U by M series")
+            for p, q in ((a, c), (a - c + 1.0, 2.0 - c))
+        )
+        g1, g2 = rgamma(a - c + 1.0), cmath.exp((1.0 - c) * math.log(z)) * rgamma(a)
+        pref = math.pi / cmath.sin(math.pi * c)
+    except (SeriesOverflow, MaxTermsExceeded, OverflowError):
+        return None
+    diff = m1.value * g1 - m2.value * g2
+    cancel = (mass1 * abs(g1) + mass2 * abs(g2)) / max(abs(diff), 1e-300)
+    value = pref * diff
+    if not (cancel <= _U_PAIR_CANCEL and cmath.isfinite(value)):
+        return None
+    trunc = cancel * max(m1.truncation_estimate, m2.truncation_estimate)
+    return SeriesResult(value, m1.terms_used + m2.terms_used, trunc)
 
 
 def _u_laplace_levels(b, c, z):

@@ -2,13 +2,17 @@
 
 Each constructor returns one PotentialSpec record holding all that is
 particular to its well: the change of variable s = tau(x), the reduced
-equation it produces, the normalization window and the scattering solver;
-no function here branches on the well's name, nor on a family's (the
-float recurrence and the x-measure norm come from classical.FAMILIES).
-Levels, their count and branches are read from the reduced equation's
-ladder (reduction.Ladder), which derives them once, in closed form in n,
-and asserts the reduction identity once; each level is checked exactly
-against the classical eigenvalue.  A parameter, or a scale derived
+equation it produces and the normalization window; no function here
+branches on the well's name, nor on a family's (the float recurrence and
+the x-measure norm come from classical.FAMILIES).  Levels, their count and
+branches are read from the reduced equation's ladder (reduction.Ladder),
+which derives them once, in closed form in n, and asserts the reduction
+identity once; each level is checked exactly against the classical
+eigenvalue.  The plateaus and the continuum come from the same equation:
+an end of the working interval that is a simple root of phi is a plateau,
+its channel is open where phi_tilde is positive there, and the bounded
+solutions are Gauss 2F1 (phi quadratic) or Tricomi U (phi linear, whose
+infinite end is a wall).  A parameter, or a scale derived
 from them, that is zero or leaves the float range is a ValueError.  The
 systems:
 
@@ -44,14 +48,14 @@ from .errors import (
 from .oracle import FdGrid, fd_bound_states, quad_adaptive
 from .polynomials import HALF_LINE, REAL_LINE, UNIT_INTERVAL, Polynomial
 from .reduction import EpsAffinePoly, GheProblem, bound_canonical, branch_candidates
-from .scalars import as_exact, scalar_float, scalar_sign, sqrt_scalar
+from .scalars import as_exact, scalar_float, scalar_is_zero, scalar_sign, sqrt_scalar
 
 X = Polynomial.x()
 
 
 @dataclass(frozen=True)
 class ChangeOfVariable:
-    """Declared substitution s = forward(x) with its slope and inverse.
+    """Declared substitution s = forward(x) with its slope.
 
     affine_value, when set, evaluates c1*forward(x) + c0 in a form that
     keeps relative precision where the plain route would cancel; samplers
@@ -61,7 +65,6 @@ class ChangeOfVariable:
 
     forward: object
     deriv: object
-    inverse: object
     affine_value: object = None
 
 
@@ -72,7 +75,7 @@ class PotentialSpec:
     tau: ChangeOfVariable
     ghe: GheProblem
     reduced_potential: object
-    region_edges: tuple  # exact (v_min, v_minus, v_plus); math.inf for no plateau
+    v_min: object  # exact minimum of the reduced potential
     energy_scale: float  # physical E = energy_scale * eps
     coordinate_scale: float  # physical-coordinate norm = this * reduced norm
     # (lo, hi, points): the oracle's starting box and largest basis; lo:hi
@@ -82,15 +85,34 @@ class PotentialSpec:
     # state -> (lo, hi, lo_plateau, hi_plateau): the quadrature window, and the
     # plateau whose closed-form tail is added past each edge (None: no tail)
     norm_window: object
-    scattering: object  # (spec, eps) -> ScatteringState; None when confining
+
+    @functools.cached_property
+    def _plateau_ends(self):
+        """(r, side, const(r), linear(r)) at each end r of the working
+        interval that is a simple root of phi: side is +1 at the lower end
+        and -1 at the upper, and phi_tilde(r; eps) = const(r) + eps linear(r)."""
+        ghe = self.ghe
+        phi, dphi, phi_t = ghe.phi, ghe.phi.derivative(), ghe.phi_tilde
+        return tuple(
+            (r, side, phi_t.const(r), phi_t.linear(r))
+            for r, side in ((ghe.interval.lo, 1), (ghe.interval.hi, -1))
+            if not isinstance(r, float) and scalar_is_zero(phi(r)) and not scalar_is_zero(dphi(r))
+        )
+
+    @functools.cached_property
+    def plateaus(self):
+        """The exact plateaus, ascending: at each plateau end, the eps where
+        phi_tilde vanishes."""
+        values = [-c / lin for _, _, c, lin in self._plateau_ends]
+        return tuple(sorted(values, key=functools.cmp_to_key(lambda p, q: scalar_sign(p - q))))
 
     @property
     def v_minus(self):
-        return scalar_float(self.region_edges[1])
+        return scalar_float((*self.plateaus, math.inf)[0])
 
     @property
     def v_plus(self):
-        return scalar_float(self.region_edges[2])
+        return scalar_float((*self.plateaus, math.inf, math.inf)[1])
 
 
 @dataclass(frozen=True)
@@ -119,23 +141,17 @@ class BoundState:
 
 
 @dataclass(frozen=True)
-class ScatteringSolution:
-    sampler: object  # x -> complex
-    bounded_at_minus_inf: bool
-    bounded_at_plus_inf: bool
-
-
-@dataclass(frozen=True)
 class ScatteringState:
-    """The continuum at one energy.  Its degeneracy is the count of its
-    solutions bounded at both ends."""
+    """The continuum at one energy: a basis of the solutions bounded at
+    both ends, one sampler x -> complex per open channel, so its
+    degeneracy is their count."""
 
     eps: float
     solutions: tuple
 
     @property
     def degeneracy(self):
-        return sum(s.bounded_at_minus_inf and s.bounded_at_plus_inf for s in self.solutions)
+        return len(self.solutions)
 
 
 def _require_positive(**params):
@@ -176,7 +192,6 @@ def harmonic(m=1.0, Omega=1.0, hbar=1.0):
         tau=ChangeOfVariable(
             forward=lambda x: x,
             deriv=lambda x: 1.0,
-            inverse=lambda s: s,
         ),
         ghe=GheProblem(
             phi=Polynomial.of(1),
@@ -185,13 +200,12 @@ def harmonic(m=1.0, Omega=1.0, hbar=1.0):
             interval=REAL_LINE,
         ),
         reduced_potential=lambda x: x * x,
-        region_edges=(Fraction(0), math.inf, math.inf),
+        v_min=Fraction(0),
         energy_scale=_derived_scale("the energy unit", lambda: hbar * Omega / 2.0),
         coordinate_scale=_derived_scale("the inverse length unit", lambda: 1.0 / x0),
         fd_box=(-10.0, 10.0, 1200),
         exact={},
         norm_window=norm_window,
-        scattering=None,
     )
     _verify_declared_substitution(spec)
     return spec
@@ -234,7 +248,6 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
         tau=ChangeOfVariable(
             forward=lambda x: 2.0 * lamf * b * np.exp(-x),
             deriv=lambda x: -2.0 * lamf * b * math.exp(-x),
-            inverse=lambda s: math.log(2.0 * lamf * b / s),
         ),
         ghe=GheProblem(
             phi=X,
@@ -246,13 +259,12 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
             interval=HALF_LINE,
         ),
         reduced_potential=lambda x: lamf2 * (1.0 - b * np.exp(-x)) ** 2,
-        region_edges=(Fraction(0), lam_sq, math.inf),
+        v_min=Fraction(0),
         energy_scale=_derived_scale("the energy unit", lambda: a * a * hbar * hbar / (2.0 * m)),
         coordinate_scale=a,
         fd_box=(a * xe - 2.0, a * xe + 12.0, 1200),
         exact={"lam": lam, "lam_sq": lam_sq, "b": b},
         norm_window=norm_window,
-        scattering=_morse_scattering,
     )
     _verify_declared_substitution(spec)
     return spec
@@ -294,7 +306,6 @@ def rosen_morse2(v0, mu):
         tau=ChangeOfVariable(
             forward=np.tanh,
             deriv=lambda x: 1.0 - math.tanh(x) ** 2,
-            inverse=math.atanh,
             affine_value=_tanh_affine,
         ),
         ghe=GheProblem(
@@ -306,13 +317,12 @@ def rosen_morse2(v0, mu):
             interval=UNIT_INTERVAL,
         ),
         reduced_potential=lambda x: cf * (np.tanh(x) - tf) ** 2,
-        region_edges=(Fraction(0), vm, vp),
+        v_min=Fraction(0),
         energy_scale=1.0,
         coordinate_scale=1.0,
         fd_box=(-15.0, 15.0, 1200),
         exact={"v0": v0x, "t": t, "csq": csq, "v1": v1, "v2": v2, "vm": vm, "vp": vp},
         norm_window=lambda state: (-18.0, 18.0, vp, vm),
-        scattering=_rosen_morse2_scattering,
     )
     _verify_declared_substitution(spec)
     return spec
@@ -351,9 +361,6 @@ def _verify_declared_substitution(spec):
             raise ValueError(
                 f"{spec.name}: declared equation disagrees with eps - v at x={x}"
             )
-        inv = spec.tau.inverse(s)
-        if abs(inv - x) > 1e-9 * max(1.0, abs(x)):
-            raise ValueError(f"{spec.name}: inverse map fails to round-trip x={x}")
 
 
 def pinned_branch(spec, eps):
@@ -464,7 +471,7 @@ def _state_sampler(spec, n, canonical, chi, log_norm):
     saturates in floats long before the weight's true decay runs out).
     Elementwise, so one call evaluates a whole array of positions.
     """
-    tau, stable = spec.tau.forward, spec.tau.affine_value
+    tau = spec.tau.forward
     rec = family_record(canonical.family)
     recurrence, exps = rec.recurrence, rec.floats(canonical.alpha, canonical.beta)
     scale, shift = scalar_float(canonical.scale), scalar_float(canonical.shift)
@@ -473,13 +480,20 @@ def _state_sampler(spec, n, canonical, chi, log_norm):
         xs = np.asarray(x, dtype=float)
         s = tau(xs)
         m, log_w = _scaled_recurrence(recurrence, n, scale * s + shift, exps)
-        base = None if stable is None else lambda c1, c0: stable(c1, c0, xs)
         with np.errstate(divide="ignore"):
-            log_w = chi.log_value(s, np.log, base, log_w + 0.5 * log_norm)
+            log_w = chi.log_value(s, np.log, _bases_at(spec.tau, xs, s), log_w + 0.5 * log_norm)
         vals = m * np.exp(log_w)
         return vals if vals.ndim else float(vals)
 
     return sampler
+
+
+def _bases_at(tau, xs, s):
+    """(c1, c0) -> c1*s + c0 at s = tau(xs), through the substitution's
+    cancellation-free affine form when it has one."""
+    if tau.affine_value is None:
+        return lambda c1, c0: c1 * s + c0
+    return lambda c1, c0: tau.affine_value(c1, c0, xs)
 
 
 def bound_spectrum(spec, n_max=None):
@@ -498,7 +512,7 @@ def bound_spectrum(spec, n_max=None):
         raise EmptySpectrum(f"{spec.name}: no bound level clears the cutoff")
     top = count if n_max is None else min(count, n_max + 1)  # a negative cap keeps no level
     states = [bound_state(spec, n) for n in range(top)]
-    v_min, v_minus = spec.region_edges[0], spec.region_edges[1]
+    v_min, v_minus = spec.v_min, (*spec.plateaus, math.inf)[0]
     for lo_state, hi_state in zip(states, states[1:]):
         if scalar_sign(hi_state.eps - lo_state.eps) <= 0:
             raise RuntimeError(f"{spec.name}: spectrum not strictly increasing")
@@ -567,129 +581,79 @@ def normalization_defect(spec, state):
 # -- scattering ----------------------------------------------------------------
 
 
-def _complex_sqrt_of_gap(edge, eps):
-    """sqrt(edge - eps): real below the edge, +i sqrt(eps - edge) above."""
-    gap = edge - eps
-    if gap >= 0:
-        return complex(math.sqrt(gap))
-    return complex(0.0, math.sqrt(-gap))
-
-
 def scattering_states(spec, eps):
+    """The continuum at eps, derived from the reduced equation spec.ghe.
+
+    Each plateau end r is a channel, open exactly when phi_tilde(r; eps) > 0
+    (an exact sign: eps is a dyadic rational).  Its indicial exponents are
+    +-sqrt(-phi_tilde(r; eps))/|phi'(r)|; a closed channel's solution takes
+    the one >= 0.  The basis holds one solution bounded at both ends per open
+    channel, built without evaluating a special function:
+
+      phi quadratic, both roots r1, r2 plateau ends, t = (s - r1)/(r2 - r1):
+        t^rho1 (1-t)^rho2 2F1(a, b; 1 + 2 rho1; t), a, b = rho1 + rho2 +
+        1/2 -+ sqrt(1/4 - c2/f2^2) (c2, f2 the s^2 coefficients of
+        phi_tilde and phi), built at a closed end, or with both open at r1
+        with rho1 = +-i kappa1: c is no pole, and c - a - b = -2 rho2 no
+        integer;
+      phi = f1 (s - r) linear, its infinite end a wall (c2 < 0), sigma =
+        side (s - r) > 0, phi_tilde/f1^2 = -rho^2 + q1 sigma - w^2 sigma^2:
+        e^(-w sigma) sigma^rho U(rho + 1/2 - q1/(2w), 1 + 2 rho, 2 w sigma),
+        the one solution that decays in the wall.
+
+    NonFiniteEnergy for a nan or infinite eps, NoScatteringRegion when no
+    end is a plateau, EnergyBelowRegion when no channel is open, and
+    ValueError for an equation of another shape.
+    """
+    from .hyper import hyp2f1, hypU  # the solve and verify paths never load hyper
+
     eps = float(eps)
     if not math.isfinite(eps):
         raise NonFiniteEnergy(f"scattering energy must be finite, got {eps}")
-    if spec.scattering is None:
-        raise NoScatteringRegion(
-            "confining well: both plateaus sit at infinite energy"
-        )
-    if eps <= spec.v_minus:
-        raise EnergyBelowRegion(
-            f"eps={eps} does not exceed the lower plateau {spec.v_minus}"
-        )
-    return spec.scattering(spec, eps)
+    ends = spec._plateau_ends
+    if not ends:
+        raise NoScatteringRegion("no end of the working interval is a plateau")
+    e, ghe, tau = as_exact(eps), spec.ghe, spec.tau
+    gaps = [c + e * lin for _, _, c, lin in ends]
+    is_open = [scalar_sign(g) > 0 for g in gaps]
+    if not any(is_open):
+        raise EnergyBelowRegion(f"eps={eps} does not exceed the lower plateau {spec.v_minus}")
+    dphi = ghe.phi.derivative()
+    rho = [cmath.sqrt(-scalar_float(g)) / abs(scalar_float(dphi(end[0]))) for end, g in zip(ends, gaps)]
+    c1, c2 = (ghe.phi_tilde.const.coeff(k) + e * ghe.phi_tilde.linear.coeff(k) for k in (1, 2))
 
+    if ghe.phi.degree == 2 and len(ends) == 2:
+        if is_open[0] and not is_open[1]:
+            ends, rho = ends[::-1], rho[::-1]
+        r1, r2, rho2 = ends[0][0], ends[1][0], rho[1]
+        root = cmath.sqrt(0.25 - scalar_float(c2 / ghe.phi.coeff(2) ** 2))
+        # (s - r_k)/(r_other - r_k): zero at its own end, one at the other
+        t_base = (scalar_float(1 / (r2 - r1)), scalar_float(r1 / (r1 - r2)))
+        rest_base = (scalar_float(1 / (r1 - r2)), scalar_float(r2 / (r2 - r1)))
 
-def _morse_scattering(spec, eps):
-    from .hyper import hyp1f1  # the solve and verify paths never load hyper
+        def gauss(rho1):
+            a, b, c = rho1 + rho2 + 0.5 - root, rho1 + rho2 + 0.5 + root, 1.0 + 2.0 * rho1
 
-    lamf = scalar_float(spec.exact["lam"])
-    kappa = _complex_sqrt_of_gap(lamf * lamf, eps)  # purely imaginary here
-    tau = spec.tau.forward
-    params = (
-        (kappa, kappa + 0.5 - lamf, 1.0 + 2.0 * kappa),
-        (-kappa, -kappa + 0.5 - lamf, 1.0 - 2.0 * kappa),
-    )
+            def sampler(x):
+                base = _bases_at(tau, x, tau.forward(x))
+                t, rest = float(base(*t_base)), float(base(*rest_base))
+                return cmath.exp(rho1 * math.log(t) + rho2 * math.log(rest)) * hyp2f1(a, b, c, t).value
 
-    def make(exponent, a, c):
-        def sampler(x):
-            s = tau(x)
-            return (
-                cmath.exp(-s / 2.0)
-                * cmath.exp(exponent * cmath.log(s))
-                * hyp1f1(a, c, s).value
-            )
+            return sampler
 
-        return sampler
+        return ScatteringState(eps, tuple(map(gauss, (rho[0], -rho[0]) if all(is_open) else rho[:1])))
+    (r, side, *_), (rho,) = ends[0], rho
+    wall = (ghe.interval.hi, ghe.interval.lo)[side < 0]
+    if ghe.phi.degree != 1 or not isinstance(wall, float) or scalar_sign(c2) >= 0:
+        raise ValueError(f"{spec.name}: no continuum solver for this reduced equation")
+    f1_sq = ghe.phi.coeff(1) ** 2
+    w = math.sqrt(-scalar_float(c2 / f1_sq))
+    q1 = scalar_float(side * (c1 + 2 * c2 * r) / f1_sq)
+    a, c, sigma_base = rho + 0.5 - q1 / (2.0 * w), 1.0 + 2.0 * rho, (side, scalar_float(-side * r))
 
-    # the confluent factor grows like e^s against the e^{-s/2} prefactor,
-    # so both candidates blow up toward the wall (x -> -inf, s -> inf)
-    solutions = tuple(
-        ScatteringSolution(make(e, a, c), False, True) for e, a, c in params
-    )
-    return ScatteringState(eps=eps, solutions=solutions)
+    def sampler(x):
+        sigma = float(_bases_at(tau, x, tau.forward(x))(*sigma_base))
+        u = hypU(a, c, 2.0 * w * sigma).value
+        return cmath.exp(rho * math.log(sigma) - w * sigma + cmath.log(u))
 
-
-def morse_envelope_growth(spec, eps):
-    """Sampled growth of both scattering candidates against the envelope.
-
-    Deep in the wall region every solution grows like e^{s/2} s^{-1/2-L};
-    the returned pair is |Psi_j(s=48)| / |Psi_j(s=40)| divided by the same
-    quotient of the envelope.  Values near 1 certify that the candidates
-    really do blow up at the envelope rate (the leading-constant itself is
-    only reached far beyond double-precision range, so amplitudes are
-    compared through their growth, not pointwise).
-    """
-    lamf = scalar_float(spec.exact["lam"])
-    s1, s2 = 40.0, 48.0
-    x1, x2 = spec.tau.inverse(s1), spec.tau.inverse(s2)
-    env_growth = math.exp((s2 - s1) / 2.0) * (s2 / s1) ** (-0.5 - lamf)
-    state = scattering_states(spec, eps)
-    return tuple(
-        abs(sol.sampler(x2)) / abs(sol.sampler(x1)) / env_growth
-        for sol in state.solutions
-    )
-
-
-def _rosen_morse2_scattering(spec, eps):
-    from .hyper import _near_integer, hyp2f1, limit_2f1_at_1
-
-    vm, vp = spec.v_minus, spec.v_plus
-    km = _complex_sqrt_of_gap(vm, eps)  # purely imaginary: open channel at +inf
-    kp = _complex_sqrt_of_gap(vp, eps)
-    sq2 = math.sqrt(scalar_float(spec.exact["v2"]))
-    big_b = (kp + km) / 2.0
-    a = big_b + 0.5 - sq2
-    b = big_b + 0.5 + sq2
-    c = kp + 1.0
-
-    def bounded_at_one(a, b, c):
-        # F(a, b; c; t) stays bounded as t -> 1, prefactors aside
-        return limit_2f1_at_1(a, b, c).regime in ("finite", "oscillatory")
-
-    def head(x, sign):
-        t = 0.5 * (1.0 + math.tanh(x))
-        out = cmath.exp(0.5 * km * cmath.log(1.0 - t))
-        return out * cmath.exp(0.5 * sign * kp * cmath.log(t)), t
-
-    def psi1(x):
-        pre, t = head(x, +1)
-        return pre * hyp2f1(a, b, c, t).value
-
-    first = ScatteringSolution(psi1, True, bounded_at_one(a, b, c))
-    kp_real_integer = kp.imag == 0.0 and _near_integer(kp.real) is not None
-    if kp_real_integer:
-        # integer edge exponent: the companion solution is built around the
-        # opposite endpoint and examined there through its limiting regime
-        c_alt = a + b - c + 1.0
-        lim = limit_2f1_at_1(a, b, c_alt)
-
-        def psi2(x):
-            pre, t = head(x, +1)
-            if 1.0 - t <= 0.99:
-                return pre * hyp2f1(a, b, c_alt, 1.0 - t).value
-            if lim.regime == "log":
-                return pre * (-lim.constant * math.log(t))
-            return pre * (lim.constant * cmath.exp((c_alt - a - b) * cmath.log(t)))
-
-        second = ScatteringSolution(psi2, False, True)
-    else:
-        a2, b2, c2 = a - c + 1.0, b - c + 1.0, 2.0 - c
-
-        def psi2(x):
-            pre, t = head(x, -1)
-            return pre * hyp2f1(a2, b2, c2, t).value
-
-        # oscillatory at -inf when above both plateaus
-        second = ScatteringSolution(psi2, kp.real == 0.0, bounded_at_one(a2, b2, c2))
-    return ScatteringState(eps=eps, solutions=(first, second))
+    return ScatteringState(eps, (sampler,))

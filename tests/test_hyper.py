@@ -486,6 +486,25 @@ def test_u_at_nonpositive_integer_a_meets_its_estimate():
                 assert err <= max(1e-10, 10 * res.truncation_estimate), (n, c, z)
 
 
+def test_u_at_complex_c_matches_mpmath():
+    # the Morse continuum's U(i k + 1/2 - L, 1 + 2 i k, z): the pair of M
+    # series (13.2.42) takes most small z, where the integral route runs out
+    # of evaluations; every value is within 1e-10, or the call raises
+    rng, raised = random.Random(7), 0
+    with mpmath.workdps(30):
+        for _ in range(25):
+            lam, k = rng.uniform(1, 40), math.sqrt(rng.uniform(0.01, 50))
+            a, c = complex(0.5 - lam, k), complex(1, 2 * k)
+            for z in [10 ** rng.uniform(-6, math.log10(35)) for _ in range(11)]:
+                try:
+                    got = hypU(a, c, z).value
+                except NuSpectralError:
+                    raised += 1
+                    continue
+                assert rel_err(got, mpmath.hyperu(a, c, z)) < 1e-10, (a, c, z)
+    assert raised <= 15  # of 275; 10 raise, all in the integral route
+
+
 def test_u_small_z_singular_form():
     # for c >= 2 (non-integer): U ~ gamma(c-1)/gamma(a) z^(1-c) as z -> 0
     a, c = 1.4, 2.6

@@ -36,7 +36,7 @@ SURFACE = {
     ),
     "potentials": (
         "BoundState PotentialSpec ScatteringState bound_spectrum bound_state eigen_eps "
-        "eigenvalue_count harmonic morse morse_envelope_growth "
+        "eigenvalue_count harmonic morse "
         "normalization_defect oracle_spectrum "
         "pinned_branch rosen_morse2 scattering_states wavefunction_residual"
     ),
@@ -162,6 +162,27 @@ def test_reports_store_no_derived_verdicts():
 
     assert [f.name for f in dataclasses.fields(ScatteringState)] == ["eps", "solutions"]
     assert "ok" not in {f.name for f in dataclasses.fields(SpectraReport)}
+
+
+def test_potentials_keep_no_per_well_solver():
+    # the continuum, like the levels, is derived from the reduced equation:
+    # no record field selects a solver, and the three constructors are the
+    # only module-level names in potentials that name a well
+    import dataclasses
+
+    from nu_spectral import potentials
+
+    assert "scattering" not in {f.name for f in dataclasses.fields(potentials.PotentialSpec)}
+    tree = ast.parse(Path(potentials.__file__).read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    wells = {n for n in names if re.search("harmonic|morse|rosen", n, re.IGNORECASE)}
+    assert wells == {"harmonic", "morse", "rosen_morse2"}
 
 
 def _tracer_module():

@@ -23,6 +23,7 @@ from nu_spectral.errors import (
     EnergyBelowRegion,
     NonFiniteEnergy,
     NoScatteringRegion,
+    NuSpectralError,
 )
 from nu_spectral.oracle import FdGrid, compare_spectra, quad_adaptive
 from nu_spectral.potentials import (
@@ -34,7 +35,6 @@ from nu_spectral.potentials import (
     eigenvalue_count,
     harmonic,
     morse,
-    morse_envelope_growth,
     normalization_defect,
     oracle_spectrum,
     pinned_branch,
@@ -45,7 +45,7 @@ from nu_spectral.potentials import (
     _verify_declared_substitution,
 )
 from nu_spectral.reduction import quantize, reduce_ghe
-from nu_spectral.scalars import SurdSum, sqrt_scalar
+from nu_spectral.scalars import SurdSum, scalar_float, sqrt_scalar
 
 
 def overlap(f, g, lo, hi):
@@ -220,30 +220,80 @@ class TestMorseWell:
             assert len(oracle.eigenvalues) == count
 
 
+def _morse_scattering_ref(lam, eps, x):
+    """e^(-s/2) s^(i kappa) U(i kappa + 1/2 - Lambda, 1 + 2 i kappa, s) at
+    s = 2 Lambda e^-x, kappa = sqrt(eps - Lambda^2), in mpmath (b = 1)."""
+    lam = mpmath.mpf(lam.numerator) / lam.denominator
+    kappa = mpmath.sqrt(mpmath.mpf(eps) - lam * lam)
+    s = 2 * lam * mpmath.exp(-mpmath.mpf(x))
+    return mpmath.exp(-s / 2) * s ** (1j * kappa) * mpmath.hyperu(
+        1j * kappa + 0.5 - lam, 1 + 2j * kappa, s
+    )
+
+
 class TestMorseScattering:
     ENERGIES = (26.0, 30.0, 37.5, 50.0, 61.0)
 
-    def test_no_bounded_solutions_above_plateau(self):
-        spec = morse(Lambda=5)
-        for eps in self.ENERGIES:
-            state = scattering_states(spec, eps)
-            assert state.degeneracy == 0
-            for sol in state.solutions:
-                assert not sol.bounded_at_minus_inf
-                assert sol.bounded_at_plus_inf
+    def test_one_bounded_solution_above_plateau(self):
+        rng = random.Random(1601)
+        for _ in range(30):
+            lam = Fraction(rng.randrange(5, 160), 4)  # rational Lambda in (1, 40)
+            eps = float(lam * lam) + rng.uniform(0.01, 50.0)
+            assert scattering_states(morse(Lambda=lam), eps).degeneracy == 1
 
-    def test_growth_matches_envelope_within_factor_two(self):
-        spec = morse(Lambda=5)
-        for eps in self.ENERGIES:
-            for ratio in morse_envelope_growth(spec, eps):
-                assert 0.5 < ratio < 2.0
+    def test_sampler_matches_the_hyperu_form(self):
+        # each value within 1e-8 of the largest |psi| sampled, from deep in
+        # the wall (s = 300) out onto the plateau (s = 1e-7), or a raise
+        rng, raised = random.Random(1602), 0
+        with mpmath.workdps(30):
+            for _ in range(20):
+                lam = Fraction(rng.randrange(5, 160), 4)
+                eps = float(lam * lam) + rng.uniform(0.01, 50.0)
+                sampler = scattering_states(morse(Lambda=lam), eps).solutions[0]
+                xs = [math.log(2 * float(lam) / s) for s in (300, 60, 15, 3, 0.5, 1e-2, 1e-4, 1e-7)]
+                want = [complex(_morse_scattering_ref(lam, eps, x)) for x in xs]
+                top = max(map(abs, want))
+                for x, w in zip(xs, want):
+                    try:
+                        got = sampler(x)
+                    except NuSpectralError:
+                        raised += 1
+                        continue
+                    assert abs(got - w) <= 1e-8 * top, (lam, eps, x)
+        assert raised <= 8  # of 160; 4 raise, all in U's integral route
 
-    def test_solutions_blow_up_toward_the_wall(self):
+    def test_demo_energies_to_1e10(self):
         spec = morse(Lambda=5)
-        state = scattering_states(spec, 50.0)
-        x_far, x_near = spec.tau.inverse(40.0), spec.tau.inverse(48.0)
-        for sol in state.solutions:
-            assert abs(sol.sampler(x_near)) > 5.0 * abs(sol.sampler(x_far))
+        with mpmath.workdps(30):
+            for eps in self.ENERGIES:
+                sampler = scattering_states(spec, eps).solutions[0]
+                for x in np.arange(-4.0, 20.01, 0.25):
+                    want = complex(_morse_scattering_ref(Fraction(5), eps, x))
+                    assert abs(sampler(x) - want) <= 1e-10 * abs(want), (eps, x)
+
+    def test_solution_decays_in_the_wall(self):
+        sampler = scattering_states(morse(Lambda=5), 30.0).solutions[0]
+        assert abs(sampler(-4.0)) < 1e-100
+        # a standing wave on the plateau: bounded, and as large far out as near
+        plateau = [abs(sampler(x)) for x in np.linspace(0.0, 20.0, 81)]
+        assert 1.0 < max(plateau) < 20.0 and max(plateau[60:]) > 0.5 * max(plateau)
+
+    def test_sampler_deep_in_the_wall_underflows(self):
+        # s is about 1484 at x = -5 and 4034 at x = -6: U's large-z series,
+        # and the value sinks below the float range instead of overflowing
+        sampler = scattering_states(morse(Lambda=5), 26.0).solutions[0]
+        for x in (-5.0, -6.0):
+            assert abs(sampler(x)) < 1e-300
+
+    def test_reference_solves_the_morse_equation(self):
+        # the mpmath form the samplers are judged by: -psi'' + v psi = eps psi
+        lam, eps = Fraction(5), 30
+        with mpmath.workdps(30):
+            for x in (-2.0, 1.5, 9.0):
+                psi = _morse_scattering_ref(lam, eps, x)
+                d2 = mpmath.diff(lambda y: _morse_scattering_ref(lam, eps, y), x, 2)
+                v = 25 * (1 - mpmath.exp(-mpmath.mpf(x))) ** 2
+                assert abs(-d2 + (v - eps) * psi) <= 1e-20 * abs(eps * psi)
 
     def test_plateau_energy_rejected(self):
         spec = morse(Lambda=5)
@@ -251,19 +301,17 @@ class TestMorseScattering:
             with pytest.raises(EnergyBelowRegion):
                 scattering_states(spec, eps)
 
-
-    @pytest.mark.parametrize("eps", [20.0, 25.0])
-    def test_envelope_growth_needs_a_scattering_energy(self, eps):
-        with pytest.raises(EnergyBelowRegion):
-            morse_envelope_growth(morse(Lambda=5), eps)
-
-    def test_sampler_in_the_wall_reports_overflow(self):
-        from nu_spectral.errors import SeriesOverflow
-
-        # s is about 1484 at x = -5: 1F1 leaves the float range there
-        state = scattering_states(morse(Lambda=5), 26.0)
-        with pytest.raises(SeriesOverflow):
-            state.solutions[0].sampler(-5.0)
+    @pytest.mark.parametrize("lam,above", [(1.2, True), (1.1, False), (5.0, False)])
+    def test_threshold_is_decided_exactly(self, lam, above):
+        # v_minus is the plateau Lambda^2 rounded to a float, which lands
+        # above, below or on the exact plateau
+        spec = morse(Lambda=lam)
+        assert (Fraction(spec.v_minus) > spec.plateaus[0]) == above
+        if above:
+            assert scattering_states(spec, spec.v_minus).degeneracy == 1
+        else:
+            with pytest.raises(EnergyBelowRegion):
+                scattering_states(spec, spec.v_minus)
 
 
 # -- rosen-morse ---------------------------------------------------------------
@@ -340,66 +388,81 @@ class TestHyperbolicWell:
             tau=ChangeOfVariable(
                 forward=math.tanh,
                 deriv=lambda x: 1.02 * (1.0 - math.tanh(x) ** 2),
-                inverse=math.atanh,
             ),
         )
         with pytest.raises(ValueError):
             _verify_declared_substitution(crooked)
 
 
-class TestScatteringDegeneracy:
-    @pytest.mark.parametrize(
-        "flags,want",
-        [
-            ((), 0),
-            (((False, True), (True, False)), 0),
-            (((True, True), (False, True)), 1),
-            (((True, True), (True, True)), 2),
-            (((True, True), (False, False), (True, True)), 2),
-        ],
-    )
-    def test_counts_solutions_bounded_at_both_ends(self, flags, want):
-        solutions = tuple(
-            potentials.ScatteringSolution(lambda x: 0j, lo, hi) for lo, hi in flags
-        )
-        assert potentials.ScatteringState(eps=1.0, solutions=solutions).degeneracy == want
+def _rm2_scattering_ref(spec, eps, x, sign=1, floats=False):
+    """t^rho1 (1-t)^rho2 2F1(a, b; 1 + 2 rho1; t) at t = (1 + tanh x)/2, in
+    mpmath: rho1 = sign sqrt(v_plus - eps)/2 (an imaginary root in the
+    upper half plane), rho2 = i sqrt(eps - v_minus)/2.  With floats, t and
+    1 - t are the sampler's own floats (potentials._tanh_affine)."""
+    vm, vp, v2 = (_mp_exact(spec.exact[k]) for k in ("vm", "vp", "v2"))
+    e = mpmath.mpf(eps)
+    rho1 = sign * mpmath.sqrt(mpmath.mpc(vp - e)) / 2
+    rho2 = 1j * mpmath.sqrt(e - vm) / 2
+    a, b = rho1 + rho2 + 0.5 - mpmath.sqrt(v2), rho1 + rho2 + 0.5 + mpmath.sqrt(v2)
+    if floats:
+        t, rest = (mpmath.mpf(float(potentials._tanh_affine(c, 0.5, x))) for c in (0.5, -0.5))
+    else:
+        t = (1 + mpmath.tanh(mpmath.mpf(x))) / 2
+        rest = 1 - t
+    return complex(t**rho1 * rest**rho2 * mpmath.hyp2f1(a, b, 1 + 2 * rho1, t))
 
 
 class TestHyperbolicScattering:
     def test_degeneracy_one_between_plateaus(self):
         spec = rosen_morse2(4, 0.5)
-        state = scattering_states(spec, 2.0)
-        assert state.degeneracy == 1
-        flags = [(s.bounded_at_minus_inf, s.bounded_at_plus_inf) for s in state.solutions]
-        assert flags == [(True, True), (False, True)]
+        assert scattering_states(spec, 2.0).degeneracy == 1
 
     def test_degeneracy_two_above_upper_plateau(self):
         spec = rosen_morse2(4, 0.5)
-        state = scattering_states(spec, 15.0)
-        assert state.degeneracy == 2
-        for sol in state.solutions:
-            assert sol.bounded_at_minus_inf and sol.bounded_at_plus_inf
+        assert scattering_states(spec, 15.0).degeneracy == 2
 
-    def test_sampled_boundedness_matches_flags(self):
+    def test_sampled_solutions_stay_bounded(self):
         spec = rosen_morse2(4, 0.5)
-        one = scattering_states(spec, 2.0)
-        bounded, unbounded = one.solutions
-        assert abs(bounded.sampler(-12.0)) < 10.0
-        assert abs(bounded.sampler(12.0)) < 10.0
-        assert abs(unbounded.sampler(-12.0)) > 1e6 * abs(unbounded.sampler(12.0))
-        two = scattering_states(spec, 15.0)
-        for sol in two.solutions:
-            assert abs(sol.sampler(-12.0)) < 10.0
-            assert abs(sol.sampler(12.0)) < 10.0
+        (one,) = scattering_states(spec, 2.0).solutions
+        assert abs(one(-12.0)) < 1e-12  # the closed channel decays
+        assert 0.1 < abs(one(12.0)) < 10.0
+        for sol in scattering_states(spec, 15.0).solutions:
+            assert 0.1 < abs(sol(-12.0)) < 10.0
+            assert 0.1 < abs(sol(12.0)) < 10.0
 
-    def test_integer_upper_exponent_companion_diverges(self):
+    def test_integer_upper_exponent_needs_no_companion(self):
         spec = rosen_morse2(4, 0.5)
-        eps = spec.v_plus - 4.0  # upper edge exponent exactly 2
-        state = scattering_states(spec, eps)
-        assert state.degeneracy == 1
-        companion = state.solutions[1]
-        assert not companion.bounded_at_minus_inf
-        assert abs(companion.sampler(-12.0)) > 1e6 * abs(companion.sampler(12.0))
+        eps = spec.v_plus - 4.0  # upper edge exponent 1 up to rounding
+        (sol,) = scattering_states(spec, eps).solutions
+        assert abs(sol(-12.0)) < 1e-6 * abs(sol(12.0))
+        with mpmath.workdps(30):
+            for x in (-6.0, 0.0, 4.0):
+                want = _rm2_scattering_ref(spec, eps, x)
+                assert abs(sol(x) - want) <= 1e-10 * abs(want)
+
+    def test_upper_threshold_is_decided_exactly(self):
+        # the float v_plus is the exact plateau rounded: above it the left
+        # channel is open, on or below it closed
+        spec = rosen_morse2(4, 0.5)
+        vp = spec.plateaus[1]
+        for eps in (spec.v_plus, math.nextafter(spec.v_plus, 0), math.nextafter(spec.v_plus, 99)):
+            want = 2 if Fraction(eps) > vp else 1
+            assert scattering_states(spec, eps).degeneracy == want
+
+    def test_samplers_match_mpmath(self):
+        # against the closed form at the sampler's own floats t and 1 - t to
+        # 1e-10; at the exact x, the rounding of t near 1 costs up to 7.5e-10
+        # at x = 8, because hyp2f1 forms 1 - t from the rounded t
+        spec = rosen_morse2(4, 0.5)
+        with mpmath.workdps(30):
+            for eps in (2.0, 15.0, spec.v_plus - 4.0):
+                for sol, sign in zip(scattering_states(spec, eps).solutions, (1, -1)):
+                    for x in np.arange(-8.0, 8.01, 0.5):
+                        got = sol(x)
+                        own = _rm2_scattering_ref(spec, eps, x, sign, floats=True)
+                        assert abs(got - own) <= 1e-10 * abs(own), (eps, sign, x)
+                        want = _rm2_scattering_ref(spec, eps, x, sign)
+                        assert abs(got - want) <= 1e-9 * abs(want), (eps, sign, x)
 
     def test_energy_at_or_below_lower_plateau_rejected(self):
         spec = rosen_morse2(4, 0.5)
@@ -526,14 +589,13 @@ def test_non_finite_scattering_energy_rejected(make, eps):
 
 
 def _scattering_verdict(spec, eps):
-    """(degeneracy, boundedness flags) of the scattering state at eps, or
-    the exception type the request raises."""
+    """The scattering state's solutions sampled at three points, or the
+    exception type the request raises."""
     try:
         state = scattering_states(spec, eps)
     except NoScatteringRegion as exc:
         return type(exc)
-    flags = [(s.bounded_at_minus_inf, s.bounded_at_plus_inf) for s in state.solutions]
-    return state.degeneracy, flags
+    return [[sol(x) for x in (-3.0, 0.5, 4.0)] for sol in state.solutions]
 
 
 @pytest.mark.parametrize(
@@ -551,7 +613,7 @@ def test_renamed_well_behaves_the_same(spec):
     for st, twin in zip(states, renamed_states):
         assert normalization_defect(renamed, twin) == normalization_defect(spec, st)
     # between the plateaus and above both; any energy for the confining well
-    energies = [e + 0.5 for e in spec.region_edges[1:] if math.isfinite(e)] or [100.0]
+    energies = [float(e) + 0.5 for e in spec.plateaus] or [100.0]
     for eps in energies:
         assert _scattering_verdict(renamed, eps) == _scattering_verdict(spec, eps)
 
@@ -600,6 +662,14 @@ def closed_form_lambda(spec, eps):
     return k0 - (kp + km) / 2
 
 
+def closed_form_plateaus(spec):
+    if spec.name == "harmonic":
+        return ()
+    if spec.name == "morse":
+        return (spec.exact["lam_sq"],)
+    return spec.exact["vm"], spec.exact["vp"]
+
+
 def _sweep_wells():
     rng = random.Random(20261017)
     wells = [
@@ -630,6 +700,14 @@ class TestDerivedSpectra:
                 assert quantize(ghe, n).lam == lam
                 assert pinned_branch(spec, eps).lam == lam
             assert quantize(ghe, count) is None
+
+    def test_plateaus_equal_closed_forms(self):
+        wells, _ = _sweep_wells()
+        for spec in [harmonic(), *wells]:
+            plateaus = closed_form_plateaus(spec)
+            assert spec.plateaus == plateaus
+            floats = [scalar_float(p) for p in plateaus] + [math.inf, math.inf]
+            assert (spec.v_minus, spec.v_plus) == tuple(floats[:2])
 
     def test_harmonic_levels_are_unbounded(self):
         spec = harmonic()

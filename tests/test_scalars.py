@@ -256,7 +256,7 @@ def test_inverse_with_hidden_squares(x):
 
 @pytest.mark.xfail(strict=True, raises=ArithmeticError, reason=(
     "sqrt(2) and sqrt(2 * 1009^2) keep separate radicand keys, so the "
-    "inverse's linear system over them is singular (ROADMAP item 4)"))
+    "inverse's linear system over them is singular (ROADMAP item 2)"))
 def test_inverse_with_dependent_radicands():
     x = sqrt_fraction(2) + sqrt_fraction(2 * 1009 * 1009)  # 1010 sqrt(2)
     x.inverse()
