@@ -39,8 +39,13 @@ Quadrature is implemented here and vectorised: integrands take a numpy
 array of abscissas and return the values with the same shape, so a whole
 round of nodes costs one call.  quad_adaptive is a globally adaptive
 10/21-point Gauss-Kronrod rule with QUADPACK's nodes and error estimate,
-for smooth (possibly infinite-range) integrands.  tanh_sinh is a
-double-exponential rule for weights with endpoint exponents in (-1, 0),
+for smooth (possibly infinite-range) integrands.  It starts from the panels
+between the edges it is given.  QUADPACK starts from one panel and bisects,
+which spends several rounds finding where a wavefunction's nodes are;
+wkb_edges places the panels beforehand, at equal steps of the WKB phase
+(the integral of max(sqrt(|e - v|), |v'|^(1/3)) dx), about QUAD_PANEL_PHASE
+or one node each, counted to 20 units of decay past the outermost turning
+points.  tanh_sinh is a double-exponential rule for weights with endpoint exponents in (-1, 0),
 where the integrand must be evaluated with exact distances to the
 endpoints rather than through a rounded abscissa.  inner_product,
 orthogonality_defect and norm_defect apply the two rules to the classical
@@ -63,6 +68,7 @@ from .reduction import pearson_weight
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_GRID_RTOL = 1e-3
 QUAD_MAX_SUBINTERVALS = 200
+QUAD_PANEL_PHASE = math.pi  # WKB phase per panel of a starting partition (wkb_edges)
 TANH_SINH_TOL = 1e-12  # relative change between levels at which tanh_sinh stops
 TANH_SINH_LEVELS = 10  # halvings of the step tanh_sinh tries before giving up
 INNER_PRODUCT_TOL = 1e-12  # relative target of inner_product's adaptive tail
@@ -161,9 +167,11 @@ def _walk(v, x0, direction, e, shift, step, limit):
     done = 0.0
     for start in np.arange(0.0, limit, 256 * step):
         xs = x0 + direction * (start + step * np.arange(1, 257))
-        kappa_sq = np.clip(_potential(v, xs) - e, 0.0, 1e300)
-        phase = done + step * np.cumsum(np.sqrt(kappa_sq))
-        with np.errstate(divide="ignore"):
+        # a starting box far wider than the well walks in huge steps, where
+        # v and the phase may leave the float range
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            kappa_sq = np.clip(_potential(v, xs) - e, 0.0, 1e300)
+            phase = done + step * np.cumsum(np.sqrt(kappa_sq))
             moved = np.log(4.0 * kappa_sq) - 2.0 * phase
         hit = np.flatnonzero((phase >= 1.0) & (moved <= math.log(shift)))
         if hit.size:
@@ -280,7 +288,7 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
         lo, hi = (lo, reach) if lowest else (reach, hi)
         probe = np.linspace(lo, hi, 257)
         rim = _potential(v, probe)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         curvature = np.abs(np.diff(rim, 2)) / (probe[1] - probe[0]) ** 2
     v_min = float(rim.min())
     # the energy of the sampling limit: the threshold, or, for a confining
@@ -351,6 +359,12 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
         return levels, coarse, h
 
     box, h, before, box_err = (lo, hi), spacing(), None, 0.0
+    if not hi - lo <= (grid.n + 1) * h:
+        # the first solve would need more points; fail before sampling it
+        raise GridTooCoarse(
+            f"the starting box [{lo:.6g}, {hi:.6g}] is wider than {grid.n} points "
+            f"at spacing {h:.3g}"
+        )
     want, shallow = k_max, None
     if finite:
         want, start, end, ahead = _threshold_count(v, *box, threshold, h, grid.n * h)
@@ -536,13 +550,20 @@ def _gk21(g, a, b):
     return resk * half, np.maximum(err, floor)
 
 
-def quad_adaptive(f, lo, hi, tol=DEFAULT_QUAD_TOL, abs_tol=None):
+def quad_adaptive(f, *edges, tol=DEFAULT_QUAD_TOL, abs_tol=None):
     """Adaptive 10/21-point Gauss-Kronrod quadrature; NoConvergence on failure.
+
+    The range is given by its edges: quad_adaptive(f, lo, hi) starts from
+    the one panel [lo, hi], and quad_adaptive(f, lo, x1, ..., hi) from the
+    panels between consecutive edges (a starting partition such as
+    wkb_edges gives, which saves the rounds that bisection would spend
+    finding it).  Interior edges need finite ends.
 
     f takes a 1-D float array of abscissas and returns the integrand values
     with the same shape.  Each round calls it once, with the 21 nodes of
-    every subinterval that round bisects; infinite ends are mapped onto
-    (0, 1].  The rule stops when the summed QUADPACK error estimate meets
+    every subinterval that round bisects (the first round, of every
+    starting panel); infinite ends are mapped onto (0, 1].  The rule stops
+    when the summed QUADPACK error estimate meets
     max(abs_tol, tol * |result|): tol bounds the relative error, abs_tol
     (defaulting to tol) sets the absolute floor.  Pass a larger abs_tol when
     the integrand's lobes dwarf the cancelled result, where a fixed
@@ -552,8 +573,11 @@ def quad_adaptive(f, lo, hi, tol=DEFAULT_QUAD_TOL, abs_tol=None):
     non-finite value.
     """
     epsabs = tol if abs_tol is None else abs_tol
+    lo, *inner, hi = edges
     g, a, b = _finite_range(f, lo, hi)
-    lefts, rights = np.array([a]), np.array([b])
+    if inner and g is not f:
+        raise ValueError("interior edges need a finite range")
+    lefts, rights = np.array([a, *inner], dtype=float), np.array([*inner, b], dtype=float)
     vals, errs = _gk21(g, lefts, rights)
     while True:
         total, err = float(vals.sum()), float(errs.sum())
@@ -579,6 +603,44 @@ def quad_adaptive(f, lo, hi, tol=DEFAULT_QUAD_TOL, abs_tol=None):
         rights = np.concatenate([rights[keep], new_r])
         vals = np.concatenate([vals[keep], new_v])
         errs = np.concatenate([errs[keep], new_e])
+
+
+def wkb_edges(v, e, lo, hi):
+    """Edges lo < x1 < ... < hi that split [lo, hi] into panels of equal
+    WKB phase, for quad_adaptive to start from.  A level of energy e has a
+    node about every pi of the phase, the integral of sqrt(|e - v|) dx, so
+    panels of QUAD_PANEL_PHASE each hold about one node of its density.
+
+    Near a turning point, where sqrt(|e - v|) vanishes, the level varies on
+    the Airy length |v'|^(-1/3) instead, so the phase density is the larger
+    of the two wavenumbers.  The phase stops counting where the decay
+    integral of sqrt(v - e) has reached 20 past each outermost turning
+    point: the density has fallen by e^-40 there, and the end panels stretch
+    on to lo and hi.  There are at most QUAD_MAX_SUBINTERVALS // 2 panels,
+    so the rule can still bisect every one of them.  When no point of the
+    window lies below e, the edges are (lo, hi).
+    """
+    x = np.linspace(lo, hi, 2049)  # the phase only places panels: 2048 cells serve
+    h = x[1] - x[0]
+    vx = _potential(v, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # per cell: the mean of v at its ends, and its slope
+        gap = e - 0.5 * (vx[1:] + vx[:-1])
+        airy = np.cbrt(np.abs(np.diff(vx)) / h)
+    wave = np.sqrt(np.abs(gap)) * h  # each cell's WKB phase, or its decay
+    inside = np.flatnonzero(gap > 0)
+    if not inside.size:
+        return lo, hi
+    step = np.fmax(wave, airy * h)
+    # past 20 units of decay outward from either turning point, no more panels
+    first, last = inside[0], inside[-1]
+    step[:first][np.cumsum(wave[:first][::-1])[::-1] > 20.0] = 0.0
+    step[last + 1:][np.cumsum(wave[last + 1:]) > 20.0] = 0.0
+    phase = np.cumsum(step)
+    total = float(phase[-1])
+    panels = min(math.ceil(total / QUAD_PANEL_PHASE), QUAD_MAX_SUBINTERVALS // 2)
+    inner = np.interp(total * np.arange(1, panels) / panels, np.concatenate(([0.0], phase)), x)
+    return (lo, *inner.tolist(), hi)
 
 
 def tanh_sinh(g, a, b):
@@ -651,7 +713,7 @@ def inner_product(family, p, q, alpha=None, beta=None, abs_tol=None):
     if math.isfinite(lo):
         head, start = tanh_sinh(weighted, lo, lo + 1.0), lo + 1.0
     tail = quad_adaptive(
-        lambda x: weighted(x, x - lo, hi - x), start, hi, INNER_PRODUCT_TOL, abs_tol
+        lambda x: weighted(x, x - lo, hi - x), start, hi, tol=INNER_PRODUCT_TOL, abs_tol=abs_tol
     )
     return head + tail
 

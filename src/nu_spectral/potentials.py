@@ -45,7 +45,7 @@ from .errors import (
     NonFiniteEnergy,
     NoScatteringRegion,
 )
-from .oracle import FdGrid, fd_bound_states, quad_adaptive
+from .oracle import FdGrid, fd_bound_states, quad_adaptive, wkb_edges
 from .polynomials import HALF_LINE, REAL_LINE, UNIT_INTERVAL, Polynomial
 from .reduction import EpsAffinePoly, GheProblem, bound_canonical, branch_candidates
 from .scalars import as_exact, scalar_float, scalar_is_zero, scalar_sign, sqrt_scalar
@@ -424,6 +424,8 @@ def bound_state(spec, n):
 # float range on both sides
 _RESCALE_AT = 2.0**500
 _RESCALE_LOG = 500.0 * math.log(2.0)
+# a sum of squares below this leaves every value below _RESCALE_AT
+_SQUARES_BELOW = 2.0**999
 
 
 def recurrence_values(family, n, u, alpha=None, beta=None):
@@ -448,16 +450,23 @@ def _scaled_recurrence(recurrence, n, u, exps):
     if n == 0:
         return prev, e
     cur, step = recurrence(u, *exps)
-    # float k: numpy scales by a Python float faster than by an int; k is exact
-    for k in map(float, range(1, n)):
-        prev, cur = cur, step(k, cur, prev)
-        # one reduction per step; the elementwise rescale runs only when
-        # some value has grown past the threshold
-        if np.abs(cur).max(initial=0.0) > _RESCALE_AT:
-            big = np.abs(cur) > _RESCALE_AT
-            cur = np.where(big, cur / _RESCALE_AT, cur)
-            prev = np.where(big, prev / _RESCALE_AT, prev)
-            e = e + np.where(big, _RESCALE_LOG, 0.0)
+    # a value past 2^512 overflows the guard's dot product to inf, which
+    # fails the guard as it should: no warning for that
+    with np.errstate(over="ignore"):
+        # float k: numpy scales by a Python float faster than by an int; k is exact
+        for k in map(float, range(1, n)):
+            prev, cur = cur, step(k, cur, prev)
+            # one dot product per step clears the common case; NaN and inf
+            # fail it and fall through to the elementwise test, which
+            # rescales only when some value has grown past the threshold
+            flat = cur.ravel()
+            if flat @ flat < _SQUARES_BELOW:
+                continue
+            if np.abs(cur).max(initial=0.0) > _RESCALE_AT:
+                big = np.abs(cur) > _RESCALE_AT
+                cur = np.where(big, cur / _RESCALE_AT, cur)
+                prev = np.where(big, prev / _RESCALE_AT, prev)
+                e = e + np.where(big, _RESCALE_LOG, 0.0)
     return cur, e
 
 
@@ -556,6 +565,11 @@ def wavefunction_residual(spec, sampler, eps, xs):
     return float(defect.max())
 
 
+# levels up to this n start normalization from the window as one panel:
+# their recurrences are short, so the rounds that find the panels cost little
+ONE_PANEL_LEVELS = 8
+
+
 def normalization_defect(spec, state):
     """|1 - integral of sampler^2| over the whole line.
 
@@ -564,13 +578,23 @@ def normalization_defect(spec, state):
     density is a single decaying exponential to machine accuracy, so the
     remaining mass is added in closed form rather than chased numerically,
     at the decay rate sqrt(plateau - eps_n).
+
+    Above n = ONE_PANEL_LEVELS the adaptive rule starts from panels of
+    equal WKB phase of the reduced potential at eps_n (oracle.wkb_edges),
+    one per pi (about one per node), counted to 20 units of decay past
+    each turning point; those panels already resolve the level's n nodes,
+    so one round usually meets the tolerance.  Lower levels start from the
+    whole window.
     """
 
     def sq(x):
         return state.sampler(x) ** 2
 
     lo, hi, lo_plateau, hi_plateau = spec.norm_window(state)
-    total = quad_adaptive(sq, lo, hi)
+    edges = (lo, hi)
+    if state.n > ONE_PANEL_LEVELS:
+        edges = wkb_edges(spec.reduced_potential, scalar_float(state.eps), lo, hi)
+    total = quad_adaptive(sq, *edges)
     for edge, plateau in ((hi, hi_plateau), (lo, lo_plateau)):
         if plateau is not None:
             rate = math.sqrt(scalar_float(plateau - state.eps))

@@ -595,6 +595,19 @@ class TestVerify:
         assert spectrum["pass"] is False
         assert "GridTooCoarse" in spectrum["error"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_starting_grid_reported(self, capsys):
+        # no numpy warning on the way: the box is too wide for the basis
+        code, out, err = run(
+            capsys, "verify", "--potential", "morse", "--params", "Lambda=5",
+            "--grid=-1e300:1e300:1200",
+        )
+        assert (code, err) == (4, "")
+        spectrum = json.loads(out)["checks"][0]
+        assert spectrum["pass"] is False
+        assert spectrum["error"].startswith("GridTooCoarse: the starting box [-1e+300, 1e+300]")
+        assert "\n" not in spectrum["error"]
+
     def test_every_check_reports_a_domain_error(self, capsys, monkeypatch):
         from nu_spectral.errors import NoConvergence
 

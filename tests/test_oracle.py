@@ -8,9 +8,11 @@ from nu_spectral.oracle import (
     FdGrid,
     _sinc_dvr,
     compare_spectra,
+    QUAD_MAX_SUBINTERVALS,
     fd_bound_states,
     quad_adaptive,
     tanh_sinh,
+    wkb_edges,
 )
 from nu_spectral.potentials import morse, rosen_morse2
 
@@ -138,6 +140,50 @@ def test_quad_adaptive_one_call_per_round():
     val = quad_adaptive(f, 0.0, 40.0)
     assert abs(val - (20.0 - math.sin(80.0) / 4.0)) < 1e-10
     assert all(len(shape) == 1 and shape[0] % 21 == 0 for shape in sizes)
+
+
+def test_quad_adaptive_starts_from_given_edges():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.sin(x) ** 2
+
+    # panels of width pi resolve sin^2 at once: one round, with every panel
+    val = quad_adaptive(f, *np.linspace(0.0, 40.0, 14))
+    assert abs(val - (20.0 - math.sin(80.0) / 4.0)) < 1e-12
+    assert calls == [13 * 21]
+    with pytest.raises(ValueError, match="finite range"):
+        quad_adaptive(f, -np.inf, 0.0, np.inf)
+
+
+def test_wkb_edges_hold_about_one_node_per_panel():
+    # v = x^2 at its level n = 20: the density has the 20 zeros of H_20
+    n = 20
+    edge = math.sqrt(2 * n + 1) + 5.0
+    edges = wkb_edges(lambda x: x * x, 2.0 * n + 1.0, -edge, edge)
+    assert edges[0] == -edge and edges[-1] == edge
+    assert np.all(np.diff(edges) > 0)
+    zeros = np.polynomial.hermite.hermroots([0] * n + [1])
+    per_panel = np.histogram(zeros, bins=edges)[0]
+    assert n < len(edges) - 1 < 2 * n
+    assert per_panel.max() <= 2
+
+
+def test_wkb_edges_fallbacks():
+    # no point of the window below e: one panel
+    assert wkb_edges(lambda x: x * x, -1.0, -3.0, 3.0) == (-3.0, 3.0)
+    # a level too deep for the cap: half the cap, so each panel can be bisected
+    edges = wkb_edges(lambda x: x * x, 2001.0, -50.0, 50.0)
+    assert len(edges) - 1 == QUAD_MAX_SUBINTERVALS // 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_starting_box_is_too_coarse():
+    # a box far wider than any basis allows fails before it is sampled
+    spec = morse(Lambda=5)
+    with pytest.raises(GridTooCoarse, match="starting box"):
+        fd_bound_states(spec.reduced_potential, FdGrid(-1e300, 1e300, 1200), threshold=25.0)
 
 
 def test_tanh_sinh_polynomial():
