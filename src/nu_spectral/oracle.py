@@ -42,10 +42,11 @@ round of nodes costs one call.  quad_adaptive is a globally adaptive
 for smooth (possibly infinite-range) integrands.  It starts from the panels
 between the edges it is given.  QUADPACK starts from one panel and bisects,
 which spends several rounds finding where a wavefunction's nodes are;
-wkb_edges places the panels beforehand, at equal steps of the WKB phase
-(the integral of max(sqrt(|e - v|), |v'|^(1/3)) dx), about QUAD_PANEL_PHASE
-or one node each, counted to 20 units of decay past the outermost turning
-points.  tanh_sinh is a double-exponential rule for weights with endpoint exponents in (-1, 0),
+wkb_edges finds a level's window from the potential alone (20 units of
+decay past the outermost turning points, or where v reaches its plateau)
+and places the panels beforehand, at equal steps of the WKB phase (the
+integral of max(sqrt(|e - v|), |v'|^(1/3)) dx), about QUAD_PANEL_PHASE or
+one node each.  tanh_sinh is a double-exponential rule for weights with endpoint exponents in (-1, 0),
 where the integrand must be evaluated with exact distances to the
 endpoints rather than through a rounded abscissa.  inner_product,
 orthogonality_defect and norm_defect apply the two rules to the classical
@@ -136,7 +137,8 @@ def _potential(v, x):
     overflow in a steep wall reads as inf."""
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        return np.broadcast_to(np.asarray(v(x), dtype=float), x.shape)
+        y = np.asarray(v(x), dtype=float)
+    return y if y.shape == x.shape else np.broadcast_to(y, x.shape)
 
 
 def _sinc_dvr(v, x, v_cap):
@@ -606,41 +608,66 @@ def quad_adaptive(f, *edges, tol=DEFAULT_QUAD_TOL, abs_tol=None):
 
 
 def wkb_edges(v, e, lo, hi):
-    """Edges lo < x1 < ... < hi that split [lo, hi] into panels of equal
-    WKB phase, for quad_adaptive to start from.  A level of energy e has a
-    node about every pi of the phase, the integral of sqrt(|e - v|) dx, so
-    panels of QUAD_PANEL_PHASE each hold about one node of its density.
+    """The window of a level of energy e in the well of v that lo:hi holds,
+    split into panels of equal WKB phase for quad_adaptive to start from.
 
-    Near a turning point, where sqrt(|e - v|) vanishes, the level varies on
-    the Airy length |v'|^(-1/3) instead, so the phase density is the larger
-    of the two wavenumbers.  The phase stops counting where the decay
-    integral of sqrt(v - e) has reached 20 past each outermost turning
-    point: the density has fallen by e^-40 there, and the end panels stretch
-    on to lo and hi.  There are at most QUAD_MAX_SUBINTERVALS // 2 panels,
-    so the rule can still bisect every one of them.  When no point of the
-    window lies below e, the edges are (lo, hi).
+    The window ends, on each side, 20 units of decay (the integral of
+    sqrt(v - e) dx) past the outermost turning point, where the density has
+    fallen by e^-40; or, on a side where v levels off, at the first point
+    where v equals its value at that infinite end to one ulp (a float
+    potential can round its plateau a few ulps off the exact one), past
+    which the density is one exponential.  It is found on 2048 cells of
+    lo:hi, widened by twice its width on each side that does not reach an
+    edge yet, or toward the lowest point when no point lies below e and that
+    point is an end, up to 2^10 times the width of lo:hi; a well narrower
+    than a cell is zoomed into once.
+
+    A level has a node about every pi of the phase, the integral of
+    sqrt(|e - v|) dx, so panels of QUAD_PANEL_PHASE each hold about one node
+    of its density.  Near a turning point, where sqrt(|e - v|) vanishes, the
+    level varies on the Airy length |v'|^(-1/3) instead, so the phase
+    density is the larger of the two wavenumbers.  There are at most
+    QUAD_MAX_SUBINTERVALS // 2 panels, so the rule can still bisect every
+    one of them.  When no well is found, the edges are (lo, hi).
     """
-    x = np.linspace(lo, hi, 2049)  # the phase only places panels: 2048 cells serve
-    h = x[1] - x[0]
-    vx = _potential(v, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # per cell: the mean of v at its ends, and its slope
-        gap = e - 0.5 * (vx[1:] + vx[:-1])
-        airy = np.cbrt(np.abs(np.diff(vx)) / h)
-    wave = np.sqrt(np.abs(gap)) * h  # each cell's WKB phase, or its decay
-    inside = np.flatnonzero(gap > 0)
-    if not inside.size:
-        return lo, hi
-    step = np.fmax(wave, airy * h)
-    # past 20 units of decay outward from either turning point, no more panels
-    first, last = inside[0], inside[-1]
-    step[:first][np.cumsum(wave[:first][::-1])[::-1] > 20.0] = 0.0
-    step[last + 1:][np.cumsum(wave[last + 1:]) > 20.0] = 0.0
-    phase = np.cumsum(step)
+    with np.errstate(invalid="ignore"):
+        ends = _potential(v, np.array([-math.inf, math.inf]))
+    box, ulps, zoomed = (lo, hi), np.spacing(np.abs(ends)), False
+    while True:
+        x = np.linspace(lo, hi, 2049)  # the phase only places panels: 2048 cells serve
+        h = x[1] - x[0]
+        vx = _potential(v, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # per cell: the mean of v at its ends, and its slope
+            gap = e - 0.5 * (vx[1:] + vx[:-1])
+            airy = np.cbrt(np.abs(np.diff(vx)) / h)
+        wave = np.sqrt(np.abs(gap)) * h  # each cell's WKB phase, or its decay
+        inside, width = np.flatnonzero(gap > 0), hi - lo
+        if not inside.size:
+            i = int(np.argmin(vx))
+            if zoomed or width > 2**10 * (box[1] - box[0]):
+                return box
+            if 0 < i < 2048:
+                lo, hi, zoomed = x[i - 1], x[i + 1], True
+            else:  # the well lies past this end of the range
+                lo, hi = lo - 2 * width * (i == 0), hi + 2 * width * (i > 0)
+            continue
+        first, last = inside[0], inside[-1]
+        # outward from each turning point: the cells' decay and the points' v
+        stops = [(np.cumsum(wave[:first][::-1]) > 20.0)
+                 | (np.abs(vx[:first][::-1] - ends[0]) <= ulps[0]),
+                 (np.cumsum(wave[last + 1:]) > 20.0) | (np.abs(vx[last + 2:] - ends[1]) <= ulps[1])]
+        found = [stop.any() for stop in stops]
+        if all(found) or width > 2**10 * (box[1] - box[0]):
+            break
+        lo, hi = lo - 2 * width * (not found[0]), hi + 2 * width * (not found[1])
+    a = first - 1 - int(np.argmax(stops[0])) if found[0] else 0
+    b = last + 2 + int(np.argmax(stops[1])) if found[1] else 2048
+    phase = np.cumsum(np.fmax(wave, airy * h)[a:b])
     total = float(phase[-1])
     panels = min(math.ceil(total / QUAD_PANEL_PHASE), QUAD_MAX_SUBINTERVALS // 2)
-    inner = np.interp(total * np.arange(1, panels) / panels, np.concatenate(([0.0], phase)), x)
-    return (lo, *inner.tolist(), hi)
+    inner = np.interp(total * np.arange(1, panels) / panels, np.concatenate(([0.0], phase)), x[a:b + 1])
+    return (float(x[a]), *inner.tolist(), float(x[b]))
 
 
 def tanh_sinh(g, a, b):

@@ -1,10 +1,11 @@
 """Three end-to-end solvable one-dimensional quantum systems.
 
 Each constructor returns one PotentialSpec record holding all that is
-particular to its well: the change of variable s = tau(x), the reduced
-equation it produces and the normalization window; no function here
-branches on the well's name, nor on a family's (the float recurrence and
-the x-measure norm come from classical.FAMILIES).  Levels, their count and
+particular to its well: the change of variable s = tau(x) and the reduced
+equation it produces; no function here branches on the well's name, nor on
+a family's (the float recurrence and the x-measure norm come from
+classical.FAMILIES), and each level's normalization window is derived from
+the reduced potential at its eps (oracle.wkb_edges).  Levels, their count and
 branches are read from the reduced equation's ladder (reduction.Ladder),
 which derives them once, in closed form in n, and asserts the reduction
 identity once; each level is checked exactly against the classical
@@ -48,7 +49,7 @@ from .errors import (
 from .oracle import FdGrid, fd_bound_states, quad_adaptive, wkb_edges
 from .polynomials import HALF_LINE, REAL_LINE, UNIT_INTERVAL, Polynomial
 from .reduction import EpsAffinePoly, GheProblem, bound_canonical, branch_candidates
-from .scalars import as_exact, scalar_float, scalar_is_zero, scalar_sign, sqrt_scalar
+from .scalars import accurate_float, as_exact, scalar_float, scalar_is_zero, scalar_sign, sqrt_scalar
 
 X = Polynomial.x()
 
@@ -79,12 +80,10 @@ class PotentialSpec:
     energy_scale: float  # physical E = energy_scale * eps
     coordinate_scale: float  # physical-coordinate norm = this * reduced norm
     # (lo, hi, points): the oracle's starting box and largest basis; lo:hi
-    # also places the verify residual probes and the --samples-dir abscissas
+    # also locates the well for normalization (oracle.wkb_edges) and places
+    # the verify residual probes and the --samples-dir abscissas
     fd_box: tuple
     exact: dict  # rationalized shape parameters
-    # state -> (lo, hi, lo_plateau, hi_plateau): the quadrature window, and the
-    # plateau whose closed-form tail is added past each edge (None: no tail)
-    norm_window: object
 
     @functools.cached_property
     def _plateau_ends(self):
@@ -178,14 +177,6 @@ def _derived_scale(name, compute):
 def harmonic(m=1.0, Omega=1.0, hbar=1.0):
     _require_positive(m=m, Omega=Omega, hbar=hbar)
     x0 = _derived_scale("the length unit", lambda: math.sqrt(hbar / (m * Omega)))
-
-    def norm_window(state):
-        # gaussian times a polynomial: past the classical turning point
-        # sqrt(2n+1) the density decays like exp(-x^2); a margin of 5 leaves
-        # less than 1e-15 of the mass outside
-        edge = math.sqrt(2 * state.n + 1) + 5.0
-        return -edge, edge, None, None
-
     spec = PotentialSpec(
         name="harmonic",
         physical_params={"m": m, "Omega": Omega, "hbar": hbar},
@@ -205,7 +196,6 @@ def harmonic(m=1.0, Omega=1.0, hbar=1.0):
         coordinate_scale=_derived_scale("the inverse length unit", lambda: 1.0 / x0),
         fd_box=(-10.0, 10.0, 1200),
         exact={},
-        norm_window=norm_window,
     )
     _verify_declared_substitution(spec)
     return spec
@@ -232,16 +222,7 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
     b = _derived_scale("exp(a*xe)", lambda: math.exp(a * xe))
     lamf = scalar_float(lam)
     lamf2 = scalar_float(lam_sq)
-    s0 = _derived_scale("s at x = 0", lambda: 2.0 * lamf * b)
-    # left wall: s = 2*lam*b*e^{-x} = 700 puts e^{-s/2} past underflow; right
-    # cap: past s = 2^-1022, e^{-s/2} L_n(s) is exactly 1 in floats, so the
-    # closed-form plateau tail is exact there however small kappa is
-    wall, flat = math.log(s0 / 700.0), math.log(s0) + 1022.0 * math.log(2.0)
-
-    def norm_window(state):
-        kappa = math.sqrt(scalar_float(lam_sq - state.eps))
-        return wall, min(max(20.0, 20.0 / kappa), flat), None, lam_sq
-
+    _derived_scale("s at x = 0", lambda: 2.0 * lamf * b)
     spec = PotentialSpec(
         name="morse",
         physical_params={"De": De, "a": a, "xe": xe, "m": m, "hbar": hbar},
@@ -264,7 +245,6 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
         coordinate_scale=a,
         fd_box=(a * xe - 2.0, a * xe + 12.0, 1200),
         exact={"lam": lam, "lam_sq": lam_sq, "b": b},
-        norm_window=norm_window,
     )
     _verify_declared_substitution(spec)
     return spec
@@ -322,7 +302,6 @@ def rosen_morse2(v0, mu):
         coordinate_scale=1.0,
         fd_box=(-15.0, 15.0, 1200),
         exact={"v0": v0x, "t": t, "csq": csq, "v1": v1, "v2": v2, "vm": vm, "vp": vp},
-        norm_window=lambda state: (-18.0, 18.0, vp, vm),
     )
     _verify_declared_substitution(spec)
     return spec
@@ -458,12 +437,12 @@ def _scaled_recurrence(recurrence, n, u, exps):
             prev, cur = cur, step(k, cur, prev)
             # one dot product per step clears the common case; NaN and inf
             # fail it and fall through to the elementwise test, which
-            # rescales only when some value has grown past the threshold
+            # rescales each value that has grown past the threshold
             flat = cur.ravel()
             if flat @ flat < _SQUARES_BELOW:
                 continue
-            if np.abs(cur).max(initial=0.0) > _RESCALE_AT:
-                big = np.abs(cur) > _RESCALE_AT
+            big = np.abs(cur) > _RESCALE_AT
+            if big.any():
                 cur = np.where(big, cur / _RESCALE_AT, cur)
                 prev = np.where(big, prev / _RESCALE_AT, prev)
                 e = e + np.where(big, _RESCALE_LOG, 0.0)
@@ -565,40 +544,32 @@ def wavefunction_residual(spec, sampler, eps, xs):
     return float(defect.max())
 
 
-# levels up to this n start normalization from the window as one panel:
-# their recurrences are short, so the rounds that find the panels cost little
-ONE_PANEL_LEVELS = 8
-
-
 def normalization_defect(spec, state):
     """|1 - integral of sampler^2| over the whole line.
 
-    The quadrature window (spec.norm_window) stops where the density is
-    still representable at full precision; past an edge with a plateau the
-    density is a single decaying exponential to machine accuracy, so the
-    remaining mass is added in closed form rather than chased numerically,
-    at the decay rate sqrt(plateau - eps_n).
-
-    Above n = ONE_PANEL_LEVELS the adaptive rule starts from panels of
-    equal WKB phase of the reduced potential at eps_n (oracle.wkb_edges),
-    one per pi (about one per node), counted to 20 units of decay past
-    each turning point; those panels already resolve the level's n nodes,
-    so one round usually meets the tolerance.  Lower levels start from the
-    whole window.
+    The adaptive rule runs over the window that oracle.wkb_edges derives
+    from the reduced potential at eps_n, starting from its panels of equal
+    WKB phase, one per pi (about one per node); those panels already
+    resolve the level's n nodes, so one round usually meets the tolerance.
+    Past a window edge on a side whose end is a plateau (an end of the
+    reduced equation's interval in spec._plateau_ends, which tau maps to
+    x = -inf when it rises and to +inf when it falls) the density is a
+    single decaying exponential to machine accuracy, so the remaining mass
+    is added in closed form at the decay rate sqrt(plateau - eps_n), with
+    the exact gap evaluated to full relative precision.
     """
 
     def sq(x):
         return state.sampler(x) ** 2
 
-    lo, hi, lo_plateau, hi_plateau = spec.norm_window(state)
-    edges = (lo, hi)
-    if state.n > ONE_PANEL_LEVELS:
-        edges = wkb_edges(spec.reduced_potential, scalar_float(state.eps), lo, hi)
+    lo, hi, _ = spec.fd_box
+    edges = wkb_edges(spec.reduced_potential, scalar_float(state.eps), lo, hi)
     total = quad_adaptive(sq, *edges)
-    for edge, plateau in ((hi, hi_plateau), (lo, lo_plateau)):
-        if plateau is not None:
-            rate = math.sqrt(scalar_float(plateau - state.eps))
-            total += sq(edge) / (2.0 * rate)
+    rises = spec.tau.deriv(0.5 * (lo + hi)) > 0
+    for _, side, c, lin in spec._plateau_ends:
+        # side is +1 at the interval's lower end: x = -inf when tau rises
+        edge = edges[0] if (side > 0) == rises else edges[-1]
+        total += sq(edge) / (2.0 * math.sqrt(accurate_float(-c / lin - state.eps)))
     return abs(total - 1.0)
 
 

@@ -415,20 +415,12 @@ _SIGN_BITS = 64
 _SIGN_MAX_BITS = 1 << 14
 
 
-def _surd_sign(t):
-    """Sign, -1 or 1, of the sum of q * sqrt(d) over the terms t.
-
-    The float sum decides when it clears a bound on its own rounding error:
-    each term carries at most four roundings and the running sum one per
-    term, all relative to the sum of the terms' magnitudes, plus an
-    absolute allowance for subnormals.  Otherwise, over a common
-    denominator, integer brackets isqrt(d * 4^k) <= sqrt(d) 2^k < that + 1
-    of every radical are refined at doubling k until the bracket of the sum
-    excludes 0.  A nonzero sum always gets there; a sum still undecided at
-    _SIGN_MAX_BITS is a zero that radicand keys hide (a square of a prime
-    past the trial bound, as in sqrt(2 * 1009^2) - 1009 sqrt(2)), or closer
-    to one than that, and raises ArithmeticError.
-    """
+def _float_sum(t):
+    """The float sum of q * sqrt(d) over the terms t and a bound on its
+    rounding error: each term carries at most four roundings and the
+    running sum one per term, all relative to the sum of the terms'
+    magnitudes, plus an absolute allowance for subnormals.  A coefficient
+    past the float range gives a nan sum."""
     approx = size = 0.0
     try:
         for core, coeff in t.items():
@@ -436,9 +428,15 @@ def _surd_sign(t):
             approx += term
             size += abs(term)
     except OverflowError:
-        approx = math.nan  # a coefficient past the float range: decide exactly
-    if abs(approx) > (len(t) + 3) * 2.0**-52 * size + 2.0**-1000:
-        return 1 if approx > 0 else -1
+        approx = math.nan
+    return approx, (len(t) + 3) * 2.0**-52 * size + 2.0**-1000
+
+
+def _brackets(t):
+    """Integer brackets (lo, hi, scale), lo <= scale * sum <= hi, of the sum
+    of q * sqrt(d) over the terms t, at doubling precision: over a common
+    denominator, isqrt(d * 4^k) <= sqrt(d) 2^k < that + 1 of every radical,
+    for k from _SIGN_BITS to _SIGN_MAX_BITS."""
     den = math.lcm(*(q.denominator for q in t.values()))
     ints = [(core, q.numerator * (den // q.denominator)) for core, q in t.items()]
     bits = _SIGN_BITS
@@ -452,15 +450,48 @@ def _surd_sign(t):
                 r = math.isqrt(core << (2 * bits))
                 lo += min(c * r, c * (r + 1))
                 hi += max(c * r, c * (r + 1))
+        yield lo, hi, den << bits
+        bits *= 2
+
+
+def _surd_sign(t):
+    """Sign, -1 or 1, of the sum of q * sqrt(d) over the terms t.
+
+    The float sum decides when it clears the bound on its own rounding
+    error (_float_sum); otherwise the integer brackets of _brackets are
+    refined until one excludes 0.  A nonzero sum always gets there; a sum
+    still undecided at _SIGN_MAX_BITS is a zero that radicand keys hide (a
+    square of a prime past the trial bound, as in sqrt(2 * 1009^2) - 1009
+    sqrt(2)), or closer to one than that, and raises ArithmeticError.
+    """
+    approx, err = _float_sum(t)
+    if abs(approx) > err:
+        return 1 if approx > 0 else -1
+    for lo, hi, _ in _brackets(t):
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-        bits *= 2
     raise ArithmeticError(
         f"sign of {SurdSum._raw(t)!r} undecided at {_SIGN_MAX_BITS} bits: a zero "
         "hidden by radicands that carry a square, or closer to zero than that"
     )
+
+
+def accurate_float(x):
+    """x as a float to full relative precision.  float() of a SurdSum adds
+    rounded terms, so a sum that cancels loses digits; this one refines
+    the integer brackets of its radicals until they fix 53 bits.
+    Rationals and floats pass through scalar_float."""
+    if not isinstance(x, SurdSum):
+        return scalar_float(x)
+    approx, err = _float_sum(x._t)
+    if err <= 2.0**-48 * abs(approx):  # a few ulps: the terms hardly cancel
+        return approx
+    for lo, hi, scale in _brackets(x._t):
+        if (hi - lo) << 54 <= min(abs(lo), abs(hi)):
+            return float(Fraction(lo + hi, 2 * scale))
+    raise ArithmeticError(f"{x!r} is too close to zero to evaluate")
 
 
 def _component_sqrt(q, w):

@@ -264,6 +264,17 @@ class TestSolve:
         assert code == 0
         assert out.count("\n") == 101
 
+    def test_well_deeper_than_any_fixed_window_is_normalized(self, capsys):
+        # at Lambda = 300 the well's minimum, s = 2 Lambda, lies past s = 700,
+        # where a fixed wall would cut it; the window comes from the level
+        code, out, err = run(
+            capsys, "solve", "--potential", "morse", "--params", "Lambda=300", "--n-max", "5"
+        )
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 6
+        assert max(float(row.split(",")[3]) for row in rows) <= 1e-11
+
     def test_top_level_a_float_ulp_below_the_plateau(self, capsys):
         # eps_5 = Lambda^2 - 1e-26 and Lambda^2 round to the same float
         code, out, err = run(

@@ -1,5 +1,5 @@
 """Golden output of the README commands, and of `solve` on the other two
-wells so that every well's normalization window is pinned: stdout must stay
+wells so that every well's normalization is pinned: stdout must stay
 byte-identical.
 
 The expected texts were captured from the command line before the exact
@@ -55,28 +55,28 @@ truncation_estimate = 3.3236315466189004e-16
 SOLVE_MORSE = """\
 n,eps_n,E_n,norm_defect
 0,4.75,2.375,2.6645352591003757e-15
-1,12.75,6.375,1.5543122344752192e-15
-2,18.75,9.375,9.9920072216264089e-16
-3,22.75,11.375,5.5511151231257827e-16
-4,24.75,12.375,1.3322676295501878e-15
+1,12.75,6.375,8.8817841970012523e-16
+2,18.75,9.375,1.3322676295501878e-15
+3,22.75,11.375,4.4408920985006262e-16
+4,24.75,12.375,1.4432899320127035e-15
 """
 
 SOLVE_HARMONIC = """\
 n,eps_n,E_n,norm_defect
-0,1,0.5,1.1102230246251565e-16
-1,3,1.5,0
-2,5,2.5,6.6613381477509392e-16
-3,7,3.5,0
-4,9,4.5,6.6613381477509392e-16
-5,11,5.5,1.2212453270876722e-15
-6,13,6.5,1.4432899320127035e-15
+0,1,0.5,2.2204460492503131e-16
+1,3,1.5,1.1102230246251565e-16
+2,5,2.5,8.8817841970012523e-16
+3,7,3.5,2.2204460492503131e-16
+4,9,4.5,4.4408920985006262e-16
+5,11,5.5,1.4432899320127035e-15
+6,13,6.5,1.1102230246251565e-15
 7,15,7.5,4.4408920985006262e-16
-8,17,8.5,4.4408920985006262e-16
+8,17,8.5,2.2204460492503131e-16
 """
 
 SOLVE_ROSEN_MORSE2 = """\
 n,eps_n,E_n,norm_defect
-0,1.2099285593363514,1.2099285593363514,1.1102230246251565e-16
+0,1.2099285593363514,1.2099285593363514,0
 """
 
 

@@ -160,19 +160,58 @@ def test_quad_adaptive_starts_from_given_edges():
 def test_wkb_edges_hold_about_one_node_per_panel():
     # v = x^2 at its level n = 20: the density has the 20 zeros of H_20
     n = 20
-    edge = math.sqrt(2 * n + 1) + 5.0
-    edges = wkb_edges(lambda x: x * x, 2.0 * n + 1.0, -edge, edge)
-    assert edges[0] == -edge and edges[-1] == edge
+    edges = wkb_edges(lambda x: x * x, 2.0 * n + 1.0, -10.0, 10.0)
     assert np.all(np.diff(edges) > 0)
     zeros = np.polynomial.hermite.hermroots([0] * n + [1])
     per_panel = np.histogram(zeros, bins=edges)[0]
+    assert per_panel.sum() == n
     assert n < len(edges) - 1 < 2 * n
     assert per_panel.max() <= 2
 
 
+def test_wkb_edges_stop_20_units_of_decay_out():
+    # on a confining side the window ends where the decay integral past the
+    # turning point has reached 20, give or take one of the box's 2048 cells
+    e, box = 21.0, (-10.0, 10.0)
+    lo, *_, hi = wkb_edges(lambda x: x * x, e, *box)
+    step = (box[1] - box[0]) / 2048
+    for edge in (-lo, hi):
+        root = math.sqrt(edge * edge - e)
+        decay = 0.5 * (edge * root - e * math.log((edge + root) / math.sqrt(e)))
+        assert 20.0 <= decay <= 20.0 + 2.0 * step * root
+
+
+def test_wkb_edges_stop_where_the_potential_reaches_its_plateau():
+    # a level 1e-6 below the lower plateau falls by e every 500 units, but past
+    # the first point where v has reached its float value at the infinite
+    # end the density is one exponential: the window stops there.  This
+    # well's float plateau lies two ulps from float(vm), so the comparison
+    # with v's own end value matters
+    spec = rosen_morse2(4, 0.5)
+    v, vm = spec.reduced_potential, float(spec.exact["vm"])
+    v_end = float(v(np.array(math.inf)))
+    assert v_end != vm
+    lo, hi, _ = spec.fd_box
+    edges = wkb_edges(v, vm - 1e-6, lo, hi)
+    assert float(v(np.array(edges[-1]))) == v_end
+    assert float(v(np.array(edges[-1] - 0.2))) != v_end
+    assert edges[-1] < 25.0
+
+
+def test_wkb_edges_find_the_well_that_the_box_misses():
+    # a well narrower than a cell of the box is zoomed into, and one that
+    # lies past an end of the box is reached by widening it
+    for v, e, centre, half in ((lambda x: 1e10 * (x - 0.003) ** 2, 1e5, 0.003, 0.00316),
+                               (lambda x: (x - 30.0) ** 2, 41.0, 30.0, math.sqrt(41.0))):
+        edges = wkb_edges(v, e, -10.0, 10.0)
+        assert edges[0] < centre - half and centre + half < edges[-1]
+        assert edges[-1] - edges[0] < 20.0 * half
+        assert len(edges) > 2
+
+
 def test_wkb_edges_fallbacks():
     # no point of the window below e: one panel
-    assert wkb_edges(lambda x: x * x, -1.0, -3.0, 3.0) == (-3.0, 3.0)
+    assert len(wkb_edges(lambda x: x * x, -1.0, -3.0, 3.0)) == 2
     # a level too deep for the cap: half the cap, so each panel can be bisected
     edges = wkb_edges(lambda x: x * x, 2001.0, -50.0, 50.0)
     assert len(edges) - 1 == QUAD_MAX_SUBINTERVALS // 2

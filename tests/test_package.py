@@ -68,12 +68,13 @@ def test_import_loads_no_layer():
 
 
 def test_normalization_loads_no_module():
-    # the partition of a deep level's window loads nothing that building
-    # the spectrum has not (numpy.ma, which np.unique pulls in, costs RSS)
+    # the window search and the partition of a deep level's window load
+    # nothing that building the spectrum has not (numpy.ma, which np.unique
+    # pulls in, costs RSS)
     probe = (
         "import sys; from nu_spectral import potentials as p; "
         "wells = [(p.harmonic(), 12), (p.morse(Lambda=12.25), None), "
-        "(p.rosen_morse2(24, 0.25), None)]; "
+        "(p.rosen_morse2(24, 0.25), None), (p.morse(Lambda=300), 0)]; "
         "spectra = [(spec, p.bound_spectrum(spec, n_max)) for spec, n_max in wells]; "
         "before = set(sys.modules); "
         "[p.normalization_defect(spec, st) for spec, states in spectra for st in states]; "

@@ -974,6 +974,15 @@ class TestRecurrenceRescaling:
                 assert got[1].tobytes() == want[1].tobytes()
 
 
+def test_nan_beside_a_rescaled_value():
+    # a NaN abscissa must not stop the rescale at the finite one beside it
+    alone = recurrence_values("hermite", 400, [40.0])
+    mixed = recurrence_values("hermite", 400, [40.0, math.nan])
+    assert alone[1][0] > 0
+    assert mixed[0][:1].tobytes() == alone[0].tobytes()
+    assert mixed[1][:1].tobytes() == alone[1].tobytes()
+
+
 def _mp_norm_closed_form(family, n, a, b):
     """Weighted integral of P_n^2 under the x-measure du/phi_c."""
     mp = mpmath.mp
@@ -1065,9 +1074,10 @@ class TestNormOverflow:
 
 
 class TestNormalizationPartition:
-    """Above ONE_PANEL_LEVELS, normalization starts from panels of equal WKB
-    phase (oracle.wkb_edges): a deep level meets the tolerance in one or two
-    rounds, and its defect is the one-panel quadrature's to 1e-12."""
+    """Normalization starts from panels of equal WKB phase over the window
+    that oracle.wkb_edges walks out from the well: a deep level meets the
+    tolerance in one or two rounds, and every level integrates to its
+    closed-form norm within 1e-12."""
 
     WELLS_DEEP = [
         ("harmonic", {}, 60),
@@ -1077,39 +1087,56 @@ class TestNormalizationPartition:
     ]
 
     @pytest.mark.parametrize("name,params,n_max", WELLS_DEEP)
-    def test_rounds_and_defects(self, monkeypatch, name, params, n_max):
+    def test_rounds_and_defects(self, name, params, n_max):
         spec = WELLS[name](**params)
-        states = bound_spectrum(spec, n_max=n_max)
-        # every level starts from the partition, the shallow ones too
-        monkeypatch.setattr(potentials, "ONE_PANEL_LEVELS", -1)
-        partitioned = []
-        for st in states:
+        for st in bound_spectrum(spec, n_max=n_max):
             sizes = []
 
             def sampler(x, inner=st.sampler):
                 sizes.append(np.size(x))
                 return inner(x)
 
-            counted = dataclasses.replace(st, sampler=sampler)
-            partitioned.append(normalization_defect(spec, counted))
+            defect = normalization_defect(spec, dataclasses.replace(st, sampler=sampler))
             # each quadrature round is one call; a plateau tail samples one point
             rounds = [size for size in sizes if size > 1]
             assert all(size % 21 == 0 for size in rounds)
             if st.n >= 20:
                 assert len(rounds) <= 2, st.n
-        monkeypatch.setattr(potentials, "ONE_PANEL_LEVELS", math.inf)
-        one_panel = [normalization_defect(spec, st) for st in states]
-        for st, got, want in zip(states, partitioned, one_panel):
-            assert abs(got - want) <= 1e-12, st.n
-            # the weakly bound top level of this well reads 1.8e-10 either
-            # way: the closed-form tail's rate, the root of float(vm - eps_5),
-            # has lost six digits to cancellation in the surd's float
-            if (name, st.n) != ("rosen_morse2", 5):
-                assert got <= 1e-12, st.n
+            # the weakly bound top level of the hyperbolic well (n = 5) too:
+            # its tail's rate comes from the exact gap to the plateau
+            assert defect <= 1e-12, st.n
 
-    def test_shallow_levels_start_from_one_panel(self, monkeypatch):
-        spec = morse(Lambda=12.25)
-        states = bound_spectrum(spec)[: potentials.ONE_PANEL_LEVELS + 1]
-        default = [normalization_defect(spec, st) for st in states]
-        monkeypatch.setattr(potentials, "ONE_PANEL_LEVELS", math.inf)
-        assert default == [normalization_defect(spec, st) for st in states]
+
+class TestNormalizationWindow:
+    """The window comes from the level and the potential alone, so a deep
+    Morse well keeps its minimum inside it, and a level a hair below the
+    plateau has its exact closed-form tail."""
+
+    @pytest.mark.parametrize("lam", [300, 400, 1000])
+    def test_deep_morse(self, lam):
+        spec = morse(Lambda=lam)
+        for n in (0, 5):
+            assert normalization_defect(spec, bound_state(spec, n)) <= 1e-11, n
+
+    def test_ground_state_of_a_very_deep_well(self):
+        # at Lambda = 1e4 the ground state's classically allowed region is
+        # 0.02 wide, three of the 2048 cells that wkb_edges lays over fd_box
+        spec = morse(Lambda=10000)
+        assert normalization_defect(spec, bound_state(spec, 0)) <= 1e-11
+
+    @pytest.mark.parametrize("lam", [5.5001, 5.5000000000001])
+    def test_levels_just_below_the_plateau(self, lam):
+        spec = morse(Lambda=lam)
+        states = bound_spectrum(spec)
+        assert len(states) == 6
+        for st in states:
+            assert normalization_defect(spec, st) <= 1e-13, st.n
+
+    def test_plateau_rounded_off_its_exact_value(self):
+        # this well's float potential levels off two ulps from float(vm), and
+        # its top level's density falls by a factor e only every 28 units
+        spec = rosen_morse2(163, 0.18)
+        vm = float(spec.exact["vm"])
+        assert float(spec.reduced_potential(np.array(math.inf))) != vm
+        for st in bound_spectrum(spec):
+            assert normalization_defect(spec, st) <= 1e-12, st.n

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from nu_spectral.scalars import (
     SurdSum,
     _core_product,
     _square_free,
+    accurate_float,
     as_exact,
     scalar_sign,
     sqrt_fraction,
@@ -314,6 +316,28 @@ def test_sign_of_near_zero_surds(d, k, r):
     assert (r * q * sqrt_fraction(d) > r * p) == (want > 0)
     assert abs(x) == want * x
     assert HALF_LINE.contains(x) == (want > 0)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 6, 7, 13, 1019]),
+    st.integers(min_value=1, max_value=45),
+    nonzero_fracs,
+)
+@example(2, 30, F(1))  # float() of this surd is 0.0
+@settings(max_examples=100, deadline=None)
+def test_accurate_float_of_cancelling_surds(d, k, r):
+    p, q = _convergent(d, k)
+    x = r * (q * sqrt_fraction(d) - p)
+    with mpmath.workdps(80):
+        want = mpmath.mpf(r.numerator) / r.denominator * (q * mpmath.sqrt(d) - p)
+        assert abs(accurate_float(x) / want - 1) <= 2.0**-52
+
+
+def test_accurate_float_keeps_plain_floats():
+    # a sum that does not cancel keeps float()'s bits; rationals round once
+    x = F(3, 7) + F(2, 5) * sqrt_fraction(11)
+    assert accurate_float(x) == float(x)
+    assert accurate_float(F(1, 3)) == 1 / 3
 
 
 def test_pell_convergent_sign():
