@@ -633,6 +633,7 @@ def wkb_edges(v, e, lo, hi):
     with np.errstate(invalid="ignore"):
         ends = _potential(v, np.array([-math.inf, math.inf]))
     box, ulps, zoomed = (lo, hi), np.spacing(np.abs(ends)), False
+    reach = 2**10 * (hi - lo)  # the widest range searched before giving up
     while True:
         x = np.linspace(lo, hi, 2049)  # the phase only places panels: 2048 cells serve
         h = x[1] - x[0]
@@ -645,7 +646,7 @@ def wkb_edges(v, e, lo, hi):
         inside, width = np.flatnonzero(gap > 0), hi - lo
         if not inside.size:
             i = int(np.argmin(vx))
-            if zoomed or width > 2**10 * (box[1] - box[0]):
+            if zoomed or width > reach:
                 return box
             if 0 < i < 2048:
                 lo, hi, zoomed = x[i - 1], x[i + 1], True
@@ -658,7 +659,7 @@ def wkb_edges(v, e, lo, hi):
                  | (np.abs(vx[:first][::-1] - ends[0]) <= ulps[0]),
                  (np.cumsum(wave[last + 1:]) > 20.0) | (np.abs(vx[last + 2:] - ends[1]) <= ulps[1])]
         found = [stop.any() for stop in stops]
-        if all(found) or width > 2**10 * (box[1] - box[0]):
+        if all(found) or width > reach:
             break
         lo, hi = lo - 2 * width * (not found[0]), hi + 2 * width * (not found[1])
     a = first - 1 - int(np.argmax(stops[0])) if found[0] else 0

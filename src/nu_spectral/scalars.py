@@ -481,13 +481,11 @@ def _surd_sign(t):
 def accurate_float(x):
     """x as a float to full relative precision.  float() of a SurdSum adds
     rounded terms, so a sum that cancels loses digits; this one refines
-    the integer brackets of its radicals until they fix 53 bits.
-    Rationals and floats pass through scalar_float."""
+    the integer brackets of its radicals until they fix 54 bits, within
+    one ulp of x however much the terms cancel.  Rationals and floats pass
+    through scalar_float."""
     if not isinstance(x, SurdSum):
         return scalar_float(x)
-    approx, err = _float_sum(x._t)
-    if err <= 2.0**-48 * abs(approx):  # a few ulps: the terms hardly cancel
-        return approx
     for lo, hi, scale in _brackets(x._t):
         if (hi - lo) << 54 <= min(abs(lo), abs(hi)):
             return float(Fraction(lo + hi, 2 * scale))

@@ -210,8 +210,8 @@ def test_wkb_edges_find_the_well_that_the_box_misses():
 
 
 def test_wkb_edges_fallbacks():
-    # no point of the window below e: one panel
-    assert len(wkb_edges(lambda x: x * x, -1.0, -3.0, 3.0)) == 2
+    # no point of the box below e, and no well to zoom into: the box itself
+    assert wkb_edges(lambda x: x * x, -1.0, -3.0, 3.0) == (-3.0, 3.0)
     # a level too deep for the cap: half the cap, so each panel can be bisected
     edges = wkb_edges(lambda x: x * x, 2001.0, -50.0, 50.0)
     assert len(edges) - 1 == QUAD_MAX_SUBINTERVALS // 2

@@ -1075,9 +1075,9 @@ class TestNormOverflow:
 
 class TestNormalizationPartition:
     """Normalization starts from panels of equal WKB phase over the window
-    that oracle.wkb_edges walks out from the well: a deep level meets the
-    tolerance in one or two rounds, and every level integrates to its
-    closed-form norm within 1e-12."""
+    oracle.wkb_edges derives from the reduced potential at eps_n: a deep
+    level meets the tolerance in one or two rounds, and every level
+    integrates to its closed-form norm within 1e-12."""
 
     WELLS_DEEP = [
         ("harmonic", {}, 60),

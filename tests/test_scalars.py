@@ -333,10 +333,12 @@ def test_accurate_float_of_cancelling_surds(d, k, r):
         assert abs(accurate_float(x) / want - 1) <= 2.0**-52
 
 
-def test_accurate_float_keeps_plain_floats():
-    # a sum that does not cancel keeps float()'s bits; rationals round once
+def test_accurate_float_rounds_sums_that_do_not_cancel():
+    # float() of this sum is one ulp off its correct rounding; rationals round once
     x = F(3, 7) + F(2, 5) * sqrt_fraction(11)
-    assert accurate_float(x) == float(x)
+    with mpmath.workdps(40):
+        want = float(mpmath.mpf(3) / 7 + mpmath.mpf(2) / 5 * mpmath.sqrt(11))
+    assert accurate_float(x) == want != float(x)
     assert accurate_float(F(1, 3)) == 1 / 3
 
 
