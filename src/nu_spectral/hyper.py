@@ -169,6 +169,10 @@ def gamma_fn(z):
         try:
             val = math.sqrt(2.0 * math.pi) * t ** (zc + 0.5) * cmath.exp(-t) * x
         except OverflowError:
+            val = math.inf
+        # a power just under the float maximum overflows once scaled, and
+        # inf * e^-t is NaN
+        if not cmath.isfinite(val):
             try:  # half of the power on each side of the small e^-t
                 half = t ** (0.5 * (zc + 0.5))
             except OverflowError:

@@ -22,18 +22,18 @@ analytic levels it is compared with.
 * Under a finite threshold the number of levels is fixed first, by Sturm's
   oscillation theorem: it is the number of nodes of the solution at the
   threshold energy.  The box grows by BOX_GROWTH on its plateau sides until
-  the level count reaches that number and the top level settles, so a level
-  just below the threshold is not lost to a box that squeezes it out.  A
-  top level whose Sturm node lies d past the well sits less than 1/d^2
-  below the threshold; when that is inside the accuracy asked for, it is
-  placed midway in the gap and no box has to reach it.
+  the level count reaches that number, so a level just below the threshold
+  is not lost to a box that squeezes it out.  A top level whose Sturm node
+  lies d past the well sits less than 1/d^2 below the threshold; when that
+  is inside the accuracy asked for, it is placed midway in the gap and no
+  box has to reach it.
 * The spacing then shrinks by COARSE_RATIO until a solve agrees with the
-  coarser one to TARGET * rtol.
+  coarser one to TARGET * rtol.  When that moves the top level by more than
+  TARGET * rtol, or loses a level, the walls are placed again.
 
-Each level's error estimate adds the walls' allowance to the larger of the
-last spacing change and twice the last box growth's change.  GridTooCoarse
-is raised when an estimate exceeds rtol, or when the box needs more points
-than the caller allows.
+Each level's error estimate adds the walls' allowance to the last spacing
+change.  GridTooCoarse is raised when an estimate exceeds rtol, or when the
+box needs more points than the caller allows.
 
 Quadrature is implemented here and vectorised: integrands take a numpy
 array of abscissas and return the values with the same shape, so a whole
@@ -271,7 +271,8 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
     rtol * max(1, |level|).  A top level closer to the threshold than
     TARGET * rtol allows is placed from its Sturm node rather than boxed; a
     node further than RESONANCE_REACH spacings ahead is taken for a
-    zero-energy resonance and not counted.
+    zero-energy resonance and not counted.  Walls and spacing settle in turn,
+    until a refinement keeps the count and the top level (to TARGET * rtol).
     """
     finite = math.isfinite(threshold)
     if not finite and k_max is None:
@@ -317,14 +318,7 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
         return centre + h * np.arange(math.floor((box[0] - centre) / h) + 1,
                                       math.ceil((box[1] - centre) / h))
 
-    solved = {}
-
     def solve(box, h):
-        if (box, h) not in solved:
-            solved[box, h] = eigenvalues(box, h)
-        return solved[box, h]
-
-    def eigenvalues(box, h):
         nonlocal v_min
         x = lattice(box, h)
         if len(x) < 2:
@@ -360,7 +354,7 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
             coarse, levels = levels, solve(box, h)
         return levels, coarse, h
 
-    box, h, before, box_err = (lo, hi), spacing(), None, 0.0
+    box, h = (lo, hi), spacing()
     if not hi - lo <= (grid.n + 1) * h:
         # the first solve would need more points; fail before sampling it
         raise GridTooCoarse(
@@ -391,13 +385,13 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
     for _ in range(MAX_ROUNDS if want else 0):
         levels = solve(box, h)
         if len(levels) < want:
-            box, before = grown(box, pivot), None
+            box = grown(box, pivot)
             continue
         top = float(levels[-1])
         if not finite and not top <= e_ref <= top + 0.21 * (top - v_min):
             # sample the top level's largest wavenumber, give or take 10%
             e_ref = top + 0.1 * (top - v_min)
-            h, before = spacing(), None
+            h = spacing()
             continue
         shift = TARGET * rtol * max(1.0, abs(top))
         pivot = _turning_points(v, *box, top, h)
@@ -405,26 +399,14 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
                   _walk(v, pivot[1], 1, top, shift, h, grid.n * h))
         moved = tuple(_toward(edge, aim, p, h, 0.25 * (box[1] - box[0]))
                       for edge, aim, p in zip(box, wanted, pivot))
-        if before is None and moved != box:
+        if moved != box:
             box = moved
             continue
-        if not finite:
-            levels, coarse, h = refine(box, h, levels)
+        # a finer spacing that moves the top level, and with it the decay the
+        # walls were placed for, or that loses a level, places them again
+        levels, coarse, h = refine(box, h, levels)
+        if len(levels) == want and settled(levels[-1:], np.array([top])):
             break
-        if before is not None and settled(levels, before[1]):
-            # the answer comes from the smaller box.  Growing the reach by
-            # half at least halves the walls' effect, so twice the change
-            # bounds its error
-            box_err = 2.0 * np.abs(levels - before[1])
-            box, levels = before
-            levels, coarse, h = refine(box, h, levels)
-            if settled(levels[-1:], before[1][-1:]):
-                break
-            # a finer spacing moved the top level, and with it the decay
-            # the walls were placed for: size and settle the box again
-            before = None
-            continue
-        before, box = (box, levels), grown(box, pivot)
     else:
         if want:
             raise GridTooCoarse(f"the box did not settle within {MAX_ROUNDS} rounds")
@@ -434,7 +416,7 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
     errs[:m] = np.abs(levels[:m] - coarse[:m])
     # the walls were placed to move the top level by at most TARGET * rtol
     # of itself each; a deeper level feels them less
-    errs = np.maximum(errs, box_err) + 2.0 * TARGET * rtol * np.maximum(1.0, np.abs(levels))
+    errs += 2.0 * TARGET * rtol * np.maximum(1.0, np.abs(levels))
     if shallow is not None:
         levels, errs = np.append(levels, shallow), np.append(errs, threshold - shallow)
     if k_max is not None:
@@ -571,8 +553,8 @@ def quad_adaptive(f, *edges, tol=DEFAULT_QUAD_TOL, abs_tol=None):
     the integrand's lobes dwarf the cancelled result, where a fixed
     absolute request would exceed what double precision can deliver.
     NoConvergence is raised when meeting the target would take more than
-    QUAD_MAX_SUBINTERVALS subintervals, or when the integrand returns a
-    non-finite value.
+    QUAD_MAX_SUBINTERVALS subintervals plus one per starting panel after the
+    first, or when the integrand returns a non-finite value.
     """
     epsabs = tol if abs_tol is None else abs_tol
     lo, *inner, hi = edges
@@ -580,6 +562,7 @@ def quad_adaptive(f, *edges, tol=DEFAULT_QUAD_TOL, abs_tol=None):
     if inner and g is not f:
         raise ValueError("interior edges need a finite range")
     lefts, rights = np.array([a, *inner], dtype=float), np.array([*inner, b], dtype=float)
+    cap = len(inner) + QUAD_MAX_SUBINTERVALS
     vals, errs = _gk21(g, lefts, rights)
     while True:
         total, err = float(vals.sum()), float(errs.sum())
@@ -590,9 +573,9 @@ def quad_adaptive(f, *edges, tol=DEFAULT_QUAD_TOL, abs_tol=None):
         order = np.argsort(errs)[::-1]
         k = int(np.searchsorted(np.cumsum(errs[order]), err - target)) + 1
         split = order[:k]
-        if len(vals) + len(split) > QUAD_MAX_SUBINTERVALS:
+        if len(vals) + len(split) > cap:
             raise NoConvergence(
-                f"adaptive quadrature needs more than {QUAD_MAX_SUBINTERVALS} "
+                f"adaptive quadrature needs more than {cap} "
                 f"subintervals: error estimate {err:.2e} against target {target:.1e}"
             )
         mids = 0.5 * (lefts[split] + rights[split])
@@ -626,9 +609,8 @@ def wkb_edges(v, e, lo, hi):
     sqrt(|e - v|) dx, so panels of QUAD_PANEL_PHASE each hold about one node
     of its density.  Near a turning point, where sqrt(|e - v|) vanishes, the
     level varies on the Airy length |v'|^(-1/3) instead, so the phase
-    density is the larger of the two wavenumbers.  There are at most
-    QUAD_MAX_SUBINTERVALS // 2 panels, so the rule can still bisect every
-    one of them.  When no well is found, the edges are (lo, hi).
+    density is the larger of the two wavenumbers.  A deep level gets as many
+    panels as that takes.  When no well is found, the edges are (lo, hi).
     """
     with np.errstate(invalid="ignore"):
         ends = _potential(v, np.array([-math.inf, math.inf]))
@@ -666,7 +648,7 @@ def wkb_edges(v, e, lo, hi):
     b = last + 2 + int(np.argmax(stops[1])) if found[1] else 2048
     phase = np.cumsum(np.fmax(wave, airy * h)[a:b])
     total = float(phase[-1])
-    panels = min(math.ceil(total / QUAD_PANEL_PHASE), QUAD_MAX_SUBINTERVALS // 2)
+    panels = math.ceil(total / QUAD_PANEL_PHASE)
     inner = np.interp(total * np.arange(1, panels) / panels, np.concatenate(([0.0], phase)), x[a:b + 1])
     return (float(x[a]), *inner.tolist(), float(x[b]))
 

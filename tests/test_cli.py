@@ -455,6 +455,16 @@ class TestEval:
         want = float(mpmath.hyp1f1(0.5, 1.5, -800))
         assert abs(float(self.parse(out)["value"]) - want) <= 1e-12 * abs(want)
 
+    def test_gamma_just_under_the_float_maximum(self, capsys):
+        # the connection formula needs gamma(c) at c ~ 142.3, where the
+        # Lanczos power is finite but its product with sqrt(2 pi) is not
+        a, b, c, z = 2.504161070955451, -1.7761267237818936, 140.5138185854538, 0.9926304229234711
+        code, out, err = run(capsys, "eval", "--fn", "2f1", "--a", repr(a), "--b", repr(b),
+                             "--c", repr(c), "--z", repr(z))
+        assert (code, err) == (0, "")
+        want = float(mpmath.hyp2f1(a, b, c, z))
+        assert abs(float(self.parse(out)["value"]) - want) <= 1e-12 * abs(want)
+
     def test_pole_is_domain_error(self, capsys):
         code, _, err = run(
             capsys, "eval", "--fn", "2f1", "--a", "1", "--b", "2", "--c", "0", "--z", "0.5"

@@ -57,6 +57,14 @@ def test_gamma_near_the_top_of_the_float_range_matches_mpmath(z):
     assert rel_err(gamma_fn(z), mpmath.gamma(z)) < 1e-12
 
 
+def test_gamma_where_the_lanczos_power_nears_the_float_maximum():
+    # about z in [142.2, 142.35] the power is finite, but not once scaled
+    # by sqrt(2 pi), so the split power must take over there too
+    for k in range(2860):
+        z = 100.0 + 0.025 * k
+        assert rel_err(gamma_fn(z), math.exp(math.lgamma(z))) < 1e-12, z
+
+
 @pytest.mark.parametrize("z", [171.7, 172.0, 300.0, 1e6])
 def test_gamma_beyond_the_float_range_raises(z):
     with pytest.raises(SeriesOverflow):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from nu_spectral.oracle import (
     FdGrid,
     _sinc_dvr,
     compare_spectra,
-    QUAD_MAX_SUBINTERVALS,
     fd_bound_states,
     quad_adaptive,
     tanh_sinh,
     wkb_edges,
 )
-from nu_spectral.potentials import morse, rosen_morse2
+from nu_spectral.potentials import bound_spectrum, harmonic, morse, rosen_morse2
+from nu_spectral.scalars import scalar_float
 
 
 def test_fd_harmonic_levels():
@@ -73,6 +74,52 @@ def test_fd_shallow_level_placed_from_its_sturm_node():
     assert spec.grid.hi < 15.0
     exact_top = well.v_minus - 4.50434e-5
     assert abs(spec.eigenvalues[-1] - exact_top) <= spec.error_estimates[-1] < 1e-4
+
+
+def _sweep_wells():
+    rng = random.Random(2026)
+    wells = [(morse(Lambda=rng.randrange(20, 160) / 4), None) for _ in range(6)]
+    wells += [(rosen_morse2(rng.randint(20, 250), round(rng.uniform(0.1, 0.6), 2)), None)
+              for _ in range(8)]
+    wells += [(harmonic(), 20), (harmonic(), 60), (morse(Lambda=3.75), None)]
+    # (9, 0.29): its top level, 1.3e-4 below v_minus, first gets walls for its
+    # coarse-spacing value 0.0015 below; the refined spacing lifts it out of
+    # that box, which must then be placed again to hold it
+    wells += [(rosen_morse2(v0, mu), None)
+              for v0, mu in ((62, 0.35), (163, 0.18), (2000, 0.2), (9, 0.29))]
+    return wells
+
+
+@pytest.mark.parametrize("rtol", [1e-3, 1e-6])
+def test_fd_estimates_bound_the_error(rtol):
+    # every level the oracle returns lies within its own error estimate of
+    # the exact level; only the tighter tolerance may ask for a larger basis
+    for spec, n_max in _sweep_wells():
+        exact = [scalar_float(st.eps) for st in bound_spectrum(spec, n_max=n_max)]
+        finite = math.isfinite(spec.v_minus)
+        try:
+            oracle = fd_bound_states(spec.reduced_potential, FdGrid(*spec.fd_box),
+                                     threshold=spec.v_minus if finite else math.inf,
+                                     k_max=None if finite else len(exact), rtol=rtol)
+        except GridTooCoarse:
+            assert rtol < 1e-3, spec.name
+            continue
+        assert len(oracle.eigenvalues) == len(exact), spec.name
+        for want, got, est in zip(exact, oracle.eigenvalues, oracle.error_estimates):
+            assert abs(got - want) <= est, (spec.name, want, got, est)
+
+
+def test_fd_tight_tolerance_near_the_threshold():
+    # four levels, the top one 0.0029 below v_minus: at rtol 1e-8 its walls
+    # fit inside 1200 points
+    well = rosen_morse2(62, 0.35)
+    spec = fd_bound_states(well.reduced_potential, FdGrid(*well.fd_box),
+                           threshold=well.v_minus, rtol=1e-8)
+    exact = [scalar_float(st.eps) for st in bound_spectrum(well)]
+    assert len(spec.eigenvalues) == len(exact) == 4
+    assert spec.grid.n <= 1200
+    for want, got, est in zip(exact, spec.eigenvalues, spec.error_estimates):
+        assert abs(got - want) <= est <= 1e-8 * max(1.0, abs(want))
 
 
 def test_fd_level_beyond_any_allowed_box():
@@ -212,9 +259,11 @@ def test_wkb_edges_find_the_well_that_the_box_misses():
 def test_wkb_edges_fallbacks():
     # no point of the box below e, and no well to zoom into: the box itself
     assert wkb_edges(lambda x: x * x, -1.0, -3.0, 3.0) == (-3.0, 3.0)
-    # a level too deep for the cap: half the cap, so each panel can be bisected
+    # a deep level gets one panel per pi of phase however many that makes
+    # (quad_adaptive's cap grows with them): H_1000 has 1000 nodes
     edges = wkb_edges(lambda x: x * x, 2001.0, -50.0, 50.0)
-    assert len(edges) - 1 == QUAD_MAX_SUBINTERVALS // 2
+    assert len(edges) - 1 >= 1000
+    assert all(a < b for a, b in zip(edges, edges[1:]))
 
 
 @pytest.mark.filterwarnings("error")

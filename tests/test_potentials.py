@@ -1118,6 +1118,18 @@ class TestNormalizationWindow:
         for n in (0, 5):
             assert normalization_defect(spec, bound_state(spec, n)) <= 1e-11, n
 
+    @pytest.mark.parametrize("name,params,n", [
+        ("harmonic", {}, 450),
+        ("morse", {"Lambda": 1000}, 400),
+        ("morse", {"Lambda": 1000}, 700),
+        ("morse", {"Lambda": 1000}, 999),
+    ])
+    def test_levels_past_a_hundred_starting_panels(self, name, params, n):
+        # one starting panel per pi of WKB phase, several hundred of them:
+        # quad_adaptive's subinterval cap grows with the starting panels
+        spec = WELLS[name](**params)
+        assert normalization_defect(spec, bound_state(spec, n)) <= 1e-11
+
     def test_ground_state_of_a_very_deep_well(self):
         # at Lambda = 1e4 the ground state's classically allowed region is
         # 0.02 wide, three of the 2048 cells that wkb_edges lays over fd_box
