@@ -250,7 +250,10 @@ def _cmd_solve(args):
     from .scalars import scalar_float
 
     name, params, spec = _potential_from_args(args)
-    states = bound_spectrum(spec, n_max=_n_max(args))
+    n_max = _n_max(args)
+    if n_max is None and not math.isfinite(spec.v_minus):
+        raise ParseError(f"{name} is confining: pass --n-max to cap the family")
+    states = bound_spectrum(spec, n_max=n_max)
 
     oracle = None
     if args.with_oracle:

@@ -6,6 +6,12 @@ terms fall below ``SERIES_TOL`` relative to the running sum, give up at
 the number of terms consumed and a truncation estimate so callers can audit
 accuracy.
 
+Each public evaluator rounds its arguments once, in ``_number``: an exact
+scalar (Fraction, SurdSum, int) becomes a float, and a complex whose
+imaginary part is zero becomes its real part.  The routes take the numbers
+they are given as they are; a call whose arguments are all real returns a
+float.
+
 Routes (documented crossovers, all for real argument z):
 
 * 2F1: direct series on [0, 0.99]; argument z/(z-1) (Pfaff) for z < 0;
@@ -45,7 +51,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import MaxTermsExceeded, PoleAtNonPositiveInteger, SeriesOverflow
 
@@ -110,34 +115,33 @@ _LANCZOS_C = (
 )
 
 
-def _to_number(z):
-    if isinstance(z, (Fraction,)):
-        return float(z)
-    if isinstance(z, (int, float, complex)):
-        return z
-    return float(z)  # SurdSum and friends
+def _number(z):
+    """z rounded once: a complex where its imaginary part is nonzero, else
+    a float (exact scalars such as Fraction, SurdSum and int included)."""
+    if isinstance(z, complex):
+        return z if z.imag else z.real
+    return float(z)
 
 
 def _is_real(z):
-    return not isinstance(z, complex) or z.imag == 0.0
+    return not isinstance(z, complex)
 
 
-def _real_part(z):
-    return z.real if isinstance(z, complex) else float(z)
+def _real_arg(z, what):
+    """z as a float; ValueError where it is not real."""
+    z = _number(z)
+    if isinstance(z, complex):
+        raise ValueError(f"{what} evaluation supports real arguments only")
+    return z
 
 
 def is_nonpositive_integer(z):
     """True when z is exactly a real integer <= 0 (float equality)."""
-    z = _to_number(z)
-    if isinstance(z, complex):
-        if z.imag != 0.0:
-            return False
-        z = z.real
-    return z <= 0 and z == round(z)
+    z = _number(z)
+    return _is_real(z) and z <= 0 and z == round(z)
 
 
 def _near_integer(z, tol=_INT_TOL):
-    z = _to_number(z)
     if isinstance(z, complex):
         if abs(z.imag) > tol:
             return None
@@ -152,10 +156,9 @@ def gamma_fn(z):
     Raises PoleAtNonPositiveInteger at the poles, and SeriesOverflow where
     the value leaves the float range (real z above ~171.6).
     """
-    z = _to_number(z)
+    z = _number(z)
     if is_nonpositive_integer(z):
         raise PoleAtNonPositiveInteger(f"gamma pole at {z}")
-    was_real = _is_real(z)
     zc = complex(z)
     if zc.real < 0.5:
         # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
@@ -180,14 +183,12 @@ def gamma_fn(z):
             val = math.sqrt(2.0 * math.pi) * half * cmath.exp(-t) * half * x
             if not cmath.isfinite(val):
                 raise SeriesOverflow(f"gamma({z}) needs a power beyond the float range") from None
-    if was_real:
-        return val.real
-    return val
+    return val.real if _is_real(z) else val
 
 
 def rgamma(z):
     """1/gamma(z); exactly 0.0 at the poles."""
-    z = _to_number(z)
+    z = _number(z)
     if is_nonpositive_integer(z):
         return 0.0
     g = gamma_fn(z)
@@ -196,7 +197,9 @@ def rgamma(z):
 
 def pochhammer(a, n):
     """Rising factorial (a)_n for integer n >= 0."""
-    a = _to_number(a)
+    if n < 0:
+        raise ValueError(f"pochhammer needs n >= 0, got {n}")
+    a = _number(a)
     out = 1.0 if _is_real(a) else complex(1.0)
     for k in range(n):
         out *= a + k
@@ -216,8 +219,6 @@ def _sum_series(uppers, c, z, regularized, what):
     The term ratio is applied in this loop, not in a generator, which would
     add a call per term.
     """
-    uppers = tuple(map(_to_number, uppers))
-    c, z = _to_number(c), _to_number(z)
     u = 1.0 + 0.0j if not all(map(_is_real, (*uppers, c, z))) else 1.0
     # 1/gamma(c+n) vanishes while c+n is a nonpositive integer
     ci = _near_integer(c) if regularized else None
@@ -281,12 +282,8 @@ def hyp2f1_regularized(a, b, c, z):
 
 
 def _hyp2f1_any(a, b, c, z, regularized):
-    a, b, c, z = map(_to_number, (a, b, c, z))
-    if isinstance(z, complex):
-        if z.imag != 0.0:
-            raise ValueError("2F1 evaluation supports real arguments only")
-        z = z.real
-    z = float(z)
+    a, b, c = map(_number, (a, b, c))
+    z = _real_arg(z, "2F1")
     if z >= 1.0:
         raise ValueError("2F1 series argument must satisfy z < 1")
     if z == 0.0:
@@ -296,13 +293,7 @@ def _hyp2f1_any(a, b, c, z, regularized):
         # Pfaff: 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
         w = z / (z - 1.0)
         inner = _hyp2f1_any(a, c - b, c, w, regularized)
-        if _is_real(a):
-            pref = (1.0 - z) ** (-(a.real if isinstance(a, complex) else a))
-        else:
-            pref = (1.0 - z) ** (-a)
-        value = pref * inner.value
-        if all(map(_is_real, (a, b, c))) and isinstance(value, complex):
-            value = value.real
+        value = (1.0 - z) ** (-a) * inner.value
         return SeriesResult(value, inner.terms_used, inner.truncation_estimate)
 
     # polynomial case terminates regardless of z
@@ -372,26 +363,24 @@ def hyp1f1_regularized(a, c, z):
 
 
 def _hyp1f1_any(a, c, z, regularized):
-    a, c, z = map(_to_number, (a, c, z))
-    zr = z.real if isinstance(z, complex) else float(z)
-    if isinstance(z, complex) and z.imag != 0.0:
-        raise ValueError("1F1 evaluation supports real arguments only")
-    if zr == 0.0:
+    a, c = _number(a), _number(c)
+    z = _real_arg(z, "1F1")
+    if z == 0.0:
         return SeriesResult(rgamma(c) if regularized else 1.0, 1, 0.0)
     na = _near_integer(a)
     terminating = na is not None and na <= 0
-    if zr < _1F1_REFLECT_BELOW and not terminating:
+    if z < _1F1_REFLECT_BELOW and not terminating:
         # 1F1(a;c;z) = e^z 1F1(c-a; c; -z), with -z on the stable side
         try:
-            inner = _hyp1f1_any(c - a, c, -zr, regularized)
+            inner = _hyp1f1_any(c - a, c, -z, regularized)
         except SeriesOverflow:
-            return _hyp1f1_far_left(a, c, -zr, regularized)
-        if zr < _EXP_SUBNORMAL_BELOW:  # e^z alone would lose digits
-            value = math.exp(0.5 * zr) * inner.value * math.exp(0.5 * zr)
+            return _hyp1f1_far_left(a, c, -z, regularized)
+        if z < _EXP_SUBNORMAL_BELOW:  # e^z alone would lose digits
+            value = math.exp(0.5 * z) * inner.value * math.exp(0.5 * z)
         else:
-            value = math.exp(zr) * inner.value
+            value = math.exp(z) * inner.value
         return SeriesResult(value, inner.terms_used, inner.truncation_estimate)
-    return _sum_series((a,), c, zr, regularized, "1F1")[0]
+    return _sum_series((a,), c, z, regularized, "1F1")[0]
 
 
 def _hyp1f1_far_left(a, c, x, regularized):
@@ -414,8 +403,6 @@ def _hyp1f1_far_left(a, c, x, regularized):
             value = math.inf
     if not cmath.isfinite(value):
         raise SeriesOverflow(f"1F1 at z = {-x} leaves the float range")
-    if all(map(_is_real, (a, c))) and isinstance(value, complex):
-        value = value.real
     return SeriesResult(value, n_used, trunc)
 
 
@@ -423,7 +410,7 @@ def hyp1f1_deriv_regularized(a, c, z):
     """d/dz of the regularized 1F1: a * 1F1reg(a+1; c+1; z)."""
     inner = hyp1f1_regularized(a + 1, c + 1, z)
     return SeriesResult(
-        _to_number(a) * inner.value, inner.terms_used, inner.truncation_estimate
+        _number(a) * inner.value, inner.terms_used, inner.truncation_estimate
     )
 
 
@@ -431,7 +418,6 @@ def _u_terminating(n, c, z):
     """U(-n,c,z) = (-1)^n sum_k [(-n)_k / k!] (c+k)_{n-k} z^k, for any c; None
     where its rounding bound (2n + 3) 2^-53 sum |t_k| exceeds SERIES_TOL
     relative (the sum cancels), or where a term leaves the float range."""
-    c, z = _to_number(c), _to_number(z)
     total = 0.0 if _is_real(c) else complex(0.0)
     mass = 0.0  # sum |t_k|
     coeff = 1.0  # (-n)_k / k!
@@ -471,10 +457,9 @@ def _2f0_sum(a, c, w):
 def _u_asymptotic(a, c, z):
     """Large-z asymptotic series z^-a 2F0(a, a-c+1; -1/z), smallest-term cut;
     SeriesOverflow where a value that meets SERIES_TOL leaves the float range."""
-    a, c = _to_number(a), _to_number(c)
     total, n_used, trunc = _2f0_sum(a, c, -1.0 / z)
     try:
-        value = z ** (-(_real_part(a) if _is_real(a) else a)) * total
+        value = z ** (-a) * total
     except OverflowError:
         value = math.inf
     if trunc <= SERIES_TOL and not cmath.isfinite(value):
@@ -484,13 +469,8 @@ def _u_asymptotic(a, c, z):
 
 def hypU(a, c, z):
     """Tricomi's confluent U(a, c, z) for real z > 0 (routes: module docstring)."""
-    a, c = (_real_part(v) if _is_real(v) else v for v in map(_to_number, (a, c)))
-    z = _to_number(z)
-    if isinstance(z, complex):
-        if z.imag != 0.0:
-            raise ValueError("U evaluation supports real arguments only")
-        z = z.real
-    z = float(z)
+    a, c = _number(a), _number(c)
+    z = _real_arg(z, "U")
     if z <= 0.0:
         raise ValueError("U evaluation requires z > 0")
     na = _near_integer(a)
@@ -510,7 +490,7 @@ def hypU(a, c, z):
     # U(b-1) = (2b - c + z) U(b) - b (b - c + 1) U(b+1) (13.3.7) then runs down
     # to a, stably since U is the minimal solution as a grows.  Run on the last
     # two exp-sinh levels, it gives U(a)'s own level change.
-    m = max(0, math.floor(1.0 - _real_part(a)) + 1)
+    m = max(0, math.floor(1.0 - a.real) + 1)
     try:
         levels, evals = _u_laplace_levels(a + m, c, z)
     except OverflowError:
@@ -613,7 +593,7 @@ def hypU_deriv(a, c, z):
     """d/dz U(a, c, z) = -a U(a+1, c+1, z)."""
     inner = hypU(a + 1.0, c + 1.0, z)
     return SeriesResult(
-        -_to_number(a) * inner.value, inner.terms_used, inner.truncation_estimate
+        -_number(a) * inner.value, inner.terms_used, inner.truncation_estimate
     )
 
 
@@ -634,21 +614,19 @@ def hermite_fn(nu, z):
     terminates, reproducing the Hermite polynomials.  For z > 0 the two
     pieces cancel as z grows, which is why z > 2 takes the U form.
     """
-    nu, z = _to_number(nu), _to_number(z)
+    nu, z = _number(nu), _number(z)
     zz = z * z
-    if _is_real(nu) and _is_real(z) and _real_part(z) > _HERMITE_U_ABOVE:
+    if _is_real(nu) and _is_real(z) and z > _HERMITE_U_ABOVE:
         parts = (hypU(-0.5 * nu, 0.5, zz),)
-        value = 2.0 ** _real_part(nu) * parts[0].value
+        value = 2.0**nu * parts[0].value
     else:
         parts = e, o = hyp1f1(-0.5 * nu, 0.5, zz), hyp1f1(0.5 * (1.0 - nu), 1.5, zz)
-        two_pow = cmath.exp(nu * math.log(2.0)) if not _is_real(nu) else 2.0**nu
+        two_pow = 2.0**nu if _is_real(nu) else cmath.exp(nu * math.log(2.0))
         value = (
             two_pow
             * math.sqrt(math.pi)
             * (rgamma(0.5 * (1.0 - nu)) * e.value - 2.0 * z * rgamma(-0.5 * nu) * o.value)
         )
-        if _is_real(nu) and _is_real(z) and isinstance(value, complex):
-            value = value.real
     if not cmath.isfinite(value):
         raise SeriesOverflow(f"H_{nu}({z}) leaves the float range")
     return SeriesResult(
@@ -662,7 +640,7 @@ def hermite_fn(nu, z):
 
 def limit_2f1_at_1(a, b, c):
     """Classify 2F1(a,b;c;z) as z -> 1^- and return the scaling constant."""
-    a, b, c = map(_to_number, (a, b, c))
+    a, b, c = map(_number, (a, b, c))
     na, nb = _near_integer(a), _near_integer(b)
     if (na is not None and na <= 0) or (nb is not None and nb <= 0):
         # polynomial: finite by Chu-Vandermonde
@@ -671,9 +649,8 @@ def limit_2f1_at_1(a, b, c):
         value = pochhammer(c - other, n) / pochhammer(c, n)
         return Limit2F1("finite", value)
     s = c - a - b
-    sr = _real_part(s)
-    si = s.imag if isinstance(s, complex) else 0.0
-    if abs(sr) < _INT_TOL and abs(si) < _INT_TOL:
+    sr = s.real
+    if abs(sr) < _INT_TOL and abs(s.imag) < _INT_TOL:
         return Limit2F1("log", gamma_fn(a + b) * rgamma(a) * rgamma(b))
     if sr > _INT_TOL:
         return Limit2F1(
@@ -702,8 +679,7 @@ def wronskian_defect(pair, a, c, z):
     forms grow like e^z, so an unscaled difference would say nothing at
     moderate z.
     """
-    a, c = _to_number(a), _to_number(c)
-    z = float(z)
+    a, c, z = map(_number, (a, c, z))
     y1 = hyp1f1_regularized(a, c, z).value
     d1 = hyp1f1_deriv_regularized(a, c, z).value
     if pair == "mm":

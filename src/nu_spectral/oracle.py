@@ -382,8 +382,11 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
             box = (min(box[0], node), max(box[1], node))
     pivot = (centre, centre)
     levels = coarse = np.empty(0)
+    stale = True  # levels are not yet those of (box, h)
     for _ in range(MAX_ROUNDS if want else 0):
-        levels = solve(box, h)
+        if stale:
+            levels = solve(box, h)
+        stale = True
         if len(levels) < want:
             box = grown(box, pivot)
             continue
@@ -407,6 +410,7 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
         levels, coarse, h = refine(box, h, levels)
         if len(levels) == want and settled(levels[-1:], np.array([top])):
             break
+        stale = False  # refine ends on the solve of (box, h)
     else:
         if want:
             raise GridTooCoarse(f"the box did not settle within {MAX_ROUNDS} rounds")

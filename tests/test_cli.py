@@ -173,9 +173,10 @@ class TestSolve:
         assert "EmptySpectrum" in err
 
     def test_unbounded_family_needs_cap(self, capsys):
-        code, _, err = run(capsys, "solve", "--potential", "harmonic")
-        assert code == 3
-        assert "n_max" in err
+        # a confining well without --n-max is a usage error, like a negative one
+        code, out, err = run(capsys, "solve", "--potential", "harmonic")
+        assert (code, out) == (2, "")
+        assert err == "nu-spectral: harmonic is confining: pass --n-max to cap the family\n"
 
     def test_json_format(self, capsys):
         code, out, _ = run(

@@ -108,6 +108,52 @@ def test_pochhammer():
     assert pochhammer(3.0, 4) == 3 * 4 * 5 * 6
     assert pochhammer(0.5, 2) == 0.75
     assert pochhammer(2.0, 0) == 1.0
+    for n in (-1, -2):  # (3)_-1 is 1/2, not the empty product
+        with pytest.raises(ValueError):
+            pochhammer(3.0, n)
+
+
+# one case per route; pochhammer's n is a count, not an argument
+_REAL_CALLS = [
+    (hyp2f1, (2, 0.75, 1.5, 0.5)),
+    (hyp2f1, (2, 0.75, 1.5, -2)),
+    (hyp2f1, (2, 0.75, 1.5, 0.995)),
+    (hyp2f1_regularized, (0.5, 1.25, -2, 0.5)),
+    (hyp1f1, (3, 1.5, 2)),
+    (hyp1f1, (3, 1.5, -20)),
+    (hyp1f1, (3, 1.5, -800)),
+    (hyp1f1_regularized, (0.5, -2, 2)),
+    (hypU, (-2, 1.5, 3)),
+    (hypU, (0.5, 2, 25)),
+    (hypU, (0.5, 1.5, 2)),
+    (hermite_fn, (3, 1)),
+    (hermite_fn, (2.5, 3)),
+    (gamma_fn, (4,)),
+    (gamma_fn, (-2.5,)),
+    (rgamma, (3,)),
+    (rgamma, (-2.5,)),
+    (pochhammer, (0.5, 3)),
+    (pochhammer, (3, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args", _REAL_CALLS, ids=[f"{fn.__name__}{args}".replace(" ", "") for fn, args in _REAL_CALLS]
+)
+@pytest.mark.parametrize("write", ["complex", "fraction", "int"])
+def test_a_real_argument_is_real_however_written(fn, args, write):
+    # complex(x, 0.0), Fraction(x) and an integral x as int give the float
+    # call's result bit for bit, a float included
+    xs, count = (args[:1], args[1:]) if fn is pochhammer else (args, ())
+    to = {"complex": lambda x: complex(x, 0.0), "fraction": Fraction,
+          "int": lambda x: int(x) if x == int(x) else float(x)}[write]
+    want = fn(*map(float, xs), *count)
+    got = fn(*map(to, xs), *count)
+    if isinstance(want, hyper.SeriesResult):
+        assert (got.terms_used, got.truncation_estimate) == (want.terms_used, want.truncation_estimate)
+        got, want = got.value, want.value
+    assert type(got) is float and type(want) is float
+    assert got.hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from nu_spectral import oracle
 from nu_spectral.errors import CountMismatch, GridTooCoarse, NoConvergence
 from nu_spectral.oracle import (
     FdGrid,
@@ -14,7 +15,7 @@ from nu_spectral.oracle import (
     tanh_sinh,
     wkb_edges,
 )
-from nu_spectral.potentials import bound_spectrum, harmonic, morse, rosen_morse2
+from nu_spectral.potentials import bound_spectrum, harmonic, morse, oracle_spectrum, rosen_morse2
 from nu_spectral.scalars import scalar_float
 
 
@@ -297,3 +298,19 @@ def test_tanh_sinh_against_quad_on_smooth():
     got = tanh_sinh(lambda x, dlo, dhi: f(x), 0.0, 2.0)
     want = quad_adaptive(f, 0.0, 2.0)
     assert abs(got - want) < 1e-11
+
+
+def test_fd_solves_each_lattice_once(monkeypatch):
+    # this well's refinement does not settle at once; the round after it
+    # starts from the box and spacing the refinement ended on, and reuses
+    # that solve instead of running it again
+    lattices = []
+
+    def recording(v, x, cap):
+        lattices.append(x)
+        return _sinc_dvr(v, x, cap)
+
+    monkeypatch.setattr(oracle, "_sinc_dvr", recording)
+    oracle_spectrum(rosen_morse2(9, 0.29))
+    assert any(len(x) == 437 for x in lattices)
+    assert not any(np.array_equal(a, b) for a, b in zip(lattices, lattices[1:]))
