@@ -55,7 +55,7 @@ class Family(NamedTuple):
     solve path does not build the equation per level.  The recurrence step
     only applies operators to x, so x may be Polynomial.x() or a float
     array.  log_x_norm_const is the norm under the wells' x-measure
-    du/phi_c, which holds when |tau'| = phi and u = s.
+    du/phi_c, exact as potentials derives phi = |tau'| (with u = s).
     """
 
     interval: Interval

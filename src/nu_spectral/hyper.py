@@ -639,7 +639,13 @@ def hermite_fn(nu, z):
 
 
 def limit_2f1_at_1(a, b, c):
-    """Classify 2F1(a,b;c;z) as z -> 1^- and return the scaling constant."""
+    """Classify 2F1(a,b;c;z) as z -> 1^- and return the scaling constant.
+
+    Raises PoleAtNonPositiveInteger when c is a nonpositive integer, as
+    hyp2f1 does.
+    """
+    if is_nonpositive_integer(c):
+        raise PoleAtNonPositiveInteger(f"2F1 undefined at c = {c}")
     a, b, c = map(_number, (a, b, c))
     na, nb = _near_integer(a), _near_integer(b)
     if (na is not None and na <= 0) or (nb is not None and nb <= 0):

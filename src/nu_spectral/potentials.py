@@ -1,21 +1,30 @@
 """Three end-to-end solvable one-dimensional quantum systems.
 
-Each constructor returns one PotentialSpec record holding all that is
-particular to its well: the change of variable s = tau(x) and the reduced
-equation it produces; no function here branches on the well's name, nor on
-a family's (the float recurrence and the x-measure norm come from
-classical.FAMILIES), and each level's normalization window is derived from
-the reduced potential at its eps (oracle.wkb_edges).  Levels, their count and
-branches are read from the reduced equation's ladder (reduction.Ladder),
-which derives them once, in closed form in n, and asserts the reduction
-identity once; each level is checked exactly against the classical
-eigenvalue.  The plateaus and the continuum come from the same equation:
-an end of the working interval that is a simple root of phi is a plateau,
-its channel is open where phi_tilde is positive there, and the bounded
-solutions are Gauss 2F1 (phi quadratic) or Tricomi U (phi linear, whose
-infinite end is a wall).  A parameter, or a scale derived
-from them, that is zero or leaves the float range is a ValueError.  The
-systems:
+Each constructor declares its well once: a map s = tau(x), one of identity,
+exponential and tanh (each holding g, the polynomial with s' = g(s), and the
+interval s fills), the reduced potential v(s) as an exact quadratic, and the
+well's scales.  PotentialSpec derives the rest from the map and v:
+
+  the reduced equation  -psi'' + v psi = eps psi written in s (Nikiforov &
+      Uvarov, ch. I sec. 1): with sigma the sign of g inside the interval,
+      phi = sigma g, psi_tilde = sigma g' and phi_tilde = eps - v;
+  v_min                 v at its vertex s*, the root of v';
+  the float potential   v_min + K y^2, y = (s - s*)/max(1, |s*|) evaluated
+      as c1 unit(x) + c0, with the map's scale folded exactly into c1;
+  the plateaus          v at each finite end of the interval where g
+      vanishes; such an end is x = -inf when it is the lower end and
+      sigma > 0 or the upper end and sigma < 0, else x = +inf.
+
+No function here branches on the well's name, nor on a family's (the float
+recurrence and the x-measure norm come from classical.FAMILIES).  Levels,
+their count and branches are read from the reduced equation's ladder
+(reduction.Ladder), each level checked exactly against the classical
+eigenvalue; each level's normalization window comes from the float potential
+at its eps (oracle.wkb_edges).  The continuum comes from the same equation:
+a plateau end's channel is open where phi_tilde is positive there, and the
+bounded solutions are Gauss 2F1 (phi quadratic) or Tricomi U (phi linear,
+whose infinite end is a wall).  A parameter, or a scale derived from them,
+that is zero or leaves the float range is a ValueError.  The systems:
 
   harmonic      v(x) = x^2 on the line (x in units of sqrt(hbar/(m*Omega)))
   morse         v(x) = Lambda^2 (1 - b e^{-x})^2, b = e^{a x_e}, x = a * x_phys
@@ -34,7 +43,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -47,8 +56,8 @@ from .errors import (
     NoScatteringRegion,
 )
 from .oracle import FdGrid, fd_bound_states, quad_adaptive, wkb_edges
-from .polynomials import HALF_LINE, REAL_LINE, UNIT_INTERVAL, Polynomial
-from .reduction import EpsAffinePoly, GheProblem, bound_canonical, branch_candidates
+from .polynomials import HALF_LINE, REAL_LINE, UNIT_INTERVAL, Interval, Polynomial
+from .reduction import EpsAffinePoly, GheProblem, _interval_probe, bound_canonical, branch_candidates
 from .scalars import accurate_float, as_exact, scalar_float, scalar_is_zero, scalar_sign, sqrt_scalar
 
 X = Polynomial.x()
@@ -56,27 +65,62 @@ X = Polynomial.x()
 
 @dataclass(frozen=True)
 class ChangeOfVariable:
-    """Declared substitution s = forward(x) with its slope.
+    """A map s = tau(x) = scale * unit(x), declared by g, the polynomial with
+    s' = g(s), and the open interval that s fills.
 
-    affine_value, when set, evaluates c1*forward(x) + c0 in a form that
-    keeps relative precision where the plain route would cancel; samplers
-    use it for weight factors that vanish at an endpoint of the reduced
-    interval.
+    affine_value, when set, evaluates c1*tau(x) + c0 in a form that keeps
+    relative precision where the plain route would cancel; samplers use it
+    for weight factors that vanish at an endpoint of the interval.
     """
 
-    forward: object
-    deriv: object
+    g: Polynomial
+    interval: Interval
+    unit: object  # x -> unit(x) in floats, elementwise
+    scale: object = Fraction(1)  # exact
     affine_value: object = None
+
+    @functools.cached_property
+    def forward(self):
+        """x -> s in floats, elementwise."""
+        if self.scale == 1:
+            return self.unit
+        scale, unit = scalar_float(self.scale), self.unit
+        return lambda x: scale * unit(x)
+
+
+def _tanh_affine(c1, c0, x):
+    """c1*tanh(x) + c0 in a saturation-proof form, elementwise over arrays.
+
+    Float tanh rounds to +-1 near |x| = 19, and from about |x| = 15 on a
+    factor like 1 - tanh(x) degrades into a ulp staircase.  Folding the
+    affine coefficients into the exponential keeps full relative precision
+    out to arbitrarily large |x|.
+    """
+    e2 = np.exp(-2.0 * np.abs(x))
+    ratio = e2 / (1.0 + e2)  # (1 - tanh|x|) / 2
+    return np.where(x >= 0.0, (c1 + c0) - 2.0 * c1 * ratio, (c0 - c1) + 2.0 * c1 * ratio)
+
+
+IDENTITY = ChangeOfVariable(g=Polynomial.of(1), interval=REAL_LINE, unit=lambda x: x)
+TANH = ChangeOfVariable(
+    g=Polynomial.of(1, 0, -1), interval=UNIT_INTERVAL, unit=np.tanh, affine_value=_tanh_affine
+)
+
+
+def exponential(scale):
+    """s = scale * e^(-x) on (0, inf): s' = -s."""
+    return ChangeOfVariable(g=-X, interval=HALF_LINE, unit=lambda x: np.exp(-x), scale=scale)
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
+    """One well as declared, the map tau and the reduced potential v(s),
+    and what __post_init__ derives from the two (module docstring)."""
+
     name: str
     physical_params: dict
     tau: ChangeOfVariable
-    ghe: GheProblem
-    reduced_potential: object
-    v_min: object  # exact minimum of the reduced potential
+    v: Polynomial  # exact, quadratic in s: -psi'' + v(tau(x)) psi = eps psi
     energy_scale: float  # physical E = energy_scale * eps
     coordinate_scale: float  # physical-coordinate norm = this * reduced norm
     # (lo, hi, points): the oracle's starting box and largest basis; lo:hi
@@ -84,26 +128,42 @@ class PotentialSpec:
     # the verify residual probes and the --samples-dir abscissas
     fd_box: tuple
     exact: dict  # rationalized shape parameters
+    ghe: GheProblem = field(init=False)
+    v_min: object = field(init=False)  # exact minimum of v, at its vertex
+    reduced_potential: object = field(init=False)  # x -> v(tau(x)) in floats
+    sigma: int = field(init=False)  # the sign of g: +1 where s rises with x
+    # (r, side, v(r)) at each plateau end r: side is +1 at the lower end
+    plateau_ends: tuple = field(init=False)
+    plateaus: tuple = field(init=False)  # the exact plateaus, ascending
 
-    @functools.cached_property
-    def _plateau_ends(self):
-        """(r, side, const(r), linear(r)) at each end r of the working
-        interval that is a simple root of phi: side is +1 at the lower end
-        and -1 at the upper, and phi_tilde(r; eps) = const(r) + eps linear(r)."""
-        ghe = self.ghe
-        phi, dphi, phi_t = ghe.phi, ghe.phi.derivative(), ghe.phi_tilde
-        return tuple(
-            (r, side, phi_t.const(r), phi_t.linear(r))
-            for r, side in ((ghe.interval.lo, 1), (ghe.interval.hi, -1))
-            if not isinstance(r, float) and scalar_is_zero(phi(r)) and not scalar_is_zero(dphi(r))
+    def __post_init__(self):
+        tau, v = self.tau, self.v
+        g, interval = tau.g, tau.interval
+        sigma = scalar_sign(g(_interval_probe(interval)))
+        vertex = -v.coeff(1) / (2 * v.coeff(2))
+        v_min = v(vertex)
+        ends = tuple(
+            (r, side, v(r))
+            for r, side in ((interval.lo, 1), (interval.hi, -1))
+            if not isinstance(r, float) and scalar_is_zero(g(r))
         )
-
-    @functools.cached_property
-    def plateaus(self):
-        """The exact plateaus, ascending: at each plateau end, the eps where
-        phi_tilde vanishes."""
-        values = [-c / lin for _, _, c, lin in self._plateau_ends]
-        return tuple(sorted(values, key=functools.cmp_to_key(lambda p, q: scalar_sign(p - q))))
+        derived = {
+            "ghe": GheProblem(
+                phi=g * sigma,
+                psi_tilde=g.derivative() * sigma,
+                phi_tilde=EpsAffinePoly(const=-v, linear=Polynomial.of(1)),
+                interval=interval,
+            ),
+            "v_min": v_min,
+            "reduced_potential": _vertex_form(tau, v, vertex, v_min),
+            "sigma": sigma,
+            "plateau_ends": ends,
+            "plateaus": tuple(
+                sorted((p for *_, p in ends), key=functools.cmp_to_key(lambda p, q: scalar_sign(p - q)))
+            ),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def v_minus(self):
@@ -112,6 +172,24 @@ class PotentialSpec:
     @property
     def v_plus(self):
         return scalar_float((*self.plateaus, math.inf, math.inf)[1])
+
+
+def _vertex_form(tau, v, vertex, v_min):
+    """x -> v(tau(x)) in floats, as v_min + K y^2 with the vertex factor
+    y = (s - s*)/max(1, |s*|) evaluated as c1*unit(x) + c0.  tau's scale is
+    folded into c1, and K = v2 max(1, |s*|)^2, before each is rounded once;
+    the square is a product, so a scalar x gives an array's bits."""
+    width = max(Fraction(1), abs(vertex))
+    floor, k, c1, c0 = map(
+        scalar_float, (v_min, v.coeff(2) * width * width, tau.scale / width, -vertex / width)
+    )
+    unit = tau.unit
+
+    def potential(x):
+        y = c1 * unit(x) + c0
+        return floor + k * (y * y)
+
+    return potential
 
 
 @dataclass(frozen=True)
@@ -177,28 +255,16 @@ def _derived_scale(name, compute):
 def harmonic(m=1.0, Omega=1.0, hbar=1.0):
     _require_positive(m=m, Omega=Omega, hbar=hbar)
     x0 = _derived_scale("the length unit", lambda: math.sqrt(hbar / (m * Omega)))
-    spec = PotentialSpec(
+    return PotentialSpec(
         name="harmonic",
         physical_params={"m": m, "Omega": Omega, "hbar": hbar},
-        tau=ChangeOfVariable(
-            forward=lambda x: x,
-            deriv=lambda x: 1.0,
-        ),
-        ghe=GheProblem(
-            phi=Polynomial.of(1),
-            psi_tilde=Polynomial(),
-            phi_tilde=EpsAffinePoly(const=-(X * X), linear=Polynomial.of(1)),
-            interval=REAL_LINE,
-        ),
-        reduced_potential=lambda x: x * x,
-        v_min=Fraction(0),
+        tau=IDENTITY,
+        v=X * X,
         energy_scale=_derived_scale("the energy unit", lambda: hbar * Omega / 2.0),
         coordinate_scale=_derived_scale("the inverse length unit", lambda: 1.0 / x0),
         fd_box=(-10.0, 10.0, 1200),
         exact={},
     )
-    _verify_declared_substitution(spec)
-    return spec
 
 
 def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
@@ -220,47 +286,18 @@ def morse(Lambda=None, De=None, a=1.0, xe=0.0, m=1.0, hbar=1.0):
         lam_sq = as_exact(_derived_scale("Lambda^2", lambda: 2.0 * m * De / (a * hbar) ** 2))
         lam = sqrt_scalar(lam_sq)
     b = _derived_scale("exp(a*xe)", lambda: math.exp(a * xe))
-    lamf = scalar_float(lam)
-    lamf2 = scalar_float(lam_sq)
-    _derived_scale("s at x = 0", lambda: 2.0 * lamf * b)
-    spec = PotentialSpec(
+    scale = 2 * lam * as_exact(b)
+    _derived_scale("s at x = 0", lambda: scale)
+    return PotentialSpec(
         name="morse",
         physical_params={"De": De, "a": a, "xe": xe, "m": m, "hbar": hbar},
-        tau=ChangeOfVariable(
-            forward=lambda x: 2.0 * lamf * b * np.exp(-x),
-            deriv=lambda x: -2.0 * lamf * b * math.exp(-x),
-        ),
-        ghe=GheProblem(
-            phi=X,
-            psi_tilde=Polynomial.of(1),
-            phi_tilde=EpsAffinePoly(
-                const=Polynomial.of(-lam_sq, lam, Fraction(-1, 4)),
-                linear=Polynomial.of(1),
-            ),
-            interval=HALF_LINE,
-        ),
-        reduced_potential=lambda x: lamf2 * (1.0 - b * np.exp(-x)) ** 2,
-        v_min=Fraction(0),
+        tau=exponential(scale),
+        v=Polynomial.of(lam_sq, -lam, Fraction(1, 4)),  # (Lambda - s/2)^2
         energy_scale=_derived_scale("the energy unit", lambda: a * a * hbar * hbar / (2.0 * m)),
         coordinate_scale=a,
         fd_box=(a * xe - 2.0, a * xe + 12.0, 1200),
         exact={"lam": lam, "lam_sq": lam_sq, "b": b},
     )
-    _verify_declared_substitution(spec)
-    return spec
-
-
-def _tanh_affine(c1, c0, x):
-    """c1*tanh(x) + c0 in a saturation-proof form, elementwise over arrays.
-
-    Float tanh rounds to +-1 near |x| = 19, and from about |x| = 15 on a
-    factor like 1 - tanh(x) degrades into a ulp staircase.  Folding the
-    affine coefficients into the exponential keeps full relative precision
-    out to arbitrarily large |x|.
-    """
-    e2 = np.exp(-2.0 * np.abs(x))
-    ratio = e2 / (1.0 + e2)  # (1 - tanh|x|) / 2
-    return np.where(x >= 0.0, (c1 + c0) - 2.0 * c1 * ratio, (c0 - c1) + 2.0 * c1 * ratio)
 
 
 def rosen_morse2(v0, mu):
@@ -276,70 +313,25 @@ def rosen_morse2(v0, mu):
     v2 = csq + Fraction(1, 4)
     vm = v0x * (1 - t) / (1 + t)  # lower plateau, at x -> +inf
     vp = v0x * (1 + t) / (1 - t)  # upper plateau, at x -> -inf
-    cf, tf = _derived_scale("v0 cosh^2(mu)", lambda: csq), scalar_float(t)
+    _derived_scale("v0 cosh^2(mu)", lambda: csq)
     _derived_scale("the upper plateau", lambda: vp)
     shifted = X - Polynomial.constant(t)
-
-    spec = PotentialSpec(
+    return PotentialSpec(
         name="rosen_morse2",
         physical_params={"v0": v0, "mu": mu},
-        tau=ChangeOfVariable(
-            forward=np.tanh,
-            deriv=lambda x: 1.0 - math.tanh(x) ** 2,
-            affine_value=_tanh_affine,
-        ),
-        ghe=GheProblem(
-            phi=Polynomial.of(1, 0, -1),
-            psi_tilde=Polynomial.of(0, -2),
-            phi_tilde=EpsAffinePoly(
-                const=-csq * (shifted * shifted), linear=Polynomial.of(1)
-            ),
-            interval=UNIT_INTERVAL,
-        ),
-        reduced_potential=lambda x: cf * (np.tanh(x) - tf) ** 2,
-        v_min=Fraction(0),
+        tau=TANH,
+        v=csq * (shifted * shifted),
         energy_scale=1.0,
         coordinate_scale=1.0,
         fd_box=(-15.0, 15.0, 1200),
         exact={"v0": v0x, "t": t, "csq": csq, "v1": v1, "v2": v2, "vm": vm, "vp": vp},
     )
-    _verify_declared_substitution(spec)
-    return spec
 
 
 WELLS = {"harmonic": harmonic, "morse": morse, "rosen_morse2": rosen_morse2}
 
 
-# -- declared-substitution and branch-selection verification ------------------
-
-
-def _verify_declared_substitution(spec):
-    """Check numerically that s = tau(x) really maps -psi'' + v psi = eps psi
-    onto the declared equation coefficients, at eps = 1; a mismatch means the
-    declared table row and the declared substitution disagree."""
-    ghe = spec.ghe
-    phi = ghe.phi.as_float()
-    psi_t = ghe.psi_tilde.as_float()
-    phi_t = ghe.phi_tilde.at(Fraction(1)).as_float()
-    h = 1e-5
-    # moderate abscissas: far enough out to probe shape, close enough in
-    # that the slope has not collapsed below finite-difference resolution
-    for x in (-1.37, 0.25, 1.9):
-        s = spec.tau.forward(x)
-        dtau = spec.tau.deriv(x)
-        ddtau = (spec.tau.deriv(x + h) - spec.tau.deriv(x - h)) / (2 * h)
-        lhs1 = psi_t(s) / phi(s)
-        rhs1 = ddtau / dtau**2
-        if abs(lhs1 - rhs1) > 1e-7 * max(1.0, abs(rhs1)):
-            raise ValueError(
-                f"{spec.name}: declared slope disagrees with psi_t/phi at x={x}"
-            )
-        lhs2 = phi_t(s) / phi(s) ** 2
-        rhs2 = (1.0 - float(spec.reduced_potential(x))) / dtau**2
-        if abs(lhs2 - rhs2) > 1e-7 * max(1.0, abs(rhs2)):
-            raise ValueError(
-                f"{spec.name}: declared equation disagrees with eps - v at x={x}"
-            )
+# -- branch selection ----------------------------------------------------------
 
 
 def pinned_branch(spec, eps):
@@ -552,11 +544,12 @@ def normalization_defect(spec, state):
     WKB phase, one per pi (about one per node); those panels already
     resolve the level's n nodes, so one round usually meets the tolerance.
     Past a window edge on a side whose end is a plateau (an end of the
-    reduced equation's interval in spec._plateau_ends, which tau maps to
-    x = -inf when it rises and to +inf when it falls) the density is a
-    single decaying exponential to machine accuracy, so the remaining mass
-    is added in closed form at the decay rate sqrt(plateau - eps_n), with
-    the exact gap evaluated to full relative precision.
+    interval in spec.plateau_ends, which is x = -inf when it is the lower
+    end and s rises with x, spec.sigma > 0, or the upper end and s falls)
+    the density is a single decaying exponential to machine accuracy, so
+    the remaining mass is added in closed form at the decay rate
+    sqrt(plateau - eps_n), with the exact gap evaluated to full relative
+    precision.
     """
 
     def sq(x):
@@ -565,11 +558,10 @@ def normalization_defect(spec, state):
     lo, hi, _ = spec.fd_box
     edges = wkb_edges(spec.reduced_potential, scalar_float(state.eps), lo, hi)
     total = quad_adaptive(sq, *edges)
-    rises = spec.tau.deriv(0.5 * (lo + hi)) > 0
-    for _, side, c, lin in spec._plateau_ends:
-        # side is +1 at the interval's lower end: x = -inf when tau rises
-        edge = edges[0] if (side > 0) == rises else edges[-1]
-        total += sq(edge) / (2.0 * math.sqrt(accurate_float(-c / lin - state.eps)))
+    for _, side, plateau in spec.plateau_ends:
+        # side is +1 at the interval's lower end: x = -inf where s rises
+        edge = edges[0] if (side > 0) == (spec.sigma > 0) else edges[-1]
+        total += sq(edge) / (2.0 * math.sqrt(accurate_float(plateau - state.eps)))
     return abs(total - 1.0)
 
 
@@ -605,11 +597,11 @@ def scattering_states(spec, eps):
     eps = float(eps)
     if not math.isfinite(eps):
         raise NonFiniteEnergy(f"scattering energy must be finite, got {eps}")
-    ends = spec._plateau_ends
+    ends = spec.plateau_ends
     if not ends:
         raise NoScatteringRegion("no end of the working interval is a plateau")
     e, ghe, tau = as_exact(eps), spec.ghe, spec.tau
-    gaps = [c + e * lin for _, _, c, lin in ends]
+    gaps = [e - plateau for *_, plateau in ends]
     is_open = [scalar_sign(g) > 0 for g in gaps]
     if not any(is_open):
         raise EnergyBelowRegion(f"eps={eps} does not exceed the lower plateau {spec.v_minus}")

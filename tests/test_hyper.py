@@ -683,6 +683,14 @@ def test_limit_regimes_and_constants():
     assert r.finite_part is not None
 
 
+@pytest.mark.parametrize("a, b, c", [(-2.0, 1.0, -1.0), (-1.0, 1.0, -2.0), (0.5, 0.5, 0.0), (-3, 2, -1)])
+def test_limit_at_a_pole_of_c(a, b, c):
+    # hyp2f1 refuses every nonpositive integer c; (-2, 1, -1) once divided
+    # by (c)_2 = 0 on the polynomial path
+    with pytest.raises(PoleAtNonPositiveInteger):
+        limit_2f1_at_1(a, b, c)
+
+
 def test_limit_finite_matches_series_extrapolation():
     a, b, c = 0.4, 0.7, 2.4  # c-a-b = 1.3 > 0
     lim = limit_2f1_at_1(a, b, c).constant

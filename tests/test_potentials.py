@@ -28,7 +28,6 @@ from nu_spectral.errors import (
 from nu_spectral.oracle import FdGrid, compare_spectra, quad_adaptive
 from nu_spectral.potentials import (
     WELLS,
-    ChangeOfVariable,
     bound_spectrum,
     bound_state,
     eigen_eps,
@@ -42,9 +41,9 @@ from nu_spectral.potentials import (
     rosen_morse2,
     scattering_states,
     wavefunction_residual,
-    _verify_declared_substitution,
 )
-from nu_spectral.reduction import quantize, reduce_ghe
+from nu_spectral.polynomials import HALF_LINE, REAL_LINE, UNIT_INTERVAL, Polynomial
+from nu_spectral.reduction import EpsAffinePoly, GheProblem, quantize, reduce_ghe
 from nu_spectral.scalars import SurdSum, scalar_float, sqrt_scalar
 
 
@@ -381,18 +380,6 @@ class TestHyperbolicWell:
         with pytest.raises(EmptySpectrum):
             bound_spectrum(rosen_morse2(0.75, 0.5))
 
-    def test_declared_substitution_mismatch_fails_loudly(self):
-        spec = rosen_morse2(4, 0.5)
-        crooked = dataclasses.replace(
-            spec,
-            tau=ChangeOfVariable(
-                forward=math.tanh,
-                deriv=lambda x: 1.02 * (1.0 - math.tanh(x) ** 2),
-            ),
-        )
-        with pytest.raises(ValueError):
-            _verify_declared_substitution(crooked)
-
 
 def _rm2_scattering_ref(spec, eps, x, sign=1, floats=False):
     """t^rho1 (1-t)^rho2 2F1(a, b; 1 + 2 rho1; t) at t = (1 + tanh x)/2, in
@@ -662,6 +649,15 @@ def closed_form_lambda(spec, eps):
     return k0 - (kp + km) / 2
 
 
+def closed_form_vertex(spec):
+    """Where v(s) has its minimum."""
+    if spec.name == "harmonic":
+        return Fraction(0)
+    if spec.name == "morse":
+        return 2 * spec.exact["lam"]
+    return spec.exact["t"]
+
+
 def closed_form_plateaus(spec):
     if spec.name == "harmonic":
         return ()
@@ -737,6 +733,102 @@ class TestDerivedSpectra:
         with pytest.raises(ValueError):
             bound_state(spec, 5)
 
+
+
+# Each constructor declares a map and v(s); these are the reduced equations
+# and float potentials the wells spelt out by hand before they were derived.
+
+
+def hand_written_ghe(spec):
+    if spec.name == "harmonic":
+        X = Polynomial.x()
+        return GheProblem(
+            phi=Polynomial.of(1),
+            psi_tilde=Polynomial(),
+            phi_tilde=EpsAffinePoly(const=-(X * X), linear=Polynomial.of(1)),
+            interval=REAL_LINE,
+        )
+    if spec.name == "morse":
+        lam, lam_sq = spec.exact["lam"], spec.exact["lam_sq"]
+        return GheProblem(
+            phi=Polynomial.x(),
+            psi_tilde=Polynomial.of(1),
+            phi_tilde=EpsAffinePoly(
+                const=Polynomial.of(-lam_sq, lam, Fraction(-1, 4)),
+                linear=Polynomial.of(1),
+            ),
+            interval=HALF_LINE,
+        )
+    shifted = Polynomial.x() - Polynomial.constant(spec.exact["t"])
+    return GheProblem(
+        phi=Polynomial.of(1, 0, -1),
+        psi_tilde=Polynomial.of(0, -2),
+        phi_tilde=EpsAffinePoly(
+            const=-spec.exact["csq"] * (shifted * shifted), linear=Polynomial.of(1)
+        ),
+        interval=UNIT_INTERVAL,
+    )
+
+
+def hand_written_potential(spec):
+    if spec.name == "harmonic":
+        return lambda x: x * x
+    if spec.name == "morse":
+        lamf2, b = scalar_float(spec.exact["lam_sq"]), spec.exact["b"]
+        return lambda x: lamf2 * (1.0 - b * np.exp(-x)) ** 2
+    cf, tf = scalar_float(spec.exact["csq"]), scalar_float(spec.exact["t"])
+    return lambda x: cf * (np.tanh(x) - tf) ** 2
+
+
+def _declared_wells():
+    wells, rng = _sweep_wells()
+    wells += [harmonic(), harmonic(m=2.0, Omega=3.0), morse(Lambda=5)]
+    wells += [morse(Lambda=Fraction(37, 4)), morse(De=3.7), rosen_morse2(62, 0.35)]
+    wells += [
+        morse(Lambda=rng.uniform(0.5, 60.0), xe=rng.uniform(-2.0, 2.0), a=rng.uniform(0.3, 3.0))
+        for _ in range(6)
+    ]
+    wells += [morse(De=rng.uniform(1.0, 600.0), xe=rng.uniform(-2.0, 2.0)) for _ in range(4)]
+    return wells
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestDeclaredWell:
+    def test_reduced_equation_equals_hand_written(self):
+        for spec in _declared_wells():
+            assert spec.ghe == hand_written_ghe(spec), spec.physical_params
+
+    def test_vertex_plateaus_and_floor(self):
+        for spec in _declared_wells():
+            vertex = closed_form_vertex(spec)
+            assert spec.v.derivative()(vertex) == 0
+            assert spec.v_min == spec.v(vertex) == 0
+            assert spec.plateaus == closed_form_plateaus(spec)
+            # s rises with x on the line and the tanh map, falls on the exponential one
+            assert spec.sigma == (-1 if spec.name == "morse" else 1)
+
+    def test_float_potential_is_bit_identical_to_hand_written(self):
+        xs = np.concatenate([np.linspace(-40.0, 40.0, 1601), [-0.0, 1e-300, 19.06, -19.06]])
+        for spec in _declared_wells():
+            want = hand_written_potential(spec)(xs)
+            assert _bits(spec.reduced_potential(xs)) == _bits(want), spec.physical_params
+            # a scalar gives the array's bits: the square is a product, not pow
+            got = [spec.reduced_potential(float(x)) for x in xs[::23]]
+            assert _bits(got) == _bits(want[::23]), spec.physical_params
+
+    def test_float_potential_of_a_well_with_no_level(self):
+        # below Lambda = 1/2 the vertex 2 Lambda is under 1 and is not divided
+        # out: the same values, rounded along another route
+        for lam in (0.05, 0.3, 0.49):
+            spec = morse(Lambda=lam, xe=0.4)
+            assert eigenvalue_count(spec) == 0
+            xs = np.linspace(-40.0, 40.0, 801)
+            want = hand_written_potential(spec)(xs)
+            floor = 1e-15 * lam * lam  # the rounding of a sum that cancels at the vertex
+            assert np.allclose(spec.reduced_potential(xs), want, rtol=1e-15, atol=floor)
 
 
 class TestSingleQuantizationWalk:
