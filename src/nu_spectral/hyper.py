@@ -14,9 +14,15 @@ float.
 
 Routes (documented crossovers, all for real argument z):
 
-* 2F1: direct series on [0, 0.99]; argument z/(z-1) (Pfaff) for z < 0;
-  the 1-z connection formula [dlmf]_ 15.8.4 above 0.99 when c-a-b is not
-  an integer.
+* 2F1: direct series on [0, 0.99]; argument z/(z-1) (Pfaff) for z < 0.
+  Above 0.99 the route follows the gap c-a-b, taken with one rounding:
+  within _GAP_INT_ULPS units of roundoff (relative to the largest of 1,
+  |a|, |b|, |c|) of an integer m, the logarithmic connection formula
+  [dlmf]_ 15.8.10, for m < 0 after Euler's transformation (15.8.1), while
+  a, b, c-a and c-b lie within _LOG_ROUTE_ARG_MAX; otherwise within
+  _GAP_NEAR_INT of an integer, the direct series; else the 1-z connection
+  formula 15.8.4, whose bracket cancels by about 1/|gap - m| near an
+  integer m (its truncation estimate counts it).
 * 1F1: direct series for z >= -8 (the alternating sum loses ~e^(2|z|)
   relative accuracy, acceptable in that range); e^z-reflected series
   (13.2.39) further left (times e^(z/2) twice where e^z is subnormal),
@@ -41,7 +47,7 @@ reflection formula; the reciprocal variant returns exactly 0.0 at poles so
 degenerate prefactors annihilate terms instead of raising.  A power that
 alone leaves the float range is split in halves around its small factor.
 
-.. [dlmf] NIST Digital Library of Mathematical Functions, chapters 13, 15.
+.. [dlmf] NIST Digital Library of Mathematical Functions, chapters 5, 13, 15.
 .. [gst] A. Gil, J. Segura, N. M. Temme, Numerical Methods for Special
    Functions, SIAM 2007, ch. 4.
 """
@@ -71,6 +77,24 @@ _ES_TAIL = 40.0  # e-folds below the peak at which level 0 stops on each side
 _ES_HALF_PI = 0.5 * math.pi
 _INT_TOL = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
+# an integer gap c-a-b: c = a + b + m rounded twice is within 2 units of
+# roundoff of the largest argument, and |gap - m| |d ln 2F1/dc| then stays
+# under SERIES_TOL for |d ln 2F1/dc| up to about 100 (the estimate counts it)
+_GAP_INT_ULPS = 8.0
+# within 1e-9 of an integer, but off it, the bracket of 15.8.4 would cancel by
+# about 1e9: the direct series keeps such gaps
+_GAP_NEAR_INT = 1e-9
+# 15.8.10 runs while a, b, c - a and c - b lie within +-80, where a product of
+# two reciprocal gammas, (m - 1)! and gamma(c) stay inside the float range;
+# past that the direct series keeps the gap
+_LOG_ROUTE_ARG_MAX = 80.0
+# 15.8.4's relative error in units of 2^-53 max(1, |a|, |b|, |c|) / |c-a-b - n|
+# (n the nearest integer): seeded sweeps reach about 4
+_GAP_ROUNDING_ULPS = 8.0
+_SUM_ROUNDOFF = 8.0 * _UNIT_ROUNDOFF  # relative rounding per unit of mass in 15.8.10's sums
+_EULER_GAMMA = 0.57721566490153286
+_DIGAMMA_ASYMPTOTIC_MIN = 10.0
+_DIGAMMA_B2K_OVER_2K = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
 
 
 @dataclass(frozen=True)
@@ -141,13 +165,13 @@ def is_nonpositive_integer(z):
     return _is_real(z) and z <= 0 and z == round(z)
 
 
-def _near_integer(z, tol=_INT_TOL):
+def _near_integer(z):
     if isinstance(z, complex):
-        if abs(z.imag) > tol:
+        if abs(z.imag) > _INT_TOL:
             return None
         z = z.real
     r = round(z)
-    return int(r) if abs(z - r) <= tol else None
+    return int(r) if abs(z - r) <= _INT_TOL else None
 
 
 def gamma_fn(z):
@@ -204,6 +228,34 @@ def pochhammer(a, n):
     for k in range(n):
         out *= a + k
     return out
+
+
+def _gamma_error(x):
+    """A bound on the relative error of gamma_fn(x) and rgamma(x), from
+    sweeps against mpmath (real x in (-30, 171), complex x with |Im x| < 60):
+    32 + 16|x| units of roundoff from the Lanczos sum and its power, eight
+    times that for complex x, and below 1/2 a further 2|x| / |x - n| (n the
+    nearest integer), since the reflection's sin(pi x) starts from the
+    rounded pi x; none at the poles, where rgamma is exactly 0."""
+    err = (32.0 + 16.0 * abs(x)) * (1.0 if _is_real(x) else 8.0)
+    if x.real < 0.5 and not is_nonpositive_integer(x):
+        err += 2.0 * abs(x) / abs(x - round(x.real))
+    return _UNIT_ROUNDOFF * err
+
+
+def _digamma(x):
+    """psi(x) for real or complex x off the poles: psi(x) = psi(x+1) - 1/x
+    until Re x >= 10, then the asymptotic series [dlmf]_ 5.11.2 to x^-14."""
+    shift = 0.0
+    while x.real < _DIGAMMA_ASYMPTOTIC_MIN:
+        shift += 1.0 / x
+        x += 1.0
+    r = 1.0 / (x * x)
+    tail = 0.0  # sum_k B_2k / (2k x^2k)
+    for coeff in _DIGAMMA_B2K_OVER_2K[::-1]:
+        tail = r * (coeff + tail)
+    log = math.log(x) if _is_real(x) else cmath.log(x)
+    return log - 0.5 / x - tail - shift
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +333,9 @@ def hyp2f1_regularized(a, b, c, z):
     return _hyp2f1_any(a, b, c, z, regularized=True)
 
 
-def _hyp2f1_any(a, b, c, z, regularized):
+def _hyp2f1_any(a, b, c, z, regularized, w=None):
+    """The 2F1 routes; w is 1 - z where the caller has it more accurately
+    than 1.0 - z (Pfaff's 1/(1-z), when z/(z-1) rounds next to 1)."""
     a, b, c = map(_number, (a, b, c))
     z = _real_arg(z, "2F1")
     if z >= 1.0:
@@ -291,8 +345,7 @@ def _hyp2f1_any(a, b, c, z, regularized):
         return SeriesResult(val, 1, 0.0)
     if z < 0.0:
         # Pfaff: 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
-        w = z / (z - 1.0)
-        inner = _hyp2f1_any(a, c - b, c, w, regularized)
+        inner = _hyp2f1_any(a, c - b, c, z / (z - 1.0), regularized, 1.0 / (1.0 - z))
         value = (1.0 - z) ** (-a) * inner.value
         return SeriesResult(value, inner.terms_used, inner.truncation_estimate)
 
@@ -300,36 +353,136 @@ def _hyp2f1_any(a, b, c, z, regularized):
     na = _near_integer(a)
     nb = _near_integer(b)
     terminating = (na is not None and na <= 0) or (nb is not None and nb <= 0)
-
-    # with integer c-a-b the connection formula is singular: the direct
-    # series has to fight for convergence
-    if z <= _2F1_DIRECT_MAX or terminating or _near_integer(c - a - b, 1e-9) is not None:
+    if z <= _2F1_DIRECT_MAX or terminating:
+        return _sum_series((a, b), c, z, regularized, "2F1")[0]
+    gap = _gap(a, b, c)
+    m = round(gap.real)
+    off = abs(gap - m)
+    int_tol = _GAP_INT_ULPS * _UNIT_ROUNDOFF * max(1.0, abs(a), abs(b), abs(c))
+    if off <= int_tol and max(abs(a), abs(b), abs(c - a), abs(c - b)) <= _LOG_ROUTE_ARG_MAX:
+        res = _hyp2f1_log(a, b, c, gap, m, 1.0 - z if w is None else w, regularized)
+        if not cmath.isfinite(res.value):
+            raise SeriesOverflow(f"2F1({a}, {b}; {c}; {z}) leaves the float range")
+        return res
+    if off <= max(int_tol, _GAP_NEAR_INT):
         return _sum_series((a, b), c, z, regularized, "2F1")[0]
     return _hyp2f1_near_one(a, b, c, z, regularized)
 
 
+def _gap(a, b, c):
+    """c - a - b, rounded once."""
+    re = math.fsum((c.real, -a.real, -b.real))
+    if all(map(_is_real, (a, b, c))):
+        return re
+    return complex(re, math.fsum((c.imag, -a.imag, -b.imag)))
+
+
+def _hyp2f1_log(a, b, c, gap, m, w, regularized):
+    """2F1 at z = 1 - w near 1 with the gap c - a - b the integer m, up to
+    the rounding of c: the logarithmic connection formula [dlmf]_ 15.8.10,
+
+        2F1/gamma(c) = sum_{k<m} (a)_k (b)_k (m-k-1)!/k! (z-1)^k / (gamma(a+m) gamma(b+m))
+            - (z-1)^m / (gamma(a) gamma(b)) sum_k (a+m)_k (b+m)_k / (k! (k+m)!) (1-z)^k
+              [ln(1-z) - psi(k+1) - psi(k+m+1) + psi(a+k+m) + psi(b+k+m)],
+
+    each psi carried from k to k+1 by psi(x+1) = psi(x) + 1/x.  For m < 0,
+    Euler's transformation 2F1(a,b;c;z) = (1-z)^(c-a-b) 2F1(c-a,c-b;c;z)
+    turns the gap to -m.
+
+    The truncation estimate adds to the last term the relative errors that
+    the two parts carry, times their mass over the value (so it counts how
+    far they cancel): the gammas' (_gamma_error), the sums' rounding, and
+    the neglected parameter offsets |gap - m| and the rounding of a and b
+    times the sensitivity of ln 2F1 to them, which sweeps against mpmath
+    keep below the bracket's |ln(1-z)| plus its four |psi| at k = 0.
+    """
+    if m < 0:
+        inner = _hyp2f1_log(c - a, c - b, c, -gap, -m, w, regularized)
+        trunc = inner.truncation_estimate + _UNIT_ROUNDOFF * abs(gap * math.log(w))
+        try:
+            value = w**gap * inner.value
+        except OverflowError:  # (1-z)^gap alone leaves the float range
+            value = math.inf
+        return SeriesResult(value, inner.terms_used, trunc)
+    s1 = mass1 = 0.0
+    t = float(math.factorial(m - 1)) if m else 0.0
+    for k in range(m):
+        if k:
+            t = t * (a + k - 1.0) * (b + k - 1.0) * -w / (k * (m - k))
+        s1 += t
+        mass1 += abs(t)
+    log_w = math.log(w)
+    psi_k1 = -_EULER_GAMMA  # psi(k+1) at k = 0
+    psi_km1 = psi_k1 + math.fsum(1.0 / j for j in range(1, m + 1))
+    psi_a, psi_b = _digamma(a + m), _digamma(b + m)
+    bracket = log_w - psi_k1 - psi_km1 + psi_a + psi_b
+    scale = abs(log_w) + abs(psi_k1) + abs(psi_km1) + abs(psi_a) + abs(psi_b)
+    coeff = 1.0 / math.factorial(m)
+    s2 = mass2 = 0.0
+    streak = 0
+    for k in range(MAX_TERMS):
+        t = coeff * bracket
+        s2 += t
+        mass2 += abs(coeff) * (abs(bracket) + scale)
+        if not abs(t) > SERIES_TOL * abs(s2):
+            streak += 1
+            if streak >= _STREAK:
+                break
+        else:
+            streak = 0
+        x, y = a + m + k, b + m + k
+        coeff = coeff * x * y * w / ((k + 1.0) * (k + m + 1.0))
+        bracket += 1.0 / x + 1.0 / y - 1.0 / (k + 1.0) - 1.0 / (k + m + 1.0)
+    else:
+        raise MaxTermsExceeded(f"2F1 logarithmic connection did not converge in {MAX_TERMS} terms")
+    g1 = rgamma(a + m) * rgamma(b + m)
+    g2 = (-w) ** m * rgamma(a) * rgamma(b)
+    value = g1 * s1 - g2 * s2
+    ref = max(abs(value), 1e-300)
+    offset = abs(gap - m) + _UNIT_ROUNDOFF * (abs(a) + abs(b))
+    err = _SUM_ROUNDOFF + offset * scale
+    err1 = err + _gamma_error(a + m) + _gamma_error(b + m)
+    err2 = err + _gamma_error(a) + _gamma_error(b)
+    trunc = (abs(g2 * t) + abs(g1) * mass1 * err1 + abs(g2) * mass2 * err2) / ref
+    if not regularized:
+        value = gamma_fn(c) * value
+        trunc += _gamma_error(c)
+    return SeriesResult(value, m + k + 1, trunc)
+
+
 def _hyp2f1_near_one(a, b, c, z, regularized):
-    """Connection formula in powers of 1-z, valid for non-integer c-a-b."""
+    """Connection formula in powers of 1-z, valid for non-integer c-a-b.
+
+    The truncation estimate adds to the two series' the relative errors of
+    the bracket: each part's reciprocal gammas (_gamma_error) times its mass
+    over the bracket, where the parts cancel, and the rounding of s = c-a-b
+    (about 2^-53 max(1, |a|, |b|, |c|)) over its distance to the nearest
+    integer, where pi/sin(pi s) and the regularized series near their poles
+    turn it into a relative error.  Seeded sweeps against mpmath (a, b in
+    (-15, 15), |s - n| from 1e-9 to 0.3, 1 - z from 1e-8 to 1e-2) keep the
+    error under 0.61 of it.
+    """
     s = c - a - b
     w = 1.0 - z
     f1 = _sum_series((a, b), a + b - c + 1.0, w, True, "2F1 connection")[0]
     f2 = _sum_series((c - a, c - b), s + 1.0, w, True, "2F1 connection")[0]
     sc = complex(s)
     pref = math.pi / cmath.sin(math.pi * sc)
-    bracket = (
-        _times(rgamma(c - a), rgamma(c - b), f1.value)
-        - _times((w ** sc) * rgamma(a), rgamma(b), f2.value)
-    )
+    p1 = _times(rgamma(c - a), rgamma(c - b), f1.value)
+    p2 = _times((w ** sc) * rgamma(a), rgamma(b), f2.value)
+    bracket = p1 - p2
     value = pref * bracket
+    ref = max(abs(bracket), 1e-300)
+    trunc = max(f1.truncation_estimate, f2.truncation_estimate)
+    trunc += (abs(p1) * (_gamma_error(c - a) + _gamma_error(c - b))
+              + abs(p2) * (_gamma_error(a) + _gamma_error(b))) / ref
+    trunc += _GAP_ROUNDING_ULPS * _UNIT_ROUNDOFF * max(1.0, abs(a), abs(b), abs(c)) / abs(s - round(s.real))
     if not regularized:
         value = gamma_fn(c) * value
+        trunc += _gamma_error(c)
     if all(map(_is_real, (a, b, c))) and isinstance(value, complex):
         value = value.real
-    return SeriesResult(
-        value,
-        f1.terms_used + f2.terms_used,
-        max(f1.truncation_estimate, f2.truncation_estimate),
-    )
+    return SeriesResult(value, f1.terms_used + f2.terms_used, trunc)
 
 
 def _times(g1, g2, v):

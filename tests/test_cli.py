@@ -348,6 +348,16 @@ class TestEval:
         # 2F1(1,2;4;z) = closed form via log: 6((z-2)ln(1-z) - 2z)/... sanity pin
         assert abs(value - 1.3644676665612865) < 1e-12
 
+    @pytest.mark.parametrize("a, b, c, z", [(0.5, 0.5, 1, 0.999), (0.5, 1, -0.5, 0.995)])
+    def test_gauss_integer_gap_near_one(self, capsys, a, b, c, z):
+        # c - a - b = 0 at z = 0.999: the direct series ran out of terms (exit
+        # 3); c - a - b = -2 with c - a = -1: Euler's side terminates
+        code, out, _ = run(capsys, "eval", "--fn", "2f1", "--a", str(a), "--b", str(b),
+                           "--c", str(c), "--z", str(z))
+        assert code == 0
+        want = mpmath.hyp2f1(a, b, c, z)
+        assert abs(float(self.parse(out)["value"]) - want) < 1e-12 * abs(want)
+
     def test_terminating_kummer(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--fn", "1f1", "--a", "-2", "--c", "1.5", "--z", "1.0"
