@@ -15,7 +15,9 @@ they round-trip losslessly.  The environment variable NU_SPECTRAL_TOL, when
 set, replaces every default verification tolerance.
 
 Each subcommand imports the layers it runs when it runs, so eval (hyper)
-and reduce (the exact reduction) start without numpy.
+and reduce (the exact reduction) start without numpy.  Importing this
+module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
+where the caller has not set them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import CountMismatch, NuSpectralError, ParseError
+
+# one BLAS thread unless the caller chose otherwise, set before any layer
+# loads numpy: the arrays here are small, and on a shared host a second
+# thread waits for a busy core (normalization then runs about twice as long)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 _DEFAULT_TOLS = {"spectrum_rtol": 1e-4, "normalization": 1e-8, "residual": 1e-6}
 

@@ -33,7 +33,7 @@ Routes (documented crossovers, all for real argument z):
   asymptotic series (13.7.3), truncated at its smallest term, for z >= 20
   when its truncation estimate meets SERIES_TOL; for non-real c, the pair
   of regularized M series (13.2.42) where the terms of both series cancel
-  by less than a factor _U_PAIR_CANCEL (its truncation estimate is scaled
+  by less than a factor _CANCEL_MAX (its truncation estimate is scaled
   by that factor); otherwise the Laplace integral (13.4.4) by an exp-sinh rule,
   reached for Re a <= 1 by the downward recurrence in a (13.3.7), stable
   because U is its minimal solution [gst]_.  There terms_used counts
@@ -46,6 +46,9 @@ Gamma is a Lanczos approximation (g = 7, 9 coefficients) with the
 reflection formula; the reciprocal variant returns exactly 0.0 at poles so
 degenerate prefactors annihilate terms instead of raising.  A power that
 alone leaves the float range is split in halves around its small factor.
+Past gamma's float range (real argument above ~171.6) both raise
+SeriesOverflow; a regularized series whose 1/gamma(c + n) gets there, at
+real c > 0, is the plain series over gamma(c), taken in logs.
 
 .. [dlmf] NIST Digital Library of Mathematical Functions, chapters 5, 13, 15.
 .. [gst] A. Gil, J. Segura, N. M. Temme, Numerical Methods for Special
@@ -69,8 +72,15 @@ _2F1_DIRECT_MAX = 0.99
 _1F1_REFLECT_BELOW = -8.0
 _FLOAT_MIN = 2.0**-1022  # the least normal float
 _EXP_SUBNORMAL_BELOW = math.log(_FLOAT_MIN)
+_SUBNORMAL_SPACING = 2.0**-1074
+# math.lgamma's error in units of 2^-53: sweeps against mpmath over (0.01, 1e4)
+# keep it below 4 |lgamma| + 11 (the constant near its zeros at 1 and 2)
+_LGAMMA_ULPS = 4.0
+_LGAMMA_ABS_ULPS = 12.0
 _U_ASYMPTOTIC_MIN = 20.0
-_U_PAIR_CANCEL = 1e3  # most sum |terms| / |U| for the M pair: about SERIES_TOL / 2^-53
+# most sum |terms| / |value| where a sum must hold SERIES_TOL (the M pair for U,
+# a regularized series past gamma's float range): about SERIES_TOL / 2^-53
+_CANCEL_MAX = 1e3
 _HERMITE_U_ABOVE = 2.0
 _ES_STEP0 = 0.5  # exp-sinh node spacing at level 0
 _ES_TAIL = 40.0  # e-folds below the peak at which level 0 stops on each side
@@ -280,34 +290,92 @@ def _sum_series(uppers, c, z, regularized, what):
     last = 0.0
     streak = 0
     n_used = 0
-    for n in range(MAX_TERMS):
-        t = u * rgamma(c + n) if regularized else u
-        for p in uppers:
-            u = u * (p + n)
-        u = u * z / (n + 1.0) if regularized else u * z / ((c + n) * (n + 1.0))
-        total = total + t
-        size = abs(t)
-        mass = mass + size
-        last = t
-        n_used = n + 1
-        ref = abs(total)
-        # max(ref, 1e-300) without a builtin call (a nan ref stays nan)
-        if not size > SERIES_TOL * (ref if not ref < 1e-300 else 1e-300):
-            if total == 0 and t == 0 and n < leading_zero_allowance:
-                continue  # a degenerate prefactor has not kicked in yet
-            streak += 1
-            if streak >= _STREAK:
-                break
+    try:
+        for n in range(MAX_TERMS):
+            t = u * rgamma(c + n) if regularized else u
+            for p in uppers:
+                u = u * (p + n)
+            u = u * z / (n + 1.0) if regularized else u * z / ((c + n) * (n + 1.0))
+            total = total + t
+            size = abs(t)
+            mass = mass + size
+            last = t
+            n_used = n + 1
+            ref = abs(total)
+            # max(ref, 1e-300) without a builtin call (a nan ref stays nan)
+            if not size > SERIES_TOL * (ref if not ref < 1e-300 else 1e-300):
+                if total == 0 and t == 0 and n < leading_zero_allowance:
+                    continue  # a degenerate prefactor has not kicked in yet
+                streak += 1
+                if streak >= _STREAK:
+                    break
+            else:
+                streak = 0
         else:
-            streak = 0
-    else:
-        raise MaxTermsExceeded(f"{what} did not converge in {MAX_TERMS} terms")
+            raise MaxTermsExceeded(f"{what} did not converge in {MAX_TERMS} terms")
+    except SeriesOverflow:  # 1/gamma(c + n) past gamma's float range
+        if not (regularized and _is_real(c) and c > 0.0):
+            raise
+        return _regularized_in_logs(uppers, c, z, what)
     # an overflowing term leaves the total inf or nan; the test above counts
     # an inf or nan term as small, so the loop ends and this test reports it
     if not cmath.isfinite(total):
         raise SeriesOverflow(f"{what} series left the float range after {n_used} terms")
     trunc = abs(last) / max(abs(total), 1e-300) if total != 0 else abs(last)
+    if len(uppers) == 2:
+        # 2F1: the tail past the last term, whose ratio tends to |z|, is at
+        # most |last| rho/(1 - rho), rho the larger of |z| and the last ratio
+        # (0 once the series has terminated); and the rounding of n terms
+        # of that mass
+        a, b = uppers
+        rho = 0.0
+        if last != 0:
+            rho = abs((a + n) * (b + n) * z / ((n + 1.0) * (c + n)))
+            if not rho > abs(z):  # max() without a builtin call
+                rho = abs(z)
+        tail = abs(last) * rho / (1.0 - rho) if rho < 1.0 else math.inf
+        trunc += (tail + _UNIT_ROUNDOFF * n_used * mass) / (ref if not ref < 1e-300 else 1e-300)
     return SeriesResult(total, n_used, trunc), mass
+
+
+def _regularized_in_logs(uppers, c, z, what):
+    """The regularized series at real c > 0 where 1/gamma(c + n) leaves the
+    float range: the plain series S times 1/gamma(c), formed as
+    exp(ln|S| - lgamma(c)), so no term underflows on its way.
+
+    The estimate adds the rounding of that exponent (lgamma's
+    _LGAMMA_ULPS |lgamma(c)| + _LGAMMA_ABS_ULPS units among it) and of exp,
+    the rounding of the n terms of S (2^-53 n sum |t| / |S|) and, below the
+    normal range, the subnormal spacing over the value.  Where the terms
+    cancel by more than _CANCEL_MAX, or the value leaves the float range
+    (0.0 included), it raises SeriesOverflow, as 1/gamma(c + n) did.
+    """
+    res, mass = _sum_series(uppers, c, z, False, what)
+    total = res.value
+    if not total:
+        return res, 0.0
+    if mass > _CANCEL_MAX * abs(total):
+        raise SeriesOverflow(f"regularized {what} past gamma's float range cancels by {mass / abs(total):.1e}")
+    lg = math.lgamma(c)
+    log_size = math.log(abs(total))
+    try:
+        scale = math.exp(log_size - lg)  # |S| / gamma(c)
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise SeriesOverflow(f"regularized {what} leaves the float range")
+    value = total / abs(total) * scale
+    err = _UNIT_ROUNDOFF * (_LGAMMA_ULPS * abs(lg) + _LGAMMA_ABS_ULPS + abs(log_size)
+                            + abs(log_size - lg) + 1.0 + res.terms_used * mass / abs(total))
+    if scale < _FLOAT_MIN:
+        err += _underflow_error(value)
+    return SeriesResult(value, res.terms_used, res.truncation_estimate + err), mass / abs(total) * scale
+
+
+def _underflow_error(value):
+    """The relative spacing of the floats at a value below the normal
+    range; inf at 0.0, which a nonzero value underflowed to."""
+    return _SUBNORMAL_SPACING / abs(value) if value else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +415,10 @@ def _hyp2f1_any(a, b, c, z, regularized, w=None):
         # Pfaff: 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
         inner = _hyp2f1_any(a, c - b, c, z / (z - 1.0), regularized, 1.0 / (1.0 - z))
         value = (1.0 - z) ** (-a) * inner.value
-        return SeriesResult(value, inner.terms_used, inner.truncation_estimate)
+        trunc = inner.truncation_estimate
+        if abs(value) < _FLOAT_MIN and inner.value:  # below the normal range
+            trunc += _underflow_error(value)
+        return SeriesResult(value, inner.terms_used, trunc)
 
     # polynomial case terminates regardless of z
     na = _near_integer(a)
@@ -355,18 +426,19 @@ def _hyp2f1_any(a, b, c, z, regularized, w=None):
     terminating = (na is not None and na <= 0) or (nb is not None and nb <= 0)
     if z <= _2F1_DIRECT_MAX or terminating:
         return _sum_series((a, b), c, z, regularized, "2F1")[0]
+    w = 1.0 - z if w is None else w
     gap = _gap(a, b, c)
     m = round(gap.real)
     off = abs(gap - m)
     int_tol = _GAP_INT_ULPS * _UNIT_ROUNDOFF * max(1.0, abs(a), abs(b), abs(c))
     if off <= int_tol and max(abs(a), abs(b), abs(c - a), abs(c - b)) <= _LOG_ROUTE_ARG_MAX:
-        res = _hyp2f1_log(a, b, c, gap, m, 1.0 - z if w is None else w, regularized)
+        res = _hyp2f1_log(a, b, c, gap, m, w, regularized)
         if not cmath.isfinite(res.value):
             raise SeriesOverflow(f"2F1({a}, {b}; {c}; {z}) leaves the float range")
         return res
     if off <= max(int_tol, _GAP_NEAR_INT):
         return _sum_series((a, b), c, z, regularized, "2F1")[0]
-    return _hyp2f1_near_one(a, b, c, z, regularized)
+    return _hyp2f1_near_one(a, b, c, w, regularized)
 
 
 def _gap(a, b, c):
@@ -450,8 +522,9 @@ def _hyp2f1_log(a, b, c, gap, m, w, regularized):
     return SeriesResult(value, m + k + 1, trunc)
 
 
-def _hyp2f1_near_one(a, b, c, z, regularized):
-    """Connection formula in powers of 1-z, valid for non-integer c-a-b.
+def _hyp2f1_near_one(a, b, c, w, regularized):
+    """Connection formula in powers of w = 1-z, valid for non-integer c-a-b;
+    w as in _hyp2f1_any (Pfaff's complement, which 1.0 - z would lose).
 
     The truncation estimate adds to the two series' the relative errors of
     the bracket: each part's reciprocal gammas (_gamma_error) times its mass
@@ -463,7 +536,6 @@ def _hyp2f1_near_one(a, b, c, z, regularized):
     error under 0.61 of it.
     """
     s = c - a - b
-    w = 1.0 - z
     f1 = _sum_series((a, b), a + b - c + 1.0, w, True, "2F1 connection")[0]
     f2 = _sum_series((c - a, c - b), s + 1.0, w, True, "2F1 connection")[0]
     sc = complex(s)
@@ -532,7 +604,10 @@ def _hyp1f1_any(a, c, z, regularized):
             value = math.exp(0.5 * z) * inner.value * math.exp(0.5 * z)
         else:
             value = math.exp(z) * inner.value
-        return SeriesResult(value, inner.terms_used, inner.truncation_estimate)
+        trunc = inner.truncation_estimate
+        if abs(value) < _FLOAT_MIN and inner.value:  # below the normal range
+            trunc += _underflow_error(value)
+        return SeriesResult(value, inner.terms_used, trunc)
     return _sum_series((a,), c, z, regularized, "1F1")[0]
 
 
@@ -663,7 +738,7 @@ def _u_kummer_pair(a, c, z):
     """U(a, c, z) = pi/sin(pi c) [M*(a, c, z)/gamma(a-c+1) - z^(1-c)
     M*(a-c+1, 2-c, z)/gamma(a)] (13.2.42) for non-real c, with M* the
     regularized 1F1; None where the terms of both series cancel by more
-    than _U_PAIR_CANCEL, or where a piece leaves the float range."""
+    than _CANCEL_MAX, or where a piece leaves the float range."""
     try:
         (m1, mass1), (m2, mass2) = (
             _sum_series((p,), q, z, True, "U by M series")
@@ -676,7 +751,7 @@ def _u_kummer_pair(a, c, z):
     diff = m1.value * g1 - m2.value * g2
     cancel = (mass1 * abs(g1) + mass2 * abs(g2)) / max(abs(diff), 1e-300)
     value = pref * diff
-    if not (cancel <= _U_PAIR_CANCEL and cmath.isfinite(value)):
+    if not (cancel <= _CANCEL_MAX and cmath.isfinite(value)):
         return None
     trunc = cancel * max(m1.truncation_estimate, m2.truncation_estimate)
     return SeriesResult(value, m1.terms_used + m2.terms_used, trunc)

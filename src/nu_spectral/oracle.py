@@ -46,7 +46,9 @@ wkb_edges finds a level's window from the potential alone (20 units of
 decay past the outermost turning points, or where v reaches its plateau)
 and places the panels beforehand, at equal steps of the WKB phase (the
 integral of max(sqrt(|e - v|), |v'|^(1/3)) dx), about QUAD_PANEL_PHASE or
-one node each.  tanh_sinh is a double-exponential rule for weights with endpoint exponents in (-1, 0),
+one node each.  A WkbScan samples v once per box for all the levels of a
+well, so each level's window costs arithmetic in its energy alone.
+tanh_sinh is a double-exponential rule for weights with endpoint exponents in (-1, 0),
 where the integrand must be evaluated with exact distances to the
 endpoints rather than through a rounded abscissa.  inner_product,
 orthogonality_defect and norm_defect apply the two rules to the classical
@@ -594,6 +596,78 @@ def quad_adaptive(f, *edges, tol=DEFAULT_QUAD_TOL, abs_tol=None):
         errs = np.concatenate([errs[keep], new_e])
 
 
+class WkbScan:
+    """The potential v sampled over lo:hi once, for the windows of any
+    number of its levels (edges).
+
+    Each box that a level's search reaches (lo:hi itself, and any box it is
+    widened to or zoomed into) is sampled once, on 2048 cells, when a level
+    first needs it.  The scan keeps the points and v there, each cell's mean
+    of v at its ends and its Airy wavenumber |v'|^(1/3) times the cell
+    width, and v at the two infinite ends with their ulps, so a level's
+    window and panels cost arithmetic in its energy alone.
+    """
+
+    def __init__(self, v, lo, hi):
+        self.v, self.lo, self.hi = v, lo, hi
+        with np.errstate(invalid="ignore"):
+            self.ends = _potential(v, np.array([-math.inf, math.inf]))
+        self.ulps = np.spacing(np.abs(self.ends))
+        self._boxes = {}  # (lo, hi) -> x, h, v(x), cell means, Airy phase per cell
+
+    def _sampled(self, lo, hi):
+        """The samples of the box lo:hi, taken on its first use."""
+        key = (lo, hi)
+        if key not in self._boxes:
+            x = np.linspace(lo, hi, 2049)  # the phase only places panels: 2048 cells serve
+            h = x[1] - x[0]
+            vx = _potential(self.v, x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # per cell: the mean of v at its ends, and its slope's Airy wavenumber
+                mean = 0.5 * (vx[1:] + vx[:-1])
+                airy = np.cbrt(np.abs(np.diff(vx)) / h) * h
+            self._boxes[key] = x, h, vx, mean, airy
+        return self._boxes[key]
+
+    def edges(self, e):
+        """The window of the level of energy e, split into its panels
+        (wkb_edges)."""
+        lo, hi = self.lo, self.hi
+        box, ends, ulps, zoomed = (lo, hi), self.ends, self.ulps, False
+        reach = 2**10 * (hi - lo)  # the widest range searched before giving up
+        while True:
+            x, h, vx, mean, airy = self._sampled(lo, hi)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gap = e - mean
+            wave = np.sqrt(np.abs(gap)) * h  # each cell's WKB phase, or its decay
+            inside, width = np.flatnonzero(gap > 0), hi - lo
+            if not inside.size:
+                i = int(np.argmin(vx))
+                if zoomed or width > reach:
+                    return box
+                if 0 < i < 2048:
+                    lo, hi, zoomed = x[i - 1], x[i + 1], True
+                else:  # the well lies past this end of the range
+                    lo, hi = lo - 2 * width * (i == 0), hi + 2 * width * (i > 0)
+                continue
+            first, last = inside[0], inside[-1]
+            # outward from each turning point: the cells' decay and the points' v
+            stops = [(np.cumsum(wave[:first][::-1]) > 20.0)
+                     | (np.abs(vx[:first][::-1] - ends[0]) <= ulps[0]),
+                     (np.cumsum(wave[last + 1:]) > 20.0) | (np.abs(vx[last + 2:] - ends[1]) <= ulps[1])]
+            found = [stop.any() for stop in stops]
+            if all(found) or width > reach:
+                break
+            lo, hi = lo - 2 * width * (not found[0]), hi + 2 * width * (not found[1])
+        a = first - 1 - int(np.argmax(stops[0])) if found[0] else 0
+        b = last + 2 + int(np.argmax(stops[1])) if found[1] else 2048
+        phase = np.cumsum(np.fmax(wave, airy)[a:b])
+        total = float(phase[-1])
+        panels = math.ceil(total / QUAD_PANEL_PHASE)
+        inner = np.interp(total * np.arange(1, panels) / panels, np.concatenate(([0.0], phase)), x[a:b + 1])
+        return (float(x[a]), *inner.tolist(), float(x[b]))
+
+
 def wkb_edges(v, e, lo, hi):
     """The window of a level of energy e in the well of v that lo:hi holds,
     split into panels of equal WKB phase for quad_adaptive to start from.
@@ -615,46 +689,11 @@ def wkb_edges(v, e, lo, hi):
     level varies on the Airy length |v'|^(-1/3) instead, so the phase
     density is the larger of the two wavenumbers.  A deep level gets as many
     panels as that takes.  When no well is found, the edges are (lo, hi).
+
+    This is WkbScan(v, lo, hi).edges(e); the levels of one well share one
+    scan, which samples each box once for all of them.
     """
-    with np.errstate(invalid="ignore"):
-        ends = _potential(v, np.array([-math.inf, math.inf]))
-    box, ulps, zoomed = (lo, hi), np.spacing(np.abs(ends)), False
-    reach = 2**10 * (hi - lo)  # the widest range searched before giving up
-    while True:
-        x = np.linspace(lo, hi, 2049)  # the phase only places panels: 2048 cells serve
-        h = x[1] - x[0]
-        vx = _potential(v, x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # per cell: the mean of v at its ends, and its slope
-            gap = e - 0.5 * (vx[1:] + vx[:-1])
-            airy = np.cbrt(np.abs(np.diff(vx)) / h)
-        wave = np.sqrt(np.abs(gap)) * h  # each cell's WKB phase, or its decay
-        inside, width = np.flatnonzero(gap > 0), hi - lo
-        if not inside.size:
-            i = int(np.argmin(vx))
-            if zoomed or width > reach:
-                return box
-            if 0 < i < 2048:
-                lo, hi, zoomed = x[i - 1], x[i + 1], True
-            else:  # the well lies past this end of the range
-                lo, hi = lo - 2 * width * (i == 0), hi + 2 * width * (i > 0)
-            continue
-        first, last = inside[0], inside[-1]
-        # outward from each turning point: the cells' decay and the points' v
-        stops = [(np.cumsum(wave[:first][::-1]) > 20.0)
-                 | (np.abs(vx[:first][::-1] - ends[0]) <= ulps[0]),
-                 (np.cumsum(wave[last + 1:]) > 20.0) | (np.abs(vx[last + 2:] - ends[1]) <= ulps[1])]
-        found = [stop.any() for stop in stops]
-        if all(found) or width > reach:
-            break
-        lo, hi = lo - 2 * width * (not found[0]), hi + 2 * width * (not found[1])
-    a = first - 1 - int(np.argmax(stops[0])) if found[0] else 0
-    b = last + 2 + int(np.argmax(stops[1])) if found[1] else 2048
-    phase = np.cumsum(np.fmax(wave, airy * h)[a:b])
-    total = float(phase[-1])
-    panels = math.ceil(total / QUAD_PANEL_PHASE)
-    inner = np.interp(total * np.arange(1, panels) / panels, np.concatenate(([0.0], phase)), x[a:b + 1])
-    return (float(x[a]), *inner.tolist(), float(x[b]))
+    return WkbScan(v, lo, hi).edges(e)
 
 
 def tanh_sinh(g, a, b):

@@ -20,11 +20,12 @@ recurrence and the x-measure norm come from classical.FAMILIES).  Levels,
 their count and branches are read from the reduced equation's ladder
 (reduction.Ladder), each level checked exactly against the classical
 eigenvalue; each level's normalization window comes from the float potential
-at its eps (oracle.wkb_edges).  The continuum comes from the same equation:
-a plateau end's channel is open where phi_tilde is positive there, and the
-bounded solutions are Gauss 2F1 (phi quadratic) or Tricomi U (phi linear,
-whose infinite end is a wall).  A parameter, or a scale derived from them,
-that is zero or leaves the float range is a ValueError.  The systems:
+at its eps, read off one scan of it per well (oracle.WkbScan).  The
+continuum comes from the same equation: a plateau end's channel is open
+where phi_tilde is positive there, and the bounded solutions are Gauss 2F1
+(phi quadratic) or Tricomi U (phi linear, whose infinite end is a wall).  A
+parameter, or a scale derived from them, that is zero or leaves the float
+range is a ValueError.  The systems:
 
   harmonic      v(x) = x^2 on the line (x in units of sqrt(hbar/(m*Omega)))
   morse         v(x) = Lambda^2 (1 - b e^{-x})^2, b = e^{a x_e}, x = a * x_phys
@@ -55,7 +56,7 @@ from .errors import (
     NonFiniteEnergy,
     NoScatteringRegion,
 )
-from .oracle import FdGrid, fd_bound_states, quad_adaptive, wkb_edges
+from .oracle import FdGrid, WkbScan, fd_bound_states, quad_adaptive
 from .polynomials import HALF_LINE, REAL_LINE, UNIT_INTERVAL, Interval, Polynomial
 from .reduction import EpsAffinePoly, GheProblem, _interval_probe, bound_canonical, branch_candidates
 from .scalars import accurate_float, as_exact, scalar_float, scalar_is_zero, scalar_sign, sqrt_scalar
@@ -124,7 +125,7 @@ class PotentialSpec:
     energy_scale: float  # physical E = energy_scale * eps
     coordinate_scale: float  # physical-coordinate norm = this * reduced norm
     # (lo, hi, points): the oracle's starting box and largest basis; lo:hi
-    # also locates the well for normalization (oracle.wkb_edges) and places
+    # also locates the well for normalization (wkb_scan) and places
     # the verify residual probes and the --samples-dir abscissas
     fd_box: tuple
     exact: dict  # rationalized shape parameters
@@ -164,6 +165,13 @@ class PotentialSpec:
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def wkb_scan(self):
+        """The float potential scanned over lo:hi of fd_box, which every
+        level's normalization window is read from (oracle.WkbScan)."""
+        lo, hi, _ = self.fd_box
+        return WkbScan(self.reduced_potential, lo, hi)
 
     @property
     def v_minus(self):
@@ -539,8 +547,9 @@ def wavefunction_residual(spec, sampler, eps, xs):
 def normalization_defect(spec, state):
     """|1 - integral of sampler^2| over the whole line.
 
-    The adaptive rule runs over the window that oracle.wkb_edges derives
-    from the reduced potential at eps_n, starting from its panels of equal
+    The adaptive rule runs over the window that spec.wkb_scan (an
+    oracle.WkbScan of the reduced potential over fd_box, shared by every
+    level of the well) derives at eps_n, starting from its panels of equal
     WKB phase, one per pi (about one per node); those panels already
     resolve the level's n nodes, so one round usually meets the tolerance.
     Past a window edge on a side whose end is a plateau (an end of the
@@ -549,19 +558,27 @@ def normalization_defect(spec, state):
     the density is a single decaying exponential to machine accuracy, so
     the remaining mass is added in closed form at the decay rate
     sqrt(plateau - eps_n), with the exact gap evaluated to full relative
-    precision.
+    precision.  Those edge points are sampled in the same call as the
+    first round's nodes, so a level that one round settles costs one
+    sampler call.
     """
+    edges = spec.wkb_scan.edges(scalar_float(state.eps))
+    # side is +1 at the interval's lower end: x = -inf where s rises
+    tails = [(edges[0] if (side > 0) == (spec.sigma > 0) else edges[-1], plateau)
+             for _, side, plateau in spec.plateau_ends]
+    at_edges = []
 
     def sq(x):
-        return state.sampler(x) ** 2
+        # the first round's call also samples the tails' edge points
+        if at_edges or not tails:
+            return state.sampler(x) ** 2
+        y = state.sampler(np.concatenate([x, [edge for edge, _ in tails]])) ** 2
+        at_edges.extend(y[len(x):].tolist())
+        return y[:len(x)]
 
-    lo, hi, _ = spec.fd_box
-    edges = wkb_edges(spec.reduced_potential, scalar_float(state.eps), lo, hi)
     total = quad_adaptive(sq, *edges)
-    for _, side, plateau in spec.plateau_ends:
-        # side is +1 at the interval's lower end: x = -inf where s rises
-        edge = edges[0] if (side > 0) == (spec.sigma > 0) else edges[-1]
-        total += sq(edge) / (2.0 * math.sqrt(accurate_float(plateau - state.eps)))
+    for (_, plateau), density in zip(tails, at_edges):
+        total += density / (2.0 * math.sqrt(accurate_float(plateau - state.eps)))
     return abs(total - 1.0)
 
 

@@ -1,6 +1,7 @@
 """Command line driver: subcommand behaviour, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -357,6 +358,15 @@ class TestEval:
         assert code == 0
         want = mpmath.hyp2f1(a, b, c, z)
         assert abs(float(self.parse(out)["value"]) - want) < 1e-12 * abs(want)
+
+    def test_gauss_connection_past_the_gamma_range(self, capsys):
+        # the connection series at c = 160.5 reaches 1/gamma(171.7), past
+        # gamma's float range: it read SeriesOverflow (exit 3)
+        code, out, _ = run(capsys, "eval", "--fn", "2f1", "--a", "0.5", "--b", "0.3",
+                           "--c", "160.5", "--z", "0.995")
+        assert code == 0
+        want = mpmath.hyp2f1(0.5, 0.3, 160.5, 0.995)
+        assert abs(float(self.parse(out)["value"]) - want) < 1e-13 * abs(want)
 
     def test_terminating_kummer(self, capsys):
         code, out, _ = run(
@@ -715,6 +725,21 @@ class TestImports:
                 f"0 False False {numpy_loaded} {hyper_loaded}"
             ), argv
 
+
+    def test_blas_threads_are_pinned_before_numpy_loads(self):
+        # importing the CLI sets one BLAS thread where the caller set none,
+        # before numpy (and its BLAS) reads the variables; a caller's own
+        # setting is left alone
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        probe = (
+            "import os, sys, nu_spectral.cli; "
+            f"print('numpy' in sys.modules, [os.environ.get(n) for n in {names!r}])"
+        )
+        clean = {k: v for k, v in os.environ.items() if k not in names}
+        for preset, want in (({}, "['1', '1', '1']"), ({"OMP_NUM_THREADS": "2"}, "['1', '2', '1']")):
+            proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True,
+                                  text=True, env={**clean, **preset})
+            assert proc.stdout.splitlines()[-1] == f"False {want}", preset
 
 class TestUsage:
     def test_unknown_subcommand_exits_2(self, capsys):

@@ -71,6 +71,52 @@ def test_gamma_beyond_the_float_range_raises(z):
         gamma_fn(z)
 
 
+def test_regularized_series_past_the_gamma_range_matches_mpmath(monkeypatch):
+    # where 1/gamma(c + n) leaves the float range the regularized series is
+    # the plain one over gamma(c), taken in logs; rgamma itself still raises
+    with pytest.raises(SeriesOverflow):
+        rgamma(171.7)
+    calls = []
+    in_logs = hyper._regularized_in_logs
+    monkeypatch.setattr(hyper, "_regularized_in_logs", lambda *args: calls.append(args) or in_logs(*args))
+    with mpmath.workdps(50):
+        for fn, args, want in (
+            (hyp1f1_regularized, (30, 172, 300), mpmath.hyp1f1(30, 172, 300) / mpmath.gamma(172)),
+            (hyp2f1_regularized, (50, 50, 172, 0.9), mpmath.hyp2f1(50, 50, 172, 0.9) / mpmath.gamma(172)),
+            (hyp2f1, (0.5, 0.3, 160.5, 0.995), mpmath.hyp2f1(0.5, 0.3, 160.5, 0.995)),
+        ):
+            res = fn(*args)
+            err = abs(res.value - want) / abs(want)
+            assert err <= res.truncation_estimate < 2e-12, (args, err)
+        # the far-left 1F1 needs 1/gamma(180.5): it raises rather than return 0.0
+        with pytest.raises(NuSpectralError):
+            hyp1f1(-30.5, 150, -1000)
+        # each value the route returns is within its estimate, or the call
+        # raises; values it does not touch are the direct series' as before
+        rng = random.Random(2024)
+        returned = 0
+        for i in range(300):
+            c = rng.uniform(100, 220)
+            if i % 2 == 0:
+                a, z = rng.uniform(-30, 30), rng.uniform(-300, 300)
+                fn, args = hyp1f1_regularized, (a, c, z)
+                want = mpmath.hyp1f1(a, c, z) / mpmath.gamma(c)
+            else:
+                a, b, z = rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 0.999)
+                fn, args = hyp2f1_regularized, (a, b, c, z)
+                want = mpmath.hyp2f1(a, b, c, z) / mpmath.gamma(c)
+            calls.clear()
+            try:
+                res = fn(*args)
+            except NuSpectralError:
+                continue
+            if calls:
+                returned += 1
+                err = abs(res.value - want) / abs(want)
+                assert err <= max(1e-13, res.truncation_estimate), (fn.__name__, args, err)
+        assert returned >= 100
+
+
 def test_gamma_integers_and_half_integers():
     assert rel_err(gamma_fn(7), 720.0) < 1e-14
     assert rel_err(gamma_fn(0.5), math.sqrt(math.pi)) < 1e-14
@@ -227,7 +273,7 @@ def test_2f1_near_one_connection_matches_direct():
     a, b, c = 0.4, 0.9, 2.6  # c-a-b = 1.3, not an integer
     z = 0.9899
     direct = hyp2f1(a, b, c, z).value  # still on the direct-series branch
-    conn = _hyp2f1_near_one(a, b, c, z, False).value
+    conn = _hyp2f1_near_one(a, b, c, 1.0 - z, False).value
     assert rel_err(conn, direct) < 1e-11
     # complex parameters on the sampling path toward z = 1
     ax = complex(0.5, 0.8)
@@ -404,6 +450,50 @@ def test_2f1_connection_near_an_integer_gap_reports_its_loss():
             err = rel_err(res.value, _reg_2f1_reference(a, b, c, z))
             assert err <= max(res.truncation_estimate, 1e-15), (a, b, c, z, err)
             assert abs(off) < 0.02 or err < 1e-12, (a, b, c, z, err)
+
+
+def test_2f1_pfaff_side_connection_matches_mpmath():
+    # far left, 15.8.4 runs at 1 - z/(z - 1) = 1/(1 - z), which Pfaff forms
+    # with one rounding; 1 minus the rounded z/(z - 1) lost about u |z|
+    for a, b, c, z in ((0.9, 0.3, 1.7, -1e6), (1.9, 0.3, 1.7, -3e7), (0.5, 0.25, 1.3, -1e12)):
+        assert rel_err(hyp2f1(a, b, c, z).value, mpmath.hyp2f1(a, b, c, z)) < 1e-14
+    rng = random.Random(2301)
+    draws = 0
+    with mpmath.workdps(40):
+        while draws < 150:
+            a, b, c = rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.5, 4)
+            # the outer gap and the inner one, b - a: 15.8.4 on both sides
+            if min(abs(g - round(g)) for g in (c - a - b, b - a)) < 0.02:
+                continue
+            z = -(10.0 ** rng.uniform(2, 12))
+            draws += 1
+            res = hyp2f1(a, b, c, z)
+            err = rel_err(res.value, mpmath.hyp2f1(a, b, c, z))
+            assert err <= max(1e-13, res.truncation_estimate), (a, b, c, z, err)
+
+
+def test_2f1_direct_series_counts_its_tail_and_rounding():
+    # near z = 0.99 the tail after the last term is about |last| z/(1 - z),
+    # and terms of both signs cancel: both are in the estimate now
+    with mpmath.workdps(40):
+        for a, b, c, z in ((0.5, 0.7, 1.5, 0.99), (40.3, -39.1, 81.2, 0.999)):
+            res = hyp2f1(a, b, c, z)
+            assert rel_err(res.value, mpmath.hyp2f1(a, b, c, z)) <= res.truncation_estimate
+        rng = random.Random(2302)
+        for _ in range(300):
+            a, b = rng.uniform(-3, 3), rng.uniform(-3, 3)
+            c, z = rng.uniform(0.5, 4), rng.uniform(0.9, 0.99)
+            res = hyp2f1(a, b, c, z)
+            err = rel_err(res.value, mpmath.hyp2f1(a, b, c, z))
+            assert err <= res.truncation_estimate, (a, b, c, z, err)
+
+
+def test_1f1_series_estimate_stays_its_last_term():
+    # one upper parameter: the estimate stays |last term| / |sum|
+    res, _ = hyper._sum_series((0.5,), 1.5, 3.0, False, "1F1")
+    n = res.terms_used - 1
+    last = mpmath.rf(0.5, n) / mpmath.rf(1.5, n) * mpmath.mpf(3.0) ** n / mpmath.factorial(n)
+    assert rel_err(res.truncation_estimate, last / res.value) < 1e-12
 
 
 def test_digamma_matches_mpmath():

@@ -8,6 +8,7 @@ from nu_spectral import oracle
 from nu_spectral.errors import CountMismatch, GridTooCoarse, NoConvergence
 from nu_spectral.oracle import (
     FdGrid,
+    WkbScan,
     _sinc_dvr,
     compare_spectra,
     fd_bound_states,
@@ -265,6 +266,27 @@ def test_wkb_edges_fallbacks():
     edges = wkb_edges(lambda x: x * x, 2001.0, -50.0, 50.0)
     assert len(edges) - 1 >= 1000
     assert all(a < b for a, b in zip(edges, edges[1:]))
+
+
+def test_wkb_scan_samples_each_box_once():
+    # the levels of one well share a scan: each box a level's search reaches
+    # (the box itself, a widened one, a zoomed one) is sampled once on its
+    # 2049 points, and every level's edges are those of a fresh wkb_edges
+    for v, box, energies in (
+            (lambda x: x * x, (-10.0, 10.0), [1.0, 21.0, 41.0, 341.0, 2001.0, 345.0, -1.0]),
+            (lambda x: 1e10 * (x - 0.003) ** 2, (-10.0, 10.0), [1e5, 3e5, 1e5 + 1.0, 2e5, 5e4])):
+        boxes = []
+
+        def counting(x, v=v):
+            if np.size(x) == 2049:
+                boxes.append((float(x[0]), float(x[-1])))
+            return v(x)
+
+        scan = WkbScan(counting, *box)
+        for e in energies:
+            assert scan.edges(e) == wkb_edges(v, e, *box), e
+        assert len(boxes) == len(set(boxes)) > 1
+        assert len(boxes) < len(energies)
 
 
 @pytest.mark.filterwarnings("error")

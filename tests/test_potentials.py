@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nu_spectral import potentials, reduction
+from nu_spectral import oracle, potentials, reduction
 from nu_spectral.classical import CanonicalHde, classify_canonical, series_poly
 from nu_spectral.errors import (
     AmbiguousBranch,
@@ -25,7 +25,7 @@ from nu_spectral.errors import (
     NoScatteringRegion,
     NuSpectralError,
 )
-from nu_spectral.oracle import FdGrid, compare_spectra, quad_adaptive
+from nu_spectral.oracle import FdGrid, compare_spectra, quad_adaptive, wkb_edges
 from nu_spectral.potentials import (
     WELLS,
     bound_spectrum,
@@ -44,7 +44,7 @@ from nu_spectral.potentials import (
 )
 from nu_spectral.polynomials import HALF_LINE, REAL_LINE, UNIT_INTERVAL, Polynomial
 from nu_spectral.reduction import EpsAffinePoly, GheProblem, quantize, reduce_ghe
-from nu_spectral.scalars import SurdSum, scalar_float, sqrt_scalar
+from nu_spectral.scalars import SurdSum, accurate_float, scalar_float, sqrt_scalar
 
 
 def overlap(f, g, lo, hi):
@@ -1182,21 +1182,81 @@ class TestNormalizationPartition:
     def test_rounds_and_defects(self, name, params, n_max):
         spec = WELLS[name](**params)
         for st in bound_spectrum(spec, n_max=n_max):
-            sizes = []
+            rounds = []
 
             def sampler(x, inner=st.sampler):
-                sizes.append(np.size(x))
+                rounds.append(np.size(x))
                 return inner(x)
 
             defect = normalization_defect(spec, dataclasses.replace(st, sampler=sampler))
-            # each quadrature round is one call; a plateau tail samples one point
-            rounds = [size for size in sizes if size > 1]
-            assert all(size % 21 == 0 for size in rounds)
+            # each quadrature round is one call; the first also holds one
+            # point per plateau end, where the closed-form tail starts
+            assert rounds[0] > len(spec.plateau_ends)
+            assert (rounds[0] - len(spec.plateau_ends)) % 21 == 0
+            assert all(size % 21 == 0 for size in rounds[1:])
             if st.n >= 20:
                 assert len(rounds) <= 2, st.n
             # the weakly bound top level of the hyperbolic well (n = 5) too:
             # its tail's rate comes from the exact gap to the plateau
             assert defect <= 1e-12, st.n
+
+
+def _fresh_normalization(spec, st):
+    """The window and the defect as a fresh wkb_edges gives them, with each
+    plateau tail's edge sampled on its own."""
+    lo, hi, _ = spec.fd_box
+    edges = wkb_edges(spec.reduced_potential, scalar_float(st.eps), lo, hi)
+    total = quad_adaptive(lambda x: st.sampler(x) ** 2, *edges)
+    for _, side, plateau in spec.plateau_ends:
+        edge = edges[0] if (side > 0) == (spec.sigma > 0) else edges[-1]
+        total += st.sampler(edge) ** 2 / (2.0 * math.sqrt(accurate_float(plateau - st.eps)))
+    return edges, abs(total - 1.0)
+
+
+class TestNormalizationScan:
+    """Every level of a well reads its window from one scan of the float
+    potential, spec.wkb_scan: each box it reaches is sampled once for all
+    levels, and each window, panel and defect keeps the bits of a fresh
+    wkb_edges per level."""
+
+    @pytest.mark.parametrize("name,params,n_max", TestNormalizationPartition.WELLS_DEEP)
+    def test_each_box_is_sampled_once(self, name, params, n_max, monkeypatch):
+        spec = WELLS[name](**params)
+        boxes, sample = [], oracle._potential
+
+        def counting(v, x):
+            if v is spec.reduced_potential and np.size(x) == 2049:
+                boxes.append((float(x[0]), float(x[-1])))
+            return sample(v, x)
+
+        monkeypatch.setattr(oracle, "_potential", counting)
+        states = bound_spectrum(spec, n_max=n_max)
+        for st in states:
+            assert normalization_defect(spec, st) <= 1e-12, st.n
+        assert boxes and len(boxes) == len(set(boxes)) < len(states)
+
+    @pytest.mark.parametrize("name,params,ns", [
+        *TestNormalizationPartition.WELLS_DEEP,
+        ("harmonic", {}, [170]),  # the window leaves fd_box: the scan widens it
+        ("morse", {"Lambda": 10000}, [0, 5]),  # a window a few cells wide
+        ("morse", {"Lambda": 100000}, [0]),  # a well inside one cell: the scan zooms in
+        ("rosen_morse2", {"v0": 1e6, "mu": 0.5}, [0, 100]),
+    ])
+    def test_bit_for_bit_as_fresh_per_level(self, name, params, ns):
+        spec = WELLS[name](**params)
+        states = (bound_spectrum(spec, n_max=ns) if not isinstance(ns, list)
+                  else [bound_state(spec, n) for n in ns])
+        for st in states:
+            edges, defect = _fresh_normalization(spec, st)
+            assert spec.wkb_scan.edges(scalar_float(st.eps)) == edges, st.n
+            assert normalization_defect(spec, st) == defect, st.n
+        # the boxes the scan sampled: fd_box, and the widened or zoomed ones
+        width = spec.fd_box[1] - spec.fd_box[0]
+        widths = [hi - lo for lo, hi in spec.wkb_scan._boxes]
+        if (name, ns) == ("harmonic", [170]):
+            assert max(widths) > width and edges[-1] > spec.fd_box[1]
+        if (name, params) == ("morse", {"Lambda": 100000}):
+            assert min(widths) <= 2 * width / 2048 and len(edges) > 2
 
 
 class TestNormalizationWindow:
