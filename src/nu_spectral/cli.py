@@ -23,6 +23,7 @@ where the caller has not set them.
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import json
 import math
@@ -40,6 +41,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 _DEFAULT_TOLS = {"spectrum_rtol": 1e-4, "normalization": 1e-8, "residual": 1e-6}
+# eval's --fn choices: the hyper function each calls, and its flags in call order
+_EVAL_FNS = {
+    "2f1": ("hyp2f1", ("a", "b", "c", "z")),
+    "1f1": ("hyp1f1", ("a", "c", "z")),
+    "u": ("hypU", ("a", "c", "z")),
+    "hermite": ("hermite_fn", ("nu", "z")),
+}
 
 
 # -- formatting ----------------------------------------------------------------
@@ -69,13 +77,6 @@ def _poly_str(p):
 
 def _coeff_list(p):
     return [_exact_str(c) for c in p.coeffs]
-
-
-def _endpoint_str(v):
-    fv = float(v)
-    if math.isinf(fv):
-        return "inf" if fv > 0 else "-inf"
-    return _exact_str(v)
 
 
 def _factor_str(f):
@@ -187,6 +188,7 @@ def _cmd_reduce(args):
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"--eps is not rational: {args.eps!r}") from None
     result = reduce_ghe(ghe, eps, select=False)
+    lo, hi = _exact_str(ghe.interval.lo), _exact_str(ghe.interval.hi)
 
     sel_index = None
     reason = None
@@ -196,8 +198,7 @@ def _cmd_reduce(args):
         zero = -psi.coeff(0) / psi.coeff(1)
         reason = (
             f"psi slope {_exact_str(psi.coeff(1))} is negative and its zero "
-            f"{_exact_str(zero)} lies in ({_endpoint_str(ghe.interval.lo)}, "
-            f"{_endpoint_str(ghe.interval.hi)}); unique admissible branch"
+            f"{_exact_str(zero)} lies in ({lo}, {hi}); unique admissible branch"
         )
     else:
         try:
@@ -210,10 +211,7 @@ def _cmd_reduce(args):
         doc = {
             "schema_version": 1,
             "eps": _exact_str(eps),
-            "interval": [
-                _endpoint_str(ghe.interval.lo),
-                _endpoint_str(ghe.interval.hi),
-            ],
+            "interval": [lo, hi],
             "k0_candidates": [_exact_str(k) for k in result.k0_values],
             "branches": [
                 {
@@ -231,9 +229,7 @@ def _cmd_reduce(args):
         return json.dumps(doc, indent=2) + "\n", code
 
     lines = [
-        "interval: ({}, {})".format(
-            _endpoint_str(ghe.interval.lo), _endpoint_str(ghe.interval.hi)
-        ),
+        f"interval: ({lo}, {hi})",
         f"eps: {_exact_str(eps)}",
         "k0 candidates: " + ", ".join(_exact_str(k) for k in result.k0_values),
         f"branches: {len(result.branches)}",
@@ -326,30 +322,18 @@ def _cmd_solve(args):
 
 
 def _cmd_eval(args):
-    from .hyper import hermite_fn, hyp1f1, hyp2f1, hypU
-
-    def need(*names):
-        missing = [n for n in names if getattr(args, n) is None]
-        if missing:
-            raise ParseError(
-                f"--fn {args.fn} needs " + ", ".join(f"--{n}" for n in missing)
-            )
-        for n in names:
-            if not math.isfinite(getattr(args, n)):
-                raise ParseError(f"--{n} must be finite, got {getattr(args, n)}")
-
-    if args.fn == "2f1":
-        need("a", "b", "c", "z")
-        res = hyp2f1(args.a, args.b, args.c, args.z)
-    elif args.fn == "1f1":
-        need("a", "c", "z")
-        res = hyp1f1(args.a, args.c, args.z)
-    elif args.fn == "u":
-        need("a", "c", "z")
-        res = hypU(args.a, args.c, args.z)
-    else:
-        need("nu", "z")
-        res = hermite_fn(args.nu, args.z)
+    # by its module name: `from . import hyper` asks the package's
+    # __getattr__ first, which loads every layer, numpy included
+    hyper = importlib.import_module(".hyper", __package__)
+    name, flags = _EVAL_FNS[args.fn]
+    missing = [f for f in flags if getattr(args, f) is None]
+    if missing:
+        raise ParseError(f"--fn {args.fn} needs " + ", ".join(f"--{f}" for f in missing))
+    values = [getattr(args, f) for f in flags]
+    for f, v in zip(flags, values):
+        if not math.isfinite(v):
+            raise ParseError(f"--{f} must be finite, got {v}")
+    res = getattr(hyper, name)(*values)
     lines = [
         f"value = {_number_str(res.value)}",
         f"terms_used = {res.terms_used}",
@@ -475,7 +459,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("eval", help="evaluate one special function")
-    p.add_argument("--fn", required=True, choices=("2f1", "1f1", "u", "hermite"))
+    p.add_argument("--fn", required=True, choices=tuple(_EVAL_FNS))
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--c", type=float, default=None)

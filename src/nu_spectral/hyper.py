@@ -14,7 +14,8 @@ float.
 
 Routes (documented crossovers, all for real argument z):
 
-* 2F1: direct series on [0, 0.99]; argument z/(z-1) (Pfaff) for z < 0.
+* 2F1: direct series on [0, 0.99]; argument z/(z-1) (Pfaff) for z < 0,
+  with 1 - z/(z-1) carried as 1/(1-z) (z/(z-1) rounds to 1.0 below -2^53).
   Above 0.99 the route follows the gap c-a-b, taken with one rounding:
   within _GAP_INT_ULPS units of roundoff (relative to the largest of 1,
   |a|, |b|, |c|) of an integer m, the logarithmic connection formula
@@ -48,7 +49,8 @@ degenerate prefactors annihilate terms instead of raising.  A power that
 alone leaves the float range is split in halves around its small factor.
 Past gamma's float range (real argument above ~171.6) both raise
 SeriesOverflow; a regularized series whose 1/gamma(c + n) gets there, at
-real c > 0, is the plain series over gamma(c), taken in logs.
+real c > 0, is the plain series over gamma(c), taken in logs, and so is the
+far-left 1F1's gamma(c)/gamma(c-a) x^-a at real c > 0 and c - a > 0.
 
 .. [dlmf] NIST Digital Library of Mathematical Functions, chapters 5, 13, 15.
 .. [gst] A. Gil, J. Segura, N. M. Temme, Numerical Methods for Special
@@ -383,39 +385,67 @@ def _underflow_error(value):
 
 
 def hyp2f1(a, b, c, z):
-    """2F1(a, b; c; z) for real z < 1.
+    """2F1(a, b; c; z) for real finite z < 1.
 
     Raises PoleAtNonPositiveInteger when c is a nonpositive integer (use
     hyp2f1_regularized there) and ValueError for z >= 1 (see
-    limit_2f1_at_1 for the boundary behaviour).
+    limit_2f1_at_1 for the boundary behaviour) or z = -inf.
     """
     if is_nonpositive_integer(c):
         raise PoleAtNonPositiveInteger(
             f"2F1 undefined at c = {c}; use hyp2f1_regularized"
         )
-    return _hyp2f1_any(a, b, c, z, regularized=False)
+    return _hyp2f1_any(*_2f1_args(a, b, c, z), regularized=False)
 
 
 def hyp2f1_regularized(a, b, c, z):
     """2F1(a, b; c; z) / gamma(c), defined for every c."""
-    return _hyp2f1_any(a, b, c, z, regularized=True)
+    return _hyp2f1_any(*_2f1_args(a, b, c, z), regularized=True)
+
+
+def _2f1_args(a, b, c, z):
+    """The door of both 2F1 evaluators: a, b, c rounded once and z a finite
+    float below 1, else ValueError.  The routes do not check z again: below
+    about -2^53 Pfaff's z/(z-1) rounds to 1.0, and its w = 1/(1-z) holds
+    the distance."""
+    a, b, c = map(_number, (a, b, c))
+    z = _real_arg(z, "2F1")
+    if not z < 1.0:
+        raise ValueError("2F1 series argument must satisfy z < 1")
+    if z == -math.inf:
+        raise ValueError("2F1 needs a finite argument, got -inf")
+    return a, b, c, z
 
 
 def _hyp2f1_any(a, b, c, z, regularized, w=None):
-    """The 2F1 routes; w is 1 - z where the caller has it more accurately
-    than 1.0 - z (Pfaff's 1/(1-z), when z/(z-1) rounds next to 1)."""
-    a, b, c = map(_number, (a, b, c))
-    z = _real_arg(z, "2F1")
-    if z >= 1.0:
-        raise ValueError("2F1 series argument must satisfy z < 1")
+    """The 2F1 routes at rounded arguments; w is 1 - z where the caller has
+    it more accurately than 1.0 - z (Pfaff's 1/(1-z), when z/(z-1) rounds
+    next to 1)."""
     if z == 0.0:
         val = rgamma(c) if regularized else 1.0
         return SeriesResult(val, 1, 0.0)
     if z < 0.0:
         # Pfaff: 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
-        inner = _hyp2f1_any(a, c - b, c, z / (z - 1.0), regularized, 1.0 / (1.0 - z))
-        value = (1.0 - z) ** (-a) * inner.value
+        cb, x, w = _number(c - b), z / (z - 1.0), 1.0 / (1.0 - z)
+        inner = _hyp2f1_any(a, cb, c, x, regularized, w)
+        try:
+            power = (1.0 - z) ** (-a)
+            if abs(power) < _FLOAT_MIN:  # half of it on each side of the value
+                half = (1.0 - z) ** (-0.5 * a)
+                value = half * inner.value * half
+            else:
+                value = power * inner.value
+        except OverflowError:  # (1-z)^(-a) alone leaves the float range
+            value = math.inf
+        if not cmath.isfinite(value):
+            raise SeriesOverflow(f"2F1 at z = {z} leaves the float range")
         trunc = inner.truncation_estimate
+        if x == 1.0:
+            # z below about -2^53: the inner gap b - a, formed as c - a - (c - b),
+            # carries the roundings of c - b and of the gap into w^(b-a), times
+            # |ln w| > 36.  Above -2^53 that is under 37 |c - b| units of
+            # roundoff and is not counted, so those estimates keep their bits
+            trunc += _UNIT_ROUNDOFF * (abs(cb) + abs(cb - a)) * -math.log(w)
         if abs(value) < _FLOAT_MIN and inner.value:  # below the normal range
             trunc += _underflow_error(value)
         return SeriesResult(value, inner.terms_used, trunc)
@@ -541,7 +571,10 @@ def _hyp2f1_near_one(a, b, c, w, regularized):
     sc = complex(s)
     pref = math.pi / cmath.sin(math.pi * sc)
     p1 = _times(rgamma(c - a), rgamma(c - b), f1.value)
-    p2 = _times((w ** sc) * rgamma(a), rgamma(b), f2.value)
+    try:
+        p2 = _times((w ** sc) * rgamma(a), rgamma(b), f2.value)
+    except OverflowError:  # w^s alone leaves the float range
+        raise SeriesOverflow(f"2F1 connection: (1-z)^({s}) leaves the float range") from None
     bracket = p1 - p2
     value = pref * bracket
     ref = max(abs(bracket), 1e-300)
@@ -622,16 +655,56 @@ def _hyp1f1_far_left(a, c, x, regularized):
     if trunc > SERIES_TOL:
         raise MaxTermsExceeded(f"1F1 large-argument series stops at {trunc:.1e} relative")
     try:
-        value = x ** (-a) * total * rgamma(c - a) * (1.0 if regularized else gamma_fn(c))
+        g1, g2 = rgamma(c - a), 1.0 if regularized else gamma_fn(c)
+    except SeriesOverflow:  # a gamma past the float range
+        if not (_is_real(a) and _is_real(c) and min(c, c - a) > 0.0):
+            raise
+        return _far_left_in_logs(a, c, x, regularized, SeriesResult(total, n_used, trunc))
+    try:
+        value = x ** (-a) * total * g1 * g2
     except OverflowError:
         try:  # half of the power on each side of the small 1/gamma(c-a)
             half = x ** (-0.5 * a)
-            value = half * total * rgamma(c - a) * half * (1.0 if regularized else gamma_fn(c))
+            value = half * total * g1 * half * g2
         except OverflowError:
             value = math.inf
     if not cmath.isfinite(value):
         raise SeriesOverflow(f"1F1 at z = {-x} leaves the float range")
     return SeriesResult(value, n_used, trunc)
+
+
+def _far_left_in_logs(a, c, x, regularized, series):
+    """_hyp1f1_far_left's value where gamma(c - a) or gamma(c) leaves the
+    float range, at real a and c with c > 0 and c - a > 0: the 2F0 series
+    times the prefactor gamma(c)/gamma(c-a) x^-a (without gamma(c) when
+    regularized), formed as exp(lgamma(c) - lgamma(c - a) - a ln x).
+
+    The estimate adds, in units of 2^-53, lgamma's error for each lgamma
+    (_LGAMMA_ULPS |lgamma| + _LGAMMA_ABS_ULPS), the rounding of a ln x, of
+    each sum in the exponent, of exp and of the product, the rounding of
+    c - a times d lgamma/d(c - a) (|c - a| |psi(c - a)|) and, below the
+    normal range, the float spacing over the value.  Where the value leaves
+    the float range (0.0 included) it raises SeriesOverflow.
+    """
+    ca = c - a
+    lg_ca, a_log_x = math.lgamma(ca), a * math.log(x)
+    expo = -lg_ca - a_log_x
+    err = (_LGAMMA_ULPS * abs(lg_ca) + _LGAMMA_ABS_ULPS + 2.0 * abs(a_log_x) + abs(expo)
+           + abs(ca * _digamma(ca)) + 2.0)
+    if not regularized:
+        lg_c = math.lgamma(c)
+        expo += lg_c
+        err += _LGAMMA_ULPS * abs(lg_c) + _LGAMMA_ABS_ULPS + abs(expo)
+    try:
+        value = math.exp(expo) * series.value
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < abs(value) < math.inf:
+        raise SeriesOverflow(f"1F1 at z = {-x} leaves the float range")
+    trunc = series.truncation_estimate + _UNIT_ROUNDOFF * err
+    if abs(value) < _FLOAT_MIN:
+        trunc += _underflow_error(value)
+    return SeriesResult(value, series.terms_used, trunc)
 
 
 def hyp1f1_deriv_regularized(a, c, z):

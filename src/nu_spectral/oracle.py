@@ -42,7 +42,7 @@ round of nodes costs one call.  quad_adaptive is a globally adaptive
 for smooth (possibly infinite-range) integrands.  It starts from the panels
 between the edges it is given.  QUADPACK starts from one panel and bisects,
 which spends several rounds finding where a wavefunction's nodes are;
-wkb_edges finds a level's window from the potential alone (20 units of
+WkbScan.edges finds a level's window from the potential alone (20 units of
 decay past the outermost turning points, or where v reaches its plateau)
 and places the panels beforehand, at equal steps of the WKB phase (the
 integral of max(sqrt(|e - v|), |v'|^(1/3)) dx), about QUAD_PANEL_PHASE or
@@ -71,7 +71,7 @@ from .reduction import pearson_weight
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_GRID_RTOL = 1e-3
 QUAD_MAX_SUBINTERVALS = 200
-QUAD_PANEL_PHASE = math.pi  # WKB phase per panel of a starting partition (wkb_edges)
+QUAD_PANEL_PHASE = math.pi  # WKB phase per panel of a starting partition (WkbScan.edges)
 TANH_SINH_TOL = 1e-12  # relative change between levels at which tanh_sinh stops
 TANH_SINH_LEVELS = 10  # halvings of the step tanh_sinh tries before giving up
 INNER_PRODUCT_TOL = 1e-12  # relative target of inner_product's adaptive tail
@@ -119,7 +119,6 @@ class OracleSpectrum:
     eigenvalues: tuple  # below threshold, ascending
     error_estimates: tuple  # one per eigenvalue
     grid: FdGrid  # the box and basis the eigenvalues come from
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -434,7 +433,7 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
                 "allow more points"
             )
     return OracleSpectrum(tuple(map(float, levels)), tuple(map(float, errs)),
-                          FdGrid(box[0], box[1], max(len(lattice(box, h)), 9)), threshold)
+                          FdGrid(box[0], box[1], max(len(lattice(box, h)), 9)))
 
 
 def compare_spectra(analytic, oracle, rel_tol):
@@ -546,7 +545,7 @@ def quad_adaptive(f, *edges, tol=DEFAULT_QUAD_TOL, abs_tol=None):
     The range is given by its edges: quad_adaptive(f, lo, hi) starts from
     the one panel [lo, hi], and quad_adaptive(f, lo, x1, ..., hi) from the
     panels between consecutive edges (a starting partition such as
-    wkb_edges gives, which saves the rounds that bisection would spend
+    WkbScan.edges gives, which saves the rounds that bisection would spend
     finding it).  Interior edges need finite ends.
 
     f takes a 1-D float array of abscissas and returns the integrand values
@@ -630,8 +629,29 @@ class WkbScan:
         return self._boxes[key]
 
     def edges(self, e):
-        """The window of the level of energy e, split into its panels
-        (wkb_edges)."""
+        """The window of the level of energy e in the well of v that lo:hi
+        holds, split into panels of equal WKB phase for quad_adaptive to
+        start from.
+
+        The window ends, on each side, 20 units of decay (the integral of
+        sqrt(v - e) dx) past the outermost turning point, where the density
+        has fallen by e^-40; or, on a side where v levels off, at the first
+        point where v equals its value at that infinite end to one ulp (a
+        float potential can round its plateau a few ulps off the exact one),
+        past which the density is one exponential.  It is found on 2048
+        cells of lo:hi, widened by twice its width on each side that does
+        not reach an edge yet, or toward the lowest point when no point lies
+        below e and that point is an end, up to 2^10 times the width of
+        lo:hi; a well narrower than a cell is zoomed into once.
+
+        A level has a node about every pi of the phase, the integral of
+        sqrt(|e - v|) dx, so panels of QUAD_PANEL_PHASE each hold about one
+        node of its density.  Near a turning point, where sqrt(|e - v|)
+        vanishes, the level varies on the Airy length |v'|^(-1/3) instead,
+        so the phase density is the larger of the two wavenumbers.  A deep
+        level gets as many panels as that takes.  When no well is found, the
+        edges are (lo, hi).
+        """
         lo, hi = self.lo, self.hi
         box, ends, ulps, zoomed = (lo, hi), self.ends, self.ulps, False
         reach = 2**10 * (hi - lo)  # the widest range searched before giving up
@@ -666,34 +686,6 @@ class WkbScan:
         panels = math.ceil(total / QUAD_PANEL_PHASE)
         inner = np.interp(total * np.arange(1, panels) / panels, np.concatenate(([0.0], phase)), x[a:b + 1])
         return (float(x[a]), *inner.tolist(), float(x[b]))
-
-
-def wkb_edges(v, e, lo, hi):
-    """The window of a level of energy e in the well of v that lo:hi holds,
-    split into panels of equal WKB phase for quad_adaptive to start from.
-
-    The window ends, on each side, 20 units of decay (the integral of
-    sqrt(v - e) dx) past the outermost turning point, where the density has
-    fallen by e^-40; or, on a side where v levels off, at the first point
-    where v equals its value at that infinite end to one ulp (a float
-    potential can round its plateau a few ulps off the exact one), past
-    which the density is one exponential.  It is found on 2048 cells of
-    lo:hi, widened by twice its width on each side that does not reach an
-    edge yet, or toward the lowest point when no point lies below e and that
-    point is an end, up to 2^10 times the width of lo:hi; a well narrower
-    than a cell is zoomed into once.
-
-    A level has a node about every pi of the phase, the integral of
-    sqrt(|e - v|) dx, so panels of QUAD_PANEL_PHASE each hold about one node
-    of its density.  Near a turning point, where sqrt(|e - v|) vanishes, the
-    level varies on the Airy length |v'|^(-1/3) instead, so the phase
-    density is the larger of the two wavenumbers.  A deep level gets as many
-    panels as that takes.  When no well is found, the edges are (lo, hi).
-
-    This is WkbScan(v, lo, hi).edges(e); the levels of one well share one
-    scan, which samples each box once for all of them.
-    """
-    return WkbScan(v, lo, hi).edges(e)
 
 
 def tanh_sinh(g, a, b):

@@ -29,8 +29,8 @@ Quantization runs the other way: the Nikiforov-Uvarov condition lam =
 (Ladder) solves it once for every n: the x^2 match has the same
 discriminant at every level, so one square root gives p1, lam, p0 and eps
 in closed form in n, the x^2 match is asserted once as an identity in n,
-and the level count comes from exact inequalities in n.  quantize reads
-level n from it.
+and the level count comes from exact inequalities in n.  Ladder.level
+reads level n from it.
 """
 
 from __future__ import annotations
@@ -99,7 +99,9 @@ class GheProblem:
 
     @functools.cached_property
     def ladder(self):
-        """Every bound level of the equation (Ladder), derived on first read."""
+        """Every bound level of the equation (Ladder), derived on first read.
+        ValueError unless psi_tilde = phi' and eps enters phi_tilde(0) only,
+        and when the level condition has no real root."""
         return Ladder(self)
 
 
@@ -155,7 +157,7 @@ class NuBranch:
     ghe into phi y'' + psi y' + lam y = 0.
 
     canonical is the classical form of that equation (classify_canonical)
-    on a branch quantize picked, None on the others.  weight and
+    on a branch Ladder.level picked, None on the others.  weight and
     weight_tilde are solved from psi and ghe on first read."""
 
     k0: object
@@ -175,7 +177,7 @@ class NuBranch:
     @functools.cached_property
     def weight_tilde(self):
         """Weight of the input equation: (phi w)' = psi_tilde w."""
-        return weight_tilde(self.ghe)
+        return pearson_weight(self.ghe.phi, self.ghe.psi_tilde, self.ghe.interval)
 
 
 @dataclass(frozen=True)
@@ -311,11 +313,6 @@ def pearson_weight(phi, psi, interval):
     return _log_derivative_solver(phi, interval)(psi - phi.derivative())
 
 
-def weight_tilde(ghe):
-    """Weight of the input equation: (phi w)' = psi_t w."""
-    return pearson_weight(ghe.phi, ghe.psi_tilde, ghe.interval)
-
-
 def branch_candidates(ghe, eps):
     """All (k0, sign) substitution branches, each verified exactly.
 
@@ -403,15 +400,6 @@ def bound_canonical(ghe, psi):
     return canonical
 
 
-def quantize(ghe, n):
-    """The bound branch of level n, or None when level n is not bound: a
-    read of the equation's ladder (GheProblem.ladder), which derives every
-    level at once.  The branch carries its canonical form.  ValueError
-    unless psi_tilde = phi' and eps enters phi_tilde(0) only, and when the
-    level condition has no real root."""
-    return ghe.ladder.level(n)
-
-
 class Ladder:
     """Every bound level of one reduced equation, derived once, in closed
     form in n.
@@ -486,7 +474,8 @@ class Ladder:
             self.count = _first_failure(q, s, 0, self.count)
 
     def level(self, n):
-        """The bound branch of level n (quantize), or None."""
+        """The bound branch of level n, with its canonical form, or None
+        when level n is not bound."""
         if n < 0 or (
             n >= self.count and not all(scalar_sign(q(n)) == s for q, s in self.conditions)
         ):

@@ -368,6 +368,21 @@ class TestEval:
         want = mpmath.hyp2f1(0.5, 0.3, 160.5, 0.995)
         assert abs(float(self.parse(out)["value"]) - want) < 1e-13 * abs(want)
 
+    def test_gauss_below_minus_two_to_the_53(self, capsys):
+        # z/(z - 1) rounds to 1.0 there; it read "z < 1" (exit 3)
+        code, out, _ = run(capsys, "eval", "--fn", "2f1", "--a", "0.5", "--b", "0.3",
+                           "--c", "1.7", "--z=-1e17")
+        assert code == 0
+        want = mpmath.hyp2f1(0.5, 0.3, 1.7, -1e17)
+        assert abs(float(self.parse(out)["value"]) - want) < 1e-13 * abs(want)
+
+    def test_kummer_far_left_past_the_gamma_range(self, capsys):
+        # gamma(199) leaves the float range; it read SeriesOverflow (exit 3)
+        code, out, _ = run(capsys, "eval", "--fn", "1f1", "--a", "1", "--c", "200", "--z", "-1000")
+        assert code == 0
+        want = mpmath.hyp1f1(1, 200, -1000)
+        assert abs(float(self.parse(out)["value"]) - want) < 1e-12 * abs(want)
+
     def test_terminating_kummer(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--fn", "1f1", "--a", "-2", "--c", "1.5", "--z", "1.0"

@@ -1,6 +1,7 @@
 """Golden output of the README commands, and of `solve` on the other two
 wells so that every well's normalization is pinned: stdout must stay
-byte-identical.
+byte-identical.  The JSON formats of `reduce` and `solve`, one `eval` per
+special-function route and the non-oracle checks of `verify` are pinned too.
 
 The expected texts were captured from the command line before the exact
 pipeline was restructured; a change that moves any digit of an exact level,
@@ -8,6 +9,8 @@ a branch, a series diagnostic or a normalization defect shows up here.  The
 oracle columns of `solve --with-oracle` are left out: their last digits come
 from LAPACK and may differ between machines.
 """
+
+import json
 
 import pytest
 
@@ -105,3 +108,106 @@ n,eps_n,E_n,norm_defect
 def test_readme_command_output_is_byte_identical(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def _json(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _branch(k0, pi, psi, lam, chi):
+    return {"k0": k0, "pi": pi, "psi": psi, "lam": lam, "chi": chi}
+
+
+REDUCE_MORSE_JSON = _json({
+    "schema_version": 1,
+    "eps": "19/4",
+    "interval": ["0", "inf"],
+    "k0_candidates": ["1/2", "19/2"],
+    "branches": [
+        _branch("1/2", ["-9/2", "1/2"], ["-8", "1"], "1", "((1)*x)^(-9/2) * exp((1/2)*x)"),
+        _branch("1/2", ["9/2", "-1/2"], ["10", "-1"], "0", "((1)*x)^(9/2) * exp((-1/2)*x)"),
+        _branch("19/2", ["9/2", "1/2"], ["10", "1"], "10", "((1)*x)^(9/2) * exp((1/2)*x)"),
+        _branch("19/2", ["-9/2", "-1/2"], ["-8", "-1"], "9", "((1)*x)^(-9/2) * exp((-1/2)*x)"),
+    ],
+    "selected": 2,
+    "selection": "psi slope -1 is negative and its zero 10 lies in (0, inf); unique admissible branch",
+})
+
+SOLVE_MORSE_JSON = _json({
+    "schema_version": 1,
+    "potential": "morse",
+    "params": {"Lambda": 5.0},
+    "states": [
+        {"n": n, "eps_n": eps, "E_n": eps / 2, "norm_defect": defect}
+        for n, eps, defect in (
+            (0, 4.75, 2.6645352591003757e-15),
+            (1, 12.75, 8.881784197001252e-16),
+            (2, 18.75, 1.3322676295501878e-15),
+            (3, 22.75, 4.440892098500626e-16),
+            (4, 24.75, 1.4432899320127035e-15),
+        )
+    ],
+})
+
+
+def _eval(value, terms, estimate):
+    return f"value = {value}\nterms_used = {terms}\ntruncation_estimate = {estimate}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["reduce", "phi=0,1 psi_tilde=1 phi_tilde=-25+eps,5,-1/4 interval=0,inf",
+          "--eps", "19/4", "--format", "json"], REDUCE_MORSE_JSON),
+        (["solve", "--potential", "morse", "--params", "Lambda=5", "--format", "json"],
+         SOLVE_MORSE_JSON),
+        (["eval", "--fn", "2f1", "--a", "0.5", "--b", "0.3", "--c", "1.7", "--z", "0.995"],
+         _eval("1.1854342965465139", 18, "3.4661949625704922e-14")),
+        (["eval", "--fn", "2f1", "--a", "0.5", "--b", "0.5", "--c", "2", "--z", "0.999"],
+         _eval("1.2711106707222504", 9, "2.1377107308835605e-14")),
+        (["eval", "--fn", "1f1", "--a", "1.5", "--c", "2.5", "--z", "-30"],
+         _eval("0.0080901079689772674", 80, "1.1779490850401256e-14")),
+        (["eval", "--fn", "u", "--a", "0.7", "--c", "1.3", "--z", "2.5"],
+         _eval("0.48393020453370533", 193, "2.2941800578348285e-16")),
+        (["eval", "--fn", "hermite", "--nu", "2.5", "--z", "3"],
+         _eval("78.965154997089343", 177, "0")),
+    ],
+    ids=["reduce-json", "solve-json", "2f1-connection-15.8.4", "2f1-log-15.8.10",
+         "1f1-reflected", "u-integral", "hermite-u"],
+)
+def test_format_and_route_output_is_byte_identical(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def _checks(max_defect, defect_n, max_residual, residual_n):
+    return [
+        {"name": "normalization", "pass": True, "max_defect": max_defect,
+         "worst_n": defect_n, "tol": 1e-08},
+        {"name": "ode_residual", "pass": True, "max_residual": max_residual,
+         "worst_n": residual_n, "tol": 1e-06},
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, head, checks",
+    [
+        (["verify", "--potential", "harmonic", "--n-max", "6"],
+         {"potential": "harmonic", "params": {}, "n_states": 7},
+         _checks(1.4432899320127035e-15, 5, 8.528368011795351e-10, 6)),
+        (["verify", "--potential", "morse", "--params", "Lambda=5"],
+         {"potential": "morse", "params": {"Lambda": 5.0}, "n_states": 5},
+         _checks(2.6645352591003757e-15, 0, 7.295748102875699e-10, 4)),
+    ],
+    ids=["harmonic", "morse"],
+)
+def test_verify_output_but_the_oracle_is_identical(capsys, argv, head, checks):
+    # the spectrum check and the grid are the oracle's, whose last digits
+    # come from LAPACK; every other field must read the same
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    del doc["grid"]
+    doc["checks"] = [c for c in doc["checks"] if c["name"] != "spectrum_vs_oracle"]
+    tolerances = {"spectrum_rtol": 0.0001, "normalization": 1e-08, "residual": 1e-06}
+    assert _json(doc) == _json({"schema_version": 1, **head, "tolerances": tolerances,
+                                "checks": checks, "pass": True})

@@ -117,6 +117,66 @@ def test_regularized_series_past_the_gamma_range_matches_mpmath(monkeypatch):
         assert returned >= 100
 
 
+def test_2f1_far_out_on_the_left_matches_mpmath():
+    # below about -2^53 Pfaff's z/(z - 1) rounds to 1.0; the door checks z
+    # once, and the inner connection reads its w = 1/(1 - z)
+    for z, want in ((-1e17, 2.10634986761391e-05), (-1e16, 4.20200986428354e-05)):
+        assert rel_err(hyp2f1(0.5, 0.3, 1.7, z).value, want) < 1e-13
+    for fn in (hyp2f1, hyp2f1_regularized):
+        with pytest.raises(ValueError, match="finite"):
+            fn(0.5, 0.3, 1.7, -math.inf)
+    # (1 - z)^-a below the normal range is taken in halves; in one piece it
+    # cost the first value 7.5e-5 relative, with an estimate of 1.4e-13
+    for args in ((21.3, 15.0, 1.5, -1e15), (1.5639930720408506, 0.7822337162634416,
+                                            2.4897485596853137, -3.111771185831935e201)):
+        res = hyp2f1(*args)
+        with mpmath.workdps(30):
+            assert rel_err(res.value, mpmath.hyp2f1(*args)) <= max(1e-13, res.truncation_estimate)
+    # each value is within its estimate (or 1e-13), or the call raises
+    rng = random.Random(2401)
+    returned = 0
+    with mpmath.workdps(30):
+        for i in range(200):
+            a, b, c = rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.5, 4)
+            z = -(10 ** rng.uniform(13, 300))
+            fn = hyp2f1_regularized if i % 2 else hyp2f1
+            want = mpmath.hyp2f1(a, b, c, z) / (mpmath.gamma(c) if i % 2 else 1)
+            try:
+                res = fn(a, b, c, z)
+            except NuSpectralError:
+                continue
+            returned += 1
+            err = abs(res.value - want) / abs(want)
+            assert err <= max(1e-13, res.truncation_estimate), (fn.__name__, a, b, c, z, err)
+    assert returned >= 100
+
+
+def test_1f1_far_left_past_the_gamma_range_matches_mpmath():
+    # gamma(c)/gamma(c - a) x^-a in logs where gamma(c - a) leaves the float
+    # range; the regularized value there, about 4e-374, still raises
+    with mpmath.workdps(30):
+        res = hyp1f1(1, 200, -1000)
+        want = mpmath.hyp1f1(1, 200, -1000)
+        assert abs(res.value - want) / want <= res.truncation_estimate < 2e-12
+        with pytest.raises(SeriesOverflow):
+            hyp1f1_regularized(1, 200, -1000)
+        rng = random.Random(2402)
+        returned = 0
+        for i in range(300):
+            a = rng.uniform(-30, 30)
+            c, z = a + rng.uniform(172, 400), rng.uniform(-1e4, -750)
+            fn = hyp1f1_regularized if i % 2 else hyp1f1
+            want = mpmath.hyp1f1(a, c, z) * (mpmath.rgamma(c) if i % 2 else 1)
+            try:
+                res = fn(a, c, z)
+            except NuSpectralError:
+                continue
+            returned += 1
+            err = abs(res.value - want) / abs(want)
+            assert err <= max(1e-13, res.truncation_estimate), (fn.__name__, a, c, z, err)
+        assert returned >= 50
+
+
 def test_gamma_integers_and_half_integers():
     assert rel_err(gamma_fn(7), 720.0) < 1e-14
     assert rel_err(gamma_fn(0.5), math.sqrt(math.pi)) < 1e-14

@@ -1,6 +1,6 @@
 """The ladder (reduction.Ladder) against the per-level derivation it replaces.
 
-quantize_reference below solves each level on its own, as quantize did
+quantize_reference below solves each level on its own, as the code did
 before the ladder: the x^2 match at that n by quad_roots, bound_canonical
 on each root, and the reduction identity asserted on the branch.  On ten
 seeded input sets shaped like each deep-spectra benchmark workload, every
@@ -35,7 +35,6 @@ from nu_spectral.reduction import (
     _first_failure,
     _make_branch,
     bound_canonical,
-    quantize,
     reduce_ghe,
 )
 
@@ -132,11 +131,11 @@ def test_ladder_equals_the_per_level_derivation(kind, seed):
         assert len(states) == len(reference) > 0
         if n_max is None:
             assert eigenvalue_count(spec) == len(reference)
-            assert quantize(ghe, len(reference)) is None
+            assert ghe.ladder.level(len(reference)) is None
         lo, hi, _ = spec.fd_box
         xs = np.linspace(lo, hi, 33)
         for n, (st, ref) in enumerate(zip(states, reference)):
-            br = quantize(ghe, n)
+            br = ghe.ladder.level(n)
             _assert_reduction_identity(ghe, br.eps, br.pi, br.lam)
             assert br == ref and br.canonical == ref.canonical
             norm, sampler = _reference_state(spec, ref, n)
@@ -176,7 +175,7 @@ def _jacobi_ghe(c2, c1=0):
 
 
 def _levels(ghe, top):
-    return [quantize(ghe, n) for n in range(top)], [
+    return [ghe.ladder.level(n) for n in range(top)], [
         quantize_reference(ghe, n) for n in range(top)
     ]
 
@@ -191,7 +190,7 @@ def _levels(ghe, top):
     ids=["psi_tilde-not-phi'", "eps-times-x"],
 )
 def test_outside_the_condition_is_a_value_error(ghe):
-    for quantizer in (quantize, quantize_reference):
+    for quantizer in (lambda ghe, n: ghe.ladder.level(n), quantize_reference):
         with pytest.raises(ValueError, match="psi_tilde = phi'"):
             quantizer(ghe, 0)
 
@@ -226,7 +225,7 @@ def test_ambiguous_geometric_filter_is_resolved():
     # at the ground level the geometric filter alone keeps two branches;
     # the ladder, like the per-level derivation, binds one
     spec = rosen_morse2(4, 0.5)
-    br = quantize(spec.ghe, 0)
+    br = spec.ghe.ladder.level(0)
     with pytest.raises(AmbiguousBranch):
         reduce_ghe(spec.ghe, br.eps)
     assert br == quantize_reference(spec.ghe, 0)
@@ -238,7 +237,7 @@ def test_ambiguous_geometric_filter_is_resolved():
     ids=["rm2-shallow", "morse-half"],
 )
 def test_empty_spectrum(spec):
-    assert quantize(spec.ghe, 0) is None and quantize_reference(spec.ghe, 0) is None
+    assert spec.ghe.ladder.level(0) is None and quantize_reference(spec.ghe, 0) is None
     assert eigenvalue_count(spec) == 0
     with pytest.raises(EmptySpectrum):
         bound_spectrum(spec)

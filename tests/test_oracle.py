@@ -14,7 +14,6 @@ from nu_spectral.oracle import (
     fd_bound_states,
     quad_adaptive,
     tanh_sinh,
-    wkb_edges,
 )
 from nu_spectral.potentials import bound_spectrum, harmonic, morse, oracle_spectrum, rosen_morse2
 from nu_spectral.scalars import scalar_float
@@ -209,7 +208,7 @@ def test_quad_adaptive_starts_from_given_edges():
 def test_wkb_edges_hold_about_one_node_per_panel():
     # v = x^2 at its level n = 20: the density has the 20 zeros of H_20
     n = 20
-    edges = wkb_edges(lambda x: x * x, 2.0 * n + 1.0, -10.0, 10.0)
+    edges = WkbScan(lambda x: x * x, -10.0, 10.0).edges(2.0 * n + 1.0)
     assert np.all(np.diff(edges) > 0)
     zeros = np.polynomial.hermite.hermroots([0] * n + [1])
     per_panel = np.histogram(zeros, bins=edges)[0]
@@ -222,7 +221,7 @@ def test_wkb_edges_stop_20_units_of_decay_out():
     # on a confining side the window ends where the decay integral past the
     # turning point has reached 20, give or take one of the box's 2048 cells
     e, box = 21.0, (-10.0, 10.0)
-    lo, *_, hi = wkb_edges(lambda x: x * x, e, *box)
+    lo, *_, hi = WkbScan(lambda x: x * x, *box).edges(e)
     step = (box[1] - box[0]) / 2048
     for edge in (-lo, hi):
         root = math.sqrt(edge * edge - e)
@@ -241,7 +240,7 @@ def test_wkb_edges_stop_where_the_potential_reaches_its_plateau():
     v_end = float(v(np.array(math.inf)))
     assert v_end != vm
     lo, hi, _ = spec.fd_box
-    edges = wkb_edges(v, vm - 1e-6, lo, hi)
+    edges = WkbScan(v, lo, hi).edges(vm - 1e-6)
     assert float(v(np.array(edges[-1]))) == v_end
     assert float(v(np.array(edges[-1] - 0.2))) != v_end
     assert edges[-1] < 25.0
@@ -252,7 +251,7 @@ def test_wkb_edges_find_the_well_that_the_box_misses():
     # lies past an end of the box is reached by widening it
     for v, e, centre, half in ((lambda x: 1e10 * (x - 0.003) ** 2, 1e5, 0.003, 0.00316),
                                (lambda x: (x - 30.0) ** 2, 41.0, 30.0, math.sqrt(41.0))):
-        edges = wkb_edges(v, e, -10.0, 10.0)
+        edges = WkbScan(v, -10.0, 10.0).edges(e)
         assert edges[0] < centre - half and centre + half < edges[-1]
         assert edges[-1] - edges[0] < 20.0 * half
         assert len(edges) > 2
@@ -260,10 +259,10 @@ def test_wkb_edges_find_the_well_that_the_box_misses():
 
 def test_wkb_edges_fallbacks():
     # no point of the box below e, and no well to zoom into: the box itself
-    assert wkb_edges(lambda x: x * x, -1.0, -3.0, 3.0) == (-3.0, 3.0)
+    assert WkbScan(lambda x: x * x, -3.0, 3.0).edges(-1.0) == (-3.0, 3.0)
     # a deep level gets one panel per pi of phase however many that makes
     # (quad_adaptive's cap grows with them): H_1000 has 1000 nodes
-    edges = wkb_edges(lambda x: x * x, 2001.0, -50.0, 50.0)
+    edges = WkbScan(lambda x: x * x, -50.0, 50.0).edges(2001.0)
     assert len(edges) - 1 >= 1000
     assert all(a < b for a, b in zip(edges, edges[1:]))
 
@@ -271,7 +270,7 @@ def test_wkb_edges_fallbacks():
 def test_wkb_scan_samples_each_box_once():
     # the levels of one well share a scan: each box a level's search reaches
     # (the box itself, a widened one, a zoomed one) is sampled once on its
-    # 2049 points, and every level's edges are those of a fresh wkb_edges
+    # 2049 points, and every level's edges are those of a fresh WkbScan
     for v, box, energies in (
             (lambda x: x * x, (-10.0, 10.0), [1.0, 21.0, 41.0, 341.0, 2001.0, 345.0, -1.0]),
             (lambda x: 1e10 * (x - 0.003) ** 2, (-10.0, 10.0), [1e5, 3e5, 1e5 + 1.0, 2e5, 5e4])):
@@ -284,7 +283,7 @@ def test_wkb_scan_samples_each_box_once():
 
         scan = WkbScan(counting, *box)
         for e in energies:
-            assert scan.edges(e) == wkb_edges(v, e, *box), e
+            assert scan.edges(e) == WkbScan(v, *box).edges(e), e
         assert len(boxes) == len(set(boxes)) > 1
         assert len(boxes) < len(energies)
 

@@ -25,7 +25,7 @@ from nu_spectral.errors import (
     NoScatteringRegion,
     NuSpectralError,
 )
-from nu_spectral.oracle import FdGrid, compare_spectra, quad_adaptive, wkb_edges
+from nu_spectral.oracle import FdGrid, WkbScan, compare_spectra, quad_adaptive
 from nu_spectral.potentials import (
     WELLS,
     bound_spectrum,
@@ -43,7 +43,7 @@ from nu_spectral.potentials import (
     wavefunction_residual,
 )
 from nu_spectral.polynomials import HALF_LINE, REAL_LINE, UNIT_INTERVAL, Polynomial
-from nu_spectral.reduction import EpsAffinePoly, GheProblem, quantize, reduce_ghe
+from nu_spectral.reduction import EpsAffinePoly, GheProblem, reduce_ghe
 from nu_spectral.scalars import SurdSum, accurate_float, scalar_float, sqrt_scalar
 
 
@@ -693,9 +693,9 @@ class TestDerivedSpectra:
                 eps = eigen_eps(spec, n)
                 assert eps == closed_form_eps(spec, n)
                 lam = closed_form_lambda(spec, eps)
-                assert quantize(ghe, n).lam == lam
+                assert ghe.ladder.level(n).lam == lam
                 assert pinned_branch(spec, eps).lam == lam
-            assert quantize(ghe, count) is None
+            assert ghe.ladder.level(count) is None
 
     def test_plateaus_equal_closed_forms(self):
         wells, _ = _sweep_wells()
@@ -913,7 +913,7 @@ class TestSingleQuantizationWalk:
         for spec in wells:
             ghe = spec.ghe
             for st in bound_spectrum(spec):
-                br = quantize(ghe, st.n)
+                br = ghe.ladder.level(st.n)
                 can = classify_canonical(ghe.phi, br.psi)
                 assert isinstance(can.alpha, SurdSum) and isinstance(can.beta, SurdSum)
                 two_step = series_poly("jacobi", st.n, can.alpha, can.beta)
@@ -958,7 +958,7 @@ class TestLazyByProducts:
         states = bound_spectrum(spec, n_max=n_max)
         assert len(states) == count
         for st in states:
-            br = quantize(spec.ghe, st.n)
+            br = spec.ghe.ladder.level(st.n)
             want = classify_canonical(spec.ghe.phi, br.psi).polynomial(st.n)
             assert st.poly == want
             assert st.poly.degree == st.n
@@ -1167,7 +1167,7 @@ class TestNormOverflow:
 
 class TestNormalizationPartition:
     """Normalization starts from panels of equal WKB phase over the window
-    oracle.wkb_edges derives from the reduced potential at eps_n: a deep
+    oracle.WkbScan.edges derives from the reduced potential at eps_n: a deep
     level meets the tolerance in one or two rounds, and every level
     integrates to its closed-form norm within 1e-12."""
 
@@ -1202,10 +1202,10 @@ class TestNormalizationPartition:
 
 
 def _fresh_normalization(spec, st):
-    """The window and the defect as a fresh wkb_edges gives them, with each
+    """The window and the defect as a fresh WkbScan gives them, with each
     plateau tail's edge sampled on its own."""
     lo, hi, _ = spec.fd_box
-    edges = wkb_edges(spec.reduced_potential, scalar_float(st.eps), lo, hi)
+    edges = WkbScan(spec.reduced_potential, lo, hi).edges(scalar_float(st.eps))
     total = quad_adaptive(lambda x: st.sampler(x) ** 2, *edges)
     for _, side, plateau in spec.plateau_ends:
         edge = edges[0] if (side > 0) == (spec.sigma > 0) else edges[-1]
@@ -1217,7 +1217,7 @@ class TestNormalizationScan:
     """Every level of a well reads its window from one scan of the float
     potential, spec.wkb_scan: each box it reaches is sampled once for all
     levels, and each window, panel and defect keeps the bits of a fresh
-    wkb_edges per level."""
+    WkbScan per level."""
 
     @pytest.mark.parametrize("name,params,n_max", TestNormalizationPartition.WELLS_DEEP)
     def test_each_box_is_sampled_once(self, name, params, n_max, monkeypatch):
@@ -1284,7 +1284,7 @@ class TestNormalizationWindow:
 
     def test_ground_state_of_a_very_deep_well(self):
         # at Lambda = 1e4 the ground state's classically allowed region is
-        # 0.02 wide, three of the 2048 cells that wkb_edges lays over fd_box
+        # 0.02 wide, three of the 2048 cells that WkbScan lays over fd_box
         spec = morse(Lambda=10000)
         assert normalization_defect(spec, bound_state(spec, 0)) <= 1e-11
 
