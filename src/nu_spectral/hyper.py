@@ -26,8 +26,7 @@ Routes (documented crossovers, all for real argument z):
   integer m (its truncation estimate counts it).
 * 1F1: direct series for z >= -8 (the alternating sum loses ~e^(2|z|)
   relative accuracy, acceptable in that range); e^z-reflected series
-  (13.2.39) further left (times e^(z/2) twice where e^z is subnormal),
-  and where that series overflows (z past ~-709)
+  (13.2.39) further left, and where that series overflows (z past ~-709)
   the large-argument expansion (13.7.2) in 1/z, cut at its smallest term.
 * U: terminating polynomial form when a is a nonpositive integer, where its
   rounding bound certifies it to SERIES_TOL; the divergent large-z
@@ -45,12 +44,17 @@ Routes (documented crossovers, all for real argument z):
 
 Gamma is a Lanczos approximation (g = 7, 9 coefficients) with the
 reflection formula; the reciprocal variant returns exactly 0.0 at poles so
-degenerate prefactors annihilate terms instead of raising.  A power that
-alone leaves the float range is split in halves around its small factor.
-Past gamma's float range (real argument above ~171.6) both raise
-SeriesOverflow; a regularized series whose 1/gamma(c + n) gets there, at
-real c > 0, is the plain series over gamma(c), taken in logs, and so is the
-far-left 1F1's gamma(c)/gamma(c-a) x^-a at real c > 0 and c - a > 0.
+degenerate prefactors annihilate terms instead of raising.  Past gamma's
+float range (real argument above ~171.6) both raise SeriesOverflow; a
+regularized series whose 1/gamma(c + n) gets there, at real c > 0, is the
+plain series over gamma(c), taken in logs, and so is the far-left 1F1's
+gamma(c)/gamma(c-a) x^-a at real c > 0 and c - a > 0.
+
+A power in front of a series ((1-z)^-a, e^z, (1-z)^(c-a-b), x^-a, z^-a)
+follows one rule: the plain product where the power is a normal float,
+else its half on each side of the rest; SeriesOverflow where the product
+leaves the float range, and below the normal range the float spacing over
+the value added to the truncation estimate.
 
 .. [dlmf] NIST Digital Library of Mathematical Functions, chapters 5, 13, 15.
 .. [gst] A. Gil, J. Segura, N. M. Temme, Numerical Methods for Special
@@ -73,7 +77,6 @@ _STREAK = 3
 _2F1_DIRECT_MAX = 0.99
 _1F1_REFLECT_BELOW = -8.0
 _FLOAT_MIN = 2.0**-1022  # the least normal float
-_EXP_SUBNORMAL_BELOW = math.log(_FLOAT_MIN)
 _SUBNORMAL_SPACING = 2.0**-1074
 # math.lgamma's error in units of 2^-53: sweeps against mpmath over (0.01, 1e4)
 # keep it below 4 |lgamma| + 11 (the constant near its zeros at 1 and 2)
@@ -380,6 +383,30 @@ def _underflow_error(value):
     return _SUBNORMAL_SPACING / abs(value) if value else math.inf
 
 
+def _times_power(power, e, inner, err, what, *args):
+    """The SeriesResult inner times power(e), err added to its estimate, by
+    the module docstring's rule (the spacing is inf at a 0.0 from a nonzero
+    inner value); what.format(*args) names the value that overflows."""
+    try:
+        p = power(e)
+    except OverflowError:
+        p = math.inf
+    if _FLOAT_MIN <= abs(p) < math.inf:
+        value = p * inner.value
+    else:  # half of it on each side of the value
+        try:
+            p = power(0.5 * e)
+        except OverflowError:
+            p = math.inf
+        value = p * inner.value * p
+    if not cmath.isfinite(value):
+        raise SeriesOverflow(what.format(*args) + " leaves the float range")
+    trunc = inner.truncation_estimate + err
+    if abs(value) < _FLOAT_MIN and inner.value:
+        trunc += _underflow_error(value)
+    return SeriesResult(value, inner.terms_used, trunc)
+
+
 # ---------------------------------------------------------------------------
 # Gauss 2F1
 
@@ -428,27 +455,12 @@ def _hyp2f1_any(a, b, c, z, regularized, w=None):
         # Pfaff: 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
         cb, x, w = _number(c - b), z / (z - 1.0), 1.0 / (1.0 - z)
         inner = _hyp2f1_any(a, cb, c, x, regularized, w)
-        try:
-            power = (1.0 - z) ** (-a)
-            if abs(power) < _FLOAT_MIN:  # half of it on each side of the value
-                half = (1.0 - z) ** (-0.5 * a)
-                value = half * inner.value * half
-            else:
-                value = power * inner.value
-        except OverflowError:  # (1-z)^(-a) alone leaves the float range
-            value = math.inf
-        if not cmath.isfinite(value):
-            raise SeriesOverflow(f"2F1 at z = {z} leaves the float range")
-        trunc = inner.truncation_estimate
-        if x == 1.0:
-            # z below about -2^53: the inner gap b - a, formed as c - a - (c - b),
-            # carries the roundings of c - b and of the gap into w^(b-a), times
-            # |ln w| > 36.  Above -2^53 that is under 37 |c - b| units of
-            # roundoff and is not counted, so those estimates keep their bits
-            trunc += _UNIT_ROUNDOFF * (abs(cb) + abs(cb - a)) * -math.log(w)
-        if abs(value) < _FLOAT_MIN and inner.value:  # below the normal range
-            trunc += _underflow_error(value)
-        return SeriesResult(value, inner.terms_used, trunc)
+        # z below about -2^53: the inner gap b - a, formed as c - a - (c - b),
+        # carries the roundings of c - b and of the gap into w^(b-a), times
+        # |ln w| > 36.  Above -2^53 that is under 37 |c - b| units of
+        # roundoff and is not counted, so those estimates keep their bits
+        err = _UNIT_ROUNDOFF * (abs(cb) + abs(cb - a)) * -math.log(w) if x == 1.0 else 0.0
+        return _times_power(lambda e: (1.0 - z) ** e, -a, inner, err, "2F1 at z = {}", z)
 
     # polynomial case terminates regardless of z
     na = _near_integer(a)
@@ -500,12 +512,8 @@ def _hyp2f1_log(a, b, c, gap, m, w, regularized):
     """
     if m < 0:
         inner = _hyp2f1_log(c - a, c - b, c, -gap, -m, w, regularized)
-        trunc = inner.truncation_estimate + _UNIT_ROUNDOFF * abs(gap * math.log(w))
-        try:
-            value = w**gap * inner.value
-        except OverflowError:  # (1-z)^gap alone leaves the float range
-            value = math.inf
-        return SeriesResult(value, inner.terms_used, trunc)
+        err = _UNIT_ROUNDOFF * abs(gap * math.log(w))
+        return _times_power(lambda e: w**e, gap, inner, err, "2F1({}, {}; {}; {})", a, b, c, 1.0 - w)
     s1 = mass1 = 0.0
     t = float(math.factorial(m - 1)) if m else 0.0
     for k in range(m):
@@ -633,14 +641,7 @@ def _hyp1f1_any(a, c, z, regularized):
             inner = _hyp1f1_any(c - a, c, -z, regularized)
         except SeriesOverflow:
             return _hyp1f1_far_left(a, c, -z, regularized)
-        if z < _EXP_SUBNORMAL_BELOW:  # e^z alone would lose digits
-            value = math.exp(0.5 * z) * inner.value * math.exp(0.5 * z)
-        else:
-            value = math.exp(z) * inner.value
-        trunc = inner.truncation_estimate
-        if abs(value) < _FLOAT_MIN and inner.value:  # below the normal range
-            trunc += _underflow_error(value)
-        return SeriesResult(value, inner.terms_used, trunc)
+        return _times_power(math.exp, z, inner, 0.0, "1F1 at z = {}", z)
     return _sum_series((a,), c, z, regularized, "1F1")[0]
 
 
@@ -649,28 +650,25 @@ def _hyp1f1_far_left(a, c, x, regularized):
 
     Kummer's transformation and the large-argument expansion (13.2.39,
     13.7.2) give gamma(c)/gamma(c-a) x^-a 2F0(a, a-c+1; 1/x) up to a
-    relative O(e^-x), which is below the float range there.
+    relative O(e^-x), which is below the float range there.  The estimate
+    adds the gammas' errors; where a gamma or their ratio leaves the float
+    range, _far_left_in_logs takes over.
     """
     total, n_used, trunc = _2f0_sum(a, c, 1.0 / x)
     if trunc > SERIES_TOL:
         raise MaxTermsExceeded(f"1F1 large-argument series stops at {trunc:.1e} relative")
+    in_logs = _is_real(a) and _is_real(c) and min(c, c - a) > 0.0
     try:
-        g1, g2 = rgamma(c - a), 1.0 if regularized else gamma_fn(c)
+        ratio = rgamma(c - a) * (1.0 if regularized else gamma_fn(c))
     except SeriesOverflow:  # a gamma past the float range
-        if not (_is_real(a) and _is_real(c) and min(c, c - a) > 0.0):
+        if not in_logs:
             raise
+        ratio = math.inf
+    if in_logs and not _FLOAT_MIN <= abs(ratio) < math.inf:
         return _far_left_in_logs(a, c, x, regularized, SeriesResult(total, n_used, trunc))
-    try:
-        value = x ** (-a) * total * g1 * g2
-    except OverflowError:
-        try:  # half of the power on each side of the small 1/gamma(c-a)
-            half = x ** (-0.5 * a)
-            value = half * total * g1 * half * g2
-        except OverflowError:
-            value = math.inf
-    if not cmath.isfinite(value):
-        raise SeriesOverflow(f"1F1 at z = {-x} leaves the float range")
-    return SeriesResult(value, n_used, trunc)
+    err = _gamma_error(c - a) + (0.0 if regularized else _gamma_error(c))
+    inner = SeriesResult(ratio * total, n_used, trunc)
+    return _times_power(lambda e: x**e, -a, inner, err, "1F1 at z = {}", -x)
 
 
 def _far_left_in_logs(a, c, x, regularized, series):
@@ -757,15 +755,11 @@ def _2f0_sum(a, c, w):
 
 def _u_asymptotic(a, c, z):
     """Large-z asymptotic series z^-a 2F0(a, a-c+1; -1/z), smallest-term cut;
-    SeriesOverflow where a value that meets SERIES_TOL leaves the float range."""
-    total, n_used, trunc = _2f0_sum(a, c, -1.0 / z)
-    try:
-        value = z ** (-a) * total
-    except OverflowError:
-        value = math.inf
-    if trunc <= SERIES_TOL and not cmath.isfinite(value):
-        raise SeriesOverflow(f"U({a}, {c}, {z}) leaves the float range")
-    return SeriesResult(value, n_used, trunc)
+    the bare 2F0 sum where the cut leaves more than SERIES_TOL (hypU moves on)."""
+    series = SeriesResult(*_2f0_sum(a, c, -1.0 / z))
+    if series.truncation_estimate > SERIES_TOL:
+        return series
+    return _times_power(lambda e: z**e, -a, series, 0.0, "U({}, {}, {})", a, c, z)
 
 
 def hypU(a, c, z):
@@ -804,6 +798,8 @@ def hypU(a, c, z):
     if not cmath.isfinite(values[1]):
         raise SeriesOverflow(f"U({a}, {c}, {z}) left the float range in the recurrence")
     change = abs(values[1] - values[0]) / max(abs(values[1]), 1e-300)
+    if abs(values[1]) < _FLOAT_MIN:
+        change += _underflow_error(values[1])
     return SeriesResult(values[1], evals, change)
 
 

@@ -171,9 +171,20 @@ def _eval(value, terms, estimate):
          _eval("0.48393020453370533", 193, "2.2941800578348285e-16")),
         (["eval", "--fn", "hermite", "--nu", "2.5", "--z", "3"],
          _eval("78.965154997089343", 177, "0")),
+        (["eval", "--fn", "2f1", "--a", "0.5", "--b", "0.3", "--c", "1.7", "--z", "0.5"],
+         _eval("1.0551228148732459", 35, "2.6603359418432167e-14")),
+        (["eval", "--fn", "2f1", "--a", "0.7", "--b", "-1.3", "--c", "2.2", "--z", "-3.5"],
+         _eval("2.7385850421389999", 128, "2.8334948119770163e-13")),
+        (["eval", "--fn", "1f1", "--a", "1.5", "--c", "2.5", "--z", "3"],
+         _eval("7.931662465149576", 26, "3.8982245291887897e-16")),
+        (["eval", "--fn", "u", "--a", "-3", "--c", "1.5", "--z", "2"],
+         _eval("5.375", 4, "0")),
+        (["eval", "--fn", "u", "--a", "0.7", "--c", "1.3", "--z", "50"],
+         _eval("0.06431880240762132", 13, "7.1845404610922485e-14")),
     ],
     ids=["reduce-json", "solve-json", "2f1-connection-15.8.4", "2f1-log-15.8.10",
-         "1f1-reflected", "u-integral", "hermite-u"],
+         "1f1-reflected", "u-integral", "hermite-u", "2f1-direct", "2f1-pfaff",
+         "1f1-direct", "u-terminating", "u-large-z-series"],
 )
 def test_format_and_route_output_is_byte_identical(capsys, argv, expected):
     assert main(argv) == 0

@@ -177,6 +177,53 @@ def test_1f1_far_left_past_the_gamma_range_matches_mpmath():
         assert returned >= 50
 
 
+def _within_estimate_or_raises(fn, args, want):
+    """True where fn(*args) is within max(1e-13, its estimate) of want, None
+    where it raises a NuSpectralError."""
+    try:
+        res = fn(*args)
+    except NuSpectralError:
+        return None
+    return abs(res.value - want) / abs(want) <= max(1e-13, res.truncation_estimate)
+
+
+def test_prefactors_share_one_float_range_rule():
+    # each power in front of a series is taken whole where it is a normal
+    # float, else in halves around the rest; a value below the normal range
+    # adds the float spacing over it to its estimate
+    with mpmath.workdps(40):
+        for fn, args, want in (
+            (hyp1f1, (85, 86, -10000), 2.81710411438055e-212),  # x^-a was 1e-340
+            (hyp1f1, (71, 94, -17000), 4.07985963259749e-178),  # the product was subnormal
+            (hyp1f1, (72, 95, -18000), 3.69587056946454e-182),
+            (hyp1f1, (50, 70, -9000), 2.45563147240329e-117),  # the gammas' error
+            (hyp2f1, (-51.5, -4.5, 24.5, -1e6), -4.6562853963501045e281),  # (1-z)^-a overflowed
+            (hypU, (105, 1, 1000), 4.40444482876456e-320),  # the integral, subnormal
+        ):
+            res = fn(*args)
+            assert abs(res.value - want) / abs(want) <= max(1e-13, res.truncation_estimate), args
+        res = hypU(87.66303341564526, 8.48881979114583, 8624.648544251311)  # about 4.27e-346
+        assert (res.value, res.truncation_estimate) == (0.0, math.inf)
+        rng = random.Random(2501)
+        for i in range(300):
+            a, c, z = rng.uniform(-100, 100), rng.uniform(0.5, 100), rng.uniform(-3e4, -2000)
+            fn = hyp1f1_regularized if i % 2 else hyp1f1
+            want = mpmath.hyp1f1(a, c, z) * (mpmath.rgamma(c) if i % 2 else 1)
+            assert _within_estimate_or_raises(fn, (a, c, z), want) is not False, (fn.__name__, a, c, z)
+        rng, returned = random.Random(2502), 0
+        for i in range(300):
+            a, b, c = rng.uniform(-60, -45), rng.uniform(-5, 5), rng.uniform(0.5, 60)
+            z = -(10 ** rng.uniform(5, 7))
+            if abs(a) * math.log1p(-z) <= 709.78:
+                continue
+            fn = hyp2f1_regularized if i % 2 else hyp2f1
+            want = mpmath.hyp2f1(a, b, c, z) * (mpmath.rgamma(c) if i % 2 else 1)
+            ok = _within_estimate_or_raises(fn, (a, b, c, z), want)
+            assert ok is not False, (fn.__name__, a, b, c, z)
+            returned += ok is not None
+        assert returned >= 90
+
+
 def test_gamma_integers_and_half_integers():
     assert rel_err(gamma_fn(7), 720.0) < 1e-14
     assert rel_err(gamma_fn(0.5), math.sqrt(math.pi)) < 1e-14

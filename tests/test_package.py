@@ -168,6 +168,36 @@ def test_evaluators_take_no_settings():
     assert found == kept
 
 
+def test_one_helper_takes_a_power_in_halves():
+    # every power in front of a series goes through hyper._times_power: only
+    # it and gamma_fn's Lanczos split take a power in halves, and the five
+    # routes that use it keep no overflow or underflow guard of their own
+    import nu_spectral
+
+    tree = ast.parse((Path(nu_spectral.__file__).parent / "hyper.py").read_text())
+
+    def half(node):  # (-)0.5 * e
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and "0.5" in {
+            ast.unparse(side).lstrip("-") for side in (node.left, node.right)
+        }
+
+    def halving(node):  # x ** half, exp(half) or power(half)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            return half(node.right)
+        return (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("exp", "power")
+                and any(map(half, node.args)))
+
+    def guarded(node):
+        return (isinstance(node, ast.ExceptHandler) and "OverflowError" in ast.unparse(node.type)
+                or isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_underflow_error")
+
+    functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    assert {fn.name for fn in functions if any(map(halving, ast.walk(fn)))} == {"gamma_fn", "_times_power"}
+    routes = {"_hyp2f1_any", "_hyp1f1_any", "_hyp2f1_log", "_hyp1f1_far_left", "_u_asymptotic"}
+    assert not {fn.name for fn in functions if fn.name in routes and any(map(guarded, ast.walk(fn)))}
+    assert "_EXP_SUBNORMAL_BELOW" not in ast.unparse(tree)
+
+
 def test_reports_store_no_derived_verdicts():
     # a degeneracy and a pass/fail verdict are read off the data they
     # summarise, so a report cannot disagree with itself
