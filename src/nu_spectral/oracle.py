@@ -18,7 +18,11 @@ analytic levels it is compared with.
   min v)^2, is sampled at the wavenumber sqrt(|v''| / (E_ref - min v)).
 * Each wall sits past the top level's classical turning point by the WKB
   decay length ln(1/tol)/(2 kappa), kappa = sqrt(v - E), that leaves the
-  level within TARGET * rtol of where an open wall would put it.
+  level within TARGET * rtol of where an open wall would put it.  The first
+  walls are placed before any solve, from the WKB top level: the energy at
+  which the Bohr-Sommerfeld phase over the starting box reaches
+  pi (n + 1/2).  For a confining well whose starting box holds that
+  level's turning points, the energy also sets E_ref.
 * Under a finite threshold the number of levels is fixed first, by Sturm's
   oscillation theorem: it is the number of nodes of the solution at the
   threshold energy.  The box grows by BOX_GROWTH on its plateau sides until
@@ -47,7 +51,9 @@ decay past the outermost turning points, or where v reaches its plateau)
 and places the panels beforehand, at equal steps of the WKB phase (the
 integral of max(sqrt(|e - v|), |v'|^(1/3)) dx), about QUAD_PANEL_PHASE or
 one node each.  A WkbScan samples v once per box for all the levels of a
-well, so each level's window costs arithmetic in its energy alone.
+well, with the running minima of its cell means and its plateau points,
+which any energy reads by binary search, so each level's window costs
+arithmetic over the window alone.
 tanh_sinh is a double-exponential rule for weights with endpoint exponents in (-1, 0),
 where the integrand must be evaluated with exact distances to the
 endpoints rather than through a rounded abscissa.  inner_product,
@@ -81,6 +87,7 @@ TARGET = 1e-2  # each wall and the spacing may add this fraction of rtol
 BOX_GROWTH = 1.5  # a plateau side's reach past the top turning point grows by this
 COARSE_RATIO = 1.5  # spacing of the companion solve over that of the answer
 MAX_ROUNDS = 16
+_SEED_TOL = 1e-2  # of the WKB top level's gap to the threshold: its walls' decay rate moves by half that
 # the Sturm count's Numerov step, and the reach (both in spacings h) past
 # which a straight run heading for zero counts as a zero-energy resonance:
 # Numerov's own error puts a resonance's node some 5e5 h away
@@ -257,6 +264,39 @@ def _toward(edge, wanted, pivot, h, floor):
     return edge
 
 
+def _wkb_level(v, box, n, threshold, v_min):
+    """(e, held): the energy e of level n by the Bohr-Sommerfeld rule, where
+    the phase, the integral of sqrt(max(e - v, 0)) over box on 2049 points,
+    reaches pi (n + 1/2), and whether both ends of the box lie above e.
+    When one does not, the box cuts off some of the phase and e lies too
+    high.  e is bisected until the bracket is _SEED_TOL of its distance to
+    the threshold or its height above v_min, whichever is less.  None when
+    the phase at a finite threshold falls short."""
+    xs = np.linspace(box[0], box[1], 2049)
+    vs, step, target = _potential(v, xs), xs[1] - xs[0], math.pi * (n + 0.5)
+
+    def short(e):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return step * float(np.sqrt(np.fmax(e - vs, 0.0)).sum()) < target
+
+    lo, hi = v_min, threshold
+    if math.isfinite(threshold):
+        if short(threshold):
+            return None
+    else:
+        # a well more than 2^53 above 0 has no float at v_min + 1
+        hi = v_min + max(1.0, math.ulp(v_min))
+        while short(hi):
+            hi = lo + 2.0 * (hi - lo)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if short(mid) else (lo, mid)
+        if hi - lo <= _SEED_TOL * min(hi - v_min, threshold - hi):
+            break
+    e = 0.5 * (lo + hi)
+    return e, bool(vs[0] >= e and vs[-1] >= e)
+
+
 def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_RTOL):
     """Bound-state energies of -psi'' + v psi = eps psi by sinc-DVR.
 
@@ -268,12 +308,19 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
     bounds the spectrum from above (energies at or above it belong to the
     continuum and are discarded); with an infinite threshold k_max picks how
     many low-lying states to return.  Raises GridTooCoarse when the box
-    needs more than grid.n points, or when a level's error estimate exceeds
-    rtol * max(1, |level|).  A top level closer to the threshold than
+    needs more than grid.n points, when a level's error estimate exceeds
+    rtol * max(1, |level|), or when the top level lies within rounding of
+    the well's floor.  A top level closer to the threshold than
     TARGET * rtol allows is placed from its Sturm node rather than boxed; a
     node further than RESONANCE_REACH spacings ahead is taken for a
-    zero-energy resonance and not counted.  Walls and spacing settle in turn,
-    until a refinement keeps the count and the top level (to TARGET * rtol).
+    zero-energy resonance and not counted.  The first round's walls come
+    from the WKB estimate of the top level (_wkb_level, on 2049 points of
+    the starting box, extended past a Sturm node where the count asks for
+    it; the Sturm count or k_max gives n), so the first solve runs on about
+    the box they settle on; when the phase at a finite threshold falls
+    short of that level, the first solve runs on the starting box.  Walls
+    and spacing settle in turn, until a refinement keeps the count and the
+    top level (to TARGET * rtol).
     """
     finite = math.isfinite(threshold)
     if not finite and k_max is None:
@@ -312,6 +359,17 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
         depth = e_ref - v_min
         bends = curvature[(rim[1:-1] < e_ref) & np.isfinite(curvature)]
         return math.pi / (SAMPLING * math.sqrt(max(depth, bends.max(initial=0.0) / depth)))
+
+    def sample_for(top):
+        # sample the top level's largest wavenumber, give or take 10%
+        nonlocal e_ref, h
+        e_ref = top + 0.1 * (top - v_min)
+        if not e_ref > v_min:
+            raise GridTooCoarse(
+                f"the level {top:.17g} lies within rounding of the well's floor "
+                f"{v_min:.17g}; no spacing resolves it"
+            )
+        h = spacing()
 
     def lattice(box, h):
         # points on a lattice through the centre: a grown box keeps every
@@ -381,7 +439,26 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
                     f"{h:.3g} from the wall at {start:.6g}"
                 )
             box = (min(box[0], node), max(box[1], node))
+
+    def placed(box, top):
+        # walls past the turning points of the level top, where each moves
+        # it by TARGET * rtol of itself, and the box moved toward them
+        shift = TARGET * rtol * max(1.0, abs(top))
+        pivot = _turning_points(v, *box, top, h)
+        wanted = (_walk(v, pivot[0], -1, top, shift, h, grid.n * h),
+                  _walk(v, pivot[1], 1, top, shift, h, grid.n * h))
+        return pivot, tuple(_toward(edge, aim, p, h, 0.25 * (box[1] - box[0]))
+                            for edge, aim, p in zip(box, wanted, pivot))
+
     pivot = (centre, centre)
+    seed = _wkb_level(v, box, want - 1, threshold, v_min) if want else None
+    if seed is not None:
+        # the first wall round places the walls of the WKB top level, so the
+        # first solve runs on about the box the walls settle on
+        top, held = seed
+        pivot, box = placed(box, top)
+        if not finite and held:
+            sample_for(top)
     levels = coarse = np.empty(0)
     stale = True  # levels are not yet those of (box, h)
     for _ in range(MAX_ROUNDS if want else 0):
@@ -393,16 +470,9 @@ def fd_bound_states(v, grid, threshold=math.inf, k_max=None, rtol=DEFAULT_GRID_R
             continue
         top = float(levels[-1])
         if not finite and not top <= e_ref <= top + 0.21 * (top - v_min):
-            # sample the top level's largest wavenumber, give or take 10%
-            e_ref = top + 0.1 * (top - v_min)
-            h = spacing()
+            sample_for(top)
             continue
-        shift = TARGET * rtol * max(1.0, abs(top))
-        pivot = _turning_points(v, *box, top, h)
-        wanted = (_walk(v, pivot[0], -1, top, shift, h, grid.n * h),
-                  _walk(v, pivot[1], 1, top, shift, h, grid.n * h))
-        moved = tuple(_toward(edge, aim, p, h, 0.25 * (box[1] - box[0]))
-                      for edge, aim, p in zip(box, wanted, pivot))
+        pivot, moved = placed(box, top)
         if moved != box:
             box = moved
             continue
@@ -491,7 +561,9 @@ _UFLOW = np.finfo(float).tiny
 def _values(f, x):
     """f on an array of abscissas, as a float array of the same shape;
     NoConvergence on any non-finite value."""
-    y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    y = np.asarray(f(x), dtype=float)
+    if y.shape != x.shape:
+        y = np.broadcast_to(y, x.shape)
     if not np.all(np.isfinite(y)):
         bad = x[~np.isfinite(y)][0]
         raise NoConvergence(f"integrand is not finite at x={bad!r}")
@@ -595,6 +667,16 @@ def quad_adaptive(f, *edges, tol=DEFAULT_QUAD_TOL, abs_tol=None):
         errs = np.concatenate([errs[keep], new_e])
 
 
+def _first_above(d, level):
+    """The first index where the ascending sums d exceed level (None if
+    none does); a nan, which ends the ascent, exceeds nothing."""
+    k = int(np.searchsorted(d, level, "right"))
+    if k < len(d) and not d[k] > level:
+        above = np.flatnonzero(d > level)
+        return int(above[0]) if above.size else None
+    return k if k < len(d) else None
+
+
 class WkbScan:
     """The potential v sampled over lo:hi once, for the windows of any
     number of its levels (edges).
@@ -603,8 +685,13 @@ class WkbScan:
     widened to or zoomed into) is sampled once, on 2048 cells, when a level
     first needs it.  The scan keeps the points and v there, each cell's mean
     of v at its ends and its Airy wavenumber |v'|^(1/3) times the cell
-    width, and v at the two infinite ends with their ulps, so a level's
-    window and panels cost arithmetic in its energy alone.
+    width, and v at the two infinite ends with their ulps.  Per box it also
+    keeps what holds at every energy: the running minima of the cell means
+    from the left and from the right, in which a level's outermost cells
+    below e are found by binary search, and for each point the nearest
+    point at or before it where v has reached its value at -inf, and at or
+    after it its value at +inf (the plateau indices).  So a level's window
+    and panels cost arithmetic in its energy over the window alone.
     """
 
     def __init__(self, v, lo, hi):
@@ -612,10 +699,13 @@ class WkbScan:
         with np.errstate(invalid="ignore"):
             self.ends = _potential(v, np.array([-math.inf, math.inf]))
         self.ulps = np.spacing(np.abs(self.ends))
-        self._boxes = {}  # (lo, hi) -> x, h, v(x), cell means, Airy phase per cell
+        self._boxes = {}  # (lo, hi) -> what _sampled keeps of that box
 
     def _sampled(self, lo, hi):
-        """The samples of the box lo:hi, taken on its first use."""
+        """The samples of the box lo:hi, taken on its first use, with what
+        edges reads of them at any energy: the running minima of the cell
+        means from each side, and each point's nearest plateau point on
+        each side."""
         key = (lo, hi)
         if key not in self._boxes:
             x = np.linspace(lo, hi, 2049)  # the phase only places panels: 2048 cells serve
@@ -625,7 +715,19 @@ class WkbScan:
                 # per cell: the mean of v at its ends, and its slope's Airy wavenumber
                 mean = 0.5 * (vx[1:] + vx[:-1])
                 airy = np.cbrt(np.abs(np.diff(vx)) / h) * h
-            self._boxes[key] = x, h, vx, mean, airy
+                # a cell lies below e when its mean does, which a nan never does
+                below = np.where(np.isnan(mean), math.inf, mean)
+                at_end = np.abs(vx[:, None] - self.ends) <= self.ulps
+            index = np.arange(2049)
+            self._boxes[key] = (
+                x, h, vx, mean, airy, int(np.argmin(vx)),
+                # minima from the left, negated so that they ascend; from the right
+                -np.minimum.accumulate(below), np.minimum.accumulate(below[::-1])[::-1],
+                # the nearest point at or before each one where v has reached its
+                # value at -inf (-1 for none), and at or after it, +inf's (2049)
+                np.maximum.accumulate(np.where(at_end[:, 0], index, -1)),
+                np.minimum.accumulate(np.where(at_end[::-1, 1], index[::-1], 2049))[::-1],
+            )
         return self._boxes[key]
 
     def edges(self, e):
@@ -642,7 +744,11 @@ class WkbScan:
         cells of lo:hi, widened by twice its width on each side that does
         not reach an edge yet, or toward the lowest point when no point lies
         below e and that point is an end, up to 2^10 times the width of
-        lo:hi; a well narrower than a cell is zoomed into once.
+        lo:hi; a well narrower than a cell is zoomed into once.  On each
+        box the turning cells come from two binary searches of the running
+        minima, and the decay is summed only out to the nearest plateau
+        point past them; the phase is formed over the window alone.  The
+        floats are those of a sweep of every cell at each energy.
 
         A level has a node about every pi of the phase, the integral of
         sqrt(|e - v|) dx, so panels of QUAD_PANEL_PHASE each hold about one
@@ -653,38 +759,45 @@ class WkbScan:
         edges are (lo, hi).
         """
         lo, hi = self.lo, self.hi
-        box, ends, ulps, zoomed = (lo, hi), self.ends, self.ulps, False
+        box, zoomed = (lo, hi), False
         reach = 2**10 * (hi - lo)  # the widest range searched before giving up
         while True:
-            x, h, vx, mean, airy = self._sampled(lo, hi)
-            with np.errstate(over="ignore", invalid="ignore"):
-                gap = e - mean
-            wave = np.sqrt(np.abs(gap)) * h  # each cell's WKB phase, or its decay
-            inside, width = np.flatnonzero(gap > 0), hi - lo
-            if not inside.size:
-                i = int(np.argmin(vx))
+            x, h, vx, mean, airy, lowest, left_min, right_min, left_end, right_end = self._sampled(lo, hi)
+            # the outermost cells whose mean lies below e
+            first = int(np.searchsorted(left_min, -e, "right"))
+            last = int(np.searchsorted(right_min, e)) - 1
+            width = hi - lo
+            if first > last:
                 if zoomed or width > reach:
                     return box
-                if 0 < i < 2048:
-                    lo, hi, zoomed = x[i - 1], x[i + 1], True
+                if 0 < lowest < 2048:
+                    lo, hi, zoomed = x[lowest - 1], x[lowest + 1], True
                 else:  # the well lies past this end of the range
-                    lo, hi = lo - 2 * width * (i == 0), hi + 2 * width * (i > 0)
+                    lo, hi = lo - 2 * width * (lowest == 0), hi + 2 * width * (lowest > 0)
                 continue
-            first, last = inside[0], inside[-1]
-            # outward from each turning point: the cells' decay and the points' v
-            stops = [(np.cumsum(wave[:first][::-1]) > 20.0)
-                     | (np.abs(vx[:first][::-1] - ends[0]) <= ulps[0]),
-                     (np.cumsum(wave[last + 1:]) > 20.0) | (np.abs(vx[last + 2:] - ends[1]) <= ulps[1])]
-            found = [stop.any() for stop in stops]
+            # the nearest plateau points outward from the turning points: the
+            # window stops there at the latest, so the decay is summed up to them
+            near = int(left_end[first - 1]) if first else -1
+            far = int(right_end[last + 2]) if last < 2047 else 2049
+            s, t = max(near, 0), min(far, 2048)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # each cell's WKB phase, or its decay
+                wave = np.sqrt(np.abs(e - mean[s:t])) * h
+            decay = (np.cumsum(wave[near + 1 - s:first - s][::-1]),
+                     np.cumsum(wave[last + 1 - s:far - 1 - s]))
+            hit = [_first_above(d, 20.0) for d in decay]
+            a = near if hit[0] is None else first - 1 - hit[0]
+            b = far if hit[1] is None else last + 2 + hit[1]
+            found = (a >= 0, b <= 2048)
             if all(found) or width > reach:
                 break
             lo, hi = lo - 2 * width * (not found[0]), hi + 2 * width * (not found[1])
-        a = first - 1 - int(np.argmax(stops[0])) if found[0] else 0
-        b = last + 2 + int(np.argmax(stops[1])) if found[1] else 2048
-        phase = np.cumsum(np.fmax(wave, airy)[a:b])
+        a, b = max(a, 0), min(b, 2048)
+        phase = np.zeros(b - a + 1)  # at each point of the window, from its left end
+        np.cumsum(np.fmax(wave[a - s:b - s], airy[a:b]), out=phase[1:])
         total = float(phase[-1])
         panels = math.ceil(total / QUAD_PANEL_PHASE)
-        inner = np.interp(total * np.arange(1, panels) / panels, np.concatenate(([0.0], phase)), x[a:b + 1])
+        inner = np.interp(total * np.arange(1, panels) / panels, phase, x[a:b + 1])
         return (float(x[a]), *inner.tolist(), float(x[b]))
 
 

@@ -51,8 +51,10 @@ import numpy as np
 
 from .classical import eigen_lambda, family_record
 from .errors import (
+    AmbiguousBranch,
     EmptySpectrum,
     EnergyBelowRegion,
+    NoAdmissibleBranch,
     NonFiniteEnergy,
     NoScatteringRegion,
 )
@@ -348,7 +350,9 @@ def pinned_branch(spec, eps):
     The geometric admissibility filter alone is ambiguous in narrow
     parameter windows (partner branches with non-normalizable weights pass
     it); requiring square integrability (reduction.bound_canonical)
-    resolves the choice deterministically.
+    resolves the choice deterministically.  NoAdmissibleBranch when no
+    branch is integrable, AmbiguousBranch when several are, as in
+    reduction.select_branch.
     """
     eps = as_exact(eps)
     ghe = spec.ghe
@@ -357,10 +361,10 @@ def pinned_branch(spec, eps):
         for br in branch_candidates(ghe, eps)
         if bound_canonical(ghe, br.psi) is not None
     ]
-    if len(matches) != 1:
-        raise RuntimeError(
-            f"{spec.name}: {len(matches)} integrable branches at eps={eps}"
-        )
+    if not matches:
+        raise NoAdmissibleBranch(f"{spec.name}: no integrable branch at eps={eps}")
+    if len(matches) > 1:
+        raise AmbiguousBranch(matches)
     return matches[0]
 
 

@@ -488,7 +488,7 @@ def accurate_float(x):
         return scalar_float(x)
     for lo, hi, scale in _brackets(x._t):
         if (hi - lo) << 54 <= min(abs(lo), abs(hi)):
-            return float(Fraction(lo + hi, 2 * scale))
+            return (lo + hi) / (2 * scale)  # int / int rounds correctly, as float(Fraction) does
     raise ArithmeticError(f"{x!r} is too close to zero to evaluate")
 
 

@@ -1,11 +1,13 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from nu_spectral import oracle
-from nu_spectral.errors import CountMismatch, GridTooCoarse, NoConvergence
+from nu_spectral import oracle, potentials
+from nu_spectral.cli import main
+from nu_spectral.errors import CountMismatch, GridTooCoarse, NoConvergence, NuSpectralError
 from nu_spectral.oracle import (
     FdGrid,
     WkbScan,
@@ -15,7 +17,18 @@ from nu_spectral.oracle import (
     quad_adaptive,
     tanh_sinh,
 )
-from nu_spectral.potentials import bound_spectrum, harmonic, morse, oracle_spectrum, rosen_morse2
+from nu_spectral.potentials import (
+    WELLS,
+    bound_spectrum,
+    bound_state,
+    eigen_eps,
+    eigenvalue_count,
+    harmonic,
+    morse,
+    normalization_defect,
+    oracle_spectrum,
+    rosen_morse2,
+)
 from nu_spectral.scalars import scalar_float
 
 
@@ -129,6 +142,14 @@ def test_fd_level_beyond_any_allowed_box():
     with pytest.raises(GridTooCoarse, match="close to the threshold"):
         fd_bound_states(well.reduced_potential, FdGrid(-15.0, 15.0, 1200),
                         threshold=well.v_minus, rtol=1e-8)
+
+
+@pytest.mark.parametrize("offset", [1e17, -1e17])
+def test_fd_well_far_from_zero_ends(offset):
+    # levels 2 apart on a floor whose floats are 16 apart: the WKB seed's
+    # bracket must still grow, and the levels cannot be told from the floor
+    with pytest.raises(GridTooCoarse, match="within rounding"):
+        fd_bound_states(lambda x: x * x + offset, FdGrid(-10, 10, 1200), k_max=1)
 
 
 def test_sinc_dvr_converges_exponentially():
@@ -335,3 +356,210 @@ def test_fd_solves_each_lattice_once(monkeypatch):
     oracle_spectrum(rosen_morse2(9, 0.29))
     assert any(len(x) == 437 for x in lattices)
     assert not any(np.array_equal(a, b) for a, b in zip(lattices, lattices[1:]))
+
+
+def _edges_by_sweep(scan, e):
+    """WkbScan.edges as it was when every energy swept all 2048 cells of
+    each box it reached, kept as the reference for the bits of the search
+    that reads the running minima and plateau indices instead."""
+    lo, hi = scan.lo, scan.hi
+    box, ends, ulps, zoomed = (lo, hi), scan.ends, scan.ulps, False
+    reach = 2**10 * (hi - lo)
+    while True:
+        x, h, vx, mean, airy = scan._sampled(lo, hi)[:5]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = e - mean
+        wave = np.sqrt(np.abs(gap)) * h
+        inside, width = np.flatnonzero(gap > 0), hi - lo
+        if not inside.size:
+            i = int(np.argmin(vx))
+            if zoomed or width > reach:
+                return box
+            if 0 < i < 2048:
+                lo, hi, zoomed = x[i - 1], x[i + 1], True
+            else:
+                lo, hi = lo - 2 * width * (i == 0), hi + 2 * width * (i > 0)
+            continue
+        first, last = inside[0], inside[-1]
+        stops = [(np.cumsum(wave[:first][::-1]) > 20.0)
+                 | (np.abs(vx[:first][::-1] - ends[0]) <= ulps[0]),
+                 (np.cumsum(wave[last + 1:]) > 20.0) | (np.abs(vx[last + 2:] - ends[1]) <= ulps[1])]
+        found = [stop.any() for stop in stops]
+        if all(found) or width > reach:
+            break
+        lo, hi = lo - 2 * width * (not found[0]), hi + 2 * width * (not found[1])
+    a = first - 1 - int(np.argmax(stops[0])) if found[0] else 0
+    b = last + 2 + int(np.argmax(stops[1])) if found[1] else 2048
+    phase = np.cumsum(np.fmax(wave, airy)[a:b])
+    total = float(phase[-1])
+    panels = math.ceil(total / oracle.QUAD_PANEL_PHASE)
+    inner = np.interp(total * np.arange(1, panels) / panels, np.concatenate(([0.0], phase)), x[a:b + 1])
+    return (float(x[a]), *inner.tolist(), float(x[b]))
+
+
+# the wells of the deep_spectra_rational and deep_spectra_surd benchmark
+# workloads at seeds 1-3 but the harmonic ones, whose n_max of 13-60 the
+# harmonic ladder below covers
+_DEEP_WELLS = (
+    [("morse", {"Lambda": lam}) for lam in (36.25, 20.25, 6.75, 36.5, 6.0, 20.5, 20.0)]
+    + [("morse", {"De": de}) for de in (201.0, 579.0, 36.0, 204.0, 580.0, 35.0, 203.0)]
+    + [("rosen_morse2", {"v0": v0, "mu": mu}) for v0, mu in (
+        (25, 0.3), (228, 0.22), (196, 0.44), (121, 0.56), (92, 0.35), (52, 0.11), (167, 0.5),
+        (153, 0.24), (185, 0.46), (212, 0.53), (63, 0.12), (25, 0.38), (123, 0.34), (147, 0.21),
+        (242, 0.28), (88, 0.59), (212, 0.28), (39, 0.2), (174, 0.55), (137, 0.49), (107, 0.47),
+        (231, 0.11), (58, 0.35), (103, 0.36))]
+)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NuSpectralError as exc:
+        return type(exc)
+
+
+def test_wkb_edges_keep_the_bits_of_the_sweep(monkeypatch):
+    # (well, levels whose edges are compared, levels whose normalization is;
+    # None for every level).  The deepest wells are compared on a stride, to
+    # keep the test within a second or two
+    wells = [(WELLS[name](**params), None, None) for name, params in _DEEP_WELLS] + [
+        (harmonic(), range(301), [*range(61), *range(75, 301, 25)]),
+        (morse(Lambda=10**4), [*range(0, 10**4, 61), 10**4 - 1], range(3)),
+        (rosen_morse2(1e6, 0.5), range(0, 361, 4), range(0, 361, 45)),
+        (rosen_morse2(238, 0.51), None, None),
+        # its well lies past fd_box, which the search widens to reach it
+        (rosen_morse2(1e16, 16), None, None),
+        # narrower than a cell of fd_box, which the search zooms into
+        (morse(Lambda=10**7), range(2), range(2)),
+    ]
+    runs = []
+    for spec, edge_ns, norm_ns in wells:
+        count = eigenvalue_count(spec)
+        scan = spec.wkb_scan
+        for n in range(count) if edge_ns is None else edge_ns:
+            e = scalar_float(eigen_eps(spec, n))
+            assert scan.edges(e) == _edges_by_sweep(scan, e), (spec.name, spec.physical_params, n)
+        states = [bound_state(spec, n) for n in (range(count) if norm_ns is None else norm_ns)]
+        runs.append((spec, states, [_outcome(normalization_defect, spec, st) for st in states]))
+    narrow = WkbScan(lambda x: 1e10 * (x - 0.003) ** 2, -10.0, 10.0)
+    for e in (1e5, 3e5, 1e5 + 1.0, 2e5, 5e4, -1.0):
+        assert narrow.edges(e) == _edges_by_sweep(narrow, e), e
+    monkeypatch.setattr(WkbScan, "edges", _edges_by_sweep)
+    for spec, states, defects in runs:
+        assert defects == [_outcome(normalization_defect, spec, st) for st in states], spec.name
+
+
+# (potential, parameters, n_max, _sinc_dvr calls when the first solve ran on
+# the starting box, whether the oracle raises GridTooCoarse)
+_ORACLE_RUNS = [
+    ("morse", {"Lambda": 36.25}, None, 3, False), ("morse", {"Lambda": 20.25}, None, 3, False),
+    ("morse", {"Lambda": 6.75}, None, 6, False), ("morse", {"Lambda": 36.5}, None, 3, False),
+    ("morse", {"Lambda": 6.0}, None, 4, False), ("morse", {"Lambda": 20.5}, None, 3, False),
+    ("morse", {"Lambda": 20.0}, None, 4, False),
+    ("morse", {"De": 201.0}, None, 3, False), ("morse", {"De": 579.0}, None, 3, False),
+    ("morse", {"De": 36.0}, None, 4, False), ("morse", {"De": 204.0}, None, 3, False),
+    ("morse", {"De": 580.0}, None, 3, False), ("morse", {"De": 35.0}, None, 4, False),
+    ("morse", {"De": 203.0}, None, 3, False),
+    ("harmonic", {}, 40, 4, False), ("harmonic", {}, 60, 4, False), ("harmonic", {}, 14, 4, False),
+    ("harmonic", {}, 13, 4, False), ("harmonic", {}, 39, 4, False), ("harmonic", {}, 59, 4, False),
+    ("harmonic", {}, 300, 8, False),
+    ("rosen_morse2", {"v0": 25, "mu": 0.3}, None, 7, False),
+    ("rosen_morse2", {"v0": 228, "mu": 0.22}, None, 4, False),
+    ("rosen_morse2", {"v0": 196, "mu": 0.44}, None, 4, False),
+    ("rosen_morse2", {"v0": 121, "mu": 0.56}, None, 5, False),
+    ("rosen_morse2", {"v0": 92, "mu": 0.35}, None, 4, False),
+    ("rosen_morse2", {"v0": 52, "mu": 0.11}, None, 4, False),
+    ("rosen_morse2", {"v0": 167, "mu": 0.5}, None, 4, False),
+    ("rosen_morse2", {"v0": 153, "mu": 0.24}, None, 5, False),
+    ("rosen_morse2", {"v0": 185, "mu": 0.46}, None, 4, False),
+    ("rosen_morse2", {"v0": 212, "mu": 0.53}, None, 4, False),
+    ("rosen_morse2", {"v0": 63, "mu": 0.12}, None, 4, False),
+    ("rosen_morse2", {"v0": 25, "mu": 0.38}, None, 7, False),
+    ("rosen_morse2", {"v0": 123, "mu": 0.34}, None, 4, False),
+    ("rosen_morse2", {"v0": 147, "mu": 0.21}, None, 4, False),
+    ("rosen_morse2", {"v0": 242, "mu": 0.28}, None, 4, False),
+    ("rosen_morse2", {"v0": 88, "mu": 0.59}, None, 7, False),
+    ("rosen_morse2", {"v0": 212, "mu": 0.28}, None, 4, False),
+    ("rosen_morse2", {"v0": 39, "mu": 0.2}, None, 6, False),
+    ("rosen_morse2", {"v0": 174, "mu": 0.55}, None, 4, False),
+    ("rosen_morse2", {"v0": 137, "mu": 0.49}, None, 4, False),
+    ("rosen_morse2", {"v0": 107, "mu": 0.47}, None, 6, False),
+    ("rosen_morse2", {"v0": 231, "mu": 0.11}, None, 4, False),
+    ("rosen_morse2", {"v0": 58, "mu": 0.35}, None, 6, False),
+    ("rosen_morse2", {"v0": 103, "mu": 0.36}, None, 4, False),
+    ("rosen_morse2", {"v0": 238, "mu": 0.51}, None, 4, False),
+    ("morse", {"Lambda": 10**4}, None, 0, True), ("rosen_morse2", {"v0": 1e6, "mu": 0.5}, None, 0, True),
+    ("rosen_morse2", {"v0": 1e16, "mu": 16}, None, 8, True), ("morse", {"Lambda": 10**7}, None, 0, True),
+]
+
+
+def _count_solves(monkeypatch):
+    sizes = []
+
+    def recording(v, x, cap):
+        sizes.append(len(x))
+        return _sinc_dvr(v, x, cap)
+
+    monkeypatch.setattr(oracle, "_sinc_dvr", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("name,params,n_max,calls,raises", _ORACLE_RUNS)
+def test_fd_first_solve_is_on_the_settled_box(monkeypatch, name, params, n_max, calls, raises):
+    # the first wall round is placed from the WKB top level: the first solve
+    # is no larger than the last, no run solves more often than it did from
+    # the starting box, and every level stays within its own estimate
+    spec = WELLS[name](**params)
+    sizes = _count_solves(monkeypatch)
+    k_max = None if n_max is None else n_max + 1
+    if raises:
+        with pytest.raises(GridTooCoarse):
+            oracle_spectrum(spec, k_max=k_max)
+        assert len(sizes) <= calls
+        return
+    got = oracle_spectrum(spec, k_max=k_max)
+    assert 0 < len(sizes) <= calls
+    assert sizes[0] <= got.grid.n
+    exact = [scalar_float(st.eps) for st in bound_spectrum(spec, n_max=n_max)]
+    assert len(got.eigenvalues) == len(exact)
+    for want, level, est in zip(exact, got.eigenvalues, got.error_estimates):
+        assert abs(level - want) <= est, (want, level, est)
+
+
+# verify argvs of the README and the CLI tests, with the _sinc_dvr calls
+# of their spectrum check when its first solve ran on the starting box
+_VERIFY_SOLVES = [
+    (["--potential", "harmonic", "--n-max", "6", "--grid=-10:10:1200"], 5),
+    (["--potential", "harmonic"], 5),
+    (["--potential", "harmonic", "--n-max", "8"], 4),
+    (["--potential", "harmonic", "--n-max", "30"], 3),
+    (["--potential", "harmonic", "--n-max", "60"], 4),
+    (["--potential", "morse", "--params", "Lambda=5"], 5),
+    (["--potential", "morse", "--params", "Lambda=10", "--n-max", "2"], 4),
+    (["--potential", "morse", "--params", "Lambda=20.5"], 3),
+    (["--potential", "morse", "--params", "Lambda=3.75"], 8),
+    (["--potential", "morse", "--params", "Lambda=5.5001"], 3),
+    (["--potential", "morse", "--params", "Lambda=5.75"], 6),
+    (["--potential", "morse", "--params", "Lambda=6.75"], 6),
+    (["--potential", "morse", "--params", "De=579"], 3),
+    (["--potential", "morse", "--params", "Lambda=5", "--grid=8:12:1200"], 5),
+    (["--potential", "morse", "--params", "Lambda=5", "--grid=-14:-10:1200"], 6),
+    (["--potential", "morse", "--params", "Lambda=5", "--grid=-2:12:41"], 0),
+    (["--potential", "morse", "--params", "Lambda=5", "--grid=-1e300:1e300:1200"], 0),
+    (["--potential", "morse", "--params", "Lambda=1e7", "--n-max", "1"], 0),
+    (["--potential", "rosen-morse2", "--params", "v0=62,mu=0.35"], 7),
+    (["--potential", "rosen-morse2", "--params", "v0=4,mu=0.5"], 6),
+]
+
+
+def test_verify_first_solve_is_on_the_settled_box(monkeypatch, capsys):
+    # only the spectrum check runs the oracle
+    monkeypatch.setattr(potentials, "normalization_defect", lambda spec, st: 0.0)
+    monkeypatch.setattr(potentials, "wavefunction_residual", lambda *args: 0.0)
+    for argv, calls in _VERIFY_SOLVES:
+        sizes = _count_solves(monkeypatch)
+        main(["verify", *argv])
+        spectrum = json.loads(capsys.readouterr().out)["checks"][0]
+        assert len(sizes) <= calls, argv
+        if "basis" in spectrum:
+            assert sizes[0] <= spectrum["basis"], argv

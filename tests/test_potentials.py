@@ -21,6 +21,7 @@ from nu_spectral.errors import (
     AmbiguousBranch,
     EmptySpectrum,
     EnergyBelowRegion,
+    NoAdmissibleBranch,
     NonFiniteEnergy,
     NoScatteringRegion,
     NuSpectralError,
@@ -725,6 +726,19 @@ class TestDerivedSpectra:
                 assert pinned_branch(spec, eps).lam == closed_form_lambda(spec, eps)
         eps = Fraction(37, 3)
         assert pinned_branch(harmonic(), eps).lam == closed_form_lambda(harmonic(), eps)
+
+    def test_pinned_branch_failures_are_domain_errors(self, monkeypatch):
+        # no integrable branch, or two of them, raise as select_branch does
+        spec = morse(Lambda=5)
+        eps = eigen_eps(spec, 2)
+        branches = potentials.branch_candidates(spec.ghe, eps)
+        monkeypatch.setattr(potentials, "branch_candidates", lambda ghe, eps: [])
+        with pytest.raises(NoAdmissibleBranch):
+            pinned_branch(spec, eps)
+        monkeypatch.setattr(potentials, "branch_candidates", lambda ghe, eps: branches * 2)
+        with pytest.raises(AmbiguousBranch) as raised:
+            pinned_branch(spec, eps)
+        assert len(raised.value.branches) == 2
 
     def test_missing_level_is_rejected(self):
         spec = morse(Lambda=5)

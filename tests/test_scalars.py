@@ -342,6 +342,22 @@ def test_accurate_float_rounds_sums_that_do_not_cancel():
     assert accurate_float(F(1, 3)) == 1 / 3
 
 
+def test_accurate_float_rounds_cancelling_and_mixed_sums():
+    # each result is the correctly rounded float of the exact value
+    cases = (
+        (F(3, 7) + F(2, 5) * sqrt_fraction(11), lambda: 3 / mpmath.mpf(7) + mpmath.sqrt(11) * 2 / 5),
+        (259717522849 * sqrt_fraction(2) - 367296043199,
+         lambda: 259717522849 * mpmath.sqrt(2) - 367296043199),
+        (F(-5, 3) * sqrt_fraction(7) + F(1, 9) * sqrt_fraction(13) + 2,
+         lambda: -5 * mpmath.sqrt(7) / 3 + mpmath.sqrt(13) / 9 + 2),
+        (F(10**30, 7) * sqrt_fraction(3) - F(10**30, 4),
+         lambda: mpmath.mpf(10**30) / 7 * mpmath.sqrt(3) - mpmath.mpf(10**30) / 4),
+    )
+    for x, exact in cases:
+        with mpmath.workdps(100):
+            assert accurate_float(x) == float(exact())
+
+
 def test_pell_convergent_sign():
     p, q = 367296043199, 259717522849  # the 30th convergent of sqrt(2)
     x = q * sqrt_fraction(2) - p
