@@ -54,24 +54,45 @@ class Family(NamedTuple):
     (series_poly); eigen_lambda is their eigenvalue, declared so that the
     solve path does not build the equation per level.  The recurrence step
     only applies operators to x, so x may be Polynomial.x() or a float
-    array.  log_x_norm_const is the norm under the wells' x-measure
-    du/phi_c, exact as potentials derives phi = |tau'| (with u = s).
+    array.  growth(n, U, *floats) is a closed-form G with |A_k| + |C_k| <= G
+    for every step P_(k+1) = A_k(x) P_k - C_k P_(k-1), 1 <= k < n, and
+    |P_1| <= G, on |x| <= U; inf where no closed form is known.  Then no
+    |P_k| with k <= n exceeds max(G, 1)^n, and potentials' float recurrence
+    drops its overflow guard where that power lies far below the guard's
+    threshold: the guard cannot fire there, so no float changes.
+    log_x_norm_const is the norm under the wells' x-measure du/phi_c,
+    exact as potentials derives phi = |tau'| (with u = s).
     """
 
+    name: str
     interval: Interval
     arity: int  # how many of (alpha, beta) the family takes
     equation: object  # *exps -> (phi, psi) of the canonical equation
     eigen_lambda: object  # n, *exps -> lam_c = -n psi' - n(n-1) phi''/2
     rodrigues_factor: object  # n -> factor in front of the Rodrigues derivative
     recurrence: object  # x, *exps -> (P_1(x), step(k, P_k, P_(k-1)) = P_(k+1))
+    growth: object  # n, U, *floats -> G bounding the recurrence's step on |x| <= U
     log_norm_sq: object  # n, *floats -> log of the integral of P_n^2 w du
     log_x_norm_const: object  # n, *floats -> -log of that integral in du/phi_c
 
     def exact(self, alpha, beta):
-        return tuple(map(as_exact, (alpha, beta)[: self.arity]))
+        return tuple(map(as_exact, self._exponents(alpha, beta)))
 
     def floats(self, alpha, beta):
-        return tuple(map(scalar_float, (alpha, beta)[: self.arity]))
+        return tuple(map(scalar_float, self._exponents(alpha, beta)))
+
+    def _exponents(self, alpha, beta):
+        exps = (alpha, beta)[: self.arity]
+        for label, value in zip(("alpha", "beta"), exps):
+            if value is None:
+                raise ValueError(f"{self.name} polynomials need the exponent {label}")
+        return exps
+
+
+def check_degree(n):
+    """Raise ValueError for a negative polynomial degree."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
 
 
 def _hermite_recurrence(x):
@@ -98,6 +119,29 @@ def _jacobi_recurrence(x, a, b):
     return ((a - b) + (a + b + 2) * x) / 2, step
 
 
+# Growth bounds G >= |A_k| + |C_k| of the recurrence steps above, for
+# 1 <= k < n and |x| <= U, that also bound |P_1|.  Hermite: 2|x| + 2k.
+# Laguerre: (3k + 1 + 2|a| + U) / (k + 1).  Jacobi (a, b > -1, m = a + b):
+# with p = |a| + |b| + 2 and q = min(1, (m + 2)/2), s + 1 and s + 2 are at
+# most p (k + 1), k + m + 1 >= q (k + 1), s >= 2 q k, and
+# (k + a)(k + b) <= (p k / 2)^2; as p >= 2 and p >= |m + 2|, the two terms
+# also exceed the two of |P_1| <= (|m + 2| U + |a - b|) / 2.
+def _hermite_growth(n, u_max):
+    return 2 * u_max + 2 * n
+
+
+def _laguerre_growth(n, u_max, a):
+    return 3 + 2 * abs(a) + u_max
+
+
+def _jacobi_growth(n, u_max, a, b):
+    if not (a > -1 and b > -1):
+        return math.inf
+    p, m = abs(a) + abs(b) + 2, a + b
+    q = min(1.0, (m + 2) / 2)
+    return p * p * u_max / (2 * q) + p * (abs(a * a - b * b) + p * p) / (8 * q * q)
+
+
 def _hermite_log_norm_sq(n):
     return n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi)
 
@@ -117,36 +161,42 @@ def _jacobi_log_norm_sq(n, a, b):
     )
 
 
-FAMILIES = {
-    "hermite": Family(
+FAMILIES = {rec.name: rec for rec in (
+    Family(
+        name="hermite",
         interval=REAL_LINE,
         arity=0,
         equation=lambda: (Polynomial.of(1), Polynomial.of(0, -2)),
         eigen_lambda=lambda n: Fraction(2 * n),
         rodrigues_factor=lambda n: Fraction((-1) ** n),
         recurrence=_hermite_recurrence,
+        growth=_hermite_growth,
         log_norm_sq=_hermite_log_norm_sq,
         # phi_c = 1: the x-measure is the weighted one
         log_x_norm_const=lambda n: -_hermite_log_norm_sq(n),
     ),
-    "laguerre": Family(
+    Family(
+        name="laguerre",
         interval=HALF_LINE,
         arity=1,
         equation=lambda a: (Polynomial.x(), Polynomial.of(1 + a, -1)),
         eigen_lambda=lambda n, a: Fraction(n),
         rodrigues_factor=lambda n: Fraction(1, math.factorial(n)),
         recurrence=_laguerre_recurrence,
+        growth=_laguerre_growth,
         log_norm_sq=_laguerre_log_norm_sq,
         # u^(alpha-1) e^-u: Gamma(n+alpha+1) / (n! alpha)
         log_x_norm_const=lambda n, a: math.log(a) + math.lgamma(n + 1) - math.lgamma(n + a + 1),
     ),
-    "jacobi": Family(
+    Family(
+        name="jacobi",
         interval=UNIT_INTERVAL,
         arity=2,
         equation=lambda a, b: (Polynomial.of(1, 0, -1), Polynomial.of(b - a, -(a + b + 2))),
         eigen_lambda=lambda n, a, b: n * (n + a + b + 1),
         rodrigues_factor=lambda n: Fraction((-1) ** n, 2**n * math.factorial(n)),
         recurrence=_jacobi_recurrence,
+        growth=_jacobi_growth,
         log_norm_sq=_jacobi_log_norm_sq,
         # (1-u)^(alpha-1) (1+u)^(beta-1): 2^(alpha+beta-1) (1/alpha + 1/beta)
         # Gamma(n+alpha+1) Gamma(n+beta+1) / (n! Gamma(n+alpha+beta+1))
@@ -155,7 +205,7 @@ FAMILIES = {
             - math.lgamma(n + a + 1) - math.lgamma(n + b + 1) - math.log(1.0 / a + 1.0 / b)
         ),
     ),
-}
+)}
 
 
 def family_record(name):
@@ -272,8 +322,7 @@ def canonical_frame(phi):
 def eigen_lambda(family, n, alpha=None, beta=None):
     """Eigenvalue of the canonical equation with a degree-n polynomial
     solution, exact in the parameters."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    check_degree(n)
     rec = family_record(family)
     return rec.eigen_lambda(n, *rec.exact(alpha, beta))
 
@@ -285,6 +334,7 @@ def rodrigues_poly(family, n, alpha=None, beta=None):
     weight never has to be represented explicitly; everything stays in
     exact arithmetic.
     """
+    check_degree(n)
     rec = family_record(family)
     phi, psi = rec.equation(*rec.exact(alpha, beta))
     dphi = phi.derivative()
@@ -312,8 +362,7 @@ def series_poly(family, n, alpha=None, beta=None):
     no surd is ever inverted.  The result equals rodrigues_poly exactly.  ParameterOutOfRange where some d_k = 0: a Jacobi
     alpha + beta <= -2, at which c_n vanishes as well.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    check_degree(n)
     rec = family_record(family)
     exps = rec.exact(alpha, beta)
     phi, psi = rec.equation(*exps)
@@ -342,11 +391,13 @@ def series_poly(family, n, alpha=None, beta=None):
 def recurrence_poly(family, n, alpha=None, beta=None):
     """Same polynomial through the three-term recurrence; serves as an
     independent route for cross-checking rodrigues_poly."""
+    check_degree(n)
+    rec = family_record(family)
+    exps = rec.exact(alpha, beta)
     prev = Polynomial.of(1)
     if n == 0:
         return prev
-    rec = family_record(family)
-    cur, step = rec.recurrence(Polynomial.x(), *rec.exact(alpha, beta))
+    cur, step = rec.recurrence(Polynomial.x(), *exps)
     for k in range(1, n):
         prev, cur = cur, step(k, cur, prev)
     return cur
@@ -360,8 +411,7 @@ def norm_sq(family, n, alpha=None, beta=None):
     itself is not a finite float: it overflows, or a weight exponent at or
     below -1 makes the integral diverge.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    check_degree(n)
     rec = family_record(family)
     exps = rec.floats(alpha, beta)
     if any(not e > -1 for e in exps):

@@ -49,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classical import eigen_lambda, family_record
+from .classical import check_degree, eigen_lambda, family_record
 from .errors import (
     AmbiguousBranch,
     EmptySpectrum,
@@ -409,6 +409,9 @@ _RESCALE_AT = 2.0**500
 _RESCALE_LOG = 500.0 * math.log(2.0)
 # a sum of squares below this leaves every value below _RESCALE_AT
 _SQUARES_BELOW = 2.0**999
+# the recurrence runs unguarded where Family.growth bounds every value by
+# 2^490: at least 10 bits below _RESCALE_AT for the rounding of n steps
+_UNGUARDED_BITS = 490.0
 
 
 def recurrence_values(family, n, u, alpha=None, beta=None):
@@ -419,20 +422,44 @@ def recurrence_values(family, n, u, alpha=None, beta=None):
     Returns (m, e) with P_n(u) = m * exp(e).  Where the recurrence grows
     past 2^500 both carried terms are scaled down by that power of two and
     e records it, so any degree stays inside the float range; pass e to
-    the caller's log-weight instead of forming P_n itself.
+    the caller's log-weight instead of forming P_n itself.  The per-step
+    overflow guard runs only where the family's growth bound cannot keep
+    every value below 2^490; elsewhere it could never fire, so skipping it
+    changes no float.
     """
+    check_degree(n)
     rec = family_record(family)
-    return _scaled_recurrence(rec.recurrence, n, u, rec.floats(alpha, beta))
+    return _scaled_recurrence(rec, n, u, rec.floats(alpha, beta))
 
 
-def _scaled_recurrence(recurrence, n, u, exps):
-    """recurrence_values once the record is looked up (a sampler does it once)."""
+def _scaled_recurrence(rec, n, u, exps):
+    """recurrence_values once the record is looked up (a sampler does it once).
+
+    With U = max |u| finite and rec.growth(n, U, *exps) = G, every value is
+    at most max(G, 1)^n.  Where n log2 max(G, 1) < 490 (or n = 1) the
+    family's step runs bare, and e is zero; otherwise _guarded_recurrence
+    rescales.  Both give the same floats wherever the bound holds, since
+    the guard rescales nothing below 2^500.
+    """
     u = np.asarray(u, dtype=float)
-    e = np.zeros(u.shape)
     prev = np.ones(u.shape)
     if n == 0:
-        return prev, e
-    cur, step = recurrence(u, *exps)
+        return prev, np.zeros(u.shape)
+    cur, step = rec.recurrence(u, *exps)
+    if n > 1:  # at n = 1 no step runs, and there is nothing to guard
+        u_max = float(np.abs(u).max(initial=0.0))  # NaN for a NaN in u
+        # G < 2^(490/n) is n log2 max(G, 1) < 490; an inf or NaN G fails it
+        if not (math.isfinite(u_max) and rec.growth(n, u_max, *exps) < 2.0 ** (_UNGUARDED_BITS / n)):
+            return _guarded_recurrence(step, n, cur, prev)
+    for k in map(float, range(1, n)):
+        prev, cur = cur, step(k, cur, prev)
+    return cur, np.zeros(u.shape)
+
+
+def _guarded_recurrence(step, n, cur, prev):
+    """Steps 1..n-1 of the recurrence from (P_1, P_0), rescaling by
+    _RESCALE_AT each value that passes it; returns (m, e)."""
+    e = np.zeros(prev.shape)
     # a value past 2^512 overflows the guard's dot product to inf, which
     # fails the guard as it should: no warning for that
     with np.errstate(over="ignore"):
@@ -465,13 +492,13 @@ def _state_sampler(spec, n, canonical, chi, log_norm):
     """
     tau = spec.tau.forward
     rec = family_record(canonical.family)
-    recurrence, exps = rec.recurrence, rec.floats(canonical.alpha, canonical.beta)
+    exps = rec.floats(canonical.alpha, canonical.beta)
     scale, shift = scalar_float(canonical.scale), scalar_float(canonical.shift)
 
     def sampler(x):
         xs = np.asarray(x, dtype=float)
         s = tau(xs)
-        m, log_w = _scaled_recurrence(recurrence, n, scale * s + shift, exps)
+        m, log_w = _scaled_recurrence(rec, n, scale * s + shift, exps)
         with np.errstate(divide="ignore"):
             log_w = chi.log_value(s, np.log, _bases_at(spec.tau, xs, s), log_w + 0.5 * log_norm)
         vals = m * np.exp(log_w)

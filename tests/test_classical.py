@@ -20,7 +20,13 @@ from nu_spectral.classical import (
 from nu_spectral.errors import DoubleRootUnsupported, ParameterOutOfRange
 from nu_spectral.oracle import inner_product, norm_defect, orthogonality_defect
 from nu_spectral.polynomials import Polynomial
-from nu_spectral.potentials import eigen_eps, morse, pinned_branch, rosen_morse2
+from nu_spectral.potentials import (
+    eigen_eps,
+    morse,
+    pinned_branch,
+    recurrence_values,
+    rosen_morse2,
+)
 from nu_spectral.scalars import SurdSum, sqrt_scalar
 
 X = Polynomial.x()
@@ -505,3 +511,53 @@ class TestCanonicalPolynomial:
         assert h == 0 or isinstance(can.shift, SurdSum)
         want = series_poly("jacobi", n, can.alpha, can.beta)
         assert can.polynomial(n) == want.compose_affine(can.scale, can.shift)
+
+
+# every public way to a family polynomial, as (family, n, alpha, beta) -> value
+_ENTRY_POINTS = {
+    "eigen_lambda": eigen_lambda,
+    "rodrigues_poly": rodrigues_poly,
+    "series_poly": series_poly,
+    "recurrence_poly": recurrence_poly,
+    "norm_sq": norm_sq,
+    "recurrence_values": lambda family, n, a, b: recurrence_values(family, n, [0.5], a, b),
+    "CanonicalHde.polynomial": lambda family, n, a, b: CanonicalHde(
+        family, a, b, Fraction(1), Fraction(0), Fraction(1)
+    ).polynomial(n),
+}
+
+
+class TestBoundaryChecks:
+    """A negative degree or a missing exponent is a ValueError at every
+    entry point, never a polynomial or a TypeError from deep inside."""
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "family,a,b", [("hermite", None, None), ("laguerre", 2.5, None), ("jacobi", 0.5, 1.5)]
+    )
+    def test_negative_degree(self, entry, family, a, b):
+        for n in (-1, -4):
+            with pytest.raises(ValueError, match="degree must be nonnegative"):
+                _ENTRY_POINTS[entry](family, n, a, b)
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "family,n,a,b,missing",
+        [
+            ("laguerre", 2, None, None, "alpha"),
+            ("laguerre", 3, None, 1.5, "alpha"),
+            ("jacobi", 2, None, 1.5, "alpha"),
+            ("jacobi", 0, 0.5, None, "beta"),
+            ("jacobi", 3, None, None, "alpha"),
+        ],
+    )
+    def test_missing_exponent(self, entry, family, n, a, b, missing):
+        with pytest.raises(ValueError, match=f"{family} polynomials need the exponent {missing}"):
+            _ENTRY_POINTS[entry](family, n, a, b)
+
+    def test_valid_calls_still_run(self):
+        for entry in _ENTRY_POINTS.values():
+            for n in (0, 3):
+                entry("hermite", n, None, None)
+                entry("laguerre", n, 2.5, None)
+                entry("jacobi", n, 0.5, 1.5)

@@ -28,6 +28,7 @@ from nu_spectral.potentials import (
     normalization_defect,
     oracle_spectrum,
     rosen_morse2,
+    wavefunction_residual,
 )
 from nu_spectral.scalars import scalar_float
 
@@ -447,6 +448,38 @@ def test_wkb_edges_keep_the_bits_of_the_sweep(monkeypatch):
     monkeypatch.setattr(WkbScan, "edges", _edges_by_sweep)
     for spec, states, defects in runs:
         assert defects == [_outcome(normalization_defect, spec, st) for st in states], spec.name
+
+
+def test_deep_wells_sample_without_the_overflow_guard(monkeypatch):
+    # Family.growth shows the recurrence's overflow guard idle on every
+    # sampler call of the normalization and residual checks on these wells
+    # (and harmonic n <= 60, the deepest rational workload well), so each
+    # runs the bare recurrence; Hermite n = 400 at u = 40 passes 2^500 and
+    # keeps the guard
+    calls = {"all": 0, "guarded": 0}
+
+    def counted(key, f):
+        def spy(*args):
+            calls[key] += 1
+            return f(*args)
+
+        return spy
+
+    monkeypatch.setattr(potentials, "_scaled_recurrence",
+                        counted("all", potentials._scaled_recurrence))
+    monkeypatch.setattr(potentials, "_guarded_recurrence",
+                        counted("guarded", potentials._guarded_recurrence))
+    checks = 0
+    for spec in [WELLS[name](**params) for name, params in _DEEP_WELLS] + [harmonic()]:
+        lo, hi, _ = spec.fd_box
+        xs = [lo + (hi - lo) * (0.25 + 0.5 * k / 8.0) for k in range(9)]
+        for st in bound_spectrum(spec, n_max=60):
+            _outcome(normalization_defect, spec, st)
+            wavefunction_residual(spec, st.sampler, st.eps, xs)
+            checks += 2
+    assert checks > 400 and calls["all"] >= checks and calls["guarded"] == 0
+    m, e = potentials.recurrence_values("hermite", 400, [40.0])
+    assert calls["guarded"] == 1 and e[0] > 0
 
 
 # (potential, parameters, n_max, _sinc_dvr calls when the first solve ran on

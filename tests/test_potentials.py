@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from nu_spectral import oracle, potentials, reduction
-from nu_spectral.classical import CanonicalHde, classify_canonical, series_poly
+from nu_spectral.classical import CanonicalHde, classify_canonical, family_record, series_poly
 from nu_spectral.errors import (
     AmbiguousBranch,
     EmptySpectrum,
@@ -1087,6 +1087,142 @@ def test_nan_beside_a_rescaled_value():
     assert alone[1][0] > 0
     assert mixed[0][:1].tobytes() == alone[0].tobytes()
     assert mixed[1][:1].tobytes() == alone[1].tobytes()
+
+
+_FAMILY_NAMES = ("hermite", "laguerre", "jacobi")
+
+
+def _draw(rng, family):
+    """A seeded (n, U, alpha, beta): n <= 150, U from 0.03 to 1000 (to 10^4
+    for Laguerre, whose values pass 2^500 only far beyond its zeros), and
+    exponents from just above -1 to about 19."""
+    n = int(rng.integers(0, 151))
+    u_max = 10 ** rng.uniform(-1.5, 4.0 if family == "laguerre" else 3.0)
+    a = None if family == "hermite" else -1 + 10 ** rng.uniform(-3, 1.3)
+    b = -1 + 10 ** rng.uniform(-3, 1.3) if family == "jacobi" else None
+    return n, u_max, a, b
+
+
+def _bound_holds(family, n, u, a, b):
+    """Whether n log2 max(G, 1) < 490 for the family's growth bound G on u."""
+    rec = family_record(family)
+    g = rec.growth(n, float(np.max(np.abs(u), initial=0.0)), *rec.floats(a, b))
+    return n * math.log2(max(g, 1.0)) < potentials._UNGUARDED_BITS
+
+
+def _same_bits(got, want):
+    return all(
+        np.shape(g) == np.shape(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+class TestUnguardedRecurrence:
+    """Where Family.growth keeps every value below 2^490 the recurrence runs
+    without its overflow guard; the floats stay those of the guarded
+    reference everywhere, on both sides of the bound and where the guard
+    fires."""
+
+    def test_bit_identical_sweep(self):
+        rng = np.random.default_rng(2701)
+        kinds = {}
+        for family in _FAMILY_NAMES:
+            for _ in range(150):
+                n, u_max, a, b = _draw(rng, family)
+                u = rng.uniform(-u_max, u_max, int(rng.integers(1, 9)))
+                got = recurrence_values(family, n, u, a, b)
+                want = _recurrence_unhoisted(family, n, u, a, b)
+                assert _same_bits(got, want), (family, n, u_max, a, b)
+                if _bound_holds(family, n, u, a, b):
+                    kind = "bound holds"
+                else:
+                    kind = "guard fires" if (want[1] > 0).any() else "guard idle"
+                kinds[family, kind] = kinds.get((family, kind), 0) + 1
+        for family in _FAMILY_NAMES:
+            for kind in ("bound holds", "guard idle", "guard fires"):
+                assert kinds.get((family, kind), 0) >= 10, (family, kind, kinds)
+
+    @pytest.mark.parametrize(
+        "u",
+        [0.3, np.array(-0.7), 40.0, [], np.zeros((0, 3)), [math.nan], [math.inf, 0.3],
+         [-math.inf], [math.nan, 2.0, -math.inf], [[0.1, 0.9], [-0.4, 40.0]]],
+        ids=["float", "0-d", "far", "empty", "empty-2d", "nan", "inf", "-inf", "mixed", "2-d"],
+    )
+    @pytest.mark.parametrize(
+        "family,a,b", [("hermite", None, None), ("laguerre", 2.5, None), ("jacobi", 0.5, -0.25)]
+    )
+    def test_bit_identical_on_any_shape_and_non_finite_input(self, u, family, a, b):
+        for n in (0, 1, 2, 37, 150, 400):
+            with np.errstate(all="ignore"):  # inf - inf, and the reference's overflow
+                got = recurrence_values(family, n, u, a, b)
+                want = _recurrence_unhoisted(family, n, u, a, b)
+            assert _same_bits(got, want), n
+
+    def test_guard_fires_past_the_bound(self):
+        assert not _bound_holds("hermite", 400, [40.0], None, None)
+        got = recurrence_values("hermite", 400, [40.0, 0.5])
+        assert got[1][0] > 0
+        assert _same_bits(got, _recurrence_unhoisted("hermite", 400, [40.0, 0.5]))
+
+    def test_no_bound_outside_the_jacobi_range(self):
+        rec = family_record("jacobi")
+        for a, b in ((-1.0, 0.5), (0.5, -1.5), (math.nan, 0.0)):
+            assert rec.growth(3, 0.5, a, b) == math.inf
+            assert not _bound_holds("jacobi", 3, [0.5], a, b)
+
+    def test_bit_identical_near_the_threshold(self):
+        # low degrees at huge |u|, where the bound is nearly tight: on both
+        # sides of n log2 G = 490 the floats are the reference's, and past
+        # 2^500 the guard fires
+        fired = 0
+        for family, a, b in (("hermite", None, None), ("laguerre", 0.5, None),
+                             ("jacobi", 0.25, 0.75)):
+            for n in (2, 3, 4):
+                for bits in range(460, 540, 3):
+                    u = np.array([-(2.0 ** (bits / n)), 0.5, 2.0 ** (bits / n)])
+                    got = recurrence_values(family, n, u, a, b)
+                    assert _same_bits(got, _recurrence_unhoisted(family, n, u, a, b))
+                    fired += (got[1] > 0).any()
+        assert fired > 30
+
+    def test_growth_bounds_each_step(self):
+        # |A_k(u)| + |C_k| <= G for k < n and |P_1(u)| <= G at u = +-U (A_k
+        # is affine in u): the family's own step maps (1, 0) to A_k(u) and
+        # (0, 1) to -C_k
+        rng = np.random.default_rng(2703)
+        for family in _FAMILY_NAMES:
+            rec = family_record(family)
+            for _ in range(100):
+                n, u_max, a, b = _draw(rng, family)
+                n = max(n, 2)
+                exps = rec.floats(a, b)
+                u = np.array([-u_max, u_max])
+                p1, step = rec.recurrence(u, *exps)
+                one, zero = np.ones(2), np.zeros(2)
+                worst = max(
+                    float(np.max(np.abs(step(float(k), one, zero)) + np.abs(step(float(k), zero, one))))
+                    for k in range(1, n)
+                )
+                g = rec.growth(n, u_max, *exps)
+                assert float(np.max(np.abs(p1))) <= g and worst <= g, (family, n, u_max, a, b)
+
+    def test_growth_bounds_every_degree(self):
+        # log2 max_(k <= n) |P_k| from the guarded reference's (m, e) never
+        # exceeds n log2 max(G, 1), G the family's growth bound on |u| <= U
+        rng = np.random.default_rng(2702)
+        for family in _FAMILY_NAMES:
+            rec = family_record(family)
+            for _ in range(30):
+                n, u_max, a, b = _draw(rng, family)
+                n = max(n, 1)
+                u = np.concatenate([[-u_max, u_max], rng.uniform(-u_max, u_max, 6)])
+                g = rec.growth(n, u_max, *rec.floats(a, b))
+                peak = -math.inf
+                with np.errstate(divide="ignore"):  # a zero of P_k
+                    for k in range(n + 1):
+                        m, e = _recurrence_unhoisted(family, k, u, a, b)
+                        peak = max(peak, float(np.max(np.log2(np.abs(m)) + e / math.log(2.0))))
+                assert peak <= n * math.log2(max(g, 1.0)), (family, n, u_max, a, b)
 
 
 def _mp_norm_closed_form(family, n, a, b):
