@@ -3,7 +3,9 @@
 Subcommands:
 
   reduce  parse a one-line equation description and print every consistent
-          substitution branch plus the admissible one
+          substitution branch plus the one selected: the branch whose psi
+          decreases with its zero inside the interval, square integrability
+          breaking a tie, and the rule that decided
   solve   bound spectrum of a built-in potential, CSV or JSON
   eval    one special-function value with its series diagnostics
   verify  cross-check suite for one potential, JSON report
@@ -178,7 +180,7 @@ def _tolerances():
 
 
 def _cmd_reduce(args):
-    from .reduction import parse_ghe_text, reduce_ghe, select_branch
+    from .reduction import parse_ghe_text, reduce_ghe
 
     ghe, needs_eps = parse_ghe_text(args.ghe)
     if needs_eps and args.eps is None:
@@ -187,24 +189,9 @@ def _cmd_reduce(args):
         eps = Fraction(args.eps) if args.eps is not None else Fraction(0)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"--eps is not rational: {args.eps!r}") from None
-    result = reduce_ghe(ghe, eps, select=False)
+    result = reduce_ghe(ghe, eps)
     lo, hi = _exact_str(ghe.interval.lo), _exact_str(ghe.interval.hi)
-
-    sel_index = None
-    reason = None
-    if result.selected is not None:
-        sel_index = result.branches.index(result.selected)
-        psi = result.selected.psi
-        zero = -psi.coeff(0) / psi.coeff(1)
-        reason = (
-            f"psi slope {_exact_str(psi.coeff(1))} is negative and its zero "
-            f"{_exact_str(zero)} lies in ({lo}, {hi}); unique admissible branch"
-        )
-    else:
-        try:
-            select_branch(result.branches, ghe.interval)
-        except NuSpectralError as exc:
-            reason = f"{type(exc).__name__}: {exc}"
+    sel_index = None if result.selected is None else result.branches.index(result.selected)
     code = 0 if sel_index is not None else 3
 
     if args.format == "json":
@@ -224,7 +211,7 @@ def _cmd_reduce(args):
                 for br in result.branches
             ],
             "selected": None if sel_index is None else sel_index + 1,
-            "selection": reason,
+            "selection": result.reason,
         }
         return json.dumps(doc, indent=2) + "\n", code
 
@@ -243,9 +230,9 @@ def _cmd_reduce(args):
         lines.append(f"  chi = {_factor_str(br.chi)}")
     if sel_index is not None:
         lines.append(f"selected: branch {sel_index + 1}")
-        lines.append(f"  {reason}")
+        lines.append(f"  {result.reason}")
     else:
-        lines.append(f"selected: none ({reason})")
+        lines.append(f"selected: none ({result.reason})")
     return "\n".join(lines) + "\n", code
 
 

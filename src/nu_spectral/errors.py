@@ -33,21 +33,22 @@ class NoPerfectSquare(NuSpectralError):
 
 
 class NoAdmissibleBranch(NuSpectralError):
-    """No reduction branch satisfies the admissibility filter."""
+    """No reduction branch passes the geometric filter (psi decreasing with
+    its zero inside the interval), or, where a bound state is asked for,
+    the selected branch is not square integrable."""
 
 
 class AmbiguousBranch(NuSpectralError):
-    """More than one reduction branch satisfies the admissibility filter.
-
-    The filter conditions are necessary, not sufficient, so a tie means the
-    caller must disambiguate on physical grounds.  ``branches`` holds all
-    matches.
+    """Several reduction branches pass the geometric filter, and square
+    integrability, the tie-break, leaves none or more than one of them.
+    ``branches`` holds every branch that passed the filter.
     """
 
     def __init__(self, branches):
         self.branches = list(branches)
         super().__init__(
-            f"{len(self.branches)} branches satisfy the admissibility filter"
+            f"{len(self.branches)} branches pass the geometric filter and "
+            "square integrability does not break the tie"
         )
 
 

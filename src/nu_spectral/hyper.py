@@ -386,7 +386,9 @@ def _underflow_error(value):
 def _times_power(power, e, inner, err, what, *args):
     """The SeriesResult inner times power(e), err added to its estimate, by
     the module docstring's rule (the spacing is inf at a 0.0 from a nonzero
-    inner value); what.format(*args) names the value that overflows."""
+    inner value); what.format(*args) names the value that overflows.  Where
+    the inner estimate is 1 or more, the overflow message says so: the inner
+    value has no correct digit, and the true product may be a float."""
     try:
         p = power(e)
     except OverflowError:
@@ -400,7 +402,11 @@ def _times_power(power, e, inner, err, what, *args):
             p = math.inf
         value = p * inner.value * p
     if not cmath.isfinite(value):
-        raise SeriesOverflow(what.format(*args) + " leaves the float range")
+        message = what.format(*args) + " leaves the float range"
+        if inner.truncation_estimate >= 1.0:  # the overflow may be the lost digits'
+            message += (f", but its inner series lost its digits (truncation "
+                        f"estimate {inner.truncation_estimate:.2g})")
+        raise SeriesOverflow(message)
     trunc = inner.truncation_estimate + err
     if abs(value) < _FLOAT_MIN and inner.value:
         trunc += _underflow_error(value)

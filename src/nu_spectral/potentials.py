@@ -51,7 +51,6 @@ import numpy as np
 
 from .classical import check_degree, eigen_lambda, family_record
 from .errors import (
-    AmbiguousBranch,
     EmptySpectrum,
     EnergyBelowRegion,
     NoAdmissibleBranch,
@@ -60,7 +59,7 @@ from .errors import (
 )
 from .oracle import FdGrid, WkbScan, fd_bound_states, quad_adaptive
 from .polynomials import HALF_LINE, REAL_LINE, UNIT_INTERVAL, Interval, Polynomial
-from .reduction import EpsAffinePoly, GheProblem, _interval_probe, bound_canonical, branch_candidates
+from .reduction import EpsAffinePoly, GheProblem, _interval_probe, branch_candidates, select_branch
 from .scalars import accurate_float, as_exact, scalar_float, scalar_is_zero, scalar_sign, sqrt_scalar
 
 X = Polynomial.x()
@@ -345,27 +344,16 @@ WELLS = {"harmonic": harmonic, "morse": morse, "rosen_morse2": rosen_morse2}
 
 
 def pinned_branch(spec, eps):
-    """The physically integrable substitution branch at a concrete eps.
-
-    The geometric admissibility filter alone is ambiguous in narrow
-    parameter windows (partner branches with non-normalizable weights pass
-    it); requiring square integrability (reduction.bound_canonical)
-    resolves the choice deterministically.  NoAdmissibleBranch when no
-    branch is integrable, AmbiguousBranch when several are, as in
-    reduction.select_branch.
+    """The bound-state branch of the well at a concrete eps: the branch
+    reduction.select_branch picks, which must be square integrable.
+    NoAdmissibleBranch when the filter keeps no branch or the pick is not
+    integrable, AmbiguousBranch when integrability leaves the filter's tie.
     """
-    eps = as_exact(eps)
     ghe = spec.ghe
-    matches = [
-        br
-        for br in branch_candidates(ghe, eps)
-        if bound_canonical(ghe, br.psi) is not None
-    ]
-    if not matches:
-        raise NoAdmissibleBranch(f"{spec.name}: no integrable branch at eps={eps}")
-    if len(matches) > 1:
-        raise AmbiguousBranch(matches)
-    return matches[0]
+    branch, _ = select_branch(branch_candidates(ghe, eps), ghe)
+    if branch.canonical is None:
+        raise NoAdmissibleBranch(f"{spec.name}: the selected branch at eps={eps} is not square integrable")
+    return branch
 
 
 # -- bound spectra -------------------------------------------------------------

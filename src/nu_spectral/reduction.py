@@ -19,10 +19,11 @@ k.  Everything here is carried out over the exact surd field so the
 proportionality identity can be asserted as a polynomial zero, not a
 numerical near-zero.
 
-Branch admissibility (psi' < 0 with the root of psi inside the interval) is
-necessary, not sufficient; when several branches satisfy it the caller gets
-AmbiguousBranch and must disambiguate on integrability grounds
-(bound_canonical).
+One rule picks the branch (select_branch): the geometric filter of the NU
+book (psi' < 0 with the root of psi inside the interval) decides, and
+where it keeps several branches square integrability (bound_canonical)
+breaks the tie.  reduce_ghe reports the pick and the rule that decided it;
+potentials.pinned_branch takes the same pick and requires it integrable.
 
 Quantization runs the other way: the Nikiforov-Uvarov condition lam =
 -n psi' - n(n-1) phi''/2 fixes eps for each n.  A GheProblem's ladder
@@ -38,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .classical import canonical_frame, classify_canonical
@@ -156,9 +157,10 @@ class NuBranch:
     """One consistent substitution: u = chi * y turns the input equation
     ghe into phi y'' + psi y' + lam y = 0.
 
-    canonical is the classical form of that equation (classify_canonical)
-    on a branch Ladder.level picked, None on the others.  weight and
-    weight_tilde are solved from psi and ghe on first read."""
+    canonical is the classical form of that equation (bound_canonical) on
+    a branch that Ladder.level or select_branch picked and that is square
+    integrable, None on the others.  weight and weight_tilde are solved
+    from psi and ghe on first read."""
 
     k0: object
     pi: Polynomial
@@ -182,11 +184,15 @@ class NuBranch:
 
 @dataclass(frozen=True)
 class ReductionResult:
+    """Every substitution branch of ghe at eps, select_branch's pick (or
+    None) and its reason line, or the selection error's class and message."""
+
     ghe: GheProblem
     eps: object
     k0_values: tuple
     branches: tuple
     selected: NuBranch | None
+    reason: str
 
 
 def _interval_probe(interval):
@@ -329,7 +335,6 @@ def _candidates(ghe, eps):
     h = (ghe.phi.derivative() - ghe.psi_tilde) * Fraction(1, 2)
     branches = []
     last_err = None
-    seen = set()
     for k0 in k0s:
         p2 = base + as_exact(k0) * kc
         try:
@@ -337,12 +342,7 @@ def _candidates(ghe, eps):
         except (NoPerfectSquare, ValueError) as exc:
             last_err = exc
             continue
-        for sign in (1, -1):
-            pi = h + sign * root
-            key = (k0, tuple(pi.coeffs))
-            if key in seen:
-                continue
-            seen.add(key)
+        for pi in dict.fromkeys(h + sign * root for sign in (1, -1)):  # one where root = 0
             branches.append(_make_branch(ghe, eps, pi, k0 + pi.coeff(1)))
     if not branches:
         raise NoPerfectSquare(
@@ -388,7 +388,12 @@ def bound_canonical(ghe, psi):
     interval, and the state is square-integrable in x.  With psi_tilde =
     phi' the substitution has slope proportional to phi, so the x-measure
     is du/phi_c and the weight u^alpha e^-u or (1-u)^alpha (1+u)^beta
-    integrates against it only for positive exponents."""
+    integrates against it only for positive exponents.  Where psi_tilde !=
+    phi' the test asks that u = chi y be square integrable against rho/phi,
+    rho the input's Pearson weight ((phi rho)' = psi_tilde rho), as the
+    reduced weight is rho chi^2: the measure of the input's Sturm-Liouville
+    form when eps enters phi_tilde(0) only, not a physical norm in general,
+    so select_branch asks it only to break the geometric filter's ties."""
     if not _zero_inside(psi, ghe.interval):
         return None
     try:
@@ -544,32 +549,42 @@ def _first_failure(q, want, lo, hi=math.inf):
     return hi
 
 
-def select_branch(branches, interval):
-    """The unique branch with decreasing psi whose zero lies inside the
-    interval.  NoAdmissibleBranch / AmbiguousBranch otherwise."""
-    matches = [br for br in branches if _zero_inside(br.psi, interval)]
+def select_branch(branches, ghe):
+    """The one branch rule: (branch, reason), the pick with its canonical
+    form (bound_canonical, None where not square integrable) and the line
+    naming the rule that decided.  The geometric filter decides (psi
+    decreases, its zero inside the interval); integrability only breaks its
+    ties, so a unique geometric pick stays selected with canonical None.
+    NoAdmissibleBranch when the filter keeps no branch, AmbiguousBranch
+    when it keeps several and integrability leaves none or several."""
+    interval = ghe.interval
+    matches = [(br, bound_canonical(ghe, br.psi)) for br in branches if _zero_inside(br.psi, interval)]
     if not matches:
-        raise NoAdmissibleBranch(
-            "no branch has decreasing psi with its zero inside the interval"
-        )
-    if len(matches) > 1:
-        raise AmbiguousBranch(matches)
-    return matches[0]
+        raise NoAdmissibleBranch("no branch has decreasing psi with its zero inside the interval")
+    bound = [m for m in matches if m[1] is not None]
+    if len(matches) == 1:
+        (branch, canonical), rule = matches[0], "unique admissible branch"
+    elif len(bound) == 1:
+        (branch, canonical), rule = bound[0], f"the only square-integrable one of {len(matches)} such branches"
+    else:
+        raise AmbiguousBranch([br for br, _ in matches])
+    slope = branch.psi.coeff(1)
+    zero = -branch.psi.coeff(0) / slope
+    reason = f"psi slope {slope} is negative and its zero {zero} lies in ({interval.lo}, {interval.hi}); {rule}"
+    return replace(branch, canonical=canonical), reason
 
 
-def reduce_ghe(ghe, eps, select=True):
-    """Full reduction at a concrete eps; selection errors propagate when
-    select=True, otherwise selected is None if the filter does not pick a
-    unique branch."""
+def reduce_ghe(ghe, eps):
+    """Every substitution branch at a concrete eps, and the one
+    select_branch picks; a selection error is reported on the result, not
+    raised (NoPerfectSquare is)."""
     eps = as_exact(eps)
     k0s, branches = _candidates(ghe, eps)
-    selected = None
     try:
-        selected = select_branch(branches, ghe.interval)
-    except (NoAdmissibleBranch, AmbiguousBranch):
-        if select:
-            raise
-    return ReductionResult(ghe, eps, tuple(k0s), tuple(branches), selected)
+        selected, reason = select_branch(branches, ghe)
+    except (NoAdmissibleBranch, AmbiguousBranch) as exc:
+        selected, reason = None, f"{type(exc).__name__}: {exc}"
+    return ReductionResult(ghe, eps, tuple(k0s), tuple(branches), selected, reason)
 
 
 # ---------------------------------------------------------------------------

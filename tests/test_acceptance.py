@@ -232,9 +232,9 @@ def gate_reduction_tables():
     a0 = (kp - km) / 2
     b0 = (kp + km) / 2
     # at the exact ground energy two branches share the admissible geometry
-    # and only the boundary decay of chi separates them, so skip the generic
-    # selector and take the decay-filtered branch below
-    res = reduce_ghe(ghe, eps0, select=False)
+    # and only the boundary decay of chi separates them: reduce_ghe's
+    # integrability tie-break and pinned_branch take that branch below
+    res = reduce_ghe(ghe, eps0)
     assert set(res.k0_values) == {k_lo, k_hi}
     assert len(res.branches) == 4
     one_minus = Polynomial.of(1, -1)
@@ -257,6 +257,7 @@ def gate_reduction_tables():
             assert not factor.inv_exp_terms
         assert _branch_identity_holds(ghe, br)
     chosen = pinned_branch(spec, eps0)
+    assert chosen == res.selected
     assert chosen.lam == 0
     assert chosen.pi.coeffs == (a0, -b0)
     assert set(chosen.weight.power_terms) == {(one_minus, km), (one_plus, kp)}

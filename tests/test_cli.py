@@ -449,6 +449,18 @@ class TestEval:
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and "SeriesOverflow" in err
 
+    def test_overflow_after_lost_inner_digits_says_so(self, capsys):
+        # Pfaff's inner series returns 3.09e-3 against the true 6.57e-32, so
+        # its product with (1 - z)^52.3 overflows where the value is a float
+        # (mpmath: 4.1444821581308e282); the message names the lost digits
+        code, out, err = run(capsys, "eval", "--fn", "2f1", "--a", "-52.3", "--b", "1.7",
+                             "--c", "60.5", "--z=-1e6")
+        assert (code, out) == (3, "")
+        assert err == (
+            "nu-spectral: SeriesOverflow: 2F1 at z = -1000000.0 leaves the float range, "
+            "but its inner series lost its digits (truncation estimate 7.4e+03)\n"
+        )
+
     @pytest.mark.parametrize(
         "argv,want",
         [

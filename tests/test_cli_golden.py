@@ -1,7 +1,9 @@
 """Golden output of the README commands, and of `solve` on the other two
 wells so that every well's normalization is pinned: stdout must stay
-byte-identical.  The JSON formats of `reduce` and `solve`, one `eval` per
-special-function route and the non-oracle checks of `verify` are pinned too.
+byte-identical.  The JSON formats of `reduce` and `solve`, `reduce` at every
+level of the README's Morse equation (the benchmark's `reduce` argvs), one
+`eval` per special-function route and the non-oracle checks of `verify` are
+pinned too.
 
 The expected texts were captured from the command line before the exact
 pipeline was restructured; a change that moves any digit of an exact level,
@@ -10,7 +12,10 @@ oracle columns of `solve --with-oracle` are left out: their last digits come
 from LAPACK and may differ between machines.
 """
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +53,177 @@ branch 4:
 selected: branch 2
   psi slope -1 is negative and its zero 10 lies in (0, inf); unique admissible branch
 """
+
+# the README's equation at every Morse Lambda = 5 level, eps_n = 25 - (9/2 - n)^2:
+# the `reduce` argvs of the cli_cold benchmark workload
+MORSE_README_GHE = "phi=0,1 psi_tilde=1 phi_tilde=-25+eps,5,-1/4 interval=0,inf"
+REDUCE_MORSE_LEVELS = {
+    "19/4": REDUCE_MORSE,
+    "51/4": """\
+interval: (0, inf)
+eps: 51/4
+k0 candidates: 3/2, 17/2
+branches: 4
+branch 1:
+  k0  = 3/2
+  pi  = -7/2 + (1/2)*x
+  psi = -6 + (1)*x
+  lam = 2
+  chi = ((1)*x)^(-7/2) * exp((1/2)*x)
+branch 2:
+  k0  = 3/2
+  pi  = 7/2 + (-1/2)*x
+  psi = 8 + (-1)*x
+  lam = 1
+  chi = ((1)*x)^(7/2) * exp((-1/2)*x)
+branch 3:
+  k0  = 17/2
+  pi  = 7/2 + (1/2)*x
+  psi = 8 + (1)*x
+  lam = 9
+  chi = ((1)*x)^(7/2) * exp((1/2)*x)
+branch 4:
+  k0  = 17/2
+  pi  = -7/2 + (-1/2)*x
+  psi = -6 + (-1)*x
+  lam = 8
+  chi = ((1)*x)^(-7/2) * exp((-1/2)*x)
+selected: branch 2
+  psi slope -1 is negative and its zero 8 lies in (0, inf); unique admissible branch
+""",
+    "75/4": """\
+interval: (0, inf)
+eps: 75/4
+k0 candidates: 5/2, 15/2
+branches: 4
+branch 1:
+  k0  = 5/2
+  pi  = -5/2 + (1/2)*x
+  psi = -4 + (1)*x
+  lam = 3
+  chi = ((1)*x)^(-5/2) * exp((1/2)*x)
+branch 2:
+  k0  = 5/2
+  pi  = 5/2 + (-1/2)*x
+  psi = 6 + (-1)*x
+  lam = 2
+  chi = ((1)*x)^(5/2) * exp((-1/2)*x)
+branch 3:
+  k0  = 15/2
+  pi  = 5/2 + (1/2)*x
+  psi = 6 + (1)*x
+  lam = 8
+  chi = ((1)*x)^(5/2) * exp((1/2)*x)
+branch 4:
+  k0  = 15/2
+  pi  = -5/2 + (-1/2)*x
+  psi = -4 + (-1)*x
+  lam = 7
+  chi = ((1)*x)^(-5/2) * exp((-1/2)*x)
+selected: branch 2
+  psi slope -1 is negative and its zero 6 lies in (0, inf); unique admissible branch
+""",
+    "91/4": """\
+interval: (0, inf)
+eps: 91/4
+k0 candidates: 7/2, 13/2
+branches: 4
+branch 1:
+  k0  = 7/2
+  pi  = -3/2 + (1/2)*x
+  psi = -2 + (1)*x
+  lam = 4
+  chi = ((1)*x)^(-3/2) * exp((1/2)*x)
+branch 2:
+  k0  = 7/2
+  pi  = 3/2 + (-1/2)*x
+  psi = 4 + (-1)*x
+  lam = 3
+  chi = ((1)*x)^(3/2) * exp((-1/2)*x)
+branch 3:
+  k0  = 13/2
+  pi  = 3/2 + (1/2)*x
+  psi = 4 + (1)*x
+  lam = 7
+  chi = ((1)*x)^(3/2) * exp((1/2)*x)
+branch 4:
+  k0  = 13/2
+  pi  = -3/2 + (-1/2)*x
+  psi = -2 + (-1)*x
+  lam = 6
+  chi = ((1)*x)^(-3/2) * exp((-1/2)*x)
+selected: branch 2
+  psi slope -1 is negative and its zero 4 lies in (0, inf); unique admissible branch
+""",
+    "99/4": """\
+interval: (0, inf)
+eps: 99/4
+k0 candidates: 9/2, 11/2
+branches: 4
+branch 1:
+  k0  = 9/2
+  pi  = -1/2 + (1/2)*x
+  psi = (1)*x
+  lam = 5
+  chi = ((1)*x)^(-1/2) * exp((1/2)*x)
+branch 2:
+  k0  = 9/2
+  pi  = 1/2 + (-1/2)*x
+  psi = 2 + (-1)*x
+  lam = 4
+  chi = ((1)*x)^(1/2) * exp((-1/2)*x)
+branch 3:
+  k0  = 11/2
+  pi  = 1/2 + (1/2)*x
+  psi = 2 + (1)*x
+  lam = 6
+  chi = ((1)*x)^(1/2) * exp((1/2)*x)
+branch 4:
+  k0  = 11/2
+  pi  = -1/2 + (-1/2)*x
+  psi = (-1)*x
+  lam = 5
+  chi = ((1)*x)^(-1/2) * exp((-1/2)*x)
+selected: branch 2
+  psi slope -1 is negative and its zero 2 lies in (0, inf); unique admissible branch
+""",
+}
+
+# Morse Lambda = 15/4 at level n = 3: the geometric filter keeps branches 2
+# and 4, and square integrability breaks the tie
+REDUCE_MORSE_TIE = """\
+interval: (0, inf)
+eps: 14
+k0 candidates: 7/2, 4
+branches: 4
+branch 1:
+  k0  = 7/2
+  pi  = -1/4 + (1/2)*x
+  psi = 1/2 + (1)*x
+  lam = 4
+  chi = ((1)*x)^(-1/4) * exp((1/2)*x)
+branch 2:
+  k0  = 7/2
+  pi  = 1/4 + (-1/2)*x
+  psi = 3/2 + (-1)*x
+  lam = 3
+  chi = ((1)*x)^(1/4) * exp((-1/2)*x)
+branch 3:
+  k0  = 4
+  pi  = 1/4 + (1/2)*x
+  psi = 3/2 + (1)*x
+  lam = 9/2
+  chi = ((1)*x)^(1/4) * exp((1/2)*x)
+branch 4:
+  k0  = 4
+  pi  = -1/4 + (-1/2)*x
+  psi = 1/2 + (-1)*x
+  lam = 7/2
+  chi = ((1)*x)^(-1/4) * exp((-1/2)*x)
+selected: branch 2
+  psi slope -1 is negative and its zero 3/2 lies in (0, inf); the only square-integrable one of 2 such branches
+"""
+
 
 EVAL_HERMITE = """\
 value = 40.000000000000036
@@ -108,6 +284,39 @@ n,eps_n,E_n,norm_defect
 def test_readme_command_output_is_byte_identical(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("eps", [eps for eps in REDUCE_MORSE_LEVELS if eps != "19/4"])
+def test_reduce_at_every_morse_level_is_byte_identical(capsys, eps):
+    assert main(["reduce", MORSE_README_GHE, "--eps", eps]) == 0
+    assert capsys.readouterr().out == REDUCE_MORSE_LEVELS[eps]
+
+
+def test_reduce_tie_broken_by_integrability(capsys):
+    argv = ["reduce", "phi=0,1 psi_tilde=1 phi_tilde=-225/16+eps,15/4,-1/4 interval=0,inf",
+            "--eps", "14"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == REDUCE_MORSE_TIE
+
+
+def test_benchmark_reduce_argvs_are_pinned(monkeypatch):
+    # perfbench/inputs.py imports only the standard library; its dataclasses
+    # look their module up in sys.modules while it loads
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)
+    spec.loader.exec_module(inputs)
+    reduce_argvs = [
+        argv
+        for seed in range(1, 41)
+        for sub, argv in inputs.cli_inputs(inputs.rng_for("cli_cold", seed))
+        if sub == "reduce"
+    ]
+    assert len(reduce_argvs) == 40
+    for argv in reduce_argvs:
+        assert argv[:3] == ["reduce", MORSE_README_GHE, "--eps"] and len(argv) == 4
+        assert argv[3] in REDUCE_MORSE_LEVELS
 
 
 def _json(doc):

@@ -223,12 +223,14 @@ def test_double_root_is_one_branch(ghe):
 
 def test_ambiguous_geometric_filter_is_resolved():
     # at the ground level the geometric filter alone keeps two branches;
-    # the ladder, like the per-level derivation, binds one
+    # the ladder, like the per-level derivation, binds one, and reduce_ghe's
+    # tie-break selects that one
     spec = rosen_morse2(4, 0.5)
     br = spec.ghe.ladder.level(0)
-    with pytest.raises(AmbiguousBranch):
-        reduce_ghe(spec.ghe, br.eps)
-    assert br == quantize_reference(spec.ghe, 0)
+    res = reduce_ghe(spec.ghe, br.eps)
+    assert res.reason.endswith("; the only square-integrable one of 2 such branches")
+    assert res.selected == br == quantize_reference(spec.ghe, 0)
+    assert res.selected.canonical == br.canonical
 
 
 @pytest.mark.parametrize(

@@ -536,11 +536,13 @@ class TestDeepSamplers:
 
 
 class TestBranchPinning:
-    def test_generic_selector_ambiguous_at_reference_ground_energy(self):
+    def test_generic_selector_resolves_reference_ground_energy(self):
+        # the geometric filter keeps two branches; integrability breaks the tie
         spec = rosen_morse2(4, 0.5)
         eps0 = eigen_eps(spec, 0)
-        with pytest.raises(AmbiguousBranch):
-            reduce_ghe(spec.ghe, eps0)
+        res = reduce_ghe(spec.ghe, eps0)
+        assert res.reason.endswith("; the only square-integrable one of 2 such branches")
+        assert res.selected == pinned_branch(spec, eps0)
 
     def test_pinning_resolves_the_ambiguity(self):
         spec = rosen_morse2(4, 0.5)
@@ -551,11 +553,11 @@ class TestBranchPinning:
     def test_morse_ambiguous_window_resolved(self):
         spec = morse(Lambda=5)
         eps = Fraction(2481, 100)  # edge exponent sqrt(19)/10 < 1/2
-        with pytest.raises(AmbiguousBranch):
-            reduce_ghe(spec.ghe, eps)
+        res = reduce_ghe(spec.ghe, eps)
+        assert res.reason.endswith("; the only square-integrable one of 2 such branches")
         branch = pinned_branch(spec, eps)
         expected = Fraction(9, 2) - sqrt_scalar(Fraction(19, 100))
-        assert branch.lam == expected
+        assert branch.lam == expected and res.selected == branch
 
     def test_factory_by_name(self):
         assert WELLS["harmonic"]().name == "harmonic"

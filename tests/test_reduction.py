@@ -29,13 +29,16 @@ from nu_spectral.reduction import (
     _log_derivative_solver,
     _oriented_base,
     branch_candidates,
+    bound_canonical,
     build_p2,
     chi_from_pi,
+    parse_ghe_text,
     pearson_weight,
     reduce_ghe,
     select_branch,
 )
-from nu_spectral.scalars import SurdSum, as_exact, scalar_is_zero, sqrt_scalar
+from nu_spectral.potentials import eigen_eps, harmonic, morse, pinned_branch, rosen_morse2
+from nu_spectral.scalars import SurdSum, as_exact, scalar_is_zero, scalar_sign, sqrt_scalar
 
 X = Polynomial.x()
 
@@ -75,6 +78,18 @@ def tanh_well(v0, t):
         phi_tilde=EpsAffinePoly(const=-big_c * (shifted * shifted), linear=Polynomial.of(1)),
         interval=UNIT_INTERVAL,
     )
+
+
+def geometric_filter(branches, interval):
+    """The branches whose psi decreases with its zero inside the interval,
+    written out here apart from the selection rule."""
+    return [
+        br
+        for br in branches
+        if br.psi.degree == 1
+        and scalar_sign(br.psi.coeff(1)) < 0
+        and interval.contains(-br.psi.coeff(0) / br.psi.coeff(1))
+    ]
 
 
 def reduction_identity_defect(ghe, br):
@@ -148,13 +163,21 @@ class TestExpRadialWell:
         for br in branch_candidates(ghe, Fraction(3)):
             assert reduction_identity_defect(ghe, br).is_zero
 
-    def test_ambiguous_when_psi_roots_collide_near_threshold(self):
+    def test_integrability_breaks_the_tie_near_threshold(self):
         # shallow gap: both square-root signs give decreasing psi with a
-        # positive zero, so the geometric filter cannot decide alone
+        # positive zero, so the geometric filter cannot decide alone; the
+        # partner's edge exponent -sqrt(19)/10 is not square integrable
         ghe = exp_radial_well(25)
-        with pytest.raises(AmbiguousBranch) as exc:
-            reduce_ghe(ghe, Fraction(2481, 100))
-        assert len(exc.value.branches) == 2
+        res = reduce_ghe(ghe, Fraction(2481, 100))
+        kept = geometric_filter(res.branches, ghe.interval)
+        assert len(kept) == 2
+        assert [br for br in kept if bound_canonical(ghe, br.psi)] == [res.selected]
+        assert res.selected.lam == Fraction(9, 2) - sqrt_scalar(Fraction(19, 100))
+        assert res.selected.canonical == bound_canonical(ghe, res.selected.psi)
+        assert res.reason == (
+            "psi slope -1 is negative and its zero 1 + 1/5*sqrt(19) lies in (0, inf); "
+            "the only square-integrable one of 2 such branches"
+        )
 
     def test_no_real_reduction_above_threshold(self):
         with pytest.raises(NoPerfectSquare):
@@ -213,17 +236,25 @@ class TestTanhWell:
             rebuilt = br.weight_tilde(x) * br.chi(x) ** 2
             assert br.weight(x) == pytest.approx(rebuilt, rel=1e-12)
 
-    def test_ambiguous_in_shallow_window(self):
+    def test_integrability_breaks_the_tie_in_shallow_window(self):
         # the lower edge exponent drops below one here and the partner
-        # branch passes the decreasing/root-inside filter as well
-        with pytest.raises(AmbiguousBranch) as exc:
-            reduce_ghe(self.well(), Fraction(1))
-        assert len(exc.value.branches) == 2
+        # branch passes the decreasing/root-inside filter as well; the
+        # branch whose weight has the edge exponents kp and km is integrable
+        ghe, eps = self.well(), Fraction(1)
+        res = reduce_ghe(ghe, eps)
+        kept = geometric_filter(res.branches, ghe.interval)
+        assert len(kept) == 2
+        assert [br for br in kept if bound_canonical(ghe, br.psi)] == [res.selected]
+        km, kp = self.edges(eps)
+        assert res.selected.pi == Polynomial.of((kp - km) / 2, -(kp + km) / 2)
+        assert res.reason.endswith("; the only square-integrable one of 2 such branches")
 
-    def test_select_false_keeps_branches_on_ambiguity(self):
-        res = reduce_ghe(self.well(), Fraction(1), select=False)
-        assert res.selected is None
-        assert len(res.branches) >= 2
+    def test_tie_keeps_every_branch(self):
+        res = reduce_ghe(self.well(), Fraction(1))
+        assert len(res.branches) == 4
+        assert res.branches.index(res.selected) == 1
+        assert res.selected.canonical is not None
+        assert all(br.canonical is None for br in res.branches)
 
 
 class TestK0Degeneracies:
@@ -255,19 +286,119 @@ class TestK0Degeneracies:
 
 class TestSelection:
     def test_no_admissible_branch_off_interval(self):
+        # reduce_ghe reports the selection error instead of raising it
         ghe = GheProblem(
             phi=Polynomial.of(1),
             psi_tilde=Polynomial(),
             phi_tilde=EpsAffinePoly(const=-(X * X), linear=Polynomial.of(1)),
             interval=Interval(1, 2),
         )
-        with pytest.raises(NoAdmissibleBranch):
-            reduce_ghe(ghe, Fraction(3))
+        res = reduce_ghe(ghe, Fraction(3))
+        assert res.selected is None and len(res.branches) == 2
+        assert res.reason == (
+            "NoAdmissibleBranch: no branch has decreasing psi with its zero inside the interval"
+        )
 
     def test_root_outside_interval_not_admissible(self):
         branches = branch_candidates(parabolic_well(), Fraction(5))
         with pytest.raises(NoAdmissibleBranch):
-            select_branch(branches, Interval(5, 6))
+            select_branch(branches, replace(parabolic_well(), interval=Interval(5, 6)))
+
+    def test_tie_that_integrability_leaves_is_ambiguous(self):
+        # the integrable branch twice: a tie the rule cannot break
+        ghe = parabolic_well()
+        branches = branch_candidates(ghe, Fraction(5))
+        with pytest.raises(AmbiguousBranch) as raised:
+            select_branch(branches * 2, ghe)
+        assert len(raised.value.branches) == 2
+        assert str(raised.value) == (
+            "2 branches pass the geometric filter and square integrability does not break the tie"
+        )
+
+    def test_integrability_only_breaks_ties(self):
+        # seeded equations in the command line's one-line grammar, half with
+        # psi_tilde != phi'.  Wherever the geometric filter keeps one branch
+        # that branch is selected, integrable or not: a rule built as "filter
+        # and integrable" selects none for the non-integrable ones below
+        rng = random.Random(28)
+        frames = (  # phi, phi', interval
+            ("1", "0", "-inf,inf"), ("1", "0", "0,3"), ("0,1", "1", "0,inf"),
+            ("0,-1", "-1", "-inf,0"), ("0,0,1", "0,2", "0,inf"), ("1,0,-1", "0,-2", "-1,1"),
+            ("0,1,-1", "1,-2", "0,1"),
+        )
+
+        def q():
+            return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 4)))
+
+        unique = non_integrable = non_integrable_tilde = ties = 0
+        for _ in range(400):
+            phi, dphi, interval = rng.choice(frames)
+            psi_tilde = dphi if rng.random() < 0.5 else f"{q()},{q()}"
+            ghe, _ = parse_ghe_text(
+                f"phi={phi} psi_tilde={psi_tilde} phi_tilde={q()}+eps,{q()},{q()} interval={interval}"
+            )
+            try:
+                res = reduce_ghe(ghe, q())
+            except NoPerfectSquare:
+                continue
+            kept = geometric_filter(res.branches, ghe.interval)
+            if len(kept) != 1:
+                ties += len(kept) > 1
+                continue
+            unique += 1
+            assert res.selected == kept[0]
+            assert res.reason.endswith("; unique admissible branch")
+            if bound_canonical(ghe, kept[0].psi) is None:
+                assert res.selected.canonical is None
+                non_integrable += 1
+                non_integrable_tilde += psi_tilde != dphi
+        assert unique >= 100 and ties >= 1
+        assert non_integrable >= 5 and non_integrable_tilde >= 1
+
+
+def test_one_rule_on_seeded_wells():
+    # 31 seeded wells, at every ladder level n <= 7 and at six rationals
+    # between v_min and the lower plateau (for the harmonic well, eps_8).
+    # The rule leaves no tie, picks the ladder's branch at a level, keeps
+    # every pick the geometric filter made alone, and is pinned_branch's pick
+    rng = random.Random(7)
+    wells = [harmonic()]
+    wells += [morse(Lambda=Fraction(rng.randrange(3, 41), 4)) for _ in range(15)]
+    wells += [rosen_morse2(rng.randint(2, 30), round(rng.uniform(0.1, 0.8), 2)) for _ in range(15)]
+    levels = ties = no_square = 0
+    for spec in wells:
+        ghe = spec.ghe
+        energies = []
+        for n in range(8):
+            br = ghe.ladder.level(n)
+            if br is None:
+                break
+            energies.append((br, br.eps))
+        top = spec.plateaus[0] if spec.plateaus else eigen_eps(spec, 8)
+        lo, hi = float(spec.v_min), float(top)
+        for _ in range(6):
+            eps = Fraction(lo + (hi - lo) * rng.uniform(0.01, 0.99)).limit_denominator(1000)
+            assert scalar_sign(eps - spec.v_min) > 0 and scalar_sign(top - eps) > 0
+            energies.append((None, eps))
+        for level, eps in energies:
+            try:
+                res = reduce_ghe(ghe, eps)
+            except NoPerfectSquare:  # the denesting defect: it must raise alike
+                no_square += 1
+                with pytest.raises(NoPerfectSquare):
+                    pinned_branch(spec, eps)
+                continue
+            assert res.selected is not None, res.reason
+            kept = geometric_filter(res.branches, ghe.interval)
+            if len(kept) == 1:
+                assert res.selected == kept[0]
+            ties += len(kept) > 1
+            if level is not None:
+                levels += 1
+                assert res.selected == level and res.selected.canonical == level.canonical
+            pinned = pinned_branch(spec, eps)
+            assert pinned == res.selected and pinned.canonical == res.selected.canonical
+    assert (levels, ties, no_square) == (99, 51, 0)
 
 
 def log_deriv_from_terms(f, x):
@@ -339,7 +470,7 @@ class TestLazyWeights:
 
     @pytest.mark.parametrize("ghe,eps", CASES, ids=["parabolic", "exp25", "exp25-surd", "tanh", "psi_tilde-2"])
     def test_weights_equal_the_eager_solutions(self, ghe, eps):
-        res = reduce_ghe(ghe, eps, select=False)
+        res = reduce_ghe(ghe, eps)
         assert res.branches
         for br in res.branches:
             assert "weight" not in vars(br) and "weight_tilde" not in vars(br)
