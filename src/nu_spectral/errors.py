@@ -54,7 +54,8 @@ class AmbiguousBranch(NuSpectralError):
 
 class DoubleRootUnsupported(NuSpectralError):
     """Canonical classification does not cover a double-root leading
-    coefficient (the equation is confluent, not hypergeometric)."""
+    coefficient (the equation is confluent, not hypergeometric), nor a
+    quadratic one with no real root, whose chi would need an arctan factor."""
 
 
 class ParameterOutOfRange(NuSpectralError):

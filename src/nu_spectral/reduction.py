@@ -284,13 +284,21 @@ def _log_derivative_solver(phi, interval):
     for every p.  A simple root r gets the residue p(r)/phi'(r) as its
     exponent and the polynomial part of p/phi (p/f0, or p1/f1 for linear
     phi) integrates into exp_poly; a double root gives base^(p1/f2) times
-    exp(-p(r)/(f2 (x - r))).  Zero exponents are dropped."""
+    exp(-p(r)/(f2 (x - r))).  Zero exponents are dropped.  A quadratic phi
+    with no real root raises DoubleRootUnsupported: f would need an arctan
+    factor, which a FactorizedFunction cannot hold."""
     def nonzero(terms):
         return tuple((at, e) for at, e in terms if not scalar_is_zero(e))
 
     d = phi.degree
     lead = phi.coeff(d)
-    if d == 2 and scalar_is_zero(quad_discriminant(phi)):
+    disc_sign = scalar_sign(quad_discriminant(phi)) if d == 2 else 1
+    if disc_sign < 0:
+        raise DoubleRootUnsupported(
+            "phi has no real root (negative discriminant): chi would need an "
+            "arctan factor, which a FactorizedFunction cannot hold"
+        )
+    if disc_sign == 0:
         r = quad_roots(phi)[0]
         base = _oriented_base(r, interval)
         return lambda p: FactorizedFunction(

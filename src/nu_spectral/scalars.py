@@ -10,8 +10,17 @@ with rational coefficients ``q_i`` and positive integer radicands ``d_i``
 (``d = 1`` is the rational part).  Radicands are canonicalized by pulling
 out square factors, so arithmetic closes over a small, consistent set of
 radicals.  Sums, products and exact division all stay in the field; division
-works by closing the radicand set multiplicatively and solving a small
-rational linear system, which avoids any reliance on integer factorization.
+by one radical uses the conjugate, and by several works by closing the
+radicand set multiplicatively and solving a small rational linear system,
+which avoids any reliance on integer factorization.
+
+The coefficients share one denominator: a SurdSum stores an integer
+numerator per radicand over one positive denominator, in lowest terms.
+Sums, products, scaling and the one-radical inverse run on those ints with
+one gcd per result instead of one Fraction per coefficient, equality
+compares an int and a dict, and the exact sign and accurate_float bracket
+the numerators over the stored denominator.  The public views (terms(),
+repr, float(), hash) are those of the reduced Fraction of each radicand.
 
 Floats passed into the algebra contaminate: the result degrades to float.
 Exactness is preserved by rationalizing inputs (``Fraction(x)`` on a float
@@ -100,6 +109,14 @@ def _core_product(d1, d2):
     return g, m
 
 
+def _over_lcm(t):
+    """(numerators, lcm) of the Fractions t over the lcm of their
+    denominators.  No prime divides that lcm and every numerator, so the
+    pair is already in lowest terms."""
+    d = math.lcm(*(q.denominator for q in t.values()))
+    return {core: q.numerator * (d // q.denominator) for core, q in t.items()}, d
+
+
 def sqrt_fraction(q):
     """Exact square root of a nonnegative Fraction/int.
 
@@ -114,10 +131,10 @@ def sqrt_fraction(q):
     # sqrt(p/r) = sqrt(p*r) / r
     m = q.numerator * q.denominator
     out, core = _square_free(m)
-    coeff = Fraction(out, q.denominator)
     if core == 1:
-        return coeff
-    return SurdSum._raw({core: coeff})
+        return Fraction(out, q.denominator)
+    g = math.gcd(out, q.denominator)
+    return SurdSum._raw({core: out // g}, q.denominator // g)
 
 
 class SurdSum:
@@ -125,9 +142,16 @@ class SurdSum:
 
     Immutable.  Instances always contain at least one irrational term;
     arithmetic that collapses to a rational returns a plain Fraction.
+
+    Stored as integer numerators, one per radicand in the order the terms
+    arose, over one positive common denominator, in lowest terms: no prime
+    divides the denominator and every numerator.  That form is canonical,
+    so equal values with equal radicand keys store equal ints, and every
+    operation runs on ints with one gcd per result.  terms() gives the
+    reduced Fraction of each radicand.
     """
 
-    __slots__ = ("_t",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, terms):
         t = {}
@@ -137,38 +161,48 @@ class SurdSum:
                 t[core] = coeff
         if not any(core != 1 for core in t):
             raise ValueError("SurdSum must carry an irrational term; use Fraction")
-        self._t = t
+        self._n, self._d = _over_lcm(t)
 
     @classmethod
-    def _raw(cls, t):
-        """Wrap t as it stands: canonical radicands mapped to nonzero
-        Fractions, at least one of them irrational.  The arithmetic below
-        builds its results in that form, so they skip the checks of the
-        public constructor."""
+    def _raw(cls, n, d):
+        """Wrap the numerators n over the denominator d as they stand:
+        canonical radicands mapped to nonzero ints, at least one of them
+        irrational, over d > 0 in lowest terms.  The arithmetic below builds
+        its results in that form, so they skip the checks of the public
+        constructor."""
         obj = object.__new__(cls)
-        obj._t = t
+        obj._n = n
+        obj._d = d
         return obj
 
     @staticmethod
-    def _wrap(terms):
-        """Build a SurdSum from Fraction terms, or collapse to a Fraction
-        if all radicals cancel."""
-        t = {core: c for core, c in terms.items() if c}
-        if not t:
-            return Fraction(0)
-        if len(t) == 1 and 1 in t:
-            return t[1]
-        return SurdSum._raw(t)
+    def _reduced(n, d):
+        """The value of the numerators n over d > 0, in lowest terms: a
+        SurdSum, or a Fraction if all radicals cancel."""
+        if 0 in n.values():
+            n = {core: v for core, v in n.items() if v}
+            if not n:
+                return Fraction(0)
+        if len(n) == 1 and 1 in n:
+            return Fraction(n[1], d)
+        g = math.gcd(d, *n.values())
+        if g != 1:
+            n = {core: v // g for core, v in n.items()}
+            d //= g
+        return SurdSum._raw(n, d)
 
     # -- views ---------------------------------------------------------
 
     def terms(self):
-        return dict(self._t)
+        d = self._d
+        return {core: Fraction(v, d) for core, v in self._n.items()}
 
     def __float__(self):
+        # v / d rounds correctly, as float() of the term's Fraction does
+        d = self._d
         total = 0.0
-        for core, coeff in self._t.items():
-            total += float(coeff) * (1.0 if core == 1 else _sqrt_int_float(core))
+        for core, v in self._n.items():
+            total += v / d * (1.0 if core == 1 else _sqrt_int_float(core))
         return total
 
     def __complex__(self):
@@ -176,16 +210,33 @@ class SurdSum:
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            t = dict(self._t)
-            t[1] = t.get(1, Fraction(0)) + other
-            return SurdSum._wrap(t)
+    def _plus(self, other, sign):
+        """self + sign * other for an int, Fraction or SurdSum other, over
+        the lcm of the two denominators."""
+        d = self._d
         if isinstance(other, SurdSum):
-            t = dict(self._t)
-            for core, c in other._t.items():
-                t[core] = t.get(core, Fraction(0)) + c
-            return SurdSum._wrap(t)
+            n2, d2 = other._n, other._d
+        elif other.denominator == 1:
+            # n_1 + p d shares with d what n_1 does, so no gcd is needed
+            n = dict(self._n)
+            v = n.get(1, 0) + sign * other.numerator * d
+            if v:
+                n[1] = v
+            else:
+                n.pop(1, None)
+            return SurdSum._raw(n, d)
+        else:
+            n2, d2 = {1: other.numerator}, other.denominator
+        g = math.gcd(d, d2)
+        s1, s2 = d2 // g, sign * (d // g)
+        n = {core: v * s1 for core, v in self._n.items()}
+        for core, v in n2.items():
+            n[core] = n.get(core, 0) + v * s2
+        return SurdSum._reduced(n, d * s1)
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction, SurdSum)):
+            return self._plus(other, 1)
         if isinstance(other, float):
             return float(self) + other
         if isinstance(other, complex):
@@ -195,26 +246,41 @@ class SurdSum:
     __radd__ = __add__
 
     def __neg__(self):
-        return SurdSum._raw({c: -v for c, v in self._t.items()})
+        return SurdSum._raw({c: -v for c, v in self._n.items()}, self._d)
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction, SurdSum)):
+            return self._plus(other, -1)
         return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
+    def _scaled(self, p, q):
+        """self * p / q for coprime ints p and q > 0.  With g = gcd(p, d) and
+        h = gcd(q, numerators) divided out, the result is in lowest terms."""
+        if not p:
+            return Fraction(0)
+        n, d = self._n, self._d
+        g = math.gcd(p, d)
+        h = math.gcd(q, *n.values()) if q != 1 else 1
+        p //= g
+        return SurdSum._raw({core: v // h * p for core, v in n.items()}, d // g * (q // h))
+
+    def _times(self, other):
+        """The numerators and denominator of self * other, not reduced."""
+        n = {}
+        for d1, q1 in self._n.items():
+            for d2, q2 in other._n.items():
+                mult, core = _core_product(d1, d2)
+                n[core] = n.get(core, 0) + q1 * q2 * mult
+        return n, self._d * other._d
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Fraction(0)
-            return SurdSum._raw({c: v * other for c, v in self._t.items()})
         if isinstance(other, SurdSum):
-            t = {}
-            for d1, q1 in self._t.items():
-                for d2, q2 in other._t.items():
-                    mult, core = _core_product(d1, d2)
-                    t[core] = t.get(core, Fraction(0)) + q1 * q2 * mult
-            return SurdSum._wrap(t)
+            return SurdSum._reduced(*self._times(other))
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
         if isinstance(other, float):
             return float(self) * other
         if isinstance(other, complex):
@@ -238,24 +304,33 @@ class SurdSum:
     def inverse(self):
         """Exact multiplicative inverse.
 
-        With one radical, 1/(a + b sqrt(d)) = (a - b sqrt(d)) / (a^2 - b^2 d);
-        with more, closes the radicand set under products and solves
-        Y * X = 1 as a rational linear system over that basis.
+        With one radical, 1/(a + b sqrt(c)) = (a - b sqrt(c)) / (a^2 - b^2 c),
+        which over the numerators a, b and the denominator d is
+        d (a - b sqrt(c)) / (a^2 - b^2 c); with more, closes the radicand
+        set under products and solves Y * X = 1 as a rational linear system
+        over that basis.
         """
-        cores = sorted(self._t)
+        n, d = self._n, self._d
+        cores = sorted(n)
         if len(cores) == 1 or (len(cores) == 2 and cores[0] == 1):
-            d = cores[-1]
-            a, b = self._t.get(1, Fraction(0)), self._t[d]
-            norm = a * a - b * b * d  # nonzero: a core is never a perfect square
-            inv = SurdSum._wrap({1: a / norm, d: -b / norm})
+            c = cores[-1]
+            a, b = n.get(1, 0), n[c]
+            norm = a * a - b * b * c  # nonzero: a core is never a perfect square
+            if norm < 0:
+                norm, d = -norm, -d
+            inv = SurdSum._reduced({1: a * d, c: -b * d}, norm)
+            prod, den = self._times(inv)
+            one = prod.pop(1, 0) == den and not any(prod.values())
         else:
             inv = self._basis_inverse()
-        if self * inv != 1:
+            one = self * inv == 1
+        if not one:
             raise ArithmeticError("inverse verification failed")
         return inv
 
     def _basis_inverse(self):
-        basis = set(self._t) | {1}
+        t = self.terms()
+        basis = set(t) | {1}
         changed = True
         while changed:
             changed = False
@@ -272,20 +347,21 @@ class SurdSum:
         n = len(blist)
         # column j holds self * sqrt(blist[j]) expanded over the basis
         mat = [[Fraction(0)] * n for _ in range(n)]
-        for d1, q1 in self._t.items():
+        for d1, q1 in t.items():
             for j, d2 in enumerate(blist):
                 mult, core = _core_product(d1, d2)
                 mat[index[core]][j] += q1 * mult
         rhs = [Fraction(0)] * n
         rhs[index[1]] = Fraction(1)
         x = _solve_fraction_system(mat, rhs)
-        return SurdSum._wrap({blist[j]: x[j] for j in range(n)})
+        return SurdSum._reduced(*_over_lcm({blist[j]: x[j] for j in range(n)}))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
+            p, q = other.numerator, other.denominator
+            if p == 0:
                 raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
+            return self._scaled(q, p) if p > 0 else self._scaled(-q, -p)
         if isinstance(other, SurdSum):
             return self * other.inverse()
         if isinstance(other, float):
@@ -307,7 +383,7 @@ class SurdSum:
 
     def __eq__(self, other):
         if isinstance(other, SurdSum):
-            return self._t == other._t
+            return self._d == other._d and self._n == other._n
         if isinstance(other, (int, Fraction)):
             return False  # invariant: never purely rational
         if isinstance(other, (float, complex)):
@@ -315,10 +391,10 @@ class SurdSum:
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(sorted(self._t.items())))
+        return hash(tuple(sorted(self.terms().items())))
 
     def __abs__(self):
-        return self if _surd_sign(self._t) > 0 else -self
+        return self if _surd_sign(self) > 0 else -self
 
     def __bool__(self):
         return True  # never the zero element
@@ -350,8 +426,8 @@ class SurdSum:
 
     def __repr__(self):
         parts = []
-        for core in sorted(self._t):
-            q = self._t[core]
+        for core in sorted(self._n):
+            q = Fraction(self._n[core], self._d)
             if core == 1:
                 s = str(q)
             elif q == 1:
@@ -402,7 +478,7 @@ def scalar_sign(x):
     """Sign of an exact or float scalar: -1, 0, or 1.  Exact for Fractions
     and SurdSums, whatever their float value rounds to."""
     if isinstance(x, SurdSum):
-        return _surd_sign(x._t)
+        return _surd_sign(x)
     if x == 0:
         return 0
     if isinstance(x, complex):
@@ -415,34 +491,34 @@ _SIGN_BITS = 64
 _SIGN_MAX_BITS = 1 << 14
 
 
-def _float_sum(t):
-    """The float sum of q * sqrt(d) over the terms t and a bound on its
-    rounding error: each term carries at most four roundings and the
-    running sum one per term, all relative to the sum of the terms'
+def _float_sum(x):
+    """The float sum of q * sqrt(d) over the terms of the SurdSum x and a
+    bound on its rounding error: each term carries at most four roundings
+    and the running sum one per term, all relative to the sum of the terms'
     magnitudes, plus an absolute allowance for subnormals.  A coefficient
     past the float range gives a nan sum."""
     approx = size = 0.0
+    den = x._d
     try:
-        for core, coeff in t.items():
-            term = float(coeff) * (1.0 if core == 1 else _sqrt_int_float(core))
+        for core, c in x._n.items():
+            term = c / den * (1.0 if core == 1 else _sqrt_int_float(core))
             approx += term
             size += abs(term)
     except OverflowError:
         approx = math.nan
-    return approx, (len(t) + 3) * 2.0**-52 * size + 2.0**-1000
+    return approx, (len(x._n) + 3) * 2.0**-52 * size + 2.0**-1000
 
 
-def _brackets(t):
-    """Integer brackets (lo, hi, scale), lo <= scale * sum <= hi, of the sum
-    of q * sqrt(d) over the terms t, at doubling precision: over a common
-    denominator, isqrt(d * 4^k) <= sqrt(d) 2^k < that + 1 of every radical,
-    for k from _SIGN_BITS to _SIGN_MAX_BITS."""
-    den = math.lcm(*(q.denominator for q in t.values()))
-    ints = [(core, q.numerator * (den // q.denominator)) for core, q in t.items()]
+def _brackets(x):
+    """Integer brackets (lo, hi, scale), lo <= scale * x <= hi, of the
+    SurdSum x at doubling precision: over its stored denominator,
+    isqrt(d * 4^k) <= sqrt(d) 2^k < that + 1 of every radical, for k from
+    _SIGN_BITS to _SIGN_MAX_BITS."""
+    den = x._d
     bits = _SIGN_BITS
     while bits <= _SIGN_MAX_BITS:
         lo = hi = 0
-        for core, c in ints:
+        for core, c in x._n.items():
             if core == 1:
                 lo += c << bits
                 hi += c << bits
@@ -454,8 +530,8 @@ def _brackets(t):
         bits *= 2
 
 
-def _surd_sign(t):
-    """Sign, -1 or 1, of the sum of q * sqrt(d) over the terms t.
+def _surd_sign(x):
+    """Sign, -1 or 1, of the SurdSum x.
 
     The float sum decides when it clears the bound on its own rounding
     error (_float_sum); otherwise the integer brackets of _brackets are
@@ -464,16 +540,16 @@ def _surd_sign(t):
     square of a prime past the trial bound, as in sqrt(2 * 1009^2) - 1009
     sqrt(2)), or closer to one than that, and raises ArithmeticError.
     """
-    approx, err = _float_sum(t)
+    approx, err = _float_sum(x)
     if abs(approx) > err:
         return 1 if approx > 0 else -1
-    for lo, hi, _ in _brackets(t):
+    for lo, hi, _ in _brackets(x):
         if lo > 0:
             return 1
         if hi < 0:
             return -1
     raise ArithmeticError(
-        f"sign of {SurdSum._raw(t)!r} undecided at {_SIGN_MAX_BITS} bits: a zero "
+        f"sign of {x!r} undecided at {_SIGN_MAX_BITS} bits: a zero "
         "hidden by radicands that carry a square, or closer to zero than that"
     )
 
@@ -486,7 +562,7 @@ def accurate_float(x):
     through scalar_float."""
     if not isinstance(x, SurdSum):
         return scalar_float(x)
-    for lo, hi, scale in _brackets(x._t):
+    for lo, hi, scale in _brackets(x):
         if (hi - lo) << 54 <= min(abs(lo), abs(hi)):
             return (lo + hi) / (2 * scale)  # int / int rounds correctly, as float(Fraction) does
     raise ArithmeticError(f"{x!r} is too close to zero to evaluate")
@@ -531,7 +607,7 @@ def sqrt_scalar(x):
             raise ValueError("sqrt of a pure radical term leaves the field")
         u, w = t[1], cores[1]
         v = t[w]
-        if _surd_sign(t) < 0:
+        if _surd_sign(x) < 0:
             raise ValueError("square root of a negative scalar")
         disc = u * u - v * v * w
         if disc < 0:

@@ -461,6 +461,19 @@ class TestEval:
             "but its inner series lost its digits (truncation estimate 7.4e+03)\n"
         )
 
+    def test_phi_without_a_real_root_names_the_cause(self, capsys):
+        # phi = 1 + x^2 does not vanish on the line, but chi'/chi = pi/phi
+        # integrates to an arctan, which no reduction can hold
+        code, out, err = run(capsys, "reduce",
+                             "phi=1,0,1 psi_tilde=0,2 phi_tilde=eps,0,-1 interval=-inf,inf",
+                             "--eps", "1")
+        assert (code, out) == (3, "")
+        assert err == (
+            "nu-spectral: DoubleRootUnsupported: phi has no real root (negative "
+            "discriminant): chi would need an arctan factor, which a "
+            "FactorizedFunction cannot hold\n"
+        )
+
     @pytest.mark.parametrize(
         "argv,want",
         [
