@@ -47,14 +47,18 @@ reflection formula; the reciprocal variant returns exactly 0.0 at poles so
 degenerate prefactors annihilate terms instead of raising.  Past gamma's
 float range (real argument above ~171.6) both raise SeriesOverflow; a
 regularized series whose 1/gamma(c + n) gets there, at real c > 0, is the
-plain series over gamma(c), taken in logs, and so is the far-left 1F1's
-gamma(c)/gamma(c-a) x^-a at real c > 0 and c - a > 0.
+plain series times 1/gamma(c).
 
-A power in front of a series ((1-z)^-a, e^z, (1-z)^(c-a-b), x^-a, z^-a)
-follows one rule: the plain product where the power is a normal float,
-else its half on each side of the rest; SeriesOverflow where the product
-leaves the float range, and below the normal range the float spacing over
-the value added to the truncation estimate.
+The factors in front of a series (the powers (1-z)^-a, e^z, (1-z)^(c-a-b),
+x^-a, z^-a and 2^nu, and the gammas of 15.8.4, 15.8.10, the far-left 1F1,
+that regularized series and limit_2f1_at_1) follow one rule, in
+_times_power: the float product, in each route's order, where every
+partial product is a normal float; else the factors from the right, a
+power out of range as its half on each side of the rest; where a gamma is
+past the float range or a step of that leaves the normal range, the
+product in logs at real arguments.  SeriesOverflow where the product
+leaves the float range; below the normal range the float spacing over the
+value joins the estimate.
 
 .. [dlmf] NIST Digital Library of Mathematical Functions, chapters 5, 13, 15.
 .. [gst] A. Gil, J. Segura, N. M. Temme, Numerical Methods for Special
@@ -67,7 +71,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import MaxTermsExceeded, PoleAtNonPositiveInteger, SeriesOverflow
+from .errors import MaxTermsExceeded, NuSpectralError, PoleAtNonPositiveInteger, SeriesOverflow
 
 SERIES_TOL = 1e-13
 MAX_TERMS = 10000
@@ -227,11 +231,10 @@ def gamma_fn(z):
 
 def rgamma(z):
     """1/gamma(z); exactly 0.0 at the poles."""
-    z = _number(z)
-    if is_nonpositive_integer(z):
+    try:
+        return 1.0 / gamma_fn(z)
+    except PoleAtNonPositiveInteger:
         return 0.0
-    g = gamma_fn(z)
-    return 1.0 / g
 
 
 def pochhammer(a, n):
@@ -345,36 +348,18 @@ def _sum_series(uppers, c, z, regularized, what):
 
 def _regularized_in_logs(uppers, c, z, what):
     """The regularized series at real c > 0 where 1/gamma(c + n) leaves the
-    float range: the plain series S times 1/gamma(c), formed as
-    exp(ln|S| - lgamma(c)), so no term underflows on its way.
-
-    The estimate adds the rounding of that exponent (lgamma's
-    _LGAMMA_ULPS |lgamma(c)| + _LGAMMA_ABS_ULPS units among it) and of exp,
-    the rounding of the n terms of S (2^-53 n sum |t| / |S|) and, below the
-    normal range, the subnormal spacing over the value.  Where the terms
-    cancel by more than _CANCEL_MAX, or the value leaves the float range
-    (0.0 included), it raises SeriesOverflow, as 1/gamma(c + n) did.
-    """
+    float range: the plain series S times 1/gamma(c), by _times_power, with
+    the rounding of S's n terms (2^-53 n sum |t| / |S|) in the estimate.
+    SeriesOverflow where the terms cancel by more than _CANCEL_MAX."""
     res, mass = _sum_series(uppers, c, z, False, what)
     total = res.value
     if not total:
         return res, 0.0
     if mass > _CANCEL_MAX * abs(total):
         raise SeriesOverflow(f"regularized {what} past gamma's float range cancels by {mass / abs(total):.1e}")
-    lg = math.lgamma(c)
-    log_size = math.log(abs(total))
-    try:
-        scale = math.exp(log_size - lg)  # |S| / gamma(c)
-    except OverflowError:
-        scale = math.inf
-    if not 0.0 < scale < math.inf:
-        raise SeriesOverflow(f"regularized {what} leaves the float range")
-    value = total / abs(total) * scale
-    err = _UNIT_ROUNDOFF * (_LGAMMA_ULPS * abs(lg) + _LGAMMA_ABS_ULPS + abs(log_size)
-                            + abs(log_size - lg) + 1.0 + res.terms_used * mass / abs(total))
-    if scale < _FLOAT_MIN:
-        err += _underflow_error(value)
-    return SeriesResult(value, res.terms_used, res.truncation_estimate + err), mass / abs(total) * scale
+    trunc = res.truncation_estimate + _UNIT_ROUNDOFF * res.terms_used * mass / abs(total)
+    out = _times_power(total, res.terms_used, trunc, ((rgamma, c),), f"regularized {what}")
+    return out, mass / abs(total) * abs(out.value)
 
 
 def _underflow_error(value):
@@ -383,34 +368,89 @@ def _underflow_error(value):
     return _SUBNORMAL_SPACING / abs(value) if value else math.inf
 
 
-def _times_power(power, e, inner, err, what, *args):
-    """The SeriesResult inner times power(e), err added to its estimate, by
-    the module docstring's rule (the spacing is inf at a 0.0 from a nonzero
-    inner value); what.format(*args) names the value that overflows.  Where
-    the inner estimate is 1 or more, the overflow message says so: the inner
-    value has no correct digit, and the true product may be a float."""
-    try:
-        p = power(e)
-    except OverflowError:
-        p = math.inf
-    if _FLOAT_MIN <= abs(p) < math.inf:
-        value = p * inner.value
-    else:  # half of it on each side of the value
+def _times_power(value, terms_used, trunc, factors, what, *args):
+    """The SeriesResult of value, a sum of terms_used terms whose estimate
+    (the route's own error included) is trunc, times its factors, by the
+    module docstring's rule; what.format(*args) names the value that
+    overflows.  A factor (f, x) is gamma_fn(x), rgamma(x), e^x (f is
+    math.exp or cmath.exp) or the power f ** x of a positive float f.
+
+    The float forms add each gamma's _gamma_error to the estimate; at a pole
+    of rgamma the product is its exact 0.0.  In logs, exp(L) with L the sum
+    of ln|value|, the x ln f and the lgammas (gamma's sign from reflection
+    below 0), the estimate adds in units of 2^-53: per gamma, lgamma's error
+    (_LGAMMA_ULPS |lgamma| + _LGAMMA_ABS_ULPS, below 1/2 the reflection's
+    2|x| / |x - n|, n the nearest integer) and |x psi(x)| for the rounding
+    of an x that a route formed; per power 2|x ln f|; |ln|value||, each
+    partial sum of L and 1 for exp.  A value below the normal range adds
+    the float spacing over it (inf at a 0.0 from a nonzero value); in logs
+    a 0.0 raises SeriesOverflow, as does a product past the float range,
+    whose message says where the inner estimate is 1 or more (the value
+    has no correct digit, and the true product may be a float)."""
+    gs, err, head, out = [], 0.0, 1.0, None
+    for f, x in factors:  # each factor once, its float product in the route's order
+        if f is gamma_fn or f is rgamma:
+            err += _gamma_error(x)
         try:
-            p = power(0.5 * e)
-        except OverflowError:
-            p = math.inf
-        value = p * inner.value * p
-    if not cmath.isfinite(value):
+            g = f(x) if callable(f) else f ** x
+        except OverflowError:  # a power past the float range
+            g = math.inf
+        except SeriesOverflow:  # a gamma past it
+            g = None
+        gs.append(g)
+        head = head * g if g is not None and _FLOAT_MIN <= abs(head) < math.inf else math.nan
+    if _FLOAT_MIN <= abs(head) < math.inf:  # every partial product is normal
+        out = head * value
+        if _FLOAT_MIN <= abs(out) < math.inf:
+            return SeriesResult(out, terms_used, trunc + err)
+    elif any(f is rgamma and g == 0.0 for (f, _), g in zip(factors, gs)):  # a pole of rgamma
+        out = math.prod(g for g in gs if g is not None) * value
+    elif None not in gs:  # from the right, a power out of range in halves
+        out = value
+        for (f, x), g in zip(factors[::-1], gs[::-1]):
+            normal = _FLOAT_MIN <= abs(g) < math.inf
+            if value and not _FLOAT_MIN <= abs(out) < math.inf or not normal and f in (gamma_fn, rgamma):
+                out = None  # a step left the normal range
+                break
+            if not normal:  # half of the power on each side of the rest
+                try:
+                    g = f(0.5 * x) if callable(f) else f ** (0.5 * x)
+                except OverflowError:
+                    g = math.inf
+                out = g * out
+            out = g * out
+    in_logs = out is None and value and all(_is_real(x) for _, x in factors)
+    if in_logs:
+        total = math.log(abs(value))
+        sign, units = value / abs(value), abs(total) + 1.0
+        try:
+            for f, x in factors:
+                if f is gamma_fn or f is rgamma:
+                    lg = math.lgamma(x)
+                    psi = _digamma(x) if x > 0.0 else abs(_digamma(1.0 - x)) + math.pi / abs(math.tan(math.pi * x))
+                    units += _LGAMMA_ULPS * abs(lg) + _LGAMMA_ABS_ULPS + abs(x * psi)
+                    if x < 0.5:
+                        units += 2.0 * abs(x) / abs(x - round(x))
+                        sign = -sign if math.floor(x) % 2 else sign
+                    log = lg if f is gamma_fn else -lg
+                else:
+                    log = x if callable(f) else x * math.log(f)
+                    units += 2.0 * abs(log)
+                total += log
+                units += abs(total)
+            out = sign * math.exp(total)
+        except OverflowError:  # an lgamma or the product past the float range
+            out = math.inf
+        err = _UNIT_ROUNDOFF * units
+    if out is None or not cmath.isfinite(out) or in_logs and not out:
         message = what.format(*args) + " leaves the float range"
-        if inner.truncation_estimate >= 1.0:  # the overflow may be the lost digits'
-            message += (f", but its inner series lost its digits (truncation "
-                        f"estimate {inner.truncation_estimate:.2g})")
+        if trunc >= 1.0:  # the overflow may be the lost digits'
+            message += f", but its inner series lost its digits (truncation estimate {trunc:.2g})"
         raise SeriesOverflow(message)
-    trunc = inner.truncation_estimate + err
-    if abs(value) < _FLOAT_MIN and inner.value:
-        trunc += _underflow_error(value)
-    return SeriesResult(value, inner.terms_used, trunc)
+    trunc += err
+    if value and abs(out) < _FLOAT_MIN:
+        trunc += _underflow_error(out)
+    return SeriesResult(out, terms_used, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +506,8 @@ def _hyp2f1_any(a, b, c, z, regularized, w=None):
         # |ln w| > 36.  Above -2^53 that is under 37 |c - b| units of
         # roundoff and is not counted, so those estimates keep their bits
         err = _UNIT_ROUNDOFF * (abs(cb) + abs(cb - a)) * -math.log(w) if x == 1.0 else 0.0
-        return _times_power(lambda e: (1.0 - z) ** e, -a, inner, err, "2F1 at z = {}", z)
+        return _times_power(inner.value, inner.terms_used, inner.truncation_estimate + err, ((1.0 - z, -a),),
+                            "2F1 at z = {}", z)
 
     # polynomial case terminates regardless of z
     na = _near_integer(a)
@@ -480,13 +521,19 @@ def _hyp2f1_any(a, b, c, z, regularized, w=None):
     off = abs(gap - m)
     int_tol = _GAP_INT_ULPS * _UNIT_ROUNDOFF * max(1.0, abs(a), abs(b), abs(c))
     if off <= int_tol and max(abs(a), abs(b), abs(c - a), abs(c - b)) <= _LOG_ROUTE_ARG_MAX:
-        res = _hyp2f1_log(a, b, c, gap, m, w, regularized)
-        if not cmath.isfinite(res.value):
-            raise SeriesOverflow(f"2F1({a}, {b}; {c}; {z}) leaves the float range")
-        return res
+        return _hyp2f1_log(a, b, c, gap, m, w, regularized)
     if off <= max(int_tol, _GAP_NEAR_INT):
         return _sum_series((a, b), c, z, regularized, "2F1")[0]
-    return _hyp2f1_near_one(a, b, c, w, regularized)
+    try:
+        return _hyp2f1_near_one(a, b, c, w, regularized)
+    except SeriesOverflow:  # a term left the float range: the direct series, where it keeps a digit
+        try:
+            res = _sum_series((a, b), c, z, regularized, "2F1")[0]
+        except NuSpectralError:
+            res = None
+        if res is None or not res.truncation_estimate < 1.0:
+            raise
+        return res
 
 
 def _gap(a, b, c):
@@ -519,7 +566,8 @@ def _hyp2f1_log(a, b, c, gap, m, w, regularized):
     if m < 0:
         inner = _hyp2f1_log(c - a, c - b, c, -gap, -m, w, regularized)
         err = _UNIT_ROUNDOFF * abs(gap * math.log(w))
-        return _times_power(lambda e: w**e, gap, inner, err, "2F1({}, {}; {}; {})", a, b, c, 1.0 - w)
+        return _times_power(inner.value, inner.terms_used, inner.truncation_estimate + err, ((w, gap),),
+                            "2F1 at 1 - z = {}", w)
     s1 = mass1 = 0.0
     t = float(math.factorial(m - 1)) if m else 0.0
     for k in range(m):
@@ -560,57 +608,46 @@ def _hyp2f1_log(a, b, c, gap, m, w, regularized):
     err1 = err + _gamma_error(a + m) + _gamma_error(b + m)
     err2 = err + _gamma_error(a) + _gamma_error(b)
     trunc = (abs(g2 * t) + abs(g1) * mass1 * err1 + abs(g2) * mass2 * err2) / ref
-    if not regularized:
-        value = gamma_fn(c) * value
-        trunc += _gamma_error(c)
-    return SeriesResult(value, m + k + 1, trunc)
+    factors = () if regularized else ((gamma_fn, c),)
+    return _times_power(value, m + k + 1, trunc, factors, "2F1 at 1 - z = {}", w)
 
 
 def _hyp2f1_near_one(a, b, c, w, regularized):
     """Connection formula in powers of w = 1-z, valid for non-integer c-a-b;
     w as in _hyp2f1_any (Pfaff's complement, which 1.0 - z would lose).
 
-    The truncation estimate adds to the two series' the relative errors of
-    the bracket: each part's reciprocal gammas (_gamma_error) times its mass
-    over the bracket, where the parts cancel, and the rounding of s = c-a-b
-    (about 2^-53 max(1, |a|, |b|, |c|)) over its distance to the nearest
-    integer, where pi/sin(pi s) and the regularized series near their poles
-    turn it into a relative error.  Seeded sweeps against mpmath (a, b in
-    (-15, 15), |s - n| from 1e-9 to 0.3, 1 - z from 1e-8 to 1e-2) keep the
-    error under 0.61 of it.
+    _times_power forms the bracket's two terms and the plain value's
+    gamma(c); a bracket below the normal range raises SeriesOverflow.  The
+    truncation estimate adds to the two series' each term's own (its
+    gammas') times its size over the bracket, where the terms cancel (the
+    float spacing for a term that underflowed to 0.0), and the rounding of
+    s = c-a-b (about 2^-53 max(1, |a|, |b|, |c|)) over its distance to the
+    nearest integer, which pi/sin(pi s) and the regularized series near
+    their poles turn into a relative error.  Seeded sweeps against mpmath (a,
+    b in (-15, 15), |s - n| from 1e-9 to 0.3, 1 - z from 1e-8 to 1e-2) keep
+    the error under 0.61 of it.
     """
     s = c - a - b
     f1 = _sum_series((a, b), a + b - c + 1.0, w, True, "2F1 connection")[0]
     f2 = _sum_series((c - a, c - b), s + 1.0, w, True, "2F1 connection")[0]
-    sc = complex(s)
-    pref = math.pi / cmath.sin(math.pi * sc)
-    p1 = _times(rgamma(c - a), rgamma(c - b), f1.value)
-    try:
-        p2 = _times((w ** sc) * rgamma(a), rgamma(b), f2.value)
-    except OverflowError:  # w^s alone leaves the float range
-        raise SeriesOverflow(f"2F1 connection: (1-z)^({s}) leaves the float range") from None
-    bracket = p1 - p2
-    value = pref * bracket
-    ref = max(abs(bracket), 1e-300)
+    pref = math.pi / cmath.sin(math.pi * complex(s))
+    what = "2F1 connection at 1 - z = {}"
+    t1 = _times_power(f1.value, 0, 0.0, ((rgamma, c - a), (rgamma, c - b)), what, w)
+    t2 = _times_power(f2.value, 0, 0.0, ((w, s), (rgamma, a), (rgamma, b)), what, w)
+    bracket = t1.value - t2.value
+    if 0.0 < abs(bracket) < _FLOAT_MIN:  # its digits went to the float spacing
+        raise SeriesOverflow(f"2F1 connection at 1 - z = {w}: its bracket leaves the normal range")
+    ref = max(abs(bracket), _FLOAT_MIN)
     trunc = max(f1.truncation_estimate, f2.truncation_estimate)
-    trunc += (abs(p1) * (_gamma_error(c - a) + _gamma_error(c - b))
-              + abs(p2) * (_gamma_error(a) + _gamma_error(b))) / ref
+    e1 = abs(t1.value) * t1.truncation_estimate if t1.value else _SUBNORMAL_SPACING
+    e2 = abs(t2.value) * t2.truncation_estimate if t2.value else _SUBNORMAL_SPACING
+    trunc += (e1 + e2) / ref
     trunc += _GAP_ROUNDING_ULPS * _UNIT_ROUNDOFF * max(1.0, abs(a), abs(b), abs(c)) / abs(s - round(s.real))
-    if not regularized:
-        value = gamma_fn(c) * value
-        trunc += _gamma_error(c)
-    if all(map(_is_real, (a, b, c))) and isinstance(value, complex):
+    value = pref * bracket
+    if all(map(_is_real, (a, b, c))):
         value = value.real
-    return SeriesResult(value, f1.terms_used + f2.terms_used, trunc)
-
-
-def _times(g1, g2, v):
-    """g1 * g2 * v, with g2 * v formed first where g1 * g2 alone would
-    underflow (two reciprocal gammas at large c) though v makes up for it."""
-    head = g1 * g2
-    if g1 and g2 and abs(head) < _FLOAT_MIN:
-        return g1 * (g2 * v)
-    return head * v
+    factors = () if regularized else ((gamma_fn, c),)
+    return _times_power(value, f1.terms_used + f2.terms_used, trunc, factors, what, w)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +684,8 @@ def _hyp1f1_any(a, c, z, regularized):
             inner = _hyp1f1_any(c - a, c, -z, regularized)
         except SeriesOverflow:
             return _hyp1f1_far_left(a, c, -z, regularized)
-        return _times_power(math.exp, z, inner, 0.0, "1F1 at z = {}", z)
+        return _times_power(inner.value, inner.terms_used, inner.truncation_estimate, ((math.exp, z),),
+                            "1F1 at z = {}", z)
     return _sum_series((a,), c, z, regularized, "1F1")[0]
 
 
@@ -656,59 +694,14 @@ def _hyp1f1_far_left(a, c, x, regularized):
 
     Kummer's transformation and the large-argument expansion (13.2.39,
     13.7.2) give gamma(c)/gamma(c-a) x^-a 2F0(a, a-c+1; 1/x) up to a
-    relative O(e^-x), which is below the float range there.  The estimate
-    adds the gammas' errors; where a gamma or their ratio leaves the float
-    range, _far_left_in_logs takes over.
+    relative O(e^-x), which is below the float range there.  _times_power
+    forms the prefactor and counts its gammas.
     """
     total, n_used, trunc = _2f0_sum(a, c, 1.0 / x)
     if trunc > SERIES_TOL:
         raise MaxTermsExceeded(f"1F1 large-argument series stops at {trunc:.1e} relative")
-    in_logs = _is_real(a) and _is_real(c) and min(c, c - a) > 0.0
-    try:
-        ratio = rgamma(c - a) * (1.0 if regularized else gamma_fn(c))
-    except SeriesOverflow:  # a gamma past the float range
-        if not in_logs:
-            raise
-        ratio = math.inf
-    if in_logs and not _FLOAT_MIN <= abs(ratio) < math.inf:
-        return _far_left_in_logs(a, c, x, regularized, SeriesResult(total, n_used, trunc))
-    err = _gamma_error(c - a) + (0.0 if regularized else _gamma_error(c))
-    inner = SeriesResult(ratio * total, n_used, trunc)
-    return _times_power(lambda e: x**e, -a, inner, err, "1F1 at z = {}", -x)
-
-
-def _far_left_in_logs(a, c, x, regularized, series):
-    """_hyp1f1_far_left's value where gamma(c - a) or gamma(c) leaves the
-    float range, at real a and c with c > 0 and c - a > 0: the 2F0 series
-    times the prefactor gamma(c)/gamma(c-a) x^-a (without gamma(c) when
-    regularized), formed as exp(lgamma(c) - lgamma(c - a) - a ln x).
-
-    The estimate adds, in units of 2^-53, lgamma's error for each lgamma
-    (_LGAMMA_ULPS |lgamma| + _LGAMMA_ABS_ULPS), the rounding of a ln x, of
-    each sum in the exponent, of exp and of the product, the rounding of
-    c - a times d lgamma/d(c - a) (|c - a| |psi(c - a)|) and, below the
-    normal range, the float spacing over the value.  Where the value leaves
-    the float range (0.0 included) it raises SeriesOverflow.
-    """
-    ca = c - a
-    lg_ca, a_log_x = math.lgamma(ca), a * math.log(x)
-    expo = -lg_ca - a_log_x
-    err = (_LGAMMA_ULPS * abs(lg_ca) + _LGAMMA_ABS_ULPS + 2.0 * abs(a_log_x) + abs(expo)
-           + abs(ca * _digamma(ca)) + 2.0)
-    if not regularized:
-        lg_c = math.lgamma(c)
-        expo += lg_c
-        err += _LGAMMA_ULPS * abs(lg_c) + _LGAMMA_ABS_ULPS + abs(expo)
-    try:
-        value = math.exp(expo) * series.value
-    except OverflowError:
-        value = math.inf
-    if not 0.0 < abs(value) < math.inf:
-        raise SeriesOverflow(f"1F1 at z = {-x} leaves the float range")
-    trunc = series.truncation_estimate + _UNIT_ROUNDOFF * err
-    if abs(value) < _FLOAT_MIN:
-        trunc += _underflow_error(value)
-    return SeriesResult(value, series.terms_used, trunc)
+    factors = ((x, -a), (rgamma, c - a)) + (() if regularized else ((gamma_fn, c),))
+    return _times_power(total, n_used, trunc, factors, "1F1 at z = {}", -x)
 
 
 def hyp1f1_deriv_regularized(a, c, z):
@@ -762,10 +755,10 @@ def _2f0_sum(a, c, w):
 def _u_asymptotic(a, c, z):
     """Large-z asymptotic series z^-a 2F0(a, a-c+1; -1/z), smallest-term cut;
     the bare 2F0 sum where the cut leaves more than SERIES_TOL (hypU moves on)."""
-    series = SeriesResult(*_2f0_sum(a, c, -1.0 / z))
-    if series.truncation_estimate > SERIES_TOL:
-        return series
-    return _times_power(lambda e: z**e, -a, series, 0.0, "U({}, {}, {})", a, c, z)
+    total, n_used, trunc = _2f0_sum(a, c, -1.0 / z)
+    if trunc > SERIES_TOL:
+        return SeriesResult(total, n_used, trunc)
+    return _times_power(total, n_used, trunc, ((z, -a),), "U({}, {}, {})", a, c, z)
 
 
 def hypU(a, c, z):
@@ -800,6 +793,8 @@ def hypU(a, c, z):
     for u0, u1 in levels:
         for b in (a + k for k in range(m, 0, -1)):
             u0, u1 = (2.0 * b - c + z) * u0 - b * (b - c + 1.0) * u1, u0
+            if not cmath.isfinite(u0):  # inf and nan stay non-finite
+                break
         values.append(u0)
     if not cmath.isfinite(values[1]):
         raise SeriesOverflow(f"U({a}, {c}, {z}) left the float range in the recurrence")
@@ -919,22 +914,16 @@ def hermite_fn(nu, z):
     """
     nu, z = _number(nu), _number(z)
     zz = z * z
+    two_pow = (2.0, nu) if _is_real(nu) else (cmath.exp, nu * math.log(2.0))
     if _is_real(nu) and _is_real(z) and z > _HERMITE_U_ABOVE:
         parts = (hypU(-0.5 * nu, 0.5, zz),)
-        value = 2.0**nu * parts[0].value
+        value, factors = parts[0].value, (two_pow,)
     else:
         parts = e, o = hyp1f1(-0.5 * nu, 0.5, zz), hyp1f1(0.5 * (1.0 - nu), 1.5, zz)
-        two_pow = 2.0**nu if _is_real(nu) else cmath.exp(nu * math.log(2.0))
-        value = (
-            two_pow
-            * math.sqrt(math.pi)
-            * (rgamma(0.5 * (1.0 - nu)) * e.value - 2.0 * z * rgamma(-0.5 * nu) * o.value)
-        )
-    if not cmath.isfinite(value):
-        raise SeriesOverflow(f"H_{nu}({z}) leaves the float range")
-    return SeriesResult(
-        value, sum(p.terms_used for p in parts), max(p.truncation_estimate for p in parts)
-    )
+        value = rgamma(0.5 * (1.0 - nu)) * e.value - 2.0 * z * rgamma(-0.5 * nu) * o.value
+        factors = (two_pow, (math.pi, 0.5))
+    terms_used, trunc = sum(p.terms_used for p in parts), max(p.truncation_estimate for p in parts)
+    return _times_power(value, terms_used, trunc, factors, "H_{}({})", nu, z)
 
 
 # ---------------------------------------------------------------------------
@@ -955,20 +944,21 @@ def limit_2f1_at_1(a, b, c):
         # polynomial: finite by Chu-Vandermonde
         n = -na if (na is not None and na <= 0) else -nb
         other = b if (na is not None and na <= 0) else a
-        value = pochhammer(c - other, n) / pochhammer(c, n)
-        return Limit2F1("finite", value)
+        return Limit2F1("finite", math.prod((c - other + k) / (c + k) for k in range(n)))
+
+    def constant(*factors):
+        return _times_power(1.0, 0, 0.0, factors, "2F1({}, {}; {}; 1) constant", a, b, c).value
+
     s = c - a - b
     sr = s.real
     if abs(sr) < _INT_TOL and abs(s.imag) < _INT_TOL:
-        return Limit2F1("log", gamma_fn(a + b) * rgamma(a) * rgamma(b))
+        return Limit2F1("log", constant((gamma_fn, a + b), (rgamma, a), (rgamma, b)))
+    finite = ((gamma_fn, c), (gamma_fn, s), (rgamma, c - a), (rgamma, c - b))
     if sr > _INT_TOL:
-        return Limit2F1(
-            "finite", gamma_fn(c) * gamma_fn(s) * rgamma(c - a) * rgamma(c - b)
-        )
-    osc_const = gamma_fn(c) * gamma_fn(-s) * rgamma(a) * rgamma(b)
+        return Limit2F1("finite", constant(*finite))
+    osc_const = constant((gamma_fn, c), (gamma_fn, -s), (rgamma, a), (rgamma, b))
     if abs(sr) <= _INT_TOL:
-        finite_part = gamma_fn(c) * gamma_fn(s) * rgamma(c - a) * rgamma(c - b)
-        return Limit2F1("oscillatory", osc_const, finite_part)
+        return Limit2F1("oscillatory", osc_const, constant(*finite))
     return Limit2F1("power", osc_const)
 
 

@@ -154,11 +154,15 @@ class SurdSum:
     __slots__ = ("_n", "_d")
 
     def __init__(self, terms):
+        # each radicand k = out^2 core folds out into its coefficient, and
+        # equal cores merge, in the order they first appear
         t = {}
-        for core, coeff in terms.items():
+        for k, coeff in terms.items():
             coeff = Fraction(coeff)
             if coeff:
-                t[core] = coeff
+                out, core = _square_free(k)
+                t[core] = t.get(core, 0) + out * coeff
+        t = {core: coeff for core, coeff in t.items() if coeff}
         if not any(core != 1 for core in t):
             raise ValueError("SurdSum must carry an irrational term; use Fraction")
         self._n, self._d = _over_lcm(t)
@@ -578,7 +582,7 @@ def _component_sqrt(q, w):
     """
     root = sqrt_fraction(q / w)
     if isinstance(root, Fraction):
-        return Fraction(0) if root == 0 else SurdSum({w: root})
+        return Fraction(0) if root == 0 else SurdSum._raw({w: root.numerator}, root.denominator)
     return sqrt_fraction(q)
 
 

@@ -437,7 +437,8 @@ class TestEval:
         [
             ("--fn", "2f1", "--a", "1e300", "--b", "1", "--c", "2", "--z", "0.5"),
             ("--fn", "1f1", "--a", "1e300", "--c", "2", "--z", "0.5"),
-            ("--fn", "2f1", "--a", "0.5", "--b", "0.3", "--c", "180.3", "--z", "0.995"),
+            # about 6.7e390: 15.8.4's gammas and its direct series both overflow
+            ("--fn", "2f1", "--a", "200.5", "--b", "150.3", "--c", "180.3", "--z", "0.995"),
             ("--fn", "u", "--a", "0.5", "--c", "300.5", "--z", "0.5"),
             ("--fn", "u", "--a", "-300.5", "--c", "2.5", "--z", "0.5"),
             ("--fn", "hermite", "--nu", "300.5", "--z", "1.5"),
@@ -446,6 +447,13 @@ class TestEval:
     )
     def test_overflowing_series_is_domain_error(self, capsys, argv):
         code, out, err = run(capsys, "eval", *argv)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "SeriesOverflow" in err
+
+    def test_hermite_past_the_power_range_is_domain_error(self, capsys):
+        # 2^1100 leaves the float range (it raised OverflowError, exit 1);
+        # the value, -4.96e1598 by mpmath, does too
+        code, out, err = run(capsys, "eval", "--fn", "hermite", "--nu", "1100", "--z", "0.5")
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and "SeriesOverflow" in err
 

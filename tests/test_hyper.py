@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -1054,3 +1055,130 @@ def test_complex_series_overflow_stops_at_once():
     # the sum must still end and report the overflow, as real parameters do
     with pytest.raises(SeriesOverflow):
         hyp1f1(0.5 + 0.3j, 1.2 + 0.1j, 800.0)
+
+
+# ---------------------------------------------------------------------------
+# one float-range rule for the factors in front of a series
+
+
+def test_2f1_just_below_one_falls_back_to_the_direct_series():
+    # where 15.8.4 cannot form its terms (a regularized series at c' = 1 - s
+    # far below 0, or a gamma past the float range), the direct series runs
+    # instead; it re-raises where that series keeps no digit
+    a, b, c, z = -82.38131608744716, 0.3586343164829757, 184.880011512734, 0.9949580255958481
+    res = hyp2f1(a, b, c, z)
+    assert abs(res.value - 0.8763318059348175) <= 1e-14 and res.truncation_estimate < 1e-11
+    with mpmath.workdps(30):
+        want = mpmath.hyp2f1(0.5, 0.3, 180.3, 0.995)
+    res = hyp2f1(0.5, 0.3, 180.3, 0.995)  # gamma(179.5) overflowed here
+    assert rel_err(res.value, want) <= max(1e-13, res.truncation_estimate) < 1e-12
+    rng = random.Random(11)
+    returned = 0
+    with mpmath.workdps(30):
+        for _ in range(400):
+            a, b, c, z = rng.uniform(-200, 60), rng.uniform(-3, 3), rng.uniform(0.5, 200), rng.uniform(0.991, 0.9995)
+            want = mpmath.hyp2f1(a, b, c, z)
+            ok = _within_estimate_or_raises(hyp2f1, (a, b, c, z), want)
+            assert ok is not False, (a, b, c, z)
+            returned += ok is not None
+    assert returned >= 370  # 204 returned before the fallback
+
+
+def test_limit_of_a_polynomial_with_a_huge_c_matches_mpmath():
+    # Chu-Vandermonde's two pochhammers overflow to inf / inf here
+    for a, b, c in ((-2.7512933162286113, -43.0, -23345583.674849104), (-60.0, 1.5, 3e7), (-50.0, -7.25, -1e8 + 0.5)):
+        got = limit_2f1_at_1(a, b, c)
+        with mpmath.workdps(30):
+            k = int(-min(x for x in (a, b) if x == int(x)))
+            other = b if a == int(a) else a
+            want = mpmath.rf(c - other, k) / mpmath.rf(c, k)
+        assert got.regime == "finite" and rel_err(got.constant, want) < 1e-12, (a, b, c)
+
+
+def test_limit_constants_past_the_gamma_range_match_mpmath():
+    # gamma(200) leaves the float range; the limit is 1.00075...
+    got = limit_2f1_at_1(0.5, 0.3, 200.0)
+    assert got.regime == "finite" and abs(got.constant - 1.0007536730798) < 1e-12
+    rng = random.Random(3001)
+    with mpmath.workdps(30):
+        for _ in range(100):
+            a, b, c = rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(100, 250)
+            got = limit_2f1_at_1(a, b, c)
+            s = c - a - b
+            if got.regime == "finite":
+                want = mpmath.gamma(c) * mpmath.gamma(s) * mpmath.rgamma(c - a) * mpmath.rgamma(c - b)
+            else:
+                want = mpmath.gamma(c) * mpmath.gamma(-s) * mpmath.rgamma(a) * mpmath.rgamma(b)
+            assert rel_err(got.constant, want) < 1e-11, (a, b, c)
+
+
+_CONTRACT = {
+    "hyp2f1": 4, "hyp2f1_regularized": 4, "hyp1f1": 3, "hyp1f1_regularized": 3, "hypU": 3,
+    "hermite_fn": 2, "limit_2f1_at_1": 3, "gamma_fn": 1, "rgamma": 1,
+}
+
+
+def _returns_a_number_or_raises(name, args):
+    try:
+        res = getattr(hyper, name)(*args)
+    except (NuSpectralError, ValueError):
+        return True
+    if isinstance(res, hyper.Limit2F1):
+        values = (res.constant, res.finite_part or 0.0)
+    else:
+        values = (res.value, res.truncation_estimate) if isinstance(res, hyper.SeriesResult) else (res,)
+    return not any(cmath.isnan(v) for v in values)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("hermite_fn", (1100.0, 0.5)),  # 2^1100 raised OverflowError
+    ("limit_2f1_at_1", (-2.7512933162286113, -43.0, -23345583.674849104)),  # was nan
+    ("hyp2f1", (203.5, 0.25, 200.5, 0.995)),  # 1/gamma(c - a) at a pole beside a gamma past the range
+    ("limit_2f1_at_1", (0.5, 0.3, 1e307)),  # lgamma(1e307) raises OverflowError
+    ("hyp1f1_regularized", (1.0, 1e307, 0.5)),  # so did 1/gamma(c) in logs
+])
+def test_the_exception_contract_at_its_former_defects(name, args):
+    assert _returns_a_number_or_raises(name, args)
+
+
+def test_u_recurrence_stops_where_it_leaves_the_float_range():
+    # U at a = -7.4e7 ran 7.4e7 steps of the recurrence in a (24 s) before
+    # it raised SeriesOverflow; the first non-finite step now ends it
+    t0 = time.perf_counter()
+    with pytest.raises(SeriesOverflow, match="in the recurrence"):
+        hypU(-73550593.1979431, -8.218951816887907, 1964.652136047965)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_every_evaluator_returns_a_number_or_raises_a_domain_error():
+    # |arguments| up to 1e8: a value is never nan, and a failure is a
+    # NuSpectralError or a ValueError, never another exception
+    rng = random.Random(3002)
+    names = sorted(_CONTRACT)
+    for _ in range(600):
+        name = rng.choice(names)
+        args = tuple(rng.uniform(-10, 10) if rng.random() < 0.5 else rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 8)
+                     for _ in range(_CONTRACT[name]))
+        assert _returns_a_number_or_raises(name, args), (name, args)
+
+
+@pytest.mark.xfail(strict=True, reason="the even/odd 1F1 pair cancels for nu < 0; its estimate is the larger piece's")
+def test_hermite_even_odd_pair_reports_its_cancellation():
+    res = hermite_fn(-180.5, 1.5)  # -1.39e-194 with estimate 1.4e-15
+    with mpmath.workdps(40):
+        want = mpmath.hermite(-180.5, 1.5)  # 2.21e-204
+    assert rel_err(res.value, want) <= max(1e-13, res.truncation_estimate)
+    rng = random.Random(3)
+    with mpmath.workdps(40):
+        for _ in range(400):
+            nu, z = rng.uniform(-60, 6), rng.uniform(-2, 2)
+            ok = _within_estimate_or_raises(hermite_fn, (nu, z), mpmath.hermite(nu, z))
+            assert ok is not False, (nu, z)
+
+
+@pytest.mark.xfail(strict=True, reason="Pfaff's inner series stops on the streak rule when c lies far below 0")
+def test_pfaff_inner_series_at_a_far_negative_c():
+    res = hyp2f1(-20.25, -96, -72.25, -91)  # 3.83e42 in 27 terms, estimate 4.1e-14
+    with mpmath.workdps(40):
+        want = mpmath.hyp2f1(-20.25, -96, -72.25, -91)  # 3.34e189
+    assert rel_err(res.value, want) <= max(1e-13, res.truncation_estimate)

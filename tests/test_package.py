@@ -169,9 +169,11 @@ def test_evaluators_take_no_settings():
 
 
 def test_one_helper_takes_a_power_in_halves():
-    # every power in front of a series goes through hyper._times_power: only
-    # it and gamma_fn's Lanczos split take a power in halves, and the five
-    # routes that use it keep no overflow or underflow guard of their own
+    # every power and gamma in front of a series goes through
+    # hyper._times_power: only it and gamma_fn's Lanczos split take a power
+    # in halves, only it (and the U integrand, which carries U's prefactor
+    # in its exponent) calls lgamma, and the routes that use it keep no
+    # overflow or underflow guard of their own
     import nu_spectral
 
     tree = ast.parse((Path(nu_spectral.__file__).parent / "hyper.py").read_text())
@@ -193,9 +195,17 @@ def test_one_helper_takes_a_power_in_halves():
 
     functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
     assert {fn.name for fn in functions if any(map(halving, ast.walk(fn)))} == {"gamma_fn", "_times_power"}
-    routes = {"_hyp2f1_any", "_hyp1f1_any", "_hyp2f1_log", "_hyp1f1_far_left", "_u_asymptotic"}
+    routes = {"_hyp2f1_any", "_hyp1f1_any", "_hyp2f1_log", "_hyp1f1_far_left", "_u_asymptotic",
+              "_hyp2f1_near_one", "hermite_fn", "limit_2f1_at_1", "_regularized_in_logs"}
+    assert routes <= {fn.name for fn in functions}
     assert not {fn.name for fn in functions if fn.name in routes and any(map(guarded, ast.walk(fn)))}
     assert "_EXP_SUBNORMAL_BELOW" not in ast.unparse(tree)
+    assert not {"_times", "_far_left_in_logs"} & {fn.name for fn in functions}
+
+    def lgamma(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "lgamma"
+
+    assert {fn.name for fn in functions if any(map(lgamma, ast.walk(fn)))} == {"_times_power", "_u_laplace_levels"}
 
 
 def test_reports_store_no_derived_verdicts():

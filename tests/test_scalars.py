@@ -264,6 +264,21 @@ def test_inverse_with_dependent_radicands():
     x.inverse()
 
 
+def test_public_constructor_canonicalizes_its_radicands():
+    # a key with a square factor folds it into its coefficient, and equal
+    # cores merge in first-seen order, so equal values compare equal
+    with pytest.raises(ValueError):
+        SurdSum({4: F(1)})  # sqrt(4) is 2: nothing irrational remains
+    assert SurdSum({4: F(1), 3: F(1)}) == 2 + sqrt_fraction(3)
+    assert SurdSum({4: F(1), 3: F(1)}) - 2 == sqrt_fraction(3)
+    assert SurdSum({8: F(1)}) == sqrt_fraction(8) == 2 * sqrt_fraction(2)
+    assert repr(SurdSum({8: F(1)})) == repr(sqrt_fraction(8))
+    x = SurdSum({3: F(1), 12: F(1, 2), 2: F(1), 1: F(5)})
+    assert list(x.terms()) == [3, 2, 1] and x.terms()[3] == 2
+    with pytest.raises(ValueError):
+        SurdSum({2: F(1), 8: F(-1, 2), 1: F(3)})
+
+
 @given(hidden_square_sums(), hidden_square_sums())
 @settings(max_examples=100, deadline=None)
 def test_equality_and_hash_are_consistent(x, y):
