@@ -38,12 +38,15 @@ Routes (documented crossovers, all for real argument z):
   reached for Re a <= 1 by the downward recurrence in a (13.3.7), stable
   because U is its minimal solution [gst]_.  There terms_used counts
   integrand evaluations and the truncation estimate is the last change
-  between exp-sinh levels.
+  between exp-sinh levels.  The rule's abscissas are per-level constants,
+  held in a table (_ES_NODES) that each level fills as far as a call needs.
 * Hermite function: 2^nu U(-nu/2, 1/2, z^2) for real nu and z > 2; the
   even/odd pair of 1F1 series elsewhere.
 
 Gamma is a Lanczos approximation (g = 7, 9 coefficients) with the
-reflection formula; the reciprocal variant returns exactly 0.0 at poles so
+reflection formula, one body that runs the same Lanczos sum in floats at a
+real argument (with the floats complex arithmetic gives it) and in complex
+arithmetic otherwise; the reciprocal variant returns exactly 0.0 at poles so
 degenerate prefactors annihilate terms instead of raising.  Past gamma's
 float range (real argument above ~171.6) both raise SeriesOverflow; a
 regularized series whose 1/gamma(c + n) gets there, at real c > 0, is the
@@ -145,6 +148,7 @@ class Limit2F1:
 
 
 _LANCZOS_G = 7.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LANCZOS_C = (
     0.99999999999980993,
     676.5203681218851,
@@ -156,6 +160,7 @@ _LANCZOS_C = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+_LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C[1:], start=1))  # (i, c_i) of the sum's c_i / (z - 1 + i)
 
 
 def _number(z):
@@ -193,8 +198,27 @@ def _near_integer(z):
     return int(r) if abs(z - r) <= _INT_TOL else None
 
 
+def _real_power(x, e):
+    """x ** e for floats x > 0 and e, rounded as complex(x) ** e rounds its
+    real part: CPython's complex ** takes an integer e in [0, 100] by
+    squaring and multiplying, every other e by pow."""
+    if not (0.0 <= e <= 100.0 and e.is_integer()):
+        return x ** e
+    out, n = 1.0, int(e)
+    while n:
+        if n & 1:
+            out *= x
+        x *= x
+        n >>= 1
+    return out
+
+
 def gamma_fn(z):
     """Gamma function for real or complex arguments (Lanczos + reflection).
+
+    One body: float arithmetic for real z, complex otherwise; at zero
+    imaginary parts the complex operations round as the float ones, so a
+    real z gets the floats that complex(z) would.
 
     Raises PoleAtNonPositiveInteger at the poles, and SeriesOverflow where
     the value leaves the float range (real z above ~171.6).
@@ -202,31 +226,30 @@ def gamma_fn(z):
     z = _number(z)
     if is_nonpositive_integer(z):
         raise PoleAtNonPositiveInteger(f"gamma pole at {z}")
-    zc = complex(z)
-    if zc.real < 0.5:
+    sin, exp, power = (math.sin, math.exp, _real_power) if _is_real(z) else (cmath.sin, cmath.exp, pow)
+    if z.real < 0.5:
         # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
-        val = math.pi / (cmath.sin(math.pi * zc) * gamma_fn(1.0 - zc))
-    else:
-        zc -= 1.0
-        x = _LANCZOS_C[0]
-        for i, ci in enumerate(_LANCZOS_C[1:], start=1):
-            x += ci / (zc + i)
-        t = zc + _LANCZOS_G + 0.5
-        try:
-            val = math.sqrt(2.0 * math.pi) * t ** (zc + 0.5) * cmath.exp(-t) * x
+        return math.pi / (sin(math.pi * z) * gamma_fn(1.0 - z))
+    zm = z - 1.0
+    x = _LANCZOS_C[0]
+    for i, ci in _LANCZOS_TERMS:
+        x += ci / (zm + i)
+    t = zm + _LANCZOS_G + 0.5
+    try:
+        val = _SQRT_2PI * power(t, zm + 0.5) * exp(-t) * x
+    except OverflowError:
+        val = math.inf
+    # a power just under the float maximum overflows once scaled, and
+    # inf * e^-t is NaN
+    if not cmath.isfinite(val):
+        try:  # half of the power on each side of the small e^-t
+            half = power(t, 0.5 * (zm + 0.5))
         except OverflowError:
-            val = math.inf
-        # a power just under the float maximum overflows once scaled, and
-        # inf * e^-t is NaN
+            half = math.inf
+        val = _SQRT_2PI * half * exp(-t) * half * x
         if not cmath.isfinite(val):
-            try:  # half of the power on each side of the small e^-t
-                half = t ** (0.5 * (zc + 0.5))
-            except OverflowError:
-                half = math.inf
-            val = math.sqrt(2.0 * math.pi) * half * cmath.exp(-t) * half * x
-            if not cmath.isfinite(val):
-                raise SeriesOverflow(f"gamma({z}) needs a power beyond the float range") from None
-    return val.real if _is_real(z) else val
+            raise SeriesOverflow(f"gamma({z}) needs a power beyond the float range") from None
+    return val
 
 
 def rgamma(z):
@@ -243,8 +266,11 @@ def pochhammer(a, n):
         raise ValueError(f"pochhammer needs n >= 0, got {n}")
     a = _number(a)
     out = 1.0 if _is_real(a) else complex(1.0)
+    stop = math.inf if _is_real(a) and a > 0.0 else None  # every factor positive: inf stays inf
     for k in range(n):
         out *= a + k
+        if out == stop:
+            break
     return out
 
 
@@ -715,7 +741,8 @@ def hyp1f1_deriv_regularized(a, c, z):
 def _u_terminating(n, c, z):
     """U(-n,c,z) = (-1)^n sum_k [(-n)_k / k!] (c+k)_{n-k} z^k, for any c; None
     where its rounding bound (2n + 3) 2^-53 sum |t_k| exceeds SERIES_TOL
-    relative (the sum cancels), or where a term leaves the float range."""
+    relative (the sum cancels), or at the first term that leaves the float
+    range."""
     total = 0.0 if _is_real(c) else complex(0.0)
     mass = 0.0  # sum |t_k|
     coeff = 1.0  # (-n)_k / k!
@@ -724,10 +751,12 @@ def _u_terminating(n, c, z):
             t = coeff * pochhammer(c + k, n - k) * z**k
             total += t
             mass += abs(t)
+            if not mass < math.inf:
+                return None
             coeff *= (-n + k) / (k + 1.0)
     except OverflowError:
         return None
-    if not mass < math.inf or (2 * n + 3) * _UNIT_ROUNDOFF * mass > SERIES_TOL * abs(total):
+    if (2 * n + 3) * _UNIT_ROUNDOFF * mass > SERIES_TOL * abs(total):
         return None
     value = (-1.0) ** n * total
     return SeriesResult(value, n + 1, 0.0)
@@ -839,16 +868,12 @@ def _u_laplace_levels(b, c, z):
     or underflows can; an overflow raises OverflowError.
     """
     cplx = not (_is_real(b) and _is_real(c))
-    exp = cmath.exp if cplx else math.exp
+    exp, log1p = cmath.exp if cplx else math.exp, math.log1p
     log_pref = -b * math.log(z) - (cmath.log(gamma_fn(b)) if cplx else math.lgamma(b))
     p = c - b - 1.0
-
-    def node(t):
-        """x, cosh t and s / (z + s) at s = exp(pi/2 sinh t), where e^x is s
-        times U(b)'s integrand in s: the integrand in t is pi/2 cosh t e^x."""
-        w = _ES_HALF_PI * math.sinh(t)
-        s = math.exp(w)
-        return log_pref + b * w - s + p * math.log1p(s / z), math.cosh(t), s / (z + s)
+    # at a node t, with (w, s, cosh t) from _ES_NODES (s = e^w), e^x for
+    # x = log_pref + b w - s + p log1p(s/z) is s times U(b)'s integrand in s:
+    # the integrand in t is pi/2 cosh t e^x, and U(b+1)'s is that times s/(z + s)
 
     # level 0 walks out from t = 0 until both integrands sit _ES_TAIL e-folds
     # below the largest node seen; for Re b > 1 each is unimodal in t, so the
@@ -856,11 +881,12 @@ def _u_laplace_levels(b, c, z):
     h = _ES_STEP0
     sf = sg = 0.0
     peak_f = peak_g = -math.inf
-    ends = []
-    for direction in (-1, 1):
-        k = 0 if direction < 0 else 1
+    ends = []  # intervals of width h on each side of t = 0
+    for side in (0, 1):
+        nodes, i = _es_side(0, side, 0), 0
         while True:
-            x, ch, q = node(direction * k * h)
+            w, s, ch = nodes[i] if i < len(nodes) else _es_side(0, side, i + 1)[i]
+            x, q = log_pref + b * w - s + p * log1p(s / z), s / (z + s)
             f = exp(x) * ch
             sf, sg = sf + f, sg + f * q
             log_f = x.real + math.log(ch)
@@ -868,23 +894,55 @@ def _u_laplace_levels(b, c, z):
             peak_f, peak_g = max(peak_f, log_f), max(peak_g, log_g)
             if log_f < peak_f - _ES_TAIL and log_g < peak_g - _ES_TAIL:
                 break
-            k += 1
-        ends.append(k)
-    n = ends[0] + ends[1]  # intervals of width h across the range kept
-    lo, evals, last = -ends[0] * h, n + 1, (h * sf, h * sg)
+            i += 1
+        ends.append(i + side)  # the left side's nodes start at t = 0
+    level, evals, last = 0, ends[0] + ends[1] + 1, (h * sf, h * sg)
     while True:
         h *= 0.5
-        evals += n
+        level += 1
+        evals += ends[0] + ends[1]
         if evals > MAX_TERMS:
             raise MaxTermsExceeded(f"U integral did not converge in {MAX_TERMS} evaluations")
-        for j in range(n):
-            x, ch, q = node(lo + (2 * j + 1) * h)
-            f = exp(x) * ch
-            sf, sg = sf + f, sg + f * q
-        n *= 2
+        # the new nodes are the midpoints of the last level's intervals
+        left, right = (_es_side(level, side, ends[side]) for side in (0, 1))
+        for w, s, ch in left[:ends[0]][::-1] + right[:ends[1]]:
+            f = exp(log_pref + b * w - s + p * log1p(s / z)) * ch
+            sf, sg = sf + f, sg + f * (s / (z + s))
+        ends = [2 * k for k in ends]
         prev, last = last, (h * sf, h * sg)
         if all(abs(v - u) <= SERIES_TOL * abs(v) for u, v in zip(prev, last)):
             return [(_ES_HALF_PI * f, _ES_HALF_PI / b * g) for f, g in (prev, last)], evals
+
+
+# The exp-sinh rule's abscissas, which depend on no argument (as oracle's
+# Gauss-Kronrod _NODES do not): _ES_NODES[level][side] lists (w, e^w, cosh t),
+# w = pi/2 sinh t, at that level's nodes t left (side 0) or right of t = 0,
+# outward from it (_es_abscissa).  A table of the rule, not a cache of
+# results: a call extends a side only over the nodes it evaluates, so a node
+# whose e^w overflows raises OverflowError only in a call that reaches it.
+_ES_NODES = []
+
+
+def _es_abscissa(level, side, i):
+    """The i-th node out from t = 0 on one side of a level: m h with
+    h = _ES_STEP0 / 2^level, m from 0 down on the left and from 1 up on the
+    right at level 0, and the odd m (-1, -3, ... and 1, 3, ...) above it."""
+    k = 2 * i + 1 if level else i + side
+    return (k if side else -k) * (_ES_STEP0 * 0.5**level)
+
+
+def _es_side(level, side, count):
+    """_ES_NODES[level][side], extended to at least count nodes."""
+    while len(_ES_NODES) <= level:
+        _ES_NODES.append(([], []))
+    nodes = _ES_NODES[level][side]
+    for i in range(len(nodes), count):
+        t = _es_abscissa(level, side, i)
+        w = _ES_HALF_PI * math.sinh(t)
+        # a slice, not append: threads that fill one side at once each write
+        # node i at index i
+        nodes[i:i + 1] = [(w, math.exp(w), math.cosh(t))]
+    return nodes
 
 
 def hypU_deriv(a, c, z):

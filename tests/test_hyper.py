@@ -1,6 +1,10 @@
 import cmath
+import hashlib
 import math
 import random
+import subprocess
+import sys
+import threading
 import time
 import warnings
 from fractions import Fraction
@@ -1182,3 +1186,117 @@ def test_pfaff_inner_series_at_a_far_negative_c():
     with mpmath.workdps(40):
         want = mpmath.hyp2f1(-20.25, -96, -72.25, -91)  # 3.34e189
     assert rel_err(res.value, want) <= max(1e-13, res.truncation_estimate)
+
+
+def test_terminating_u_stops_at_its_first_term_past_the_float_range():
+    # each term of U(-n, c, z) forms (c + k)_(n-k) afresh: 1.0 s at n = 6000
+    # before the route handed over, and more than a minute at n = 1e8
+    for a in (-6000.0, -3000.0, -1e8):
+        t0 = time.perf_counter()
+        with pytest.raises(SeriesOverflow, match=r"^U\(.*\) left the float range in the recurrence$"):
+            hypU(a, 2.5, 0.5)
+        assert time.perf_counter() - t0 < 0.5, a
+
+
+@pytest.mark.xfail(strict=True, reason="U's downward recurrence carries no running bound on its rounding "
+                                        "(ROADMAP item 1, step B)")
+def test_u_recurrence_counts_its_rounding():
+    res = hypU(-37, -4.579380564305872, 0.25330475030807037)  # 4.665022072297925e36 in 81 terms, estimate 0.0
+    with mpmath.workdps(40):
+        want = mpmath.hyperu(-37, -4.579380564305872, 0.25330475030807037)  # 4.6650220753599e36
+    assert rel_err(res.value, want) <= max(1e-13, res.truncation_estimate)
+
+
+# ---------------------------------------------------------------------------
+# bit pins: sha256 of repr(result), taken at commit fc8ebb3 (CPython 3.11.7,
+# x86-64, glibc libm); a change that moves one bit, one terms_used or one
+# message changes the digest
+
+
+def _outcome(f, *args):
+    try:
+        res = f(*args)
+    except Exception as exc:  # the class and message are part of the pin
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(res, hyper.SeriesResult):
+        return repr((res.value, res.terms_used, res.truncation_estimate))
+    return repr(res)
+
+
+def _digest(outcomes):
+    return hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+
+
+def _gamma_arguments():
+    rng = random.Random(3201)
+    xs = [k + d for k in range(-171, 1) for d in (-1e-15, 1e-15)]  # beside the poles
+    # every half-integer: complex ** takes an integer power up to 100 by squaring
+    xs += [k + 0.5 for k in range(-175, 175)]
+    xs += [float(k) for k in range(-3, 173)]
+    xs += [171.62, 171.6, 171.7, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+           math.inf, -math.inf, math.nan]
+    xs += [rng.uniform(-180.0, 180.0) for _ in range(2000)]
+    xs += [rng.choice((-1, 1)) * 10 ** rng.uniform(-20, 2.3) for _ in range(2000)]
+    xs += [complex(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0)) for _ in range(500)]
+    return xs
+
+
+def _u_laplace_arguments():
+    # Re a <= 1 at z < 20: the exp-sinh integral and the recurrence, for
+    # complex c after the M pair where it cancels
+    rng = random.Random(3202)
+    args = [(rng.uniform(0.1, 3.0), rng.uniform(-5.0, 5.0), rng.uniform(0.01, 19.9)) for _ in range(400)]
+    args += [(rng.uniform(0.1, 3.0), complex(rng.uniform(-5.0, 5.0), rng.uniform(-3.0, 3.0)),
+              rng.uniform(0.01, 19.9)) for _ in range(200)]
+    return args
+
+
+def test_gamma_bits_are_pinned():
+    outcomes = [_outcome(f, x) for x in _gamma_arguments() for f in (gamma_fn, rgamma)]
+    assert _digest(outcomes) == "f8f0bdc834fca33ba98f1fe981ee3bfdc8e50a07171fb6c63f2044e1ee8fe202"
+
+
+def test_u_integral_bits_are_pinned():
+    outcomes = [_outcome(hypU, *args) for args in _u_laplace_arguments()]
+    assert _digest(outcomes) == "c00c56f1971b27dfed8abb58be8c0852cffc211031dc1d813d2dd0e49b81e41d"
+
+
+def test_exp_sinh_table_holds_the_rules_abscissas():
+    # each entry is (w, e^w, cosh t) at w = pi/2 sinh t of its node, as a
+    # fresh evaluation gives it; no level outgrows the evaluation budget
+    for args in _u_laplace_arguments()[::20]:
+        hypU(*args)
+    assert hyper._ES_NODES
+    for level, sides in enumerate(hyper._ES_NODES):
+        assert sum(map(len, sides)) <= hyper.MAX_TERMS
+        for side, nodes in enumerate(sides):
+            for i, entry in enumerate(nodes):
+                t = hyper._es_abscissa(level, side, i)
+                w = hyper._ES_HALF_PI * math.sinh(t)
+                assert entry == (w, math.exp(w), math.cosh(t)), (level, side, i)
+
+
+def test_importing_hyper_computes_no_node():
+    probe = "import nu_spectral.hyper as h; print(h._ES_NODES)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_exp_sinh_table_fills_correctly_from_threads(monkeypatch):
+    # threads that extend one side at once must not write a node twice or
+    # out of place (appending did, in about half of these trials)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(hyper, "_ES_NODES", [])
+            threads = [threading.Thread(target=hyper._es_side, args=(6, 0, 4000)) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            nodes = hyper._ES_NODES[6][0]
+            assert len(nodes) == 4000
+            assert all(ch == math.cosh(hyper._es_abscissa(6, 0, i)) for i, (_, _, ch) in enumerate(nodes))
+    finally:
+        sys.setswitchinterval(interval)
