@@ -8,9 +8,14 @@ accuracy.
 
 Each public evaluator rounds its arguments once, in ``_number``: an exact
 scalar (Fraction, SurdSum, int) becomes a float, and a complex whose
-imaginary part is zero becomes its real part.  The routes take the numbers
-they are given as they are; a call whose arguments are all real returns a
-float.
+imaginary part is zero becomes its real part.  A parameter that is not
+finite raises ValueError naming it; the argument z keeps its own limits.
+The routes take the numbers they are given as they are, and internal calls
+do not round or check them again (only a difference such as c - a is
+rounded where it is formed); a call whose arguments are all real returns a
+float.  The term and node loops likewise only do arithmetic: what a call
+fixes (real or complex, plain or regularized, the module constants) is
+decided before its loop, in the loop's order of operations.
 
 Routes (documented crossovers, all for real argument z):
 
@@ -160,7 +165,6 @@ _LANCZOS_C = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
-_LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C[1:], start=1))  # (i, c_i) of the sum's c_i / (z - 1 + i)
 
 
 def _number(z):
@@ -186,7 +190,14 @@ def _real_arg(z, what):
 def is_nonpositive_integer(z):
     """True when z is exactly a real integer <= 0 (float equality)."""
     z = _number(z)
-    return _is_real(z) and z <= 0 and z == round(z)
+    return _is_real(z) and z <= 0 and z.is_integer()
+
+
+def _not_finite(what, **params):
+    """The ValueError of an evaluator's door for its first rounded parameter
+    that is not finite."""
+    name, x = next((name, x) for name, x in params.items() if not cmath.isfinite(x))
+    return ValueError(f"{what} needs finite parameters, got {name} = {x}")
 
 
 def _near_integer(z):
@@ -218,22 +229,35 @@ def gamma_fn(z):
 
     One body: float arithmetic for real z, complex otherwise; at zero
     imaginary parts the complex operations round as the float ones, so a
-    real z gets the floats that complex(z) would.
+    real z gets the floats that complex(z) would.  One type test rounds z
+    as _number does and picks both the pole test (real z only) and the
+    float or complex functions.
 
-    Raises PoleAtNonPositiveInteger at the poles, and SeriesOverflow where
-    the value leaves the float range (real z above ~171.6).
+    Raises PoleAtNonPositiveInteger at the poles, SeriesOverflow where the
+    value leaves the float range (real z above ~171.6), and ValueError at
+    -inf.
     """
-    z = _number(z)
-    if is_nonpositive_integer(z):
-        raise PoleAtNonPositiveInteger(f"gamma pole at {z}")
-    sin, exp, power = (math.sin, math.exp, _real_power) if _is_real(z) else (cmath.sin, cmath.exp, pow)
+    real = not isinstance(z, complex)
+    if real:
+        z = float(z)
+    elif not z.imag:
+        z, real = z.real, True
+    if real:
+        if z <= 0.0 and z.is_integer():
+            raise PoleAtNonPositiveInteger(f"gamma pole at {z}")
+        sin, exp, power = math.sin, math.exp, _real_power
+    else:
+        sin, exp, power = cmath.sin, cmath.exp, pow
     if z.real < 0.5:
+        if z == -math.inf:
+            raise ValueError("gamma needs a finite argument, got -inf")
         # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
         return math.pi / (sin(math.pi * z) * gamma_fn(1.0 - z))
     zm = z - 1.0
-    x = _LANCZOS_C[0]
-    for i, ci in _LANCZOS_TERMS:
-        x += ci / (zm + i)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _LANCZOS_C
+    # the Lanczos sum c0 + sum_i c_i / (zm + i), added from i = 1 up
+    x = (c0 + c1 / (zm + 1) + c2 / (zm + 2) + c3 / (zm + 3) + c4 / (zm + 4)
+         + c5 / (zm + 5) + c6 / (zm + 6) + c7 / (zm + 7) + c8 / (zm + 8))
     t = zm + _LANCZOS_G + 0.5
     try:
         val = _SQRT_2PI * power(t, zm + 0.5) * exp(-t) * x
@@ -265,12 +289,16 @@ def pochhammer(a, n):
     if n < 0:
         raise ValueError(f"pochhammer needs n >= 0, got {n}")
     a = _number(a)
-    out = 1.0 if _is_real(a) else complex(1.0)
-    stop = math.inf if _is_real(a) and a > 0.0 else None  # every factor positive: inf stays inf
+    if isinstance(a, complex):
+        out = complex(1.0)
+        for k in range(n):
+            out *= a + k
+        return out
+    out, inf = 1.0, math.inf
     for k in range(n):
         out *= a + k
-        if out == stop:
-            break
+        if not -inf < out < inf and a + k > 0.0:
+            break  # every later factor is positive too: +-inf and nan stay
     return out
 
 
@@ -281,8 +309,13 @@ def _gamma_error(x):
     times that for complex x, and below 1/2 a further 2|x| / |x - n| (n the
     nearest integer), since the reflection's sin(pi x) starts from the
     rounded pi x; none at the poles, where rgamma is exactly 0."""
-    err = (32.0 + 16.0 * abs(x)) * (1.0 if _is_real(x) else 8.0)
-    if x.real < 0.5 and not is_nonpositive_integer(x):
+    err = 32.0 + 16.0 * abs(x)
+    if isinstance(x, complex):  # one type test, as in gamma_fn
+        err *= 8.0
+        pole = not x.imag and x.real <= 0.0 and x.real.is_integer()
+    else:
+        pole = x <= 0.0 and x.is_integer()
+    if x.real < 0.5 and not pole:
         err += 2.0 * abs(x) / abs(x - round(x.real))
     return _UNIT_ROUNDOFF * err
 
@@ -312,56 +345,67 @@ def _sum_series(uppers, c, z, regularized, what):
     three-small-terms stopping rule: the SeriesResult and sum_n |term_n|.
 
     Plain variant divides by (c)_n; regularized multiplies by 1/gamma(c+n).
-    The term ratio is applied in this loop, not in a generator, which would
-    add a call per term.
+    The loop does each term's arithmetic, in the order of the formula, and
+    the stopping rule: the module constants are read when the call starts
+    (tests set them on the module), the term ratio takes one or two upper
+    factors as the call has them, and the last term and the count are
+    taken after the loop.  A generator would add a call per term.
     """
-    u = 1.0 + 0.0j if not all(map(_is_real, (*uppers, c, z))) else 1.0
+    tol, max_terms, streak_max = SERIES_TOL, MAX_TERMS, _STREAK
+    a, b = uppers if len(uppers) == 2 else (uppers[0], None)
+    two = b is not None
+    cplx = isinstance(a, complex) or isinstance(b, complex) or isinstance(c, complex) or isinstance(z, complex)
+    u = 1.0 + 0.0j if cplx else 1.0
     # 1/gamma(c+n) vanishes while c+n is a nonpositive integer
     ci = _near_integer(c) if regularized else None
     leading_zero_allowance = max(3, 2 - ci) if ci is not None and ci <= 0 else 3
     total = 0.0
     mass = 0.0
-    last = 0.0
     streak = 0
-    n_used = 0
     try:
-        for n in range(MAX_TERMS):
-            t = u * rgamma(c + n) if regularized else u
-            for p in uppers:
-                u = u * (p + n)
-            u = u * z / (n + 1.0) if regularized else u * z / ((c + n) * (n + 1.0))
+        for n in range(max_terms):
+            if regularized:
+                t = u * rgamma(c + n)
+                u = u * (a + n)
+                if two:
+                    u = u * (b + n)
+                u = u * z / (n + 1.0)
+            else:
+                t = u
+                u = u * (a + n)
+                if two:
+                    u = u * (b + n)
+                u = u * z / ((c + n) * (n + 1.0))
             total = total + t
             size = abs(t)
             mass = mass + size
-            last = t
-            n_used = n + 1
             ref = abs(total)
             # max(ref, 1e-300) without a builtin call (a nan ref stays nan)
-            if not size > SERIES_TOL * (ref if not ref < 1e-300 else 1e-300):
+            if not size > tol * (ref if not ref < 1e-300 else 1e-300):
                 if total == 0 and t == 0 and n < leading_zero_allowance:
                     continue  # a degenerate prefactor has not kicked in yet
                 streak += 1
-                if streak >= _STREAK:
+                if streak >= streak_max:
                     break
             else:
                 streak = 0
         else:
-            raise MaxTermsExceeded(f"{what} did not converge in {MAX_TERMS} terms")
+            raise MaxTermsExceeded(f"{what} did not converge in {max_terms} terms")
     except SeriesOverflow:  # 1/gamma(c + n) past gamma's float range
         if not (regularized and _is_real(c) and c > 0.0):
             raise
         return _regularized_in_logs(uppers, c, z, what)
+    last, n_used = t, n + 1
     # an overflowing term leaves the total inf or nan; the test above counts
     # an inf or nan term as small, so the loop ends and this test reports it
     if not cmath.isfinite(total):
         raise SeriesOverflow(f"{what} series left the float range after {n_used} terms")
     trunc = abs(last) / max(abs(total), 1e-300) if total != 0 else abs(last)
-    if len(uppers) == 2:
+    if two:
         # 2F1: the tail past the last term, whose ratio tends to |z|, is at
         # most |last| rho/(1 - rho), rho the larger of |z| and the last ratio
         # (0 once the series has terminated); and the rounding of n terms
         # of that mass
-        a, b = uppers
         rho = 0.0
         if last != 0:
             rho = abs((a + n) * (b + n) * z / ((n + 1.0) * (c + n)))
@@ -503,11 +547,13 @@ def hyp2f1_regularized(a, b, c, z):
 
 
 def _2f1_args(a, b, c, z):
-    """The door of both 2F1 evaluators: a, b, c rounded once and z a finite
-    float below 1, else ValueError.  The routes do not check z again: below
-    about -2^53 Pfaff's z/(z-1) rounds to 1.0, and its w = 1/(1-z) holds
-    the distance."""
+    """The door of both 2F1 evaluators: a, b, c rounded once and finite, and
+    z a finite float below 1, else ValueError.  The routes do not check z
+    again: below about -2^53 Pfaff's z/(z-1) rounds to 1.0, and its
+    w = 1/(1-z) holds the distance."""
     a, b, c = map(_number, (a, b, c))
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
+        raise _not_finite("2F1", a=a, b=b, c=c)
     z = _real_arg(z, "2F1")
     if not z < 1.0:
         raise ValueError("2F1 series argument must satisfy z < 1")
@@ -610,17 +656,18 @@ def _hyp2f1_log(a, b, c, gap, m, w, regularized):
     coeff = 1.0 / math.factorial(m)
     s2 = mass2 = 0.0
     streak = 0
+    tol, streak_max, am, bm = SERIES_TOL, _STREAK, a + m, b + m  # a + m and b + m round as in each term
     for k in range(MAX_TERMS):
         t = coeff * bracket
         s2 += t
         mass2 += abs(coeff) * (abs(bracket) + scale)
-        if not abs(t) > SERIES_TOL * abs(s2):
+        if not abs(t) > tol * abs(s2):
             streak += 1
-            if streak >= _STREAK:
+            if streak >= streak_max:
                 break
         else:
             streak = 0
-        x, y = a + m + k, b + m + k
+        x, y = am + k, bm + k
         coeff = coeff * x * y * w / ((k + 1.0) * (k + m + 1.0))
         bracket += 1.0 / x + 1.0 / y - 1.0 / (k + 1.0) - 1.0 / (k + m + 1.0)
     else:
@@ -689,17 +736,25 @@ def hyp1f1(a, c, z):
         raise PoleAtNonPositiveInteger(
             f"1F1 undefined at c = {c}; use hyp1f1_regularized"
         )
-    return _hyp1f1_any(a, c, z, regularized=False)
+    return _hyp1f1_any(*_1f1_args(a, c, z), regularized=False)
 
 
 def hyp1f1_regularized(a, c, z):
     """1F1(a; c; z) / gamma(c), entire in every parameter."""
-    return _hyp1f1_any(a, c, z, regularized=True)
+    return _hyp1f1_any(*_1f1_args(a, c, z), regularized=True)
+
+
+def _1f1_args(a, c, z):
+    """The door of both 1F1 evaluators: a and c rounded once and finite, z a
+    real float, else ValueError."""
+    a, c = _number(a), _number(c)
+    if not (cmath.isfinite(a) and cmath.isfinite(c)):
+        raise _not_finite("1F1", a=a, c=c)
+    return a, c, _real_arg(z, "1F1")
 
 
 def _hyp1f1_any(a, c, z, regularized):
-    a, c = _number(a), _number(c)
-    z = _real_arg(z, "1F1")
+    """The 1F1 routes at rounded arguments."""
     if z == 0.0:
         return SeriesResult(rgamma(c) if regularized else 1.0, 1, 0.0)
     na = _near_integer(a)
@@ -707,7 +762,7 @@ def _hyp1f1_any(a, c, z, regularized):
     if z < _1F1_REFLECT_BELOW and not terminating:
         # 1F1(a;c;z) = e^z 1F1(c-a; c; -z), with -z on the stable side
         try:
-            inner = _hyp1f1_any(c - a, c, -z, regularized)
+            inner = _hyp1f1_any(_number(c - a), c, -z, regularized)
         except SeriesOverflow:
             return _hyp1f1_far_left(a, c, -z, regularized)
         return _times_power(inner.value, inner.terms_used, inner.truncation_estimate, ((math.exp, z),),
@@ -765,18 +820,21 @@ def _u_terminating(n, c, z):
 def _2f0_sum(a, c, w):
     """2F0(a, a-c+1; w) cut at its smallest term: the sum, the terms used
     and the truncation estimate |smallest| / |sum|."""
+    tol, a_c = SERIES_TOL, a - c  # a - c rounds as it would in each term
     term = 1.0 if _is_real(a) and _is_real(c) else complex(1.0)
     total = term
     best = abs(term)
     n_used = 1
     for k in range(1, MAX_TERMS):
-        term = term * (a + k - 1.0) * (a - c + k) * w / k
-        if abs(term) >= best:
+        term = term * (a + k - 1.0) * (a_c + k) * w / k
+        size = abs(term)
+        if size >= best:
             break  # divergence sets in; stop at the smallest term
         total += term
-        best = abs(term)
+        best = size
         n_used += 1
-        if best <= SERIES_TOL * max(abs(total), 1e-300):
+        ref = abs(total)
+        if best <= tol * (ref if not ref < 1e-300 else 1e-300):
             break
     return total, n_used, best / max(abs(total), 1e-300)
 
@@ -791,8 +849,11 @@ def _u_asymptotic(a, c, z):
 
 
 def hypU(a, c, z):
-    """Tricomi's confluent U(a, c, z) for real z > 0 (routes: module docstring)."""
+    """Tricomi's confluent U(a, c, z) for real z > 0 and finite a, c (routes:
+    module docstring)."""
     a, c = _number(a), _number(c)
+    if not (cmath.isfinite(a) and cmath.isfinite(c)):
+        raise _not_finite("U", a=a, c=c)
     z = _real_arg(z, "U")
     if z <= 0.0:
         raise ValueError("U evaluation requires z > 0")
@@ -820,7 +881,8 @@ def hypU(a, c, z):
         raise SeriesOverflow(f"U integrand at ({a}, {c}, {z}) left the float range") from None
     values = []
     for u0, u1 in levels:
-        for b in (a + k for k in range(m, 0, -1)):
+        for k in range(m, 0, -1):
+            b = a + k
             u0, u1 = (2.0 * b - c + z) * u0 - b * (b - c + 1.0) * u1, u0
             if not cmath.isfinite(u0):  # inf and nan stay non-finite
                 break
@@ -878,9 +940,10 @@ def _u_laplace_levels(b, c, z):
     # level 0 walks out from t = 0 until both integrands sit _ES_TAIL e-folds
     # below the largest node seen; for Re b > 1 each is unimodal in t, so the
     # nodes beyond are negligible at every level
+    tol, max_terms, tail, log, ninf = SERIES_TOL, MAX_TERMS, _ES_TAIL, math.log, -math.inf
     h = _ES_STEP0
     sf = sg = 0.0
-    peak_f = peak_g = -math.inf
+    peak_f = peak_g = ninf
     ends = []  # intervals of width h on each side of t = 0
     for side in (0, 1):
         nodes, i = _es_side(0, side, 0), 0
@@ -888,30 +951,40 @@ def _u_laplace_levels(b, c, z):
             w, s, ch = nodes[i] if i < len(nodes) else _es_side(0, side, i + 1)[i]
             x, q = log_pref + b * w - s + p * log1p(s / z), s / (z + s)
             f = exp(x) * ch
-            sf, sg = sf + f, sg + f * q
-            log_f = x.real + math.log(ch)
-            log_g = log_f + math.log(q) if q else -math.inf  # s underflowed
-            peak_f, peak_g = max(peak_f, log_f), max(peak_g, log_g)
-            if log_f < peak_f - _ES_TAIL and log_g < peak_g - _ES_TAIL:
+            sf += f
+            sg += f * q
+            log_f = x.real + log(ch)
+            log_g = log_f + log(q) if q else ninf  # s underflowed
+            if log_f > peak_f:  # max(), without its call
+                peak_f = log_f
+            if log_g > peak_g:
+                peak_g = log_g
+            if log_f < peak_f - tail and log_g < peak_g - tail:
                 break
             i += 1
         ends.append(i + side)  # the left side's nodes start at t = 0
-    level, evals, last = 0, ends[0] + ends[1] + 1, (h * sf, h * sg)
+    e0, e1 = ends
+    level, evals, last_f, last_g = 0, e0 + e1 + 1, h * sf, h * sg
     while True:
         h *= 0.5
         level += 1
-        evals += ends[0] + ends[1]
-        if evals > MAX_TERMS:
-            raise MaxTermsExceeded(f"U integral did not converge in {MAX_TERMS} evaluations")
-        # the new nodes are the midpoints of the last level's intervals
-        left, right = (_es_side(level, side, ends[side]) for side in (0, 1))
-        for w, s, ch in left[:ends[0]][::-1] + right[:ends[1]]:
+        evals += e0 + e1
+        if evals > max_terms:
+            raise MaxTermsExceeded(f"U integral did not converge in {max_terms} evaluations")
+        # the new nodes are the midpoints of the last level's intervals, read
+        # from the table where it holds them
+        sides = _ES_NODES[level] if level < len(_ES_NODES) else ((), ())
+        left = sides[0] if len(sides[0]) >= e0 else _es_side(level, 0, e0)
+        right = sides[1] if len(sides[1]) >= e1 else _es_side(level, 1, e1)
+        for w, s, ch in left[:e0][::-1] + right[:e1]:
             f = exp(log_pref + b * w - s + p * log1p(s / z)) * ch
-            sf, sg = sf + f, sg + f * (s / (z + s))
-        ends = [2 * k for k in ends]
-        prev, last = last, (h * sf, h * sg)
-        if all(abs(v - u) <= SERIES_TOL * abs(v) for u, v in zip(prev, last)):
-            return [(_ES_HALF_PI * f, _ES_HALF_PI / b * g) for f, g in (prev, last)], evals
+            sf += f
+            sg += f * (s / (z + s))
+        e0, e1 = 2 * e0, 2 * e1
+        prev_f, prev_g, last_f, last_g = last_f, last_g, h * sf, h * sg
+        if abs(last_f - prev_f) <= tol * abs(last_f) and abs(last_g - prev_g) <= tol * abs(last_g):
+            return [(_ES_HALF_PI * prev_f, _ES_HALF_PI / b * prev_g),
+                    (_ES_HALF_PI * last_f, _ES_HALF_PI / b * last_g)], evals
 
 
 # The exp-sinh rule's abscissas, which depend on no argument (as oracle's
@@ -971,6 +1044,8 @@ def hermite_fn(nu, z):
     pieces cancel as z grows, which is why z > 2 takes the U form.
     """
     nu, z = _number(nu), _number(z)
+    if not cmath.isfinite(nu):
+        raise _not_finite("Hermite function", nu=nu)
     zz = z * z
     two_pow = (2.0, nu) if _is_real(nu) else (cmath.exp, nu * math.log(2.0))
     if _is_real(nu) and _is_real(z) and z > _HERMITE_U_ABOVE:
@@ -997,6 +1072,8 @@ def limit_2f1_at_1(a, b, c):
     if is_nonpositive_integer(c):
         raise PoleAtNonPositiveInteger(f"2F1 undefined at c = {c}")
     a, b, c = map(_number, (a, b, c))
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
+        raise _not_finite("2F1 limit", a=a, b=b, c=c)
     na, nb = _near_integer(a), _near_integer(b)
     if (na is not None and na <= 0) or (nb is not None and nb <= 0):
         # polynomial: finite by Chu-Vandermonde

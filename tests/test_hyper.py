@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import math
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -1140,9 +1141,31 @@ def _returns_a_number_or_raises(name, args):
     ("hyp2f1", (203.5, 0.25, 200.5, 0.995)),  # 1/gamma(c - a) at a pole beside a gamma past the range
     ("limit_2f1_at_1", (0.5, 0.3, 1e307)),  # lgamma(1e307) raises OverflowError
     ("hyp1f1_regularized", (1.0, 1e307, 0.5)),  # so did 1/gamma(c) in logs
+    # a parameter at -inf reached round(), which raised OverflowError; at nan,
+    # round() raised its ValueError without naming the parameter
+    *((name, args) for x in (-math.inf, math.nan) for name, args in (
+        ("gamma_fn", (x,)), ("rgamma", (x,)), ("hyp2f1", (1.0, 1.0, x, 0.5)), ("hyp1f1", (1.0, x, 0.5)),
+        ("hypU", (x, 1.5, 2.0)))),
 ])
 def test_the_exception_contract_at_its_former_defects(name, args):
     assert _returns_a_number_or_raises(name, args)
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("gamma_fn", (-math.inf,), "gamma needs a finite argument, got -inf"),
+    ("rgamma", (-math.inf,), "gamma needs a finite argument, got -inf"),
+    ("hyp2f1", (1.0, 1.0, -math.inf, 0.5), "2F1 needs finite parameters, got c = -inf"),
+    ("hyp2f1_regularized", (math.nan, 1.0, 1.5, 0.5), "2F1 needs finite parameters, got a = nan"),
+    ("hyp1f1", (1.0, -math.inf, 0.5), "1F1 needs finite parameters, got c = -inf"),
+    ("hyp1f1_regularized", (math.inf, 1.5, 0.5), "1F1 needs finite parameters, got a = inf"),
+    ("hypU", (-math.inf, 1.5, 2.0), "U needs finite parameters, got a = -inf"),
+    ("hypU", (0.5, math.nan, 2.0), "U needs finite parameters, got c = nan"),
+    ("hermite_fn", (math.inf, 0.5), "Hermite function needs finite parameters, got nu = inf"),
+    ("limit_2f1_at_1", (1.0, -math.inf, 3.5), "2F1 limit needs finite parameters, got b = -inf"),
+])
+def test_a_parameter_that_is_not_finite_is_named(name, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(hyper, name)(*args)
 
 
 def test_u_recurrence_stops_where_it_leaves_the_float_range():
@@ -1190,12 +1213,13 @@ def test_pfaff_inner_series_at_a_far_negative_c():
 
 def test_terminating_u_stops_at_its_first_term_past_the_float_range():
     # each term of U(-n, c, z) forms (c + k)_(n-k) afresh: 1.0 s at n = 6000
-    # before the route handed over, and more than a minute at n = 1e8
-    for a in (-6000.0, -3000.0, -1e8):
+    # before the route handed over, and more than a minute at n = 1e8; at
+    # c <= 0 the first term's pochhammer ran all n factors past inf (9 s at 1e8)
+    for a, c in ((-6000.0, 2.5), (-3000.0, 2.5), (-1e8, 2.5), (-1e6, -2.5), (-1e8, -2.5)):
         t0 = time.perf_counter()
         with pytest.raises(SeriesOverflow, match=r"^U\(.*\) left the float range in the recurrence$"):
-            hypU(a, 2.5, 0.5)
-        assert time.perf_counter() - t0 < 0.5, a
+            hypU(a, c, 0.5)
+        assert time.perf_counter() - t0 < 0.5, (a, c)
 
 
 @pytest.mark.xfail(strict=True, reason="U's downward recurrence carries no running bound on its rounding "
@@ -1251,9 +1275,42 @@ def _u_laplace_arguments():
     return args
 
 
+def _series_arguments():
+    # every caller of the series engine and the two other term loops (15.8.10
+    # and the 2F0 of the far-left 1F1 and of U's large-z series)
+    rng = random.Random(3301)
+    u = rng.uniform
+    calls = []
+    for _ in range(150):
+        f = rng.choice((hyp2f1, hyp2f1_regularized))
+        calls.append((f, (u(-6, 6), u(-6, 6), u(0.2, 8), u(0.0, 0.99))))  # direct
+        calls.append((f, (u(-6, 6), u(-6, 6), u(0.2, 8), -10 ** u(-2, 2))))  # Pfaff
+        a, b = u(-3, 3), u(-3, 3)
+        calls.append((f, (a, b, a + b + u(-2.9, 2.9), 1 - 10 ** u(-5, -2.01))))  # 15.8.4
+        calls.append((f, (a, b, a + b + rng.randint(-3, 3), 1 - 10 ** u(-5, -2.01))))  # 15.8.10
+    for _ in range(150):
+        f = rng.choice((hyp1f1, hyp1f1_regularized))
+        calls.append((f, (u(-8, 8), u(0.2, 8), u(-8, 25))))  # direct
+        calls.append((f, (u(-8, 8), u(0.2, 8), u(-60, -8))))  # reflected
+        calls.append((f, (u(-3, 3), u(0.2, 4), -u(720, 2000))))  # far left
+        calls.append((hyp1f1_regularized, (u(-20, 20), u(150, 220), u(-50, 150))))  # past gamma's range
+        calls.append((hermite_fn, (u(-8, 12), u(-2, 2))))  # the even/odd pair
+        calls.append((hypU, (u(0.1, 3), complex(u(-4, 4), u(-2, 2)), u(0.05, 19))))  # the Kummer pair
+        calls.append((hypU, (u(0.1, 3), u(-3, 3), u(20, 60))))  # large z
+    return calls
+
+
 def test_gamma_bits_are_pinned():
+    # at -inf, where round() raised OverflowError at fc8ebb3, gamma_fn and
+    # rgamma raise the ValueError of test_a_parameter_that_is_not_finite_is_named
     outcomes = [_outcome(f, x) for x in _gamma_arguments() for f in (gamma_fn, rgamma)]
-    assert _digest(outcomes) == "f8f0bdc834fca33ba98f1fe981ee3bfdc8e50a07171fb6c63f2044e1ee8fe202"
+    assert _digest(outcomes) == "5f6041c8a4602911d05ac032ecc4ef388256f1bb9522072e385e7be32289f940"
+
+
+def test_series_bits_are_pinned():
+    # taken at commit 9038bb6
+    outcomes = [_outcome(f, *args) for f, args in _series_arguments()]
+    assert _digest(outcomes) == "4fb850888789228baadd554433dfae71d8165ba97d98c4a2f6071be5257ae491"
 
 
 def test_u_integral_bits_are_pinned():
